@@ -12,7 +12,10 @@
 //!   (`encode_frame_into` clears and refills, never grows after the
 //!   first frame);
 //! - the interned all-ones partial-value vector (`pool::ones` is a map
-//!   probe returning an `Arc` clone after the first call per length).
+//!   probe returning an `Arc` clone after the first call per length);
+//! - the refit task's `SlidingWindow`: once constructed (the block ring
+//!   is sized there), fault-free ingest and refits never allocate, through
+//!   any number of window turnovers.
 //!
 //! Binary *decoding* is deliberately not asserted to zero: it builds an
 //! owned message (strings, stage vectors), which is its documented
@@ -33,6 +36,7 @@
 use cedar_core::wait::{calculate_wait_with_grid, QupGrid};
 use cedar_distrib::spec::DistSpec;
 use cedar_distrib::{ContinuousDist, LogNormal, Mixture, Pareto};
+use cedar_estimate::SlidingWindow;
 use cedar_server::proto::Request;
 use cedar_server::wire2::encode_frame_into;
 use cedar_workloads::treedef::{StageDef, TreeDef};
@@ -190,4 +194,19 @@ fn steady_state_hot_paths_do_not_allocate() {
         black_box(v.len());
     });
     assert_eq!(ones_events, 0, "pool::ones allocated on a warm length");
+
+    // --- Refit window: fill, then a full turnover, a refit per sample. ---
+    let mut window = SlidingWindow::new(64, 16);
+    let capacity = window.capacity();
+    let mut i = 0u32;
+    let window_events = measure("window_turnover", 0, 2 * capacity, || {
+        i += 1;
+        window.observe(1.0 + f64::from(i % 17));
+        black_box(window.fit());
+    });
+    assert!(window.len() <= capacity && window.len() > capacity - 64);
+    assert_eq!(
+        window_events, 0,
+        "SlidingWindow allocated on a censoring-free stream"
+    );
 }

@@ -23,9 +23,15 @@ fn shifted_arrival(dist: Arc<dyn ContinuousDist>, wait_below: f64) -> Arc<dyn Co
 }
 
 /// Per-level policy contexts with the prior-dependent parts filled in.
+///
+/// The contexts belong to the policy `kind` they were built for: the
+/// prior arrival chain embeds that policy's own initial waits. Every
+/// caller (both engines, `aggregate_remote`, the mesh node, the service,
+/// the simulator) runs the kind it prepared with.
 #[derive(Debug, Clone)]
 pub struct PreparedContexts {
     contexts: Vec<PolicyContext>,
+    kind: WaitPolicyKind,
     model: Model,
 }
 
@@ -88,12 +94,19 @@ impl PreparedContexts {
 
             contexts.push(ctx);
         }
-        Self { contexts, model }
+        Self {
+            contexts,
+            kind,
+            model,
+        }
     }
 
-    /// Clones the contexts and fills in the query's true arrival-time
-    /// distributions (for the Ideal oracle), chained through the oracle's
-    /// own per-level waits.
+    /// Clones the contexts for one query. When they were prepared for the
+    /// Ideal oracle — the only policy that reads `true_lower` — also fills
+    /// in the query's true arrival-time distributions, chained through
+    /// the oracle's own per-level waits; any other kind gets the clones
+    /// as they are, without paying for oracle scans nobody reads.
+    ///
     /// # Panics
     ///
     /// Panics if `true_tree`'s shape (level count or fan-outs) differs
@@ -115,6 +128,10 @@ impl PreparedContexts {
             );
         }
         let mut contexts = self.contexts.clone();
+        if self.kind != WaitPolicyKind::Ideal {
+            return contexts;
+        }
+        let levels = contexts.len();
         let mut true_wait_below = 0.0f64;
         for (stage_idx, ctx) in contexts.iter_mut().enumerate() {
             let true_lower: Arc<dyn ContinuousDist> = if ctx.level == 1 {
@@ -123,8 +140,12 @@ impl PreparedContexts {
                 shifted_arrival(true_tree.stage(stage_idx).dist.clone(), true_wait_below)
             };
             ctx.true_lower = Some(true_lower);
-            let mut oracle = WaitPolicyKind::Ideal.instantiate(ctx.fanout, self.model);
-            true_wait_below = oracle.initial_wait(ctx);
+            // The oracle's wait here only shifts the next level's
+            // arrivals; above the top level there is nothing to shift.
+            if stage_idx + 1 < levels {
+                let mut oracle = WaitPolicyKind::Ideal.instantiate(ctx.fanout, self.model);
+                true_wait_below = oracle.initial_wait(ctx);
+            }
         }
         contexts
     }
@@ -185,13 +206,17 @@ mod tests {
         assert!((tl.mean() - LogNormal::new(2.5, 0.7).unwrap().mean()).abs() < 1e-9);
     }
 
-    #[test]
-    fn three_level_chains_shifted_arrivals() {
-        let t = TreeSpec::new(vec![
+    fn three_levels() -> TreeSpec {
+        TreeSpec::new(vec![
             StageSpec::new(LogNormal::new(1.0, 0.7).unwrap(), 6),
             StageSpec::new(LogNormal::new(1.2, 0.4).unwrap(), 4),
             StageSpec::new(LogNormal::new(1.2, 0.4).unwrap(), 3),
-        ]);
+        ])
+    }
+
+    #[test]
+    fn three_level_chains_shifted_arrivals() {
+        let t = three_levels();
         let p = PreparedContexts::new(
             &t,
             60.0,
@@ -205,5 +230,53 @@ mod tests {
         // the raw stage-2 mean.
         let raw_mean = t.stage(1).dist.mean();
         assert!(p.contexts()[1].prior_lower.mean() > raw_mean);
+    }
+
+    #[test]
+    fn ideal_chains_true_lower_through_the_oracle_waits() {
+        let t = three_levels();
+        let p = PreparedContexts::new(
+            &t,
+            60.0,
+            WaitPolicyKind::Ideal,
+            Model::LogNormal,
+            100,
+            &ProfileConfig::default(),
+        );
+        let truth = t.with_bottom_dist(Arc::new(LogNormal::new(2.5, 0.7).unwrap()));
+        let ctxs = p.for_query(&truth);
+        assert_eq!(ctxs.len(), 2);
+        // Level 1 sees the true bottom stage as is.
+        let bottom = ctxs[0].true_lower.as_ref().unwrap();
+        assert_eq!(bottom.cdf(9.0), truth.stage(0).dist.cdf(9.0));
+        // Level 2 sees stage 1 shifted by exactly the wait the oracle
+        // picks at level 1 against that true distribution.
+        let mut oracle = WaitPolicyKind::Ideal.instantiate(ctxs[0].fanout, Model::LogNormal);
+        let wait = oracle.initial_wait(&ctxs[0]);
+        assert!(wait > 0.0 && wait < 60.0);
+        let upper = ctxs[1].true_lower.as_ref().unwrap();
+        let stage1 = &truth.stage(1).dist;
+        assert_eq!(upper.mean(), stage1.mean() + wait);
+        for t in [wait + 1.0, wait + 3.5, wait + 20.0] {
+            assert_eq!(upper.cdf(t), stage1.cdf(t - wait));
+        }
+    }
+
+    #[test]
+    fn other_kinds_skip_the_oracle_chain() {
+        let t = three_levels();
+        let p = PreparedContexts::new(
+            &t,
+            60.0,
+            WaitPolicyKind::Cedar,
+            Model::LogNormal,
+            100,
+            &ProfileConfig::default(),
+        );
+        let truth = t.with_bottom_dist(Arc::new(LogNormal::new(2.5, 0.7).unwrap()));
+        for (ctx, prior) in p.for_query(&truth).iter().zip(p.contexts()) {
+            assert!(ctx.true_lower.is_none());
+            assert_eq!(ctx.prior_lower.mean(), prior.prior_lower.mean());
+        }
     }
 }

@@ -19,6 +19,7 @@
 //! gradient and a finite-difference Hessian, warm-started from the
 //! order-statistics regression estimate.
 
+use crate::window::{log_of, Moments};
 use crate::{CedarEstimator, DurationEstimator, Model, ParamEstimate};
 use cedar_mathx::special::{norm_pdf, norm_sf};
 
@@ -40,6 +41,11 @@ use cedar_mathx::special::{norm_pdf, norm_sf};
 /// fast tail gets observed. With `censored_at` empty this is the plain
 /// uncensored MLE.
 ///
+/// The observed side is folded into its moments in one pass and the
+/// thresholds are transformed once; a learner that fits repeatedly
+/// should keep a [`SlidingWindow`](crate::SlidingWindow) instead, which
+/// does that fold at ingest.
+///
 /// Returns `None` when fewer than two usable observed points remain
 /// after filtering (non-finite anywhere; non-positive under
 /// [`Model::LogNormal`], which also drops non-positive thresholds — a
@@ -50,59 +56,72 @@ pub fn fit_right_censored(
     censored_at: &[f64],
 ) -> Option<ParamEstimate> {
     let transform = |t: f64| -> Option<f64> {
-        if !t.is_finite() {
-            return None;
-        }
         match model {
-            Model::LogNormal => (t > 0.0).then(|| t.ln()),
-            Model::Normal => Some(t),
+            Model::LogNormal => log_of(t),
+            Model::Normal => t.is_finite().then_some(t),
         }
     };
-    let ys: Vec<f64> = observed.iter().copied().filter_map(transform).collect();
-    let cs: Vec<f64> = censored_at.iter().copied().filter_map(transform).collect();
-    if ys.len() < 2 {
-        return None;
+    let mut obs = Moments::default();
+    for y in observed.iter().copied().filter_map(transform) {
+        obs.push(y);
     }
-    let mu0 = cedar_mathx::kahan::mean(&ys);
-    let ls0 = cedar_mathx::kahan::sample_stddev(&ys).max(1e-3).ln();
-    let (mu, sigma) = newton_censored(&ys, &cs, mu0, ls0)?;
-    Some(ParamEstimate {
-        model,
-        mu,
-        sigma: sigma.max(1e-9),
-    })
+    let cs: Vec<f64> = censored_at.iter().copied().filter_map(transform).collect();
+    let (mu, sigma) = solve_censored(&obs, cs.iter().map(|&c| (c, 1.0)), None)?;
+    Some(ParamEstimate { model, mu, sigma })
 }
 
-/// Damped Newton ascent in `(mu, ln sigma)` on the progressive-censoring
-/// likelihood; same iteration scheme as [`CensoredMleEstimator`]'s
-/// internal solver but with per-point censoring thresholds.
-fn newton_censored(ys: &[f64], cs: &[f64], mut mu: f64, mut ln_sigma: f64) -> Option<(f64, f64)> {
-    // Gradient scaled by sigma (the common positive factor does not move
-    // the root).
+/// The crate's one censored-likelihood solver: damped Newton ascent in
+/// `(mu, ln sigma)` with the analytic gradient and a finite-difference
+/// Hessian. The observed side enters only through its [`Moments`] —
+///
+/// ```text
+/// g_mu = n (ybar - mu)/sigma                     + sum_j w_j h(z_j)
+/// g_ls = (M2 + n (ybar - mu)^2)/sigma^2 - n      + sum_j w_j z_j h(z_j)
+/// ```
+///
+/// (`h = phi / (1 - Phi)` the normal hazard, the gradient scaled by
+/// `sigma`, a common positive factor that does not move the root) — so
+/// one iteration costs `O(#thresholds)` however many points were
+/// observed. `censored` yields `(threshold, weight)` pairs in the
+/// transformed domain; a weight above one stands for that many points
+/// tied at one threshold (the Type-II scheme). `start` is
+/// `(mu, ln sigma)`; without one the iteration starts from the observed
+/// moments. Returns `(mu, sigma)` with `sigma >= 1e-9`, or `None` below
+/// two observed points or when the iteration leaves the finite plane.
+pub(crate) fn solve_censored(
+    obs: &Moments,
+    censored: impl Iterator<Item = (f64, f64)> + Clone,
+    start: Option<(f64, f64)>,
+) -> Option<(f64, f64)> {
+    if obs.count() < 2 {
+        return None;
+    }
+    let n = obs.count() as f64;
     let gradient = |mu: f64, ln_sigma: f64| -> (f64, f64) {
         let sigma = ln_sigma.exp();
-        let mut g_mu = 0.0;
-        let mut g_ls = 0.0;
-        for &y in ys {
-            let z = (y - mu) / sigma;
-            g_mu += z;
-            g_ls += z * z - 1.0;
-        }
-        for &c in cs {
+        let d = (obs.mean() - mu) / sigma;
+        let mut g_mu = n * d;
+        let mut g_ls = obs.m2() / (sigma * sigma) + n * d * d - n;
+        for (c, weight) in censored.clone() {
             let z = (c - mu) / sigma;
-            let sf = norm_sf(z).max(1e-300);
-            let hazard = norm_pdf(z) / sf;
+            let hazard = weight * norm_pdf(z) / norm_sf(z).max(1e-300);
             g_mu += hazard;
             g_ls += z * hazard;
         }
         (g_mu, g_ls)
     };
+    let (mut mu, mut ln_sigma) = start.unwrap_or_else(|| {
+        let sample_sd = (obs.m2() / (n - 1.0)).sqrt();
+        (obs.mean(), sample_sd.max(1e-3).ln())
+    });
+
     const H: f64 = 1e-5;
     for _ in 0..60 {
         let (g1, g2) = gradient(mu, ln_sigma);
         if g1.abs() < 1e-10 && g2.abs() < 1e-10 {
             break;
         }
+        // Finite-difference Jacobian of the gradient.
         let (a1, a2) = gradient(mu + H, ln_sigma);
         let (b1, b2) = gradient(mu, ln_sigma + H);
         let j11 = (a1 - g1) / H;
@@ -113,8 +132,10 @@ fn newton_censored(ys: &[f64], cs: &[f64], mut mu: f64, mut ln_sigma: f64) -> Op
         let (mut dmu, mut dls) = if det.abs() > 1e-12 {
             (-(g1 * j22 - g2 * j12) / det, -(j11 * g2 - j21 * g1) / det)
         } else {
+            // Singular curvature: fall back to a small ascent step.
             (0.05 * g1.signum(), 0.05 * g2.signum())
         };
+        // Damping: cap the step to keep the iteration stable.
         let norm = dmu.hypot(dls);
         if norm > 2.0 {
             dmu *= 2.0 / norm;
@@ -131,24 +152,27 @@ fn newton_censored(ys: &[f64], cs: &[f64], mut mu: f64, mut ln_sigma: f64) -> Op
     if !(mu.is_finite() && sigma.is_finite() && sigma > 0.0) {
         return None;
     }
-    Some((mu, sigma))
+    Some((mu, sigma.max(1e-9)))
 }
 
 /// Exact censored-sample MLE estimator.
 ///
-/// `estimate()` costs `O(r)` per Newton iteration (typically 4–8
-/// iterations), versus `O(1)` for [`CedarEstimator`]'s incremental
-/// regression — the trade the paper alludes to. Accuracy approaches the
-/// Cramér–Rao bound for censored samples; the benchmark suite compares
-/// both.
+/// `estimate()` runs the Newton solve (typically 4–8 iterations, each a
+/// handful of normal-tail evaluations), versus one closed-form
+/// regression update for [`CedarEstimator`] — the trade the paper
+/// alludes to. Accuracy approaches the Cramér–Rao bound for censored
+/// samples; the benchmark suite compares both.
 #[derive(Debug, Clone)]
 pub struct CensoredMleEstimator {
     k: usize,
     model: Model,
-    /// Transformed (log-domain for log-normal) observations in arrival
-    /// order; non-positive raw durations are recorded as left-censored
+    /// Moments of the transformed (log-domain for log-normal)
+    /// observations; non-positive raw durations are left-censored
     /// placeholders and excluded from the likelihood.
-    ys: Vec<f64>,
+    obs: Moments,
+    /// The latest usable observation: arrivals come in ascending order,
+    /// so this is the Type-II censoring point of the unseen tail.
+    largest: f64,
     /// Warm-start provider.
     warm: CedarEstimator,
 }
@@ -163,7 +187,8 @@ impl CensoredMleEstimator {
         Self {
             k,
             model,
-            ys: Vec::new(),
+            obs: Moments::default(),
+            largest: f64::NEG_INFINITY,
             warm: CedarEstimator::new(k, model),
         }
     }
@@ -177,100 +202,17 @@ impl CensoredMleEstimator {
             Model::Normal => t,
         })
     }
-
-    /// Negative log-likelihood gradient at `(mu, ln_sigma)`, scaled by
-    /// `sigma` (the common factor does not move the root).
-    fn gradient(&self, mu: f64, ln_sigma: f64) -> (f64, f64) {
-        let sigma = ln_sigma.exp();
-        let r = self.ys.len();
-        let censored = (self.k - r) as f64;
-        let mut g_mu = 0.0;
-        let mut g_ls = 0.0;
-        for &y in &self.ys {
-            let z = (y - mu) / sigma;
-            g_mu += z;
-            g_ls += z * z - 1.0;
-        }
-        // Hazard term from the censored tail at the largest observation
-        // (ys is sorted ascending and non-empty by caller contract).
-        let y_r = self.ys[self.ys.len() - 1];
-        let z_r = (y_r - mu) / sigma;
-        let sf = norm_sf(z_r).max(1e-300);
-        let hazard = norm_pdf(z_r) / sf;
-        g_mu += censored * hazard;
-        g_ls += censored * z_r * hazard;
-        // Gradient of LL w.r.t. (mu, ln sigma) equals (g_mu, g_ls) up to
-        // the positive factor 1/sigma (for mu) and 1 (for ln sigma after
-        // the chain rule), so the root is unchanged.
-        (g_mu, g_ls)
-    }
-
-    /// Runs the damped Newton solve. Returns `None` when the data cannot
-    /// identify two parameters.
-    fn solve(&self) -> Option<(f64, f64)> {
-        if self.ys.len() < 2 {
-            return None;
-        }
-        // Warm start from the regression estimate (or crude moments).
-        let start = self.warm.estimate();
-        let (mut mu, mut ln_sigma) = match start {
-            Some(p) if p.sigma > 1e-8 => (p.mu, p.sigma.ln()),
-            _ => {
-                let mean = cedar_mathx::kahan::mean(&self.ys);
-                let sd = cedar_mathx::kahan::sample_stddev(&self.ys).max(1e-3);
-                (mean, sd.ln())
-            }
-        };
-
-        const H: f64 = 1e-5;
-        for _ in 0..60 {
-            let (g1, g2) = self.gradient(mu, ln_sigma);
-            if g1.abs() < 1e-10 && g2.abs() < 1e-10 {
-                break;
-            }
-            // Finite-difference Jacobian of the gradient.
-            let (a1, a2) = self.gradient(mu + H, ln_sigma);
-            let (b1, b2) = self.gradient(mu, ln_sigma + H);
-            let j11 = (a1 - g1) / H;
-            let j21 = (a2 - g2) / H;
-            let j12 = (b1 - g1) / H;
-            let j22 = (b2 - g2) / H;
-            let det = j11 * j22 - j12 * j21;
-            let (mut dmu, mut dls) = if det.abs() > 1e-12 {
-                (-(g1 * j22 - g2 * j12) / det, -(j11 * g2 - j21 * g1) / det)
-            } else {
-                // Singular curvature: fall back to a small ascent step.
-                (0.05 * g1.signum(), 0.05 * g2.signum())
-            };
-            // Damping: cap the step to keep the iteration stable.
-            let norm = dmu.hypot(dls);
-            if norm > 2.0 {
-                dmu *= 2.0 / norm;
-                dls *= 2.0 / norm;
-            }
-            mu += dmu;
-            ln_sigma += dls;
-            ln_sigma = ln_sigma.clamp(-20.0, 20.0);
-            if dmu.abs() < 1e-11 && dls.abs() < 1e-11 {
-                break;
-            }
-        }
-        let sigma = ln_sigma.exp();
-        if !(mu.is_finite() && sigma.is_finite() && sigma > 0.0) {
-            return None;
-        }
-        Some((mu, sigma))
-    }
 }
 
 impl DurationEstimator for CensoredMleEstimator {
     fn observe(&mut self, duration: f64) {
-        if !duration.is_finite() || self.ys.len() >= self.k {
+        if !duration.is_finite() || self.obs.count() >= self.k as u64 {
             return;
         }
         self.warm.observe(duration);
         if let Some(y) = self.transform(duration) {
-            self.ys.push(y);
+            self.obs.push(y);
+            self.largest = y;
         }
     }
 
@@ -279,16 +221,26 @@ impl DurationEstimator for CensoredMleEstimator {
     }
 
     fn estimate(&self) -> Option<ParamEstimate> {
-        let (mu, sigma) = self.solve()?;
+        // The `k - r` unseen points all exceed the largest observation.
+        let unseen = (self.k as u64).saturating_sub(self.obs.count()) as f64;
+        // Warm start from the regression estimate when it is usable.
+        let start = self
+            .warm
+            .estimate()
+            .filter(|p| p.sigma > 1e-8)
+            .map(|p| (p.mu, p.sigma.ln()));
+        let (mu, sigma) =
+            solve_censored(&self.obs, std::iter::once((self.largest, unseen)), start)?;
         Some(ParamEstimate {
             model: self.model,
             mu,
-            sigma: sigma.max(1e-9),
+            sigma,
         })
     }
 
     fn reset(&mut self) {
-        self.ys.clear();
+        self.obs = Moments::default();
+        self.largest = f64::NEG_INFINITY;
         self.warm.reset();
     }
 }

@@ -17,6 +17,8 @@
 //! - [`CedarEstimator`] — the de-biased online estimator;
 //! - [`EmpiricalEstimator`] — the biased baseline;
 //! - [`DurationEstimator`] — the common trait the aggregator policies use;
+//! - [`SlidingWindow`] — the bounded window of sufficient statistics the
+//!   cross-query learners refit population priors from;
 //! - [`eval`] — the accuracy harness behind the paper's Fig. 9.
 
 #![deny(missing_docs)]
@@ -24,8 +26,10 @@
 
 pub mod censored;
 pub mod eval;
+pub mod window;
 
 pub use censored::{fit_right_censored, CensoredMleEstimator};
+pub use window::SlidingWindow;
 
 use cedar_distrib::{ContinuousDist, DistError, LogNormal, Normal};
 use cedar_mathx::order_stats::{NormalOrderStats, OrderStatMethod};

@@ -2,9 +2,10 @@
 //! leftover): the same checkpoint format the in-process service uses,
 //! fed from remote aggregation passes.
 //!
-//! An aggregator node given a `CheckpointConfig` accumulates its leaf
-//! stage's observed durations and right-censoring thresholds, refits a
-//! log-normal by censored MLE every few passes, and persists the
+//! An aggregator node given a `CheckpointConfig` folds its leaf stage's
+//! observed durations and right-censoring thresholds into the same
+//! [`SlidingWindow`] the service learns from, refits a log-normal by
+//! censored MLE from it every few passes, and persists the
 //! lifetime sufficient statistics through
 //! [`cedar_runtime::checkpoint`]'s two-generation CRC-guarded rotation.
 //! On restart the learner warm-starts from the newest valid generation,
@@ -19,7 +20,7 @@
 //! surface today: a nonzero epoch after refits, exact checkpoint ages,
 //! and a warm-restart marker the chaos tests assert across `kill -9`.
 
-use cedar_estimate::{fit_right_censored, DurationEstimator, EmpiricalEstimator, Model};
+use cedar_estimate::{DurationEstimator, EmpiricalEstimator, Model, SlidingWindow};
 use cedar_runtime::checkpoint::{self, Checkpoint, StageCheckpoint};
 use cedar_runtime::CheckpointConfig;
 use std::path::PathBuf;
@@ -33,8 +34,10 @@ use cedar_core::LockExt;
 const REFIT_PASSES: u64 = 8;
 /// Persist a checkpoint every this many aggregation passes.
 const CHECKPOINT_PASSES: u64 = 16;
-/// Sliding-window bound on observations kept for refitting.
-const WINDOW_MAX: usize = 1024;
+/// Sliding window refits are fitted from: the latest ~1 024 leaf
+/// outcomes, sliding one 32-entry block at a time.
+const WINDOW_BLOCK_LEN: usize = 32;
+const WINDOW_BLOCKS: usize = 32;
 
 /// Durability fields for the `stats` op, mirroring `ServerStats`.
 #[derive(Debug, Clone, Copy)]
@@ -63,8 +66,7 @@ struct LearnerInner {
     fanout: u64,
     est: EmpiricalEstimator,
     fitted: Option<(f64, f64)>,
-    window_obs: Vec<f64>,
-    window_cens: Vec<f64>,
+    window: SlidingWindow,
     passes_since_refit: u64,
     passes_since_ckpt: u64,
     last_ckpt: Instant,
@@ -84,41 +86,23 @@ impl MeshLearner {
     pub fn open(cfg: &CheckpointConfig) -> Self {
         let loaded = checkpoint::load(&cfg.dir);
         let warm = loaded.checkpoint.is_some();
-        let inner = match loaded.checkpoint {
-            Some(ckpt) => {
-                let stage = ckpt.stages.first();
-                LearnerInner {
-                    epoch: ckpt.epoch,
-                    refits: ckpt.refits,
-                    completed: ckpt.completed,
-                    censored_total: stage.map_or(0, |s| s.censored),
-                    fanout: stage.map_or(0, |s| s.fanout),
-                    est: stage.map_or_else(
-                        || EmpiricalEstimator::new(Model::LogNormal),
-                        |s| EmpiricalEstimator::restore(Model::LogNormal, &s.stats),
-                    ),
-                    fitted: stage.and_then(|s| s.fitted),
-                    window_obs: Vec::new(),
-                    window_cens: Vec::new(),
-                    passes_since_refit: 0,
-                    passes_since_ckpt: 0,
-                    last_ckpt: clock::now(),
-                }
-            }
-            None => LearnerInner {
-                epoch: 0,
-                refits: 0,
-                completed: 0,
-                censored_total: 0,
-                fanout: 0,
-                est: EmpiricalEstimator::new(Model::LogNormal),
-                fitted: None,
-                window_obs: Vec::new(),
-                window_cens: Vec::new(),
-                passes_since_refit: 0,
-                passes_since_ckpt: 0,
-                last_ckpt: clock::now(),
-            },
+        let ckpt = loaded.checkpoint.as_ref();
+        let stage = ckpt.and_then(|c| c.stages.first());
+        let inner = LearnerInner {
+            epoch: ckpt.map_or(0, |c| c.epoch),
+            refits: ckpt.map_or(0, |c| c.refits),
+            completed: ckpt.map_or(0, |c| c.completed),
+            censored_total: stage.map_or(0, |s| s.censored),
+            fanout: stage.map_or(0, |s| s.fanout),
+            est: stage.map_or_else(
+                || EmpiricalEstimator::new(Model::LogNormal),
+                |s| EmpiricalEstimator::restore(Model::LogNormal, &s.stats),
+            ),
+            fitted: stage.and_then(|s| s.fitted),
+            window: SlidingWindow::new(WINDOW_BLOCK_LEN, WINDOW_BLOCKS),
+            passes_since_refit: 0,
+            passes_since_ckpt: 0,
+            last_ckpt: clock::now(),
         };
         Self {
             dir: cfg.dir.clone(),
@@ -145,23 +129,13 @@ impl MeshLearner {
         inner.passes_since_ckpt += 1;
         for &(_, d) in observed {
             inner.est.observe(d);
-            inner.window_obs.push(d);
+            inner.window.observe(d);
         }
         for _ in 0..censored {
-            inner.window_cens.push(censored_at);
+            inner.window.observe_censored(censored_at);
         }
-        let trim = |v: &mut Vec<f64>| {
-            if v.len() > WINDOW_MAX {
-                let excess = v.len() - WINDOW_MAX;
-                v.drain(..excess);
-            }
-        };
-        trim(&mut inner.window_obs);
-        trim(&mut inner.window_cens);
-        if inner.passes_since_refit >= REFIT_PASSES && inner.window_obs.len() >= 2 {
-            if let Some(fit) =
-                fit_right_censored(Model::LogNormal, &inner.window_obs, &inner.window_cens)
-            {
+        if inner.passes_since_refit >= REFIT_PASSES {
+            if let Some(fit) = inner.window.fit() {
                 inner.fitted = Some((fit.mu, fit.sigma));
                 inner.epoch += 1;
                 inner.refits += 1;
@@ -250,6 +224,34 @@ mod tests {
         assert!(rs.warm_restart);
         assert_eq!(rs.completed, s.completed);
         assert_eq!(rs.epoch, s.epoch);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn steady_censoring_keeps_its_share_of_the_window() {
+        // One leaf in twenty never arrives, pass after pass, for three
+        // window turnovers. Thresholds expire with the observations they
+        // arrived among, so the window's censored share stays 5 % and the
+        // fit stays put; trimmed on their own they would outlive twenty
+        // times as many passes and drag the fit toward the threshold.
+        let dir = std::env::temp_dir().join(format!("cedar-learner-cens-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let learner = MeshLearner::open(&CheckpointConfig::new(&dir));
+        let turnover = WINDOW_BLOCK_LEN * WINDOW_BLOCKS / 20 + 1;
+        let mut after_first = None;
+        for i in 0..3 * turnover {
+            learner.observe_pass(20, &pass(19), 50.0, 1);
+            if i + 1 == turnover {
+                after_first = learner.inner.lock().unpoisoned().fitted;
+            }
+        }
+        let inner = learner.inner.lock().unpoisoned();
+        let share = inner.window.censored() as f64 / inner.window.len() as f64;
+        assert!((0.04..=0.06).contains(&share), "censored share {share}");
+        let (mu0, _) = after_first.expect("refit cadence fired in the first turnover");
+        let (mu, _) = inner.fitted.expect("and kept firing");
+        assert!((mu - mu0).abs() < 0.01, "fit drifted {mu0} -> {mu}");
+        drop(inner);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

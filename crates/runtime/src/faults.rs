@@ -426,12 +426,19 @@ impl ChaosLog {
         self.duplicates_suppressed.fetch_add(1, Ordering::AcqRel);
     }
 
+    // `finish()` drains both logs when the root completes; an aggregator
+    // that departs after that has nobody left to report to, so a record
+    // for a stage that is no longer there is dropped.
     pub(crate) fn delivered(&self, stage: usize, origin: usize, duration: f64) {
-        self.delivered.lock().unpoisoned()[stage].push((origin, duration));
+        if let Some(log) = self.delivered.lock().unpoisoned().get_mut(stage) {
+            log.push((origin, duration));
+        }
     }
 
     pub(crate) fn censored(&self, stage: usize, origin: usize, threshold: f64) {
-        self.censored.lock().unpoisoned()[stage].push((origin, threshold));
+        if let Some(log) = self.censored.lock().unpoisoned().get_mut(stage) {
+            log.push((origin, threshold));
+        }
     }
 
     /// Drains the log into `(report, realized, censor_thresholds)`, both
@@ -558,6 +565,22 @@ mod tests {
         assert_eq!(report.total_injected(), 2);
         assert!(!report.is_clean());
         assert!(FailureReport::default().is_clean());
+    }
+
+    #[test]
+    fn records_after_finish_are_dropped() {
+        // An aggregator that departs after the root has finished still
+        // reports its stragglers; the drained log must not be indexed.
+        let log = ChaosLog::new(2);
+        log.delivered(0, 0, 1.0);
+        let (_, realized, _) = log.finish();
+        assert_eq!(realized[0], vec![1.0]);
+        log.censored(0, 3, 30.0);
+        log.delivered(0, 4, 2.0);
+        log.censored(1, 0, 30.0);
+        let (report, realized, censored) = log.finish();
+        assert!(realized.is_empty() && censored.is_empty());
+        assert_eq!(report.censored_observations, 0);
     }
 
     #[test]

@@ -11,8 +11,11 @@
 //! 2. each runs on the tokio engine under the configured policy, using a
 //!    snapshot of the service's current priors;
 //! 3. the engine's realized stage durations are streamed to a background
-//!    refit task, and every `refit_interval` completed queries the
-//!    service re-fits its population priors by log-normal MLE.
+//!    refit task, which folds them into one bounded
+//!    [`SlidingWindow`] of sufficient statistics per stage; every
+//!    `refit_interval` completed queries the service re-fits its
+//!    population priors by log-normal MLE from those windows, at a cost
+//!    independent of how much history they hold.
 //!
 //! The service therefore adapts to slow drift the way a deployment
 //! would, while Cedar's per-query learning handles fast variation.
@@ -27,7 +30,7 @@
 //!   the only writer, bumping the epoch with each accepted refit — so a
 //!   query never sees a half-updated tree.
 //! - **Realized durations** flow over an mpsc channel to a single
-//!   background refit task; history bookkeeping is serialized there
+//!   background refit task; window bookkeeping is serialized there
 //!   instead of under a lock on the submission path. `submit` awaits the
 //!   task's per-query ack, so `completed()` / `refits()` / `epoch()` are
 //!   deterministic immediately after a submission resolves.
@@ -47,19 +50,25 @@ use cedar_core::setup::PreparedContexts;
 use cedar_core::LockExt;
 use cedar_core::{StageSpec, TreeSpec};
 use cedar_distrib::{ContinuousDist, DistError};
-use cedar_estimate::{DurationEstimator, EmpiricalEstimator, EmpiricalStats, Model};
+use cedar_estimate::{DurationEstimator, EmpiricalEstimator, EmpiricalStats, Model, SlidingWindow};
 use cedar_mathx::fxhash::FxHashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 use tokio::sync::{mpsc, oneshot};
 
-/// Per-stage sample cap recorded into the refit history per query, so a
+/// Per-stage sample cap recorded into the refit window per query, so a
 /// single huge query cannot dominate the sliding window.
 const PER_QUERY_STAGE_SAMPLES: usize = 256;
 
-/// Sliding-window bound on per-stage refit history.
-const HISTORY_WINDOW: usize = 50_000;
+/// Per-stage refit window: 50 blocks of 1 000 samples, so a refit sees
+/// the latest 49 000–50 000 and the window slides 2 % at a time.
+const WINDOW_BLOCK_LEN: usize = 1_000;
+const WINDOW_BLOCKS: usize = 50;
+
+/// A stage keeps its old prior until its window holds this many
+/// observed durations.
+const MIN_REFIT_SAMPLES: usize = 20;
 
 /// Capacity of the refit-record channel. Submitters wait for a per-record
 /// ack before returning, so each in-flight query contributes at most one
@@ -161,7 +170,7 @@ struct PriorsSnapshot {
 
 /// Shells recycled between [`RefitRecord`]s: taken (and refilled with
 /// `clone_from`) on submission, returned by the refit task once the
-/// samples are folded into the history.
+/// samples are folded into the windows.
 static REFIT_BUFFERS: crate::pool::VecPool<Vec<f64>> = crate::pool::VecPool::new();
 
 /// One completed query's realized durations, acked once recorded.
@@ -547,13 +556,14 @@ impl AggregationService {
     }
 }
 
-/// The refit task's accumulated learning state: the sliding-window raw
-/// history driving refits, plus the lifetime evidence a checkpoint
+/// The refit task's accumulated learning state: the per-stage sliding
+/// windows driving refits, plus the lifetime evidence a checkpoint
 /// persists (per-stage empirical sufficient statistics, censored counts,
 /// and the last fitted parameters).
 struct LearnedState {
-    history: Vec<Vec<f64>>,
-    censored: Vec<Vec<f64>>,
+    /// What refits are fitted from; bounded at ingest, so it stays
+    /// bounded with refits disabled too.
+    windows: Vec<SlidingWindow>,
     /// Lifetime per-stage sufficient statistics (shifted Kahan sums);
     /// restored bit-exactly across restarts.
     lifetime: Vec<EmpiricalEstimator>,
@@ -568,8 +578,7 @@ struct LearnedState {
 impl LearnedState {
     fn new() -> Self {
         Self {
-            history: Vec::new(),
-            censored: Vec::new(),
+            windows: Vec::new(),
             lifetime: Vec::new(),
             lifetime_censored: Vec::new(),
             fitted: Vec::new(),
@@ -587,9 +596,9 @@ impl LearnedState {
     }
 
     fn grow_to(&mut self, stages: usize, model: Model) {
-        if self.history.len() < stages {
-            self.history.resize(stages, Vec::new());
-            self.censored.resize(stages, Vec::new());
+        while self.windows.len() < stages {
+            self.windows
+                .push(SlidingWindow::new(WINDOW_BLOCK_LEN, WINDOW_BLOCKS));
         }
         while self.lifetime.len() < stages {
             self.lifetime.push(EmpiricalEstimator::new(model));
@@ -597,6 +606,33 @@ impl LearnedState {
         if self.lifetime_censored.len() < stages {
             self.lifetime_censored.resize(stages, 0);
             self.fitted.resize(stages, None);
+        }
+    }
+
+    /// Folds one completed query's realized durations and censoring
+    /// thresholds (one list per stage) into the windows and the lifetime
+    /// evidence.
+    fn record(&mut self, durations: &[Vec<f64>], censored: &[Vec<f64>], model: Model) {
+        self.grow_to(durations.len(), model);
+        for (w, d) in self.windows.iter_mut().zip(durations) {
+            for &x in d.iter().take(PER_QUERY_STAGE_SAMPLES) {
+                w.observe(x);
+            }
+        }
+        for (w, d) in self.windows.iter_mut().zip(censored) {
+            for &c in d.iter().take(PER_QUERY_STAGE_SAMPLES) {
+                w.observe_censored(c);
+            }
+        }
+        // Lifetime evidence takes every observation (its footprint is a
+        // handful of scalars per stage, not a sample window).
+        for (est, d) in self.lifetime.iter_mut().zip(durations) {
+            for &x in d {
+                est.observe(x);
+            }
+        }
+        for (c, d) in self.lifetime_censored.iter_mut().zip(censored) {
+            *c += d.len() as u64;
         }
     }
 }
@@ -629,23 +665,7 @@ async fn refit_loop(state: Weak<ServiceState>, mut rx: mpsc::Receiver<RefitMsg>)
             censored: rec_censored,
             ack,
         } = record;
-        learned.grow_to(rec_durations.len(), state.cfg.model);
-        for (h, d) in learned.history.iter_mut().zip(&rec_durations) {
-            h.extend(d.iter().take(PER_QUERY_STAGE_SAMPLES));
-        }
-        for (c, d) in learned.censored.iter_mut().zip(&rec_censored) {
-            c.extend(d.iter().take(PER_QUERY_STAGE_SAMPLES));
-        }
-        // Lifetime evidence takes every observation (its footprint is a
-        // handful of scalars per stage, not a sample window).
-        for (est, d) in learned.lifetime.iter_mut().zip(&rec_durations) {
-            for &x in d {
-                est.observe(x);
-            }
-        }
-        for (c, d) in learned.lifetime_censored.iter_mut().zip(&rec_censored) {
-            *c += d.len() as u64;
-        }
+        learned.record(&rec_durations, &rec_censored, state.cfg.model);
         // The shells (and their inner buffers) go back on the shelf for
         // the next submission.
         REFIT_BUFFERS.put(rec_durations);
@@ -653,7 +673,7 @@ async fn refit_loop(state: Weak<ServiceState>, mut rx: mpsc::Receiver<RefitMsg>)
         let completed = state.completed.fetch_add(1, Ordering::AcqRel) + 1;
         let interval = state.cfg.refit_interval;
         if interval > 0 && completed % interval == 0 {
-            // A degenerate history (e.g. all-equal durations) leaves the
+            // A degenerate window (e.g. all-equal durations) leaves the
             // old priors in place; the service stays available.
             if let Ok(epoch) = apply_refit(&state, &mut learned) {
                 if let Some(m) = &state.cfg.metrics {
@@ -748,29 +768,22 @@ fn restore_priors(initial: &TreeSpec, ckpt: &Checkpoint) -> Result<TreeSpec, Str
     Ok(TreeSpec::new(stages))
 }
 
-/// Re-fits every stage's prior from the recorded history (log-normal
-/// MLE; the censored variant when the stage has right-censored entries,
+/// Re-fits every stage's prior from its sliding window (log-normal MLE;
+/// the censored likelihood when the window holds right-censored entries,
 /// so non-arrivals under faults don't bias the prior toward fast
 /// completions), keeping fan-outs; bumps the epoch and drops stale cache
 /// entries. Returns the new epoch.
 fn apply_refit(state: &ServiceState, learned: &mut LearnedState) -> Result<u64, DistError> {
     let current = state.priors.read().unpoisoned().clone();
-    let mut stages = Vec::with_capacity(learned.history.len());
-    let mut fitted_params = vec![None; learned.history.len()];
-    for (idx, h) in learned.history.iter().enumerate() {
+    let mut stages = Vec::with_capacity(learned.windows.len());
+    let mut fitted_params = vec![None; learned.windows.len()];
+    for (idx, w) in learned.windows.iter().enumerate() {
         let old = current.tree.stage(idx);
-        let cens: &[f64] = learned.censored.get(idx).map_or(&[], Vec::as_slice);
-        let censored_fit = if cens.is_empty() || h.len() < 20 {
-            None
-        } else {
-            cedar_estimate::fit_right_censored(Model::LogNormal, h, cens)
-        };
-        let dist: Arc<dyn ContinuousDist> = if let Some(p) = censored_fit {
+        let dist: Arc<dyn ContinuousDist> = if w.observed() >= MIN_REFIT_SAMPLES {
+            let p = w
+                .fit()
+                .ok_or(DistError::InvalidData("degenerate window (zero variance)"))?;
             let ln = cedar_distrib::LogNormal::new(p.mu, p.sigma)?;
-            fitted_params[idx] = Some((ln.mu(), ln.sigma()));
-            Arc::new(ln)
-        } else if h.len() >= 20 {
-            let ln = cedar_distrib::fit::fit_lognormal_mle(h)?;
             fitted_params[idx] = Some((ln.mu(), ln.sigma()));
             Arc::new(ln)
         } else {
@@ -808,17 +821,6 @@ fn apply_refit(state: &ServiceState, learned: &mut LearnedState) -> Result<u64, 
         .lock()
         .unpoisoned()
         .retain(|(epoch, _), _| *epoch >= new_epoch);
-    // Bound memory: keep a sliding window of recent history.
-    for h in learned
-        .history
-        .iter_mut()
-        .chain(learned.censored.iter_mut())
-    {
-        let len = h.len();
-        if len > HISTORY_WINDOW {
-            h.drain(..len - HISTORY_WINDOW);
-        }
-    }
     Ok(new_epoch)
 }
 
@@ -933,6 +935,50 @@ mod tests {
         }
         assert_eq!(on.cache_stats().0, 3);
         assert_eq!(off.cache_stats(), (0, 0));
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn unusable_durations_do_not_freeze_priors() {
+        // A client-supplied tree whose bottom stage straddles zero puts
+        // non-positive durations into the refit record. They are skipped
+        // at ingest; held in a raw history they failed every refit, for
+        // every stage, until they slid out 50 000 samples later.
+        let mut cfg = ServiceConfig::new(tree(1.0), 40.0);
+        cfg.refit_interval = 3;
+        let svc = AggregationService::new(cfg);
+        let straddling = TreeSpec::two_level(
+            StageSpec::new(cedar_distrib::Normal::new(0.5, 1.0).unwrap(), 8),
+            StageSpec::new(LogNormal::new(1.0, 0.4).unwrap(), 4),
+        );
+        let out = svc.submit(straddling).await;
+        assert!(out.realized_durations[0].iter().any(|&d| d <= 0.0));
+        for _ in 0..5 {
+            svc.submit(tree(1.0)).await;
+        }
+        assert_eq!(svc.refits(), 2, "both due refits were accepted");
+        assert_eq!(svc.epoch(), 2);
+    }
+
+    #[test]
+    fn learned_state_stays_bounded_without_a_refit() {
+        // `refit_interval = 0` never calls `apply_refit`, so whatever
+        // bounds the refit task's state has to act at ingest.
+        let window = WINDOW_BLOCK_LEN * WINDOW_BLOCKS;
+        let durations = vec![vec![2.5; PER_QUERY_STAGE_SAMPLES], vec![1.5; 8]];
+        let censored = vec![vec![9.0; 16], Vec::new()];
+        let mut learned = LearnedState::new();
+        let queries = 3 * window / (PER_QUERY_STAGE_SAMPLES + 16) + 1;
+        for _ in 0..queries {
+            learned.record(&durations, &censored, Model::LogNormal);
+        }
+        let bottom = &learned.windows[0];
+        assert!(bottom.len() <= window, "{} entries", bottom.len());
+        assert!(bottom.len() > window - WINDOW_BLOCK_LEN);
+        // The lifetime evidence, a few scalars, still saw everything.
+        assert_eq!(
+            learned.lifetime[0].count(),
+            queries * PER_QUERY_STAGE_SAMPLES
+        );
     }
 
     fn ckpt_dir(name: &str) -> std::path::PathBuf {

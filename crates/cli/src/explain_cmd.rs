@@ -142,10 +142,10 @@ fn fault_spec(mode: &str, rate: f64) -> Result<FaultSpec, String> {
 
 /// `cedar-cli explain --topology FILE`: boots every node of the
 /// topology in this process, runs one explain-flagged query through the
-/// root, and renders (a) the root's decision timeline and (b) the
-/// stitched cross-process trace with per-hop wire spans — then runs the
-/// same tree through the in-process engine at the same time scale to
-/// put a number on what the wire costs.
+/// root, and renders (a) the root's and every aggregator's decision
+/// timeline and (b) the stitched cross-process trace with per-hop wire
+/// spans — then runs the same tree through the in-process engine at the
+/// same time scale to put a number on what the wire costs.
 fn cmd_explain_topology(args: &Args) -> Result<(), String> {
     let topo = crate::node_cmd::load_topology(args)?;
     let deadline: f64 = args.opt_parse("deadline", 400.0)?;
@@ -252,6 +252,14 @@ fn cmd_explain_topology(args: &Args) -> Result<(), String> {
     println!();
     println!("== root decision timeline ==");
     println!("{}", report.render_timeline());
+    // Each aggregator ran the same pass loop an in-process one does and
+    // shipped its timeline (model time from its own exec receipt).
+    for seg in &mesh.root.children {
+        if let Some(local) = &seg.report {
+            println!("== {} decision timeline ==", seg.node);
+            println!("{}", local.render_timeline());
+        }
+    }
     println!("== stitched cross-process timeline ==");
     println!("{}", mesh.render_tree());
 

@@ -15,11 +15,11 @@
 //!    the engine's root runs over its channel.
 //! 2. Each **aggregator** re-anchors the deadline at `exec` receipt
 //!    (wire latency manifests as genuine straggling), fans out to its
-//!    workers, and runs the engine's own policy state machine via
-//!    [`cedar_runtime::aggregate_remote`]; a watchdog fires speculative
-//!    `retry` frames, missing leaves are right-censored at departure,
-//!    and one aggregated `partial` ships upstream after the
-//!    aggregator's own sampled stage-1 duration.
+//!    workers, and runs the engine's own Pseudocode-1 loop
+//!    ([`cedar_runtime::run_pass`]), fed by the link reader threads; a
+//!    watchdog fires speculative `retry` frames, missing leaves are
+//!    right-censored at departure, and one aggregated `partial` ships
+//!    upstream after the aggregator's own sampled stage-1 duration.
 //! 3. Each **worker** samples its leaves' durations from seeds that are
 //!    pure functions of `(query seed, global origin)`, applies the
 //!    fault plan at the send boundary exactly like the engine's
@@ -30,8 +30,9 @@
 //! *injected* fault counts are computed at the root from the plan alone
 //! ([`FaultPlan::planned_into`] is a pure function), while
 //! runtime-dependent counts (retries, suppressed duplicates, censored
-//! observations) ride in each `partial`'s [`FailureReport`] and are
-//! merged with [`FailureReport::absorb`]. A *real* dead peer is charged
+//! observations) are booked by the pass into its [`Ledger`], ride in
+//! each `partial`'s [`FailureReport`] and are merged with
+//! [`FailureReport::absorb`]. A *real* dead peer is charged
 //! as crashes by the parent that detects it — a worker node as one
 //! crash per hosted leaf (whose observations the aggregator then
 //! censors), an aggregator node as one crash — so an actual failure
@@ -66,15 +67,14 @@ use cedar_distrib::ContinuousDist;
 use cedar_estimate::Model;
 use cedar_mathx::fxhash::FxHashMap;
 use cedar_runtime::{
-    aggregate_remote, Arrival, CheckpointConfig, FailureReport, FaultKind, FaultPlan,
-    RemoteAggConfig, RemoteTrace,
+    run_pass, Arrival, CheckpointConfig, FailureReport, FaultKind, FaultPlan, Ledger, PassConfig,
 };
 use cedar_server::proto::{self, QueryResult, Request, Response, ServerStats};
 use cedar_server::{Client, WireFormat};
 use cedar_telemetry::flight::DEFAULT_FLIGHT_CAPACITY;
 use cedar_telemetry::{
-    FaultClass, FlightDump, FlightEntry, FlightRecorder, HopRecord, MeshTrace, QueryTrace,
-    ShipReason, TraceEventKind, TraceSegment, TraceSummary,
+    FlightDump, FlightEntry, FlightRecorder, HopRecord, MeshTrace, QueryTrace, ShipReason,
+    TraceEventKind, TraceSegment, TraceSummary,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -220,8 +220,10 @@ struct NodeInner {
     /// binary partials and a JSON parent keeps JSON (mixed-version
     /// meshes interoperate per link). Stores [`WireFormat`] as a u8.
     upstream_wire: AtomicU8,
-    /// Async runtime for aggregation passes (aggregators only).
-    rt: Option<tokio::runtime::Runtime>,
+    /// Where aggregation passes are spawned (aggregators only). Only a
+    /// handle: passes hold this node, so a node that owned the runtime
+    /// could end up dropping it on one of its own workers.
+    rt: Option<tokio::runtime::Handle>,
     /// Replica shard ring (root only).
     ring: Option<HashRing>,
     groups: Vec<Vec<String>>,
@@ -370,7 +372,7 @@ pub fn start_with(
         links,
         upstream: Mutex::new(None),
         upstream_wire: AtomicU8::new(wire_to_u8(WireFormat::Json)),
-        rt,
+        rt: rt.as_ref().map(|rt| rt.handle().clone()),
         ring,
         groups,
         local_addr,
@@ -393,7 +395,15 @@ pub fn start_with(
         std::thread::spawn(move || scraper.metrics_http_loop(&http));
     }
     let acceptor = Arc::clone(&inner);
-    let accept = std::thread::spawn(move || acceptor.accept_loop(&listener));
+    let accept = std::thread::spawn(move || {
+        acceptor.accept_loop(&listener);
+        // The accept thread owns the runtime and stops it here, once the
+        // node has. Routes go first: each holds a pass's channel sender,
+        // and a pass parked on that channel holds this node — a cycle
+        // nothing could break once the workers are gone.
+        acceptor.router.clear();
+        drop(rt);
+    });
     Ok(NodeHandle {
         inner,
         accept: Some(accept),
@@ -433,36 +443,6 @@ fn wire_from_u8(v: u8) -> WireFormat {
         WireFormat::Binary
     } else {
         WireFormat::Json
-    }
-}
-
-/// The trace class of an injected fault kind.
-fn fault_class(kind: &FaultKind) -> FaultClass {
-    match kind {
-        FaultKind::CrashBeforeSend => FaultClass::Crash,
-        FaultKind::Hang => FaultClass::Hang,
-        FaultKind::Straggle { .. } => FaultClass::Straggle,
-        FaultKind::DropMessage => FaultClass::Drop,
-        FaultKind::DuplicateMessage => FaultClass::Duplicate,
-    }
-}
-
-/// A [`TraceSummary`] synthesized from a failure report, for flight
-/// entries of untraced (non-explain) queries. `rearms` is unknowable
-/// without a trace and stays 0.
-fn summary_from_report(report: &FailureReport, arrivals: usize) -> TraceSummary {
-    TraceSummary {
-        arrivals,
-        rearms: 0,
-        crashed: report.crashed,
-        hung: report.hung,
-        straggled: report.straggled,
-        dropped_messages: report.dropped,
-        duplicated: report.duplicated,
-        retries_launched: report.retries_launched,
-        retries_delivered: report.retries_delivered,
-        duplicates_suppressed: report.duplicates_suppressed,
-        censored_observations: report.censored_observations,
     }
 }
 
@@ -913,7 +893,9 @@ impl NodeInner {
         let explain = req.explain.unwrap_or(false);
         let trace_id = wire::trace_id(seed, query_id);
         let qtrace = explain.then(|| Arc::new(QueryTrace::new()));
-        let rx = self.router.register(query_id, 4 * k2 + 8);
+        let (tx, rx) = std::sync::mpsc::sync_channel(4 * k2 + 8);
+        self.router
+            .register(query_id, move |msg| tx.try_send(msg).is_ok());
 
         // Injected faults are a pure function of the plan — account for
         // the whole tree here, no coordination needed.
@@ -936,13 +918,13 @@ impl NodeInner {
             if let Some(plan) = &self.fault_plan {
                 for origin in 0..k1 * k2 {
                     if let Some(kind) = plan.fault_for(0, origin) {
-                        let fault = fault_class(&kind);
+                        let fault = kind.class();
                         qt.record(0.0, 2, 0, TraceEventKind::FaultInjected { fault, origin });
                     }
                 }
                 for origin in 0..k2 {
                     if let Some(kind) = plan.fault_for(1, origin) {
-                        let fault = fault_class(&kind);
+                        let fault = kind.class();
                         qt.record(0.0, 2, 0, TraceEventKind::FaultInjected { fault, origin });
                     }
                 }
@@ -1168,7 +1150,7 @@ impl NodeInner {
             shed: false,
             summary: qtrace
                 .as_ref()
-                .map_or_else(|| summary_from_report(&report, arrivals), |qt| qt.summary()),
+                .map_or_else(|| report.trace_summary(arrivals), |qt| qt.summary()),
         });
 
         Response::with_result(QueryResult {
@@ -1197,7 +1179,7 @@ impl NodeInner {
     }
 
     /// One aggregation pass: the engine's Pseudocode-1 loop fed by
-    /// remote arrivals, with watchdog retries over the wire.
+    /// the link reader threads, with watchdog retries over the wire.
     async fn agg_run(self: &Arc<Self>, job: ExecJob) {
         let ExecJob {
             query_id,
@@ -1225,69 +1207,60 @@ impl NodeInner {
         let qtrace = explain.then(|| Arc::new(QueryTrace::new()));
         let k1 = tree.stages[0].fanout;
         let base = agg_index * k1;
-        let watchdog = plan.as_ref().and_then(|p| {
-            let recovery = p.recovery();
-            recovery.speculative_retry.then(|| {
-                spec_tree
-                    .stage(0)
-                    .dist
-                    .quantile(recovery.watchdog_quantile.clamp(0.5, 0.9999))
-                    .clamp(0.0, deadline)
-            })
-        });
+        let watchdog = plan
+            .as_ref()
+            .and_then(|p| p.watchdog_at(&*spec_tree.stage(0).dist, deadline));
 
-        // Bridge: network partials → the engine's channel-send boundary.
-        // The route MUST exist before any exec goes out, or the fastest
-        // leaves' partials arrive unroutable and are shed.
-        let mesh_rx = self.router.register(query_id, 4 * k1 + 16);
+        // The route delivers network partials straight onto the pass's
+        // channel — the engine's channel-send boundary — from the link
+        // reader threads. It MUST exist before any exec goes out, or the
+        // fastest leaves' partials arrive unroutable and are shed.
         let (tx, rx) = tokio::sync::mpsc::channel::<Arrival>(4 * k1 + 16);
         // Child segments by worker-node name, keep-latest: a worker
         // re-ships its segment with every leaf partial, stamping each
         // ship, so the last one carries its final ship stamp.
         let segs: Arc<Mutex<FxHashMap<String, (TraceSegment, u64)>>> =
             Arc::new(Mutex::new(FxHashMap::default()));
-        let bridge_segs = Arc::clone(&segs);
-        let bridge = std::thread::spawn(move || {
-            while let Ok(msg) = mesh_rx.recv() {
-                let MeshMsg::Partial {
-                    from,
-                    origin,
-                    payload,
-                    value,
-                    duration,
-                    retry,
-                    segment,
-                    ..
-                } = msg
-                else {
-                    continue;
-                };
-                if let Some(seg) = segment {
-                    bridge_segs
-                        .lock()
-                        .unpoisoned()
-                        .insert(from, (*seg, clock::unix_us()));
-                }
-                let arrival = Arrival {
-                    payload,
-                    value,
-                    origin,
-                    duration,
-                    retry,
-                };
-                if tx.try_send(arrival).is_err() {
-                    break;
-                }
+        let route_segs = Arc::clone(&segs);
+        self.router.register(query_id, move |msg| {
+            let MeshMsg::Partial {
+                from,
+                origin,
+                payload,
+                value,
+                duration,
+                retry,
+                segment,
+                ..
+            } = msg
+            else {
+                return false;
+            };
+            if let Some(seg) = segment {
+                route_segs
+                    .lock()
+                    .unpoisoned()
+                    .insert(from, (*seg, clock::unix_us()));
             }
+            let arrival = Arrival {
+                payload,
+                value,
+                origin,
+                duration,
+                retry,
+            };
+            tx.try_send(arrival).is_ok()
         });
 
-        let mut local_report = FailureReport::default();
+        // This pass's share of the query's failure accounting.
+        let ledger = Arc::new(Ledger::new(1));
         // Fan out to workers; a dead worker node is one real crash per
         // hosted leaf, and those leaves censor naturally at departure.
         // Every dispatch attempt leaves a hop stamp — silent children
         // become censored hops in the segment.
         let mut worker_spans: Vec<(std::ops::Range<usize>, Arc<PeerLink>)> = Vec::new();
         let mut hop_sends: Vec<(String, u64)> = Vec::new();
+        let mut unreachable = false;
         for child in self.me.children() {
             let (Some(def), Some(offset)) = (self.topo.node(child), self.topo.worker_offset(child))
             else {
@@ -1314,36 +1287,39 @@ impl NodeInner {
             };
             match link {
                 Some(l) if l.send(&exec).is_ok() => worker_spans.push((range, Arc::clone(l))),
-                _ => local_report.crashed += def.processes(),
+                _ => {
+                    unreachable = true;
+                    for _ in range {
+                        ledger.injected(FaultKind::CrashBeforeSend);
+                    }
+                }
             }
         }
-        if local_report.crashed > 0 {
+        if unreachable {
             self.note_degraded();
         }
 
-        let retries = Arc::new(AtomicUsize::new(0));
-        let retries_cb = Arc::clone(&retries);
-        let retry_spans = worker_spans.clone();
         let self_name = self.me.name.clone();
-        let cb_trace = qtrace.clone();
-        let outcome = aggregate_remote(
-            RemoteAggConfig {
+        let outcome = run_pass(
+            PassConfig {
                 ctx,
                 kind: WaitPolicyKind::Cedar,
                 model: Model::LogNormal,
                 scale,
-                expected: base..base + k1,
                 start,
+                index: agg_index,
+                expected: base..base + k1,
                 watchdog,
-                trace: qtrace.as_ref().map(|qt| RemoteTrace {
-                    trace: Arc::clone(qt),
-                    level: 1,
-                    index: agg_index,
-                }),
+                trace: qtrace.clone(),
+                metrics: Some(Arc::clone(&self.metrics.runtime)),
+                ledger: Some(Arc::clone(&ledger)),
             },
             rx,
+            // One `retry` frame per worker node hosting missing leaves;
+            // the ones that went out are the retries launched.
             move |missing| {
-                for (range, link) in &retry_spans {
+                let mut launched = Vec::new();
+                for (range, link) in &worker_spans {
                     let mine: Vec<usize> = missing
                         .iter()
                         .copied()
@@ -1352,51 +1328,30 @@ impl NodeInner {
                     if mine.is_empty() {
                         continue;
                     }
-                    let launched = mine.len();
-                    let origins_traced = mine.clone();
                     let retry = MeshMsg::Retry {
                         query_id,
                         from: self_name.clone(),
-                        origins: mine,
+                        origins: mine.clone(),
                     };
                     if link.send(&retry).is_ok() {
-                        retries_cb.fetch_add(launched, Ordering::AcqRel);
-                        if let Some(qt) = &cb_trace {
-                            let at = scale.to_model(start.elapsed());
-                            for origin in origins_traced {
-                                qt.record(
-                                    at,
-                                    1,
-                                    agg_index,
-                                    TraceEventKind::RetryLaunched { origin },
-                                );
-                            }
-                        }
+                        launched.extend(mine);
                     }
                 }
+                launched
             },
         )
         .await;
-        // Dropping the route drops the channel sender; the bridge
-        // thread unblocks and exits.
         self.router.unregister(query_id);
-        drop(bridge);
-
-        local_report.retries_launched = retries.load(Ordering::Acquire);
-        local_report.retries_delivered = outcome.retries_delivered;
-        local_report.duplicates_suppressed = outcome.duplicates_suppressed;
-        local_report.censored_observations = outcome.censored.len();
+        // A one-stage ledger: what it logged is the leaves'.
+        let (local_report, mut delivered, mut censored) = ledger.finish();
+        let observed = delivered.pop().unwrap_or_default();
+        let censored = censored.pop().unwrap_or_default();
 
         // Feed the durable learner: delivered leaf durations plus one
         // right-censoring threshold per missing leaf. Bookkeeping only —
         // the declared tree stays the policy context.
         if let Some(learner) = &self.learner {
-            learner.observe_pass(
-                k1,
-                &outcome.observed,
-                outcome.departed_at,
-                outcome.censored.len(),
-            );
+            learner.observe_pass(k1, &observed, outcome.departed_at, censored.len());
         }
         // The flight entry reflects the pass itself, recorded before the
         // own-fate gamble below so crashed/hung passes still leave one.
@@ -1410,7 +1365,7 @@ impl NodeInner {
             expected: k1,
             shed: false,
             summary: qtrace.as_ref().map_or_else(
-                || summary_from_report(&local_report, outcome.received),
+                || local_report.trace_summary(outcome.received),
                 |qt| qt.summary(),
             ),
         });
@@ -1430,24 +1385,15 @@ impl NodeInner {
         }
         tokio::time::sleep(scale.to_wall(own)).await;
 
-        let timings: Vec<StageTiming> = outcome
-            .observed
-            .iter()
-            .map(|&(origin, duration)| StageTiming {
-                level: 0,
-                origin,
-                duration,
-            })
-            .collect();
-        let censored: Vec<StageTiming> = outcome
-            .censored
-            .iter()
-            .map(|&origin| StageTiming {
-                level: 0,
-                origin,
-                duration: outcome.departed_at,
-            })
-            .collect();
+        let stage0 = |log: Vec<(usize, f64)>| -> Vec<StageTiming> {
+            log.into_iter()
+                .map(|(origin, duration)| StageTiming {
+                    level: 0,
+                    origin,
+                    duration,
+                })
+                .collect()
+        };
         // Stitchable segment: this node's spans, one hop per dispatched
         // worker (censored when it never answered), the workers' own
         // segments, and the local decision trace.
@@ -1501,8 +1447,8 @@ impl NodeInner {
             value: outcome.value,
             duration: own,
             retry: false,
-            timings,
-            censored,
+            timings: stage0(observed),
+            censored: stage0(censored),
             failures: local_report,
             segment,
         };

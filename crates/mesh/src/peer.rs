@@ -10,9 +10,10 @@
 //! peer rejoins without operator action.
 //!
 //! Partial-result frames are fanned out by query through a [`Router`]:
-//! query execution registers a bounded channel per in-flight query, the
-//! link's reader thread delivers into it without blocking, and frames
-//! for queries that already departed are counted instead of delivered.
+//! query execution registers a delivery hook per in-flight query — a
+//! `try_send` into the gather loop's bounded channel — the link's
+//! reader thread runs it without blocking, and frames for queries that
+//! already departed are counted instead of delivered.
 //!
 //! [`Topology::miss_limit`]: crate::topology::Topology::miss_limit
 
@@ -22,20 +23,34 @@ use crate::wire::{self, MeshMsg};
 use cedar_core::LockExt;
 use cedar_server::WireFormat;
 use std::collections::HashMap;
+use std::fmt;
 use std::io;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Takes one partial-result frame for its query; `false` when it could
+/// not (the gather loop's channel is full, or it already left).
+type Hook = Box<dyn Fn(MeshMsg) -> bool + Send>;
+
 /// Fans incoming partial-result frames out to their queries' gather
-/// loops. Channels are bounded and delivery never blocks the network
-/// reader: a full or missing channel drops the frame (and the caller
-/// counts it), exactly like the engine's bounded channel boundary.
-#[derive(Debug, Default)]
+/// loops, straight from the network reader: nothing sits between a
+/// frame coming off the socket and the loop's own channel. Delivery
+/// never blocks the reader: a refusing or missing hook drops the frame
+/// (and the caller counts it), exactly like the engine's bounded
+/// channel boundary.
+#[derive(Default)]
 pub struct Router {
-    routes: Mutex<HashMap<u64, SyncSender<MeshMsg>>>,
+    routes: Mutex<HashMap<u64, Hook>>,
+}
+
+impl fmt::Debug for Router {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Router")
+            .field("routes", &self.routes.lock().unpoisoned().len())
+            .finish()
+    }
 }
 
 impl Router {
@@ -45,14 +60,16 @@ impl Router {
         Self::default()
     }
 
-    /// Registers a query and returns the receiving end of its bounded
-    /// delivery channel. A second registration for the same id replaces
-    /// the first (stale entries cannot shadow a new query).
-    #[must_use]
-    pub fn register(&self, query_id: u64, capacity: usize) -> Receiver<MeshMsg> {
-        let (tx, rx) = std::sync::mpsc::sync_channel(capacity.max(1));
-        self.routes.lock().unpoisoned().insert(query_id, tx);
-        rx
+    /// Registers a query's delivery hook. It runs on a link's reader
+    /// thread with the route table locked, so it must not block: a
+    /// `try_send` into a bounded channel, never a `send`. A second
+    /// registration for the same id replaces the first (stale entries
+    /// cannot shadow a new query).
+    pub fn register(&self, query_id: u64, hook: impl Fn(MeshMsg) -> bool + Send + 'static) {
+        self.routes
+            .lock()
+            .unpoisoned()
+            .insert(query_id, Box::new(hook));
     }
 
     /// Removes a query's route; frames arriving afterwards are reported
@@ -61,21 +78,20 @@ impl Router {
         self.routes.lock().unpoisoned().remove(&query_id);
     }
 
-    /// Delivers a partial-result frame to its query's channel without
-    /// blocking. Returns `false` when the query is not registered or
-    /// its channel is full — the frame is dropped either way.
+    /// Removes every route, closing each gather loop's channel.
+    pub fn clear(&self) {
+        self.routes.lock().unpoisoned().clear();
+    }
+
+    /// Hands a partial-result frame to its query's hook. Returns `false`
+    /// when the query is not registered or the hook refused it — the
+    /// frame is dropped either way.
     pub fn deliver(&self, msg: MeshMsg) -> bool {
         let MeshMsg::Partial { query_id, .. } = &msg else {
             return false;
         };
         let routes = self.routes.lock().unpoisoned();
-        match routes.get(query_id) {
-            Some(tx) => !matches!(
-                tx.try_send(msg),
-                Err(TrySendError::Full(_) | TrySendError::Disconnected(_))
-            ),
-            None => false,
-        }
+        routes.get(query_id).is_some_and(|hook| hook(msg))
     }
 }
 
@@ -352,6 +368,7 @@ impl PeerLink {
 mod tests {
     use super::*;
     use cedar_runtime::FailureReport;
+    use std::sync::mpsc::{sync_channel, Receiver};
 
     fn partial(query_id: u64, origin: usize) -> MeshMsg {
         MeshMsg::Partial {
@@ -369,10 +386,18 @@ mod tests {
         }
     }
 
+    /// Registers the root's kind of route: a hook over a bounded
+    /// channel's sender.
+    fn register(router: &Router, query_id: u64, capacity: usize) -> Receiver<MeshMsg> {
+        let (tx, rx) = sync_channel(capacity);
+        router.register(query_id, move |msg| tx.try_send(msg).is_ok());
+        rx
+    }
+
     #[test]
     fn router_delivers_to_registered_queries_only() {
         let router = Router::new();
-        let rx = router.register(7, 4);
+        let rx = register(&router, 7, 4);
         assert!(router.deliver(partial(7, 0)));
         assert!(!router.deliver(partial(8, 0)), "unknown query id");
         let got = rx.recv().unwrap();
@@ -384,7 +409,7 @@ mod tests {
     #[test]
     fn router_sheds_instead_of_blocking_when_full() {
         let router = Router::new();
-        let _rx = router.register(1, 1);
+        let _rx = register(&router, 1, 1);
         assert!(router.deliver(partial(1, 0)));
         assert!(!router.deliver(partial(1, 1)), "channel is full");
     }
@@ -392,7 +417,7 @@ mod tests {
     #[test]
     fn router_ignores_non_partial_frames() {
         let router = Router::new();
-        let _rx = router.register(1, 4);
+        let _rx = register(&router, 1, 4);
         assert!(!router.deliver(MeshMsg::Heartbeat {
             from: "root".into(),
             seq: 0

@@ -12,7 +12,7 @@ use cedar_mesh::{NodeHandle, NodeOptions};
 use cedar_runtime::{FailureReport, FaultPlan, FaultSpec, RecoveryPolicy};
 use cedar_server::proto::Request;
 use cedar_server::Client;
-use cedar_telemetry::{FlightDump, TraceSegment};
+use cedar_telemetry::{FlightDump, TraceEventKind, TraceSegment};
 use cedar_workloads::treedef::{StageDef, TreeDef};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -788,6 +788,68 @@ fn explain_queries_stitch_a_cross_process_trace() {
         .query(&tree(AGGS), Some(DEADLINE), Some(42))
         .expect("query");
     assert!(plain.result.expect("result").trace.is_none());
+
+    shutdown_all(handles);
+}
+
+/// A mesh aggregator runs the engine's own pass loop, so it leaves the
+/// same evidence an in-process aggregator does: its segment of an
+/// explain trace pairs every estimate with a re-arm, and its scrape
+/// counts one timed wait scan per leaf it counted.
+#[test]
+fn mesh_aggregators_trace_estimates_and_time_their_wait_scans() {
+    let _mesh = serial();
+    let topo = topo(false);
+    let handles = start_mesh(&topo, None);
+    let mut client = root_client(&topo);
+
+    let resp = client
+        .query_explain(&tree(AGGS), Some(DEADLINE), Some(42))
+        .expect("query");
+    let result = resp.result.expect("result");
+    let mut lossless = result.included_outputs == TOTAL;
+    let mesh = result
+        .trace
+        .and_then(|t| t.mesh)
+        .expect("stitched mesh trace");
+    let agg_events = mesh
+        .root
+        .children
+        .iter()
+        .filter_map(|seg| seg.report.as_ref())
+        .flat_map(|report| &report.events)
+        .filter(|e| e.level == 1);
+    let (mut estimates, mut rearms) = (0, 0);
+    for e in agg_events {
+        match e.kind {
+            TraceEventKind::Estimate { .. } => estimates += 1,
+            TraceEventKind::Rearm { .. } => rearms += 1,
+            _ => {}
+        }
+    }
+    assert!(estimates > 0, "mesh aggregators recorded no estimates");
+    assert_eq!(estimates, rearms);
+
+    const PLAIN: usize = 4;
+    for seed in 0..PLAIN as u64 {
+        let resp = client
+            .query(&tree(AGGS), Some(DEADLINE), Some(seed))
+            .expect("query");
+        lossless &= resp.result.expect("result").included_outputs == TOTAL;
+    }
+    let scans: f64 = ["agg0", "agg1"]
+        .iter()
+        .map(|agg| {
+            let mut direct = Client::connect(&topo.node(agg).expect("def").addr).expect("connect");
+            let page = direct.metrics().expect("metrics").metrics.expect("text");
+            metric(&page, "cedar_wait_scan_seconds_count")
+        })
+        .sum();
+    let ceiling = ((1 + PLAIN) * TOTAL) as f64;
+    assert!(scans > 0.0 && scans <= ceiling, "{scans} scans");
+    if lossless {
+        assert!((scans - ceiling).abs() < f64::EPSILON, "{scans} scans");
+    }
 
     shutdown_all(handles);
 }

@@ -1,13 +1,14 @@
 //! Query execution on the tokio runtime: workers, aggregators and root
 //! wired by channels, timers driven by the wall clock.
 
-use crate::faults::{ChaosLog, FailureReport, FaultKind, FaultPlan};
+use crate::faults::{FailureReport, FaultKind, FaultPlan, Ledger, StageLog};
 use crate::metrics::RuntimeMetrics;
+use crate::pass::{run_pass, PassConfig};
 use crate::scale::TimeScale;
-use cedar_core::policy::{DecisionDetail, WaitPolicyKind};
+use cedar_core::policy::WaitPolicyKind;
 use cedar_core::profile::ProfileConfig;
 use cedar_core::setup::PreparedContexts;
-use cedar_core::{AggregatorAction, AggregatorState, TreeSpec};
+use cedar_core::TreeSpec;
 use cedar_distrib::ContinuousDist;
 use cedar_estimate::Model;
 use cedar_telemetry::{QueryTrace, ShipReason, TraceEventKind};
@@ -22,29 +23,23 @@ use tokio::time::Instant;
 /// The engine's channel-send boundary type, shared with the mesh's
 /// remote child adapter so a partial result decoded off a socket flows
 /// through the identical aggregation path as a local one.
-use crate::remote::Arrival as PartialResult;
+use crate::pass::Arrival as PartialResult;
 
 /// Chaos state shared by every task of one query.
 struct ChaosShared {
     plan: Arc<FaultPlan>,
-    log: Arc<ChaosLog>,
+    ledger: Arc<Ledger>,
     /// When hung tasks finally release their channel ends: past the
     /// deadline, so a hang can never be mistaken for a slow completion.
     hang_until: Instant,
 }
 
-/// Per-aggregator chaos wiring.
+/// An aggregator's own fate at its upstream send boundary.
 struct AggChaos {
-    log: Arc<ChaosLog>,
-    /// This aggregator's level (1 = bottom aggregators).
-    level: usize,
-    /// The fault striking this aggregator's own send boundary, if any.
+    ledger: Arc<Ledger>,
+    /// The fault striking this aggregator's own send, if any.
     fault: Option<FaultKind>,
     hang_until: Instant,
-    /// Global origin ids of the children expected to arrive.
-    expected: std::ops::Range<usize>,
-    /// Watchdog + speculative-retry machinery (bottom aggregators only).
-    watchdog: Option<Watchdog>,
 }
 
 /// Armed by bottom-level aggregators when a fault plan is installed: if
@@ -60,27 +55,6 @@ struct Watchdog {
     /// Held until the watchdog resolves so the channel cannot close
     /// while a retry might still be launched.
     self_tx: mpsc::Sender<PartialResult>,
-}
-
-/// Per-aggregator observability wiring: a shared decision trace and/or
-/// shared metrics, plus this aggregator's tree coordinates. Both handles
-/// are optional and independent; a default (all-`None`) carrier keeps
-/// the uninstrumented path to one branch per site.
-#[derive(Clone, Default)]
-struct AggObs {
-    trace: Option<Arc<QueryTrace>>,
-    metrics: Option<Arc<RuntimeMetrics>>,
-    level: usize,
-    index: usize,
-}
-
-impl AggObs {
-    /// Records `kind` into the trace, if one is attached.
-    fn record(&self, at: f64, kind: TraceEventKind) {
-        if let Some(t) = &self.trace {
-            t.record(at, self.level, self.index, kind);
-        }
-    }
 }
 
 /// Configuration of one runtime query.
@@ -302,15 +276,14 @@ pub async fn run_query_prepared(
     let start = Instant::now();
     let deadline_instant = start + cfg.scale.to_wall(cfg.deadline);
 
-    // Root-level observability (the root collector sits above the top
-    // aggregator stage, so it reports as level `n`).
-    let root_obs = AggObs {
-        trace: cfg.trace.clone(),
-        metrics: cfg.metrics.clone(),
-        level: n,
-        index: 0,
+    // The root collector sits above the top aggregator stage, so it
+    // reports as level `n`.
+    let record_root = |at: f64, kind: TraceEventKind| {
+        if let Some(t) = &cfg.trace {
+            t.record(at, n, 0, kind);
+        }
     };
-    root_obs.record(
+    record_root(
         0.0,
         TraceEventKind::QueryStart {
             deadline: cfg.deadline,
@@ -324,27 +297,16 @@ pub async fn run_query_prepared(
     let chaos = cfg.faults.as_ref().map(|plan| {
         Arc::new(ChaosShared {
             plan: plan.clone(),
-            log: Arc::new(ChaosLog::new(n)),
+            ledger: Arc::new(Ledger::new(n)),
             hang_until: deadline_instant + cfg.scale.to_wall(1.0),
         })
     });
-    // The watchdog fires at a quantile of the *learned* leaf
-    // distribution: beyond it, a missing worker is presumed dead rather
-    // than slow. Clamped to the deadline — retrying later is pointless.
-    let watchdog_at = cfg.faults.as_ref().and_then(|plan| {
-        let rec = plan.recovery();
-        if !rec.speculative_retry {
-            return None;
-        }
-        let q = cfg
-            .priors
-            .stage(0)
-            .dist
-            .quantile(rec.watchdog_quantile.clamp(0.5, 0.9999));
-        Some(start + cfg.scale.to_wall(q.clamp(0.0, cfg.deadline)))
-    });
+    let watchdog = cfg
+        .faults
+        .as_ref()
+        .and_then(|plan| plan.watchdog_at(&*cfg.priors.stage(0).dist, cfg.deadline));
     // Global task-origin numbering: workers 0..W, then each aggregator
-    // level in order. Scheduling-independent, so dedup and the chaos log
+    // level in order. Scheduling-independent, so dedup and the ledger
     // are deterministic.
     let mut origin_base = vec![0usize; n];
     let mut acc = total_processes;
@@ -379,47 +341,45 @@ pub async fn run_query_prepared(
             } else {
                 upper_txs[agg / parent_fanout.max(1)].clone()
             };
-            let state = AggregatorState::new(
-                kind.instantiate(contexts[level - 1].fanout, cfg.model),
-                contexts[level - 1].clone(),
-            );
-            let own = own_durations[level - 1][agg];
-            let scale = cfg.scale;
-            let agg_origin = origin_base[level] + agg;
-            let agg_chaos = chaos.as_ref().map(|c| {
-                let child_base = if level == 1 {
-                    0
-                } else {
-                    origin_base[level - 1]
-                };
-                AggChaos {
-                    log: c.log.clone(),
-                    level,
-                    fault: c.plan.fault_for(level, agg),
-                    hang_until: c.hang_until,
-                    expected: (child_base + agg * fan_in)..(child_base + (agg + 1) * fan_in),
-                    watchdog: if level == 1 {
-                        watchdog_at.map(|at| Watchdog {
-                            at,
-                            plan: c.plan.clone(),
-                            dist: cfg.tree.stage(0).dist.clone(),
-                            values: values.clone(),
-                            self_tx: tx.clone(),
-                        })
-                    } else {
-                        None
-                    },
-                }
-            });
-            let agg_obs = AggObs {
+            // Workers are origins `0..W`, so level 1's children start
+            // at `origin_base[0] == 0`.
+            let child_base = origin_base[level - 1] + agg * fan_in;
+            // Only bottom-level aggregators watch for dead workers.
+            let watchdog = watchdog.filter(|_| level == 1);
+            let pass = PassConfig {
+                ctx: contexts[level - 1].clone(),
+                kind,
+                model: cfg.model,
+                scale: cfg.scale,
+                start,
+                index: agg,
+                expected: child_base..child_base + fan_in,
+                watchdog,
                 trace: cfg.trace.clone(),
                 metrics: cfg.metrics.clone(),
-                level,
-                index: agg,
+                ledger: chaos.as_ref().map(|c| c.ledger.clone()),
             };
+            let retries = chaos.as_ref().zip(watchdog).map(|(c, w)| Watchdog {
+                at: start + cfg.scale.to_wall(w),
+                plan: c.plan.clone(),
+                dist: cfg.tree.stage(0).dist.clone(),
+                values: values.clone(),
+                self_tx: tx.clone(),
+            });
+            let agg_chaos = chaos.as_ref().map(|c| AggChaos {
+                ledger: c.ledger.clone(),
+                fault: c.plan.fault_for(level, agg),
+                hang_until: c.hang_until,
+            });
             // cedar-lint: allow(L10): one task per aggregator of a tree already validated against MAX_STAGES at decode; the loop bound is the tree shape, not raw client input
             tokio::spawn(aggregator_task(
-                state, rx, parent_tx, start, scale, own, agg_origin, agg_chaos, agg_obs,
+                pass,
+                rx,
+                parent_tx,
+                own_durations[level - 1][agg],
+                origin_base[level] + agg,
+                agg_chaos,
+                retries,
             ));
             txs.push(tx);
         }
@@ -456,7 +416,7 @@ pub async fn run_query_prepared(
         let value = values[i];
         // cedar-lint: allow(L10): one task per worker of the validated tree; process_durations is sized by the decode-time fan-out caps
         tokio::spawn(async move {
-            // Mirror every ChaosLog::injected call into the trace at the
+            // Mirror every Ledger::injected call into the trace at the
             // same instant so trace and FailureReport counts agree.
             let trace_fault = |k: FaultKind| {
                 if let Some(t) = &wtrace {
@@ -473,7 +433,7 @@ pub async fn run_query_prepared(
             };
             match fault {
                 Some((FaultKind::Hang, c)) => {
-                    c.log.injected(FaultKind::Hang);
+                    c.ledger.injected(FaultKind::Hang);
                     trace_fault(FaultKind::Hang);
                     // Never finishes: holds `tx` past the deadline so the
                     // channel cannot close early, then exits unsent.
@@ -482,12 +442,12 @@ pub async fn run_query_prepared(
                 Some((k @ (FaultKind::CrashBeforeSend | FaultKind::DropMessage), c)) => {
                     // The work happens; the result never leaves the host.
                     tokio::time::sleep_until(fire_at).await;
-                    c.log.injected(k);
+                    c.ledger.injected(k);
                     trace_fault(k);
                 }
                 fault => {
                     if let Some((k @ FaultKind::Straggle { .. }, c)) = &fault {
-                        c.log.injected(*k);
+                        c.ledger.injected(*k);
                         trace_fault(*k);
                     }
                     tokio::time::sleep_until(fire_at).await;
@@ -499,7 +459,7 @@ pub async fn run_query_prepared(
                         retry: false,
                     };
                     if let Some((k @ FaultKind::DuplicateMessage, c)) = &fault {
-                        c.log.injected(*k);
+                        c.ledger.injected(*k);
                         trace_fault(*k);
                         let _ = tx.send(msg).await;
                     }
@@ -532,8 +492,8 @@ pub async fn run_query_prepared(
                     let now_model = cfg.scale.to_model(start.elapsed());
                     if let Some(c) = &chaos {
                         if !root_seen.insert(m.origin) {
-                            c.log.duplicate_suppressed();
-                            root_obs.record(
+                            c.ledger.duplicate_suppressed();
+                            record_root(
                                 now_model,
                                 TraceEventKind::DuplicateSuppressed { origin: m.origin },
                             );
@@ -543,7 +503,7 @@ pub async fn run_query_prepared(
                     included += m.payload;
                     arrivals += 1;
                     value_sum += m.value;
-                    root_obs.record(
+                    record_root(
                         now_model,
                         TraceEventKind::RootArrival {
                             origin: m.origin,
@@ -557,7 +517,17 @@ pub async fn run_query_prepared(
     }
 
     let (failures, realized_durations, censored_durations) = match &chaos {
-        Some(c) => c.log.finish(),
+        Some(c) => {
+            // Sorted by origin; the refit path wants only the durations.
+            let (failures, delivered, censored) = c.ledger.finish();
+            let durations = |stages: StageLog| -> Vec<Vec<f64>> {
+                stages
+                    .iter()
+                    .map(|stage| stage.iter().map(|&(_, d)| d).collect())
+                    .collect()
+            };
+            (failures, durations(delivered), durations(censored))
+        }
         None => {
             let mut realized = Vec::with_capacity(1 + own_durations.len());
             realized.push(process_durations);
@@ -577,7 +547,7 @@ pub async fn run_query_prepared(
         failures,
         censored_durations,
     };
-    root_obs.record(
+    record_root(
         cfg.scale.to_model(outcome.wall_elapsed),
         TraceEventKind::QueryEnd {
             quality: outcome.quality,
@@ -591,227 +561,68 @@ pub async fn run_query_prepared(
     outcome
 }
 
-/// Pseudocode 1 as an async task: collect arrivals, let the policy revise
-/// the timer, depart on timer expiry or full collection, then aggregate
-/// (sleep the own duration) and ship upstream.
+/// One aggregator: run the shared Pseudocode-1 pass over this
+/// aggregator's channel, then aggregate (sleep the own duration) and
+/// ship upstream.
 ///
-/// With chaos wiring attached it additionally suppresses duplicate
-/// arrivals by origin, runs the bottom-level watchdog (one speculative
-/// retry per child still missing at the learned-quantile timeout), logs
-/// observed durations, right-censors children missing at departure, and
-/// subjects its own upstream send to the fault plan.
-#[allow(clippy::too_many_arguments)]
+/// With chaos wiring attached the pass's watchdog re-executes each
+/// worker still missing at the learned-quantile timeout exactly once,
+/// and the aggregator's own upstream send is subject to the fault plan.
 async fn aggregator_task(
-    mut state: AggregatorState,
-    mut rx: mpsc::Receiver<PartialResult>,
+    pass: PassConfig,
+    rx: mpsc::Receiver<PartialResult>,
     parent_tx: mpsc::Sender<PartialResult>,
-    start: Instant,
-    scale: TimeScale,
     own_duration: f64,
     origin: usize,
-    mut chaos: Option<AggChaos>,
-    obs: AggObs,
+    chaos: Option<AggChaos>,
+    mut watchdog: Option<Watchdog>,
 ) {
-    if obs.trace.is_some() {
-        state.set_explain(true);
-    }
-    let w0 = state.start();
-    obs.record(0.0, TraceEventKind::InitialWait { wait: w0 });
-    let mut timer = start + scale.to_wall(w0);
-    let mut payload = 0usize;
-    let mut value = 0.0f64;
-    let mut seen: HashSet<usize> = HashSet::new();
-    let mut prev_detail: Option<DecisionDetail> = None;
-    let mut reason = ShipReason::AllArrived;
-    let mut watchdog = chaos.as_mut().and_then(|c| c.watchdog.take());
-    loop {
-        // The vendored select! has exactly two arms, so the watchdog
-        // shares the timer arm: sleep until whichever is earlier and
-        // dispatch on which one is due.
-        let wake = match &watchdog {
-            Some(w) if w.at < timer => w.at,
-            _ => timer,
+    let (start, scale) = (pass.start, pass.scale);
+    let (trace, level, index) = (pass.trace.clone(), pass.ctx.level, pass.index);
+    let record = |at: f64, kind: TraceEventKind| {
+        if let Some(t) = &trace {
+            t.record(at, level, index, kind);
+        }
+    };
+    let out = run_pass(pass, rx, move |missing| {
+        // Taking the watchdog releases `self_tx` with this one firing,
+        // so the channel can close once workers and retries are done.
+        let Some(w) = watchdog.take() else {
+            return Vec::new();
         };
-        tokio::select! {
-            biased;
-            () = tokio::time::sleep_until(wake) => {
-                if wake < timer {
-                    // Watchdog, not the policy timer: re-execute each
-                    // child still missing, exactly once, then disarm.
-                    // Dropping `w` releases self_tx so the channel can
-                    // close once workers and retries are done. A due
-                    // watchdog implies both are present (`wake < timer`
-                    // only ever holds with a watchdog armed, and a
-                    // watchdog only arms with chaos wiring).
-                    if let (Some(w), Some(c)) = (watchdog.take(), chaos.as_ref()) {
-                        let wd_model = scale.to_model(start.elapsed());
-                        obs.record(
-                            wd_model,
-                            TraceEventKind::WatchdogFired {
-                                expected: c.expected.len(),
-                                received: seen.len(),
-                            },
-                        );
-                        for id in c.expected.clone() {
-                            if !seen.contains(&id) {
-                                c.log.retry_launched();
-                                obs.record(wd_model, TraceEventKind::RetryLaunched { origin: id });
-                                let mut rng = StdRng::seed_from_u64(w.plan.retry_seed(id));
-                                let dur = w.dist.sample(&mut rng);
-                                let fire_at = w.at + scale.to_wall(dur);
-                                let retry_tx = w.self_tx.clone();
-                                let retry_value = w.values[id];
-                                // cedar-lint: allow(L10): at most one retry per missing child; c.expected is the fan-in range fixed by the validated tree
-                                tokio::spawn(async move {
-                                    tokio::time::sleep_until(fire_at).await;
-                                    let _ = retry_tx
-                                        .send(PartialResult {
-                                            payload: 1,
-                                            value: retry_value,
-                                            origin: id,
-                                            duration: dur,
-                                            retry: true,
-                                        })
-                                        .await;
-                                });
-                            }
-                        }
-                    }
-                    continue;
-                }
-                // The armed instant always mirrors the state machine's
-                // current wait, so this firing is never stale.
-                let _ = state.on_timer(state.timer());
-                obs.record(scale.to_model(start.elapsed()), TraceEventKind::TimerFired);
-                reason = ShipReason::TimerExpired;
-                break;
-            }
-            msg = rx.recv() => match msg {
-                Some(m) => {
-                    let now_model = scale.to_model(start.elapsed());
-                    if let Some(c) = &chaos {
-                        if !seen.insert(m.origin) {
-                            // Injected duplicate, or a retry racing its
-                            // own original — count it once either way.
-                            c.log.duplicate_suppressed();
-                            obs.record(
-                                now_model,
-                                TraceEventKind::DuplicateSuppressed { origin: m.origin },
-                            );
-                            continue;
-                        }
-                        if c.level == 1 {
-                            c.log.delivered(0, m.origin, m.duration);
-                            if m.retry {
-                                c.log.retry_delivered();
-                                obs.record(
-                                    now_model,
-                                    TraceEventKind::RetryDelivered { origin: m.origin },
-                                );
-                            }
-                        }
-                    }
-                    payload += m.payload;
-                    value += m.value;
-                    obs.record(
-                        now_model,
-                        TraceEventKind::Arrival {
-                            arrival: state.received() + 1,
-                            origin: m.origin,
-                            retry: m.retry,
-                        },
-                    );
-                    // Time the whole arrival handler (estimate + ε-scan)
-                    // only when metrics are attached; under a paused test
-                    // clock the measurement is zero, which is harmless.
-                    let scan_begun = obs.metrics.as_ref().map(|_| Instant::now());
-                    let action = state.on_output(now_model);
-                    if let (Some(met), Some(t0)) = (&obs.metrics, scan_begun) {
-                        met.wait_scan_seconds.record(t0.elapsed().as_secs_f64());
-                    }
-                    if obs.trace.is_some() {
-                        // One Estimate + Rearm pair per *new* decision;
-                        // straw-man policies never revise, so they only
-                        // ever log their initial wait.
-                        let detail = state.last_detail();
-                        if detail != prev_detail {
-                            if let Some(d) = detail {
-                                obs.record(
-                                    now_model,
-                                    TraceEventKind::Estimate {
-                                        mu: d.mu,
-                                        sigma: d.sigma,
-                                        samples: d.samples,
-                                    },
-                                );
-                                obs.record(
-                                    now_model,
-                                    TraceEventKind::Rearm {
-                                        wait: d.wait,
-                                        expected_quality: d.expected_quality,
-                                        gain: d.gain,
-                                        loss: d.loss,
-                                    },
-                                );
-                            }
-                            prev_detail = detail;
-                        }
-                    }
-                    match action {
-                        AggregatorAction::Depart => {
-                            reason = if state.received() >= state.ctx().fanout {
-                                ShipReason::AllArrived
-                            } else {
-                                // Revised wait already in the past.
-                                ShipReason::TimerExpired
-                            };
-                            break;
-                        }
-                        AggregatorAction::SetTimer(w) => {
-                            timer = start + scale.to_wall(w);
-                        }
-                    }
-                }
-                // All senders gone: nothing more can arrive.
-                None => break,
-            },
+        for &id in missing {
+            let mut rng = StdRng::seed_from_u64(w.plan.retry_seed(id));
+            let dur = w.dist.sample(&mut rng);
+            let fire_at = w.at + scale.to_wall(dur);
+            let retry_tx = w.self_tx.clone();
+            let retry_value = w.values[id];
+            // cedar-lint: allow(L10): at most one retry per missing child; `missing` is a subset of the fan-in range fixed by the validated tree
+            tokio::spawn(async move {
+                tokio::time::sleep_until(fire_at).await;
+                let _ = retry_tx
+                    .send(PartialResult {
+                        payload: 1,
+                        value: retry_value,
+                        origin: id,
+                        duration: dur,
+                        retry: true,
+                    })
+                    .await;
+            });
         }
-    }
-    let depart_model = scale.to_model(start.elapsed());
-    obs.record(
-        depart_model,
-        TraceEventKind::Departed {
-            reason,
-            received: state.received(),
-            expected: state.ctx().fanout,
-        },
-    );
-    // Children missing at departure are right-censored at the departure
-    // time: all we know is their duration exceeds it. Only the bottom
-    // stage feeds the censored refit path — a missing aggregator is
-    // absorbed by the stage above, not re-learned.
-    if let Some(c) = &chaos {
-        if c.level == 1 {
-            for id in c.expected.clone() {
-                if !seen.contains(&id) {
-                    c.log.censored(0, id, depart_model);
-                    obs.record(depart_model, TraceEventKind::Censored { origin: id });
-                }
-            }
-        }
-    }
-    drop(watchdog);
-    drop(rx);
-    if payload > 0 {
+        missing.to_vec()
+    })
+    .await;
+    if out.payload > 0 {
         // Pair the fault with its chaos wiring so each arm gets both
         // without re-asserting the implication.
         let own_fault = chaos.as_ref().and_then(|c| c.fault.map(|k| (k, c)));
         match own_fault {
             Some((k @ FaultKind::CrashBeforeSend, c)) => {
                 // Died at departure: no aggregation work, no send.
-                c.log.injected(k);
-                obs.record(
-                    depart_model,
+                c.ledger.injected(k);
+                record(
+                    out.departed_at,
                     TraceEventKind::FaultInjected {
                         fault: k.class(),
                         origin,
@@ -819,9 +630,9 @@ async fn aggregator_task(
                 );
             }
             Some((k @ FaultKind::Hang, c)) => {
-                c.log.injected(k);
-                obs.record(
-                    depart_model,
+                c.ledger.injected(k);
+                record(
+                    out.departed_at,
                     TraceEventKind::FaultInjected {
                         fault: k.class(),
                         origin,
@@ -832,9 +643,9 @@ async fn aggregator_task(
             own_fault => {
                 let own_duration = match own_fault {
                     Some((k @ FaultKind::Straggle { factor }, c)) => {
-                        c.log.injected(k);
-                        obs.record(
-                            depart_model,
+                        c.ledger.injected(k);
+                        record(
+                            out.departed_at,
                             TraceEventKind::FaultInjected {
                                 fault: k.class(),
                                 origin,
@@ -847,8 +658,8 @@ async fn aggregator_task(
                 tokio::time::sleep(scale.to_wall(own_duration)).await;
                 if let Some((k @ FaultKind::DropMessage, c)) = own_fault {
                     // Aggregation completed but the result is lost.
-                    c.log.injected(k);
-                    obs.record(
+                    c.ledger.injected(k);
+                    record(
                         scale.to_model(start.elapsed()),
                         TraceEventKind::FaultInjected {
                             fault: k.class(),
@@ -858,18 +669,18 @@ async fn aggregator_task(
                     return;
                 }
                 if let Some(c) = &chaos {
-                    c.log.delivered(c.level, origin, own_duration);
+                    c.ledger.delivered(level, origin, own_duration);
                 }
                 let msg = PartialResult {
-                    payload,
-                    value,
+                    payload: out.payload,
+                    value: out.value,
                     origin,
                     duration: own_duration,
                     retry: false,
                 };
                 if let Some((k @ FaultKind::DuplicateMessage, c)) = own_fault {
-                    c.log.injected(k);
-                    obs.record(
+                    c.ledger.injected(k);
+                    record(
                         scale.to_model(start.elapsed()),
                         TraceEventKind::FaultInjected {
                             fault: k.class(),

@@ -26,6 +26,7 @@
 //! Everything observable is summarized per query in a [`FailureReport`].
 
 use cedar_core::LockExt;
+use cedar_distrib::ContinuousDist;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -257,6 +258,19 @@ impl FaultPlan {
         None
     }
 
+    /// When a bottom-level aggregator's watchdog fires, in model units
+    /// from query start; `None` when speculative retry is off. It sits
+    /// at a quantile of the *learned* leaf distribution `leaves`: beyond
+    /// it, a missing worker is presumed dead rather than slow. Clamped
+    /// to the deadline — retrying later is pointless.
+    pub fn watchdog_at(&self, leaves: &dyn ContinuousDist, deadline: f64) -> Option<f64> {
+        self.recovery.speculative_retry.then(|| {
+            leaves
+                .quantile(self.recovery.watchdog_quantile.clamp(0.5, 0.9999))
+                .clamp(0.0, deadline)
+        })
+    }
+
     /// Seed for the speculative-retry duration of worker `index`:
     /// deterministic, and decorrelated from the engine's main sampling
     /// stream and from [`FaultPlan::fault_for`].
@@ -354,6 +368,25 @@ impl FailureReport {
         self.censored_observations += other.censored_observations;
     }
 
+    /// These counters in the flight-recorder summary shape, for queries
+    /// that ran without an explain trace attached. `rearms` is
+    /// unknowable without a trace and stays 0.
+    pub fn trace_summary(&self, arrivals: usize) -> cedar_telemetry::TraceSummary {
+        cedar_telemetry::TraceSummary {
+            arrivals,
+            rearms: 0,
+            crashed: self.crashed,
+            hung: self.hung,
+            straggled: self.straggled,
+            dropped_messages: self.dropped,
+            duplicated: self.duplicated,
+            retries_launched: self.retries_launched,
+            retries_delivered: self.retries_delivered,
+            duplicates_suppressed: self.duplicates_suppressed,
+            censored_observations: self.censored_observations,
+        }
+    }
+
     /// `true` when a decision trace's aggregate counters agree with this
     /// report on every failure-related count. The trace counters are
     /// bumped at record time (independent of ring-buffer eviction), so
@@ -371,13 +404,18 @@ impl FailureReport {
     }
 }
 
-/// Shared, scheduling-order-insensitive chaos bookkeeping for one query.
+/// The failure ledger of one query (in-process engine) or one
+/// aggregation pass (mesh aggregator): everything a [`FailureReport`]
+/// counts, plus the delivered and right-censored durations the refit
+/// path learns from. Every task books into it as things happen, at the
+/// same sites that record the decision trace — which is why
+/// [`FailureReport::matches_trace`] holds exactly.
 ///
-/// Counters are atomics; the delivered/censored duration logs are keyed
-/// by task origin and sorted before being reported, so the output is
-/// deterministic even if tasks append in different orders across runs.
+/// Counters are atomics; the duration logs are keyed by task origin and
+/// sorted before being reported, so the output is deterministic even if
+/// tasks append in different orders across runs.
 #[derive(Debug, Default)]
-pub(crate) struct ChaosLog {
+pub struct Ledger {
     crashed: AtomicUsize,
     hung: AtomicUsize,
     straggled: AtomicUsize,
@@ -388,14 +426,19 @@ pub(crate) struct ChaosLog {
     duplicates_suppressed: AtomicUsize,
     /// Per stage: `(origin, duration)` of every output actually counted
     /// by its aggregator (stage 0) or shipped upstream (stages >= 1).
-    delivered: Mutex<Vec<Vec<(usize, f64)>>>,
+    delivered: Mutex<StageLog>,
     /// Per stage: `(origin, threshold)` for inputs right-censored at
     /// their aggregator's departure.
-    censored: Mutex<Vec<Vec<(usize, f64)>>>,
+    censored: Mutex<StageLog>,
 }
 
-impl ChaosLog {
-    pub(crate) fn new(stages: usize) -> Self {
+/// What a [`Ledger`] logs per stage: `(origin, model-time)` pairs, one
+/// list per stage.
+pub type StageLog = Vec<Vec<(usize, f64)>>;
+
+impl Ledger {
+    /// An empty ledger for a tree of `stages` stages.
+    pub fn new(stages: usize) -> Self {
         Self {
             delivered: Mutex::new(vec![Vec::new(); stages]),
             censored: Mutex::new(vec![Vec::new(); stages]),
@@ -403,7 +446,9 @@ impl ChaosLog {
         }
     }
 
-    pub(crate) fn injected(&self, kind: FaultKind) {
+    /// Books one injected fault — or a real failure charged as one (a
+    /// dead mesh worker is a crash per hosted leaf).
+    pub fn injected(&self, kind: FaultKind) {
         let counter = match kind {
             FaultKind::CrashBeforeSend => &self.crashed,
             FaultKind::Hang => &self.hung,
@@ -414,48 +459,53 @@ impl ChaosLog {
         counter.fetch_add(1, Ordering::AcqRel);
     }
 
-    pub(crate) fn retry_launched(&self) {
+    /// Books one speculative retry launched by a watchdog.
+    pub fn retry_launched(&self) {
         self.retries_launched.fetch_add(1, Ordering::AcqRel);
     }
 
-    pub(crate) fn retry_delivered(&self) {
+    /// Books one retry whose result was counted.
+    pub fn retry_delivered(&self) {
         self.retries_delivered.fetch_add(1, Ordering::AcqRel);
     }
 
-    pub(crate) fn duplicate_suppressed(&self) {
+    /// Books one arrival refused because its origin had already been
+    /// counted or is not a child of the receiver.
+    pub fn duplicate_suppressed(&self) {
         self.duplicates_suppressed.fetch_add(1, Ordering::AcqRel);
     }
 
-    // `finish()` drains both logs when the root completes; an aggregator
-    // that departs after that has nobody left to report to, so a record
-    // for a stage that is no longer there is dropped.
-    pub(crate) fn delivered(&self, stage: usize, origin: usize, duration: f64) {
+    /// Books the realized `duration` of task `origin` of `stage`, whose
+    /// output was counted upstream. [`finish`](Self::finish) drains both
+    /// logs when the root completes; an aggregator that departs after
+    /// that has nobody left to report to, so a record for a stage that
+    /// is no longer there is dropped.
+    pub fn delivered(&self, stage: usize, origin: usize, duration: f64) {
         if let Some(log) = self.delivered.lock().unpoisoned().get_mut(stage) {
             log.push((origin, duration));
         }
     }
 
-    pub(crate) fn censored(&self, stage: usize, origin: usize, threshold: f64) {
+    /// Books task `origin` of `stage` as right-censored at `threshold`:
+    /// still missing when its aggregator departed.
+    pub fn censored(&self, stage: usize, origin: usize, threshold: f64) {
         if let Some(log) = self.censored.lock().unpoisoned().get_mut(stage) {
             log.push((origin, threshold));
         }
     }
 
-    /// Drains the log into `(report, realized, censor_thresholds)`, both
-    /// duration lists sorted by task origin (deterministic regardless of
-    /// append order).
-    pub(crate) fn finish(&self) -> (FailureReport, Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let sort_take = |m: &Mutex<Vec<Vec<(usize, f64)>>>| -> Vec<Vec<f64>> {
+    /// Drains the ledger into `(report, delivered, censored)`, both logs
+    /// as per-stage `(origin, model-time)` pairs sorted by origin
+    /// (deterministic regardless of append order).
+    pub fn finish(&self) -> (FailureReport, StageLog, StageLog) {
+        let sort_take = |m: &Mutex<StageLog>| {
             let mut stages = std::mem::take(&mut *m.lock().unpoisoned());
+            for s in &mut stages {
+                s.sort_by_key(|&(origin, _)| origin);
+            }
             stages
-                .iter_mut()
-                .map(|s| {
-                    s.sort_by_key(|&(origin, _)| origin);
-                    s.iter().map(|&(_, d)| d).collect()
-                })
-                .collect()
         };
-        let realized = sort_take(&self.delivered);
+        let delivered = sort_take(&self.delivered);
         let censored = sort_take(&self.censored);
         let report = FailureReport {
             crashed: self.crashed.load(Ordering::Acquire),
@@ -468,7 +518,7 @@ impl ChaosLog {
             duplicates_suppressed: self.duplicates_suppressed.load(Ordering::Acquire),
             censored_observations: censored.iter().map(Vec::len).sum(),
         };
-        (report, realized, censored)
+        (report, delivered, censored)
     }
 }
 
@@ -544,8 +594,8 @@ mod tests {
     }
 
     #[test]
-    fn chaos_log_output_is_sorted_and_counted() {
-        let log = ChaosLog::new(2);
+    fn ledger_output_is_sorted_and_counted() {
+        let log = Ledger::new(2);
         log.delivered(0, 5, 50.0);
         log.delivered(0, 1, 10.0);
         log.censored(0, 3, 30.0);
@@ -555,8 +605,8 @@ mod tests {
         log.retry_launched();
         log.duplicate_suppressed();
         let (report, realized, censored) = log.finish();
-        assert_eq!(realized[0], vec![10.0, 50.0]);
-        assert_eq!(censored[0], vec![30.0, 30.0]);
+        assert_eq!(realized[0], vec![(1, 10.0), (5, 50.0)]);
+        assert_eq!(censored[0], vec![(2, 30.0), (3, 30.0)]);
         assert_eq!(report.crashed, 1);
         assert_eq!(report.hung, 1);
         assert_eq!(report.retries_launched, 1);
@@ -571,10 +621,10 @@ mod tests {
     fn records_after_finish_are_dropped() {
         // An aggregator that departs after the root has finished still
         // reports its stragglers; the drained log must not be indexed.
-        let log = ChaosLog::new(2);
+        let log = Ledger::new(2);
         log.delivered(0, 0, 1.0);
         let (_, realized, _) = log.finish();
-        assert_eq!(realized[0], vec![1.0]);
+        assert_eq!(realized[0], vec![(0, 1.0)]);
         log.censored(0, 3, 30.0);
         log.delivered(0, 4, 2.0);
         log.censored(1, 0, 30.0);

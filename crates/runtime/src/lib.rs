@@ -11,9 +11,10 @@
 //! - every leaf **worker** is a task that performs its share of work
 //!   (sleeping for a sampled duration at the configured time scale, then
 //!   producing a partial value);
-//! - every **aggregator** is a task running Pseudocode 1 off a
-//!   `tokio::select!` loop: partial aggregation on arrival, online
-//!   re-estimation, timer re-arm, early departure when all inputs are in;
+//! - every **aggregator** is a task running Pseudocode 1 off the one
+//!   `tokio::select!` loop in [`pass`] (which mesh aggregators run too):
+//!   partial aggregation on arrival, online re-estimation, timer re-arm,
+//!   early departure when all inputs are in;
 //! - the **root** gathers whatever aggregated results arrive before the
 //!   wall-clock deadline.
 //!
@@ -30,8 +31,8 @@ pub mod clock;
 mod engine;
 pub mod faults;
 pub mod metrics;
+pub mod pass;
 pub mod pool;
-pub mod remote;
 mod scale;
 pub mod service;
 
@@ -39,9 +40,9 @@ pub use checkpoint::{Checkpoint, CheckpointConfig, CheckpointError, StageCheckpo
 pub use engine::{
     run_query, run_query_prepared, run_query_with_values, RuntimeConfig, RuntimeOutcome,
 };
-pub use faults::{FailureReport, FaultKind, FaultPlan, FaultSpec, RecoveryPolicy};
+pub use faults::{FailureReport, FaultKind, FaultPlan, FaultSpec, Ledger, RecoveryPolicy};
 pub use metrics::RuntimeMetrics;
+pub use pass::{run_pass, Arrival, PassConfig, PassOutcome};
 pub use pool::{ones, VecPool};
-pub use remote::{aggregate_remote, Arrival, RemoteAggConfig, RemoteAggOutcome, RemoteTrace};
 pub use scale::TimeScale;
 pub use service::{AggregationService, QueryOptions, ServiceConfig, WarmRestart};

@@ -1,0 +1,559 @@
+//! Pseudocode 1, once: the aggregation pass every aggregator runs.
+//!
+//! An aggregator needs a timer, a channel of arrivals and the
+//! per-arrival re-optimization; [`run_pass`] is that loop, and the only
+//! driver of [`AggregatorState`] outside the simulator. The in-process
+//! engine feeds it from worker tasks over a bounded channel; a mesh
+//! node's network reader threads push each decoded partial-result frame
+//! into the same kind of channel as an [`Arrival`]. A dead or straggling
+//! *real* peer therefore degrades quality through the same code path as
+//! an injected one: arrivals that are not a first from an expected child
+//! are refused, children missing at departure are right-censored, and a
+//! watchdog hook lets the caller launch speculative retries (as tasks,
+//! or across the wire). Whatever is refused, retried or censored is
+//! booked into the caller's [`Ledger`] at the site that records it in
+//! the decision trace.
+
+use crate::faults::Ledger;
+use crate::metrics::RuntimeMetrics;
+use crate::scale::TimeScale;
+use cedar_core::policy::DecisionDetail;
+use cedar_core::{AggregatorAction, AggregatorState, PolicyContext, WaitPolicyKind};
+use cedar_estimate::Model;
+use cedar_telemetry::{QueryTrace, ShipReason, TraceEventKind};
+use std::ops::Range;
+use std::sync::Arc;
+use tokio::sync::mpsc;
+use tokio::time::Instant;
+
+/// A partial result flowing up the tree: how many process outputs it
+/// carries and their aggregated value. `origin` identifies the sending
+/// task globally (workers `0..W`, then aggregators level by level) so
+/// receivers can suppress duplicate arrivals; `duration` is the
+/// sender's realized model-time duration (what refit should learn
+/// from); `retry` marks a speculative re-execution launched by a
+/// watchdog. This is the engine's channel-send boundary type; mesh
+/// frames decode into it so remote children are indistinguishable from
+/// local ones past the socket.
+#[derive(Debug, Clone, Copy)]
+pub struct Arrival {
+    /// Process outputs aggregated into this message.
+    pub payload: usize,
+    /// Aggregated value over those outputs.
+    pub value: f64,
+    /// Global origin id of the sender.
+    pub origin: usize,
+    /// The sender's realized model-time duration.
+    pub duration: f64,
+    /// Whether this is a speculative re-execution's result.
+    pub retry: bool,
+}
+
+/// Configuration for one aggregation pass.
+pub struct PassConfig {
+    /// This aggregator's policy context (from
+    /// [`cedar_core::PreparedContexts::for_query`]); its `level` is
+    /// where the pass's trace events are attributed.
+    pub ctx: PolicyContext,
+    /// Wait policy family to instantiate.
+    pub kind: WaitPolicyKind,
+    /// Distribution family the online estimator assumes.
+    pub model: Model,
+    /// Model-to-wall time mapping.
+    pub scale: TimeScale,
+    /// Query start on this node; model time is measured from here.
+    pub start: Instant,
+    /// The aggregator's index within its level (for event attribution).
+    pub index: usize,
+    /// Global origin ids of the children expected to arrive; an arrival
+    /// from any other origin is refused.
+    pub expected: Range<usize>,
+    /// Watchdog timeout in model units, if speculative retries are on
+    /// ([`FaultPlan::watchdog_at`](crate::FaultPlan::watchdog_at)):
+    /// when it fires with children still missing, the caller's hook
+    /// receives their origins (exactly once).
+    pub watchdog: Option<f64>,
+    /// Decision trace to record the pass's timeline into; attaching one
+    /// runs the policy in explain mode.
+    pub trace: Option<Arc<QueryTrace>>,
+    /// Where each arrival handler's latency is recorded.
+    pub metrics: Option<Arc<RuntimeMetrics>>,
+    /// Where deliveries, refusals, retries and censorings are booked.
+    /// Without one nothing is censored: right-censoring exists for the
+    /// refit path the ledger feeds.
+    pub ledger: Option<Arc<Ledger>>,
+}
+
+/// What one aggregation pass collected.
+#[derive(Debug, Clone, Copy)]
+pub struct PassOutcome {
+    /// Process outputs aggregated before departure.
+    pub payload: usize,
+    /// Aggregated value over those outputs.
+    pub value: f64,
+    /// Distinct children that arrived in time.
+    pub received: usize,
+    /// Departure time in model units.
+    pub departed_at: f64,
+}
+
+/// Which of the `expected` children have been counted: one bit per
+/// child, so a second arrival from the same origin and an origin that
+/// is nobody's child are refused by the same test.
+struct Seen {
+    expected: Range<usize>,
+    words: Vec<u64>,
+}
+
+impl Seen {
+    fn new(expected: Range<usize>) -> Self {
+        let words = vec![0; expected.len().div_ceil(64)];
+        Self { expected, words }
+    }
+
+    /// Word index and mask of an expected origin's bit.
+    fn bit(&self, origin: usize) -> (usize, u64) {
+        let bit = origin - self.expected.start;
+        (bit / 64, 1 << (bit % 64))
+    }
+
+    /// Marks `origin`; `false` when it was already marked or is not an
+    /// expected child.
+    fn insert(&mut self, origin: usize) -> bool {
+        if !self.expected.contains(&origin) {
+            return false;
+        }
+        let (word, mask) = self.bit(origin);
+        let fresh = self.words[word] & mask == 0;
+        self.words[word] |= mask;
+        fresh
+    }
+
+    /// The expected origins not yet marked, ascending.
+    fn missing(&self) -> Vec<usize> {
+        let unmarked = |&origin: &usize| {
+            let (word, mask) = self.bit(origin);
+            self.words[word] & mask == 0
+        };
+        self.expected.clone().filter(unmarked).collect()
+    }
+}
+
+/// Runs Pseudocode 1 over a channel of arrivals: collect, let the
+/// policy revise the timer, depart on timer expiry, full collection or
+/// a closed channel. Children missing when the watchdog fires are
+/// handed to `on_watchdog`, which re-executes them however the caller
+/// can and returns the origins it did launch; children missing at
+/// departure are right-censored in the ledger.
+pub async fn run_pass(
+    cfg: PassConfig,
+    mut rx: mpsc::Receiver<Arrival>,
+    mut on_watchdog: impl FnMut(&[usize]) -> Vec<usize> + Send,
+) -> PassOutcome {
+    let PassConfig {
+        ctx,
+        kind,
+        model,
+        scale,
+        start,
+        index,
+        expected,
+        watchdog,
+        trace,
+        metrics,
+        ledger,
+    } = cfg;
+    let level = ctx.level;
+    let record = |at: f64, event: TraceEventKind| {
+        if let Some(t) = &trace {
+            t.record(at, level, index, event);
+        }
+    };
+    // Only the bottom stage feeds the refit path — a missing aggregator
+    // is absorbed by the stage above, not re-learned, and a delivered
+    // one books its own duration when it ships.
+    let refit_log = ledger.as_deref().filter(|_| level == 1);
+    let mut state = AggregatorState::new(kind.instantiate(ctx.fanout, model), ctx);
+    state.set_explain(trace.is_some());
+    let w0 = state.start();
+    record(0.0, TraceEventKind::InitialWait { wait: w0 });
+    let mut timer = start + scale.to_wall(w0);
+    let mut watchdog_at = watchdog.map(|w| start + scale.to_wall(w));
+    let mut payload = 0usize;
+    let mut value = 0.0f64;
+    let mut seen = Seen::new(expected);
+    let mut prev_detail: Option<DecisionDetail> = None;
+    loop {
+        // The vendored select! has exactly two arms, so the watchdog
+        // shares the timer arm: sleep until whichever is earlier and
+        // dispatch on which one is due.
+        let wake = match watchdog_at {
+            Some(w) if w < timer => w,
+            _ => timer,
+        };
+        tokio::select! {
+            // The channel arm goes first: a result already sitting in
+            // the queue beat the timer in wall time, so it must not be
+            // censored by a concurrently-due timer — and the watchdog
+            // must not speculatively re-execute a child whose answer
+            // is a `recv` away. The race is real whenever this task is
+            // polled late (a cold-start wait scan, a busy host): the
+            // last sender's wake-up and this timer then land in one
+            // poll. It also spares the timer registration whenever the
+            // next arrival is already queued.
+            biased;
+            msg = rx.recv() => match msg {
+                Some(m) => {
+                    let now_model = scale.to_model(start.elapsed());
+                    if !seen.insert(m.origin) {
+                        // Injected duplicate, a retry racing its own
+                        // original, or somebody else's child — counted
+                        // at most once, and only if ours.
+                        if let Some(l) = &ledger {
+                            l.duplicate_suppressed();
+                        }
+                        record(
+                            now_model,
+                            TraceEventKind::DuplicateSuppressed { origin: m.origin },
+                        );
+                        continue;
+                    }
+                    if let Some(l) = refit_log {
+                        l.delivered(0, m.origin, m.duration);
+                    }
+                    if m.retry {
+                        if let Some(l) = &ledger {
+                            l.retry_delivered();
+                        }
+                        record(now_model, TraceEventKind::RetryDelivered { origin: m.origin });
+                    }
+                    payload += m.payload;
+                    value += m.value;
+                    record(
+                        now_model,
+                        TraceEventKind::Arrival {
+                            arrival: state.received() + 1,
+                            origin: m.origin,
+                            retry: m.retry,
+                        },
+                    );
+                    // Time the whole arrival handler (estimate + ε-scan)
+                    // only when metrics are attached; under a paused test
+                    // clock the measurement is zero, which is harmless.
+                    let scan_begun = metrics.as_ref().map(|_| Instant::now());
+                    let action = state.on_output(now_model);
+                    if let (Some(met), Some(t0)) = (&metrics, scan_begun) {
+                        met.wait_scan_seconds.record(t0.elapsed().as_secs_f64());
+                    }
+                    if trace.is_some() {
+                        // One Estimate + Rearm pair per *new* decision;
+                        // straw-man policies never revise, so they only
+                        // ever log their initial wait.
+                        let detail = state.last_detail();
+                        if detail != prev_detail {
+                            if let Some(d) = detail {
+                                record(
+                                    now_model,
+                                    TraceEventKind::Estimate {
+                                        mu: d.mu,
+                                        sigma: d.sigma,
+                                        samples: d.samples,
+                                    },
+                                );
+                                record(
+                                    now_model,
+                                    TraceEventKind::Rearm {
+                                        wait: d.wait,
+                                        expected_quality: d.expected_quality,
+                                        gain: d.gain,
+                                        loss: d.loss,
+                                    },
+                                );
+                            }
+                            prev_detail = detail;
+                        }
+                    }
+                    match action {
+                        AggregatorAction::Depart => break,
+                        AggregatorAction::SetTimer(w) => {
+                            timer = start + scale.to_wall(w);
+                        }
+                    }
+                }
+                // All senders gone: nothing more can arrive.
+                None => break,
+            },
+            () = tokio::time::sleep_until(wake) => {
+                let now_model = scale.to_model(start.elapsed());
+                if wake < timer {
+                    // Watchdog, not the policy timer: hand the caller
+                    // every child still missing, exactly once.
+                    watchdog_at = None;
+                    let missing = seen.missing();
+                    record(
+                        now_model,
+                        TraceEventKind::WatchdogFired {
+                            expected: state.ctx().fanout,
+                            received: state.received(),
+                        },
+                    );
+                    for origin in on_watchdog(&missing) {
+                        if let Some(l) = &ledger {
+                            l.retry_launched();
+                        }
+                        record(now_model, TraceEventKind::RetryLaunched { origin });
+                    }
+                    continue;
+                }
+                // The armed instant always mirrors the state machine's
+                // current wait, so this firing is never stale.
+                let _ = state.on_timer(state.timer());
+                record(now_model, TraceEventKind::TimerFired);
+                break;
+            }
+        }
+    }
+    let departed_at = scale.to_model(start.elapsed());
+    // Children missing at departure are right-censored at the departure
+    // time: all we know is their duration exceeds it.
+    if let Some(l) = refit_log {
+        for origin in seen.missing() {
+            l.censored(0, origin, departed_at);
+            record(departed_at, TraceEventKind::Censored { origin });
+        }
+    }
+    let received = state.received();
+    record(
+        departed_at,
+        TraceEventKind::Departed {
+            // Short of a full collection the pass left on a timer: the
+            // policy's, a revised wait already in the past, or — with
+            // every sender gone — one it no longer had to wait out.
+            reason: if received >= state.ctx().fanout {
+                ShipReason::AllArrived
+            } else {
+                ShipReason::TimerExpired
+            },
+            received,
+            expected: state.ctx().fanout,
+        },
+    );
+    PassOutcome {
+        payload,
+        value,
+        received,
+        departed_at,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cedar_core::profile::ProfileConfig;
+    use cedar_core::{PreparedContexts, StageSpec, TreeSpec};
+    use cedar_distrib::LogNormal;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
+
+    /// A pass expecting children `4..4 + fanout`, with a ledger and a
+    /// trace attached (reachable through the returned config).
+    fn config(fanout: usize, kind: WaitPolicyKind, deadline: f64) -> PassConfig {
+        let tree = TreeSpec::two_level(
+            StageSpec::new(LogNormal::new(1.0, 0.6).unwrap(), fanout),
+            StageSpec::new(LogNormal::new(1.0, 0.4).unwrap(), 2),
+        );
+        let prepared = PreparedContexts::new(
+            &tree,
+            deadline,
+            kind,
+            Model::LogNormal,
+            64,
+            &ProfileConfig::default(),
+        );
+        PassConfig {
+            ctx: prepared.for_query(&tree).remove(0),
+            kind,
+            model: Model::LogNormal,
+            scale: TimeScale::new(Duration::from_micros(50)),
+            start: Instant::now(),
+            index: 3,
+            expected: 4..4 + fanout,
+            watchdog: None,
+            trace: Some(Arc::new(QueryTrace::new())),
+            metrics: None,
+            ledger: Some(Arc::new(Ledger::new(1))),
+        }
+    }
+
+    fn arrival(origin: usize) -> Arrival {
+        Arrival {
+            payload: 1,
+            value: 1.0,
+            origin,
+            duration: 2.0,
+            retry: false,
+        }
+    }
+
+    /// A channel with `origins` already queued, in order.
+    fn queued(origins: &[usize]) -> (mpsc::Sender<Arrival>, mpsc::Receiver<Arrival>) {
+        let (tx, rx) = mpsc::channel(16);
+        for &origin in origins {
+            tx.try_send(arrival(origin)).unwrap();
+        }
+        (tx, rx)
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn departs_early_when_every_child_arrives() {
+        let cfg = config(4, WaitPolicyKind::Cedar, 400.0);
+        let (ledger, trace) = (cfg.ledger.clone().unwrap(), cfg.trace.clone().unwrap());
+        let (_tx, rx) = queued(&[4, 5, 6, 7]);
+        let outcome = run_pass(cfg, rx, |_| Vec::new()).await;
+        assert_eq!(outcome.payload, 4);
+        assert_eq!(outcome.received, 4);
+        assert!((outcome.value - 4.0).abs() < 1e-12);
+        let (report, delivered, censored) = ledger.finish();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(delivered[0], vec![(4, 2.0), (5, 2.0), (6, 2.0), (7, 2.0)]);
+        assert!(censored[0].is_empty());
+        assert!(matches!(
+            trace.events().last().map(|e| &e.kind),
+            Some(TraceEventKind::Departed {
+                reason: ShipReason::AllArrived,
+                received: 4,
+                expected: 4,
+            })
+        ));
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn censors_missing_children_and_suppresses_duplicates() {
+        let cfg = config(4, WaitPolicyKind::Cedar, 60.0);
+        let (ledger, trace) = (cfg.ledger.clone().unwrap(), cfg.trace.clone().unwrap());
+        // Children 4 and 5 arrive (5 twice); 6 and 7 never do, and the
+        // channel closes under the pass.
+        let (tx, rx) = queued(&[4, 5, 5]);
+        drop(tx);
+        let outcome = run_pass(cfg, rx, |_| Vec::new()).await;
+        assert_eq!(outcome.payload, 2);
+        let (report, _, censored) = ledger.finish();
+        assert_eq!(report.duplicates_suppressed, 1);
+        assert_eq!(
+            censored[0],
+            vec![(6, outcome.departed_at), (7, outcome.departed_at)]
+        );
+        // The trace tells the same story, attributed to this aggregator,
+        // and a closed channel with children missing is not a full
+        // collection: censorings first, the departure last.
+        assert!(report.matches_trace(&trace.summary()));
+        assert_eq!(trace.summary().arrivals, 2);
+        let events = trace.events();
+        assert!(
+            events.iter().all(|e| e.level == 1 && e.index == 3),
+            "{events:?}"
+        );
+        assert!(matches!(
+            events.first().map(|e| &e.kind),
+            Some(TraceEventKind::InitialWait { .. })
+        ));
+        let tail: Vec<_> = events[events.len() - 3..].iter().map(|e| &e.kind).collect();
+        assert!(
+            matches!(
+                tail[..],
+                [
+                    TraceEventKind::Censored { origin: 6 },
+                    TraceEventKind::Censored { origin: 7 },
+                    TraceEventKind::Departed {
+                        reason: ShipReason::TimerExpired,
+                        received: 2,
+                        expected: 4,
+                    },
+                ]
+            ),
+            "{tail:?}"
+        );
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn refuses_arrivals_that_are_not_this_aggregators_children() {
+        let cfg = config(4, WaitPolicyKind::Cedar, 400.0);
+        let (ledger, trace) = (cfg.ledger.clone().unwrap(), cfg.trace.clone().unwrap());
+        // Four arrivals for a fan-in of four — but origins 3 and 8 sit
+        // just below and just past `expected`, and 1000 nowhere near.
+        let (tx, rx) = queued(&[3, 4, 8, 1000, 5]);
+        drop(tx);
+        let outcome = run_pass(cfg, rx, |_| Vec::new()).await;
+        assert_eq!(outcome.payload, 2, "only children 4 and 5 count");
+        assert_eq!(outcome.received, 2);
+        let (report, delivered, censored) = ledger.finish();
+        assert_eq!(report.duplicates_suppressed, 3);
+        assert_eq!(delivered[0], vec![(4, 2.0), (5, 2.0)]);
+        assert_eq!(censored[0].len(), 2, "6 and 7 are still missing");
+        assert!(report.matches_trace(&trace.summary()));
+        // Refusals did not fill the fan-in: no early departure.
+        assert!(matches!(
+            trace.events().last().map(|e| &e.kind),
+            Some(TraceEventKind::Departed {
+                reason: ShipReason::TimerExpired,
+                ..
+            })
+        ));
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn queued_arrivals_beat_a_timer_that_is_already_due() {
+        // FixedWait(0): the timer is due at the very first poll. What is
+        // already in the queue got here first and must be looked at
+        // first — a timer-first loop departs with nothing.
+        let cfg = config(4, WaitPolicyKind::FixedWait(0.0), 400.0);
+        let (_tx, rx) = queued(&[4, 5, 6, 7]);
+        let outcome = run_pass(cfg, rx, |_| Vec::new()).await;
+        assert!(outcome.payload >= 1, "{outcome:?}");
+
+        let cfg = config(1, WaitPolicyKind::FixedWait(0.0), 400.0);
+        let trace = cfg.trace.clone().unwrap();
+        let (_tx, rx) = queued(&[4]);
+        let outcome = run_pass(cfg, rx, |_| Vec::new()).await;
+        assert_eq!(outcome.payload, 1);
+        assert!(matches!(
+            trace.events().last().map(|e| &e.kind),
+            Some(TraceEventKind::Departed {
+                reason: ShipReason::AllArrived,
+                ..
+            })
+        ));
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn watchdog_reports_missing_children_once() {
+        let mut cfg = config(4, WaitPolicyKind::Cedar, 200.0);
+        cfg.watchdog = Some(0.5);
+        let (ledger, trace) = (cfg.ledger.clone().unwrap(), cfg.trace.clone().unwrap());
+        let (tx, rx) = queued(&[4]);
+        let fired = AtomicUsize::new(0);
+        // The watchdog fires almost immediately; a "retry" for one
+        // missing child is delivered when it does, the other two are
+        // reported as not launched.
+        let mut retry_tx = Some(tx);
+        let outcome = run_pass(cfg, rx, |missing| {
+            fired.fetch_add(1, Ordering::SeqCst);
+            assert_eq!(missing, &[5, 6, 7]);
+            let tx = retry_tx.take().expect("fires once");
+            tx.try_send(Arrival {
+                retry: true,
+                ..arrival(5)
+            })
+            .unwrap();
+            vec![5]
+        })
+        .await;
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
+        assert_eq!(outcome.received, 2);
+        let (report, _, censored) = ledger.finish();
+        assert_eq!(report.retries_launched, 1);
+        assert_eq!(report.retries_delivered, 1);
+        assert_eq!(censored[0].len(), 2);
+        assert!(report.matches_trace(&trace.summary()));
+    }
+}

@@ -16,9 +16,7 @@ use crate::spill::{SpillConfig, SpillQueue};
 use crate::wire2::BinaryCodec;
 use cedar_core::fs::write_atomic;
 use cedar_core::{LockExt, Millis};
-use cedar_runtime::{
-    AggregationService, FailureReport, QueryOptions, RuntimeMetrics, ServiceConfig, TimeScale,
-};
+use cedar_runtime::{AggregationService, QueryOptions, RuntimeMetrics, ServiceConfig, TimeScale};
 use cedar_telemetry::flight::DEFAULT_FLIGHT_CAPACITY;
 use cedar_telemetry::{
     Counter, FlightDump, FlightEntry, FlightRecorder, Gauge, QueryTrace, Registry, TraceSummary,
@@ -330,24 +328,6 @@ impl ServerShared {
         if !self.degraded.swap(true, Ordering::AcqRel) {
             self.flight_dump("degraded");
         }
-    }
-}
-
-/// `FailureReport` counters as the flight-recorder summary shape, for
-/// queries that ran without an explain trace attached.
-fn summary_from_failures(report: &FailureReport, arrivals: usize) -> TraceSummary {
-    TraceSummary {
-        arrivals,
-        rearms: 0,
-        crashed: report.crashed,
-        hung: report.hung,
-        straggled: report.straggled,
-        dropped_messages: report.dropped,
-        duplicated: report.duplicated,
-        retries_launched: report.retries_launched,
-        retries_delivered: report.retries_delivered,
-        duplicates_suppressed: report.duplicates_suppressed,
-        censored_observations: report.censored_observations,
     }
 }
 
@@ -1079,7 +1059,7 @@ fn serve_query(shared: &ServerShared, req: &Request) -> Response {
         expected,
         shed: false,
         summary: trace.as_ref().map_or_else(
-            || summary_from_failures(&outcome.failures, outcome.root_arrivals),
+            || outcome.failures.trace_summary(outcome.root_arrivals),
             |t| t.summary(),
         ),
     });

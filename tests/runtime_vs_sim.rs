@@ -1,6 +1,7 @@
 //! Cross-backend agreement: the tokio runtime and the discrete-event
 //! simulator implement the same semantics, so on matched workloads their
-//! mean qualities must agree within sampling noise.
+//! mean qualities must agree within sampling noise — and, seed for seed,
+//! they must count exactly the same outputs.
 //!
 //! The runtime tests run under tokio's paused clock, so wall-time effects
 //! (timer granularity, scheduling skew) are absent and the agreement
@@ -10,7 +11,7 @@ use cedar::core::policy::WaitPolicyKind;
 use cedar::core::{StageSpec, TreeSpec};
 use cedar::distrib::LogNormal;
 use cedar::runtime::{run_query, RuntimeConfig};
-use cedar::sim::{mean_quality, run_trials, SimConfig};
+use cedar::sim::{mean_quality, run_trials, simulate_query, SimConfig};
 
 fn tree() -> TreeSpec {
     TreeSpec::two_level(
@@ -77,4 +78,30 @@ async fn runtime_quality_monotone_in_deadline() {
         "more budget should mean more quality ({tight} -> {loose})"
     );
     assert!(loose > 0.9, "generous deadline should be nearly lossless");
+}
+
+#[tokio::test(start_paused = true)]
+async fn backends_agree_seed_for_seed() {
+    // The differential law. Both backends sample every duration from
+    // `StdRng::seed_from_u64(seed)` in the same order and drive the same
+    // `AggregatorState`, so with wall-time effects paused away the one
+    // runtime pass loop and the simulator's event loop are one algorithm:
+    // not close in the mean, identical per query.
+    for kind in [
+        WaitPolicyKind::Cedar,
+        WaitPolicyKind::ProportionalSplit,
+        WaitPolicyKind::Ideal,
+        WaitPolicyKind::FixedWait(20.0),
+    ] {
+        for d in [25.0, 50.0, 400.0] {
+            for seed in 0..60 {
+                let rt = run_query(&RuntimeConfig::new(tree(), d).with_seed(seed), kind).await;
+                let sim = simulate_query(&SimConfig::new(tree(), d).with_seed(seed), kind);
+                assert_eq!(
+                    rt.included_outputs, sim.included_outputs,
+                    "{kind:?} at D={d}, seed {seed}"
+                );
+            }
+        }
+    }
 }

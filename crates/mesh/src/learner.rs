@@ -27,8 +27,8 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::clock;
 use cedar_core::LockExt;
+use cedar_server::clock;
 
 /// Refit the windowed censored MLE every this many aggregation passes.
 const REFIT_PASSES: u64 = 8;

@@ -29,7 +29,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod clock;
 pub mod learner;
 pub mod metrics;
 pub mod node;

@@ -1,10 +1,10 @@
 //! The mesh node: one process playing root, aggregator, or worker.
 //!
-//! Every node binds one listener and serves both frame families on it:
-//! client [`Request`]s (ping/metrics/stats/shutdown everywhere, query on
-//! the root) and inter-node [`MeshMsg`]s. A connection's first
-//! successfully decoded frame decides which conversation it is — mesh
-//! ops are disjoint from client ops, so the dispatch is unambiguous.
+//! Every node serves through the server's connection layer
+//! ([`cedar_server::frontend`]) as a [`Handler`] for both frame families
+//! on its one listener: client [`Request`]s (ping/metrics/stats/shutdown
+//! everywhere, query on the root) and inter-node [`MeshMsg`]s. Mesh ops
+//! are disjoint from client ops, so the dispatch is unambiguous.
 //!
 //! Data flow for one query, mirroring the in-process engine:
 //!
@@ -49,18 +49,16 @@
 //! overhead, delivered in `result.trace.mesh`. Every node also keeps an
 //! always-on fixed-size [`FlightRecorder`] of recent query summaries
 //! (dumped on shutdown, on real-failure detection, or via the
-//! [`OP_FLIGHT_DUMP`] op), and the root serves an
+//! [`proto::OP_FLIGHT_DUMP`] op), and the root serves an
 //! [`OP_METRICS_FEDERATED`] op that merges every node's Prometheus page
 //! under `node=` labels.
 
-use crate::clock;
 use crate::learner::MeshLearner;
 use crate::metrics::{MeshMetrics, PeerMetrics};
 use crate::peer::{LinkConfig, PeerLink, Router};
 use crate::ring::HashRing;
 use crate::topology::{NodeDef, Role, Topology};
 use crate::wire::{self, agg_seed, leaf_seed, ExecTrace, MeshMsg, StageTiming};
-use cedar_core::fs::write_atomic;
 use cedar_core::profile::ProfileConfig;
 use cedar_core::{LockExt, Millis, PolicyContext, PreparedContexts, WaitPolicyKind};
 use cedar_distrib::ContinuousDist;
@@ -69,23 +67,26 @@ use cedar_mathx::fxhash::FxHashMap;
 use cedar_runtime::{
     run_pass, Arrival, CheckpointConfig, FailureReport, FaultKind, FaultPlan, Ledger, PassConfig,
 };
-use cedar_server::proto::{self, QueryResult, Request, Response, ServerStats};
+use cedar_server::clock;
+use cedar_server::frontend::{
+    Frontend, FrontendConfig, Handler, Serving, DEFAULT_DRAIN_DEADLINE, DEFAULT_IDLE_TIMEOUT,
+};
+use cedar_server::proto::{self, QueryResult, RawFrame, Request, Response, ServerStats};
 use cedar_server::{Client, WireFormat};
 use cedar_telemetry::flight::DEFAULT_FLIGHT_CAPACITY;
 use cedar_telemetry::{
-    FlightDump, FlightEntry, FlightRecorder, HopRecord, MeshTrace, QueryTrace, ShipReason,
-    TraceEventKind, TraceSegment, TraceSummary,
+    FlightEntry, FlightRecorder, HopRecord, MeshTrace, QueryTrace, ShipReason, TraceEventKind,
+    TraceSegment, TraceSummary,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Deadline applied when a query request omits one, in model units.
 const DEFAULT_DEADLINE: f64 = 1600.0;
@@ -99,10 +100,6 @@ const PREPARED_CACHE_MAX: usize = 16;
 /// Client op served by roots only: every node's Prometheus page merged
 /// under `node=` labels (plus a synthetic `cedar_mesh_federated_up`).
 pub const OP_METRICS_FEDERATED: &str = "metrics_federated";
-/// Client op served by every node: freeze the flight recorder, write
-/// the dump file (when configured), and return the dump as JSON in the
-/// response's `metrics` field.
-pub const OP_FLIGHT_DUMP: &str = "flight_dump";
 
 /// Receive-side spans for one frame: the wall stamp when it came off
 /// the socket, how long decode took, and when the serving thread handed
@@ -112,6 +109,20 @@ struct RecvSpans {
     recv_unix_us: u64,
     decode_us: u64,
     handled_at: Instant,
+}
+
+impl RecvSpans {
+    /// Spans for a frame that came off the socket at `received` and is
+    /// decoded by now.
+    fn decoded(received: Instant) -> Self {
+        let handled_at = clock::now();
+        let decode_us = handled_at.duration_since(received).as_micros() as u64;
+        Self {
+            recv_unix_us: clock::unix_us().saturating_sub(decode_us),
+            decode_us,
+            handled_at,
+        }
+    }
 }
 
 /// One `exec` frame's payload bundled with its receive spans, for the
@@ -143,7 +154,7 @@ struct RecentExec {
 /// client op) to stop it.
 pub struct NodeHandle {
     inner: Arc<NodeInner>,
-    accept: Option<JoinHandle<()>>,
+    serving: Option<Serving>,
 }
 
 impl NodeHandle {
@@ -162,7 +173,7 @@ impl NodeHandle {
     /// The address the listener actually bound (resolves port 0).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.inner.local_addr
+        self.inner.front.addr()
     }
 
     /// How many child links are currently established — readiness is
@@ -180,18 +191,19 @@ impl NodeHandle {
 
     /// Signals the node to stop (idempotent).
     pub fn stop(&self) {
-        self.inner.stop_signal();
+        Handler::stop(&*self.inner);
     }
 
     /// Blocks until the node stops — its own [`stop`](NodeHandle::stop)
-    /// or a client `shutdown` op.
+    /// or a client `shutdown` op — and its connection and scrape threads
+    /// are joined.
     pub fn join(mut self) {
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
+        if let Some(serving) = self.serving.take() {
+            let _ = serving.join();
         }
     }
 
-    /// Stops the node and waits for the accept loop to exit.
+    /// Stops the node and waits for its threads to exit.
     pub fn shutdown(self) {
         self.stop();
         self.join();
@@ -200,11 +212,13 @@ impl NodeHandle {
     /// The bound Prometheus HTTP endpoint, when one was requested.
     #[must_use]
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.inner.metrics_http_addr
+        self.inner.front.scrape_addr()
     }
 }
 
 struct NodeInner {
+    /// Listener, connections, flight ring and stop: the serving layer.
+    front: Frontend,
     topo: Topology,
     me: NodeDef,
     fault_plan: Option<FaultPlan>,
@@ -212,14 +226,13 @@ struct NodeInner {
     router: Arc<Router>,
     /// Child links in topology child order (root → aggs, agg → workers).
     links: Vec<Arc<PeerLink>>,
-    /// Writer half of the connection our parent holds to us; shared so
-    /// heartbeat acks and partial pushes serialize their frames.
-    upstream: Mutex<Option<TcpStream>>,
-    /// Encoding our parent's `hello` arrived in; everything we push on
-    /// the upstream connection answers in kind, so a binary parent gets
-    /// binary partials and a JSON parent keeps JSON (mixed-version
-    /// meshes interoperate per link). Stores [`WireFormat`] as a u8.
-    upstream_wire: AtomicU8,
+    /// Writer half of the connection our parent holds to us, shared so
+    /// heartbeat acks and partial pushes serialize their frames, and the
+    /// encoding the parent's `hello` arrived in: everything pushed
+    /// upstream answers in kind, so a binary parent gets binary partials
+    /// and a JSON parent keeps JSON (mixed-version meshes interoperate
+    /// per link).
+    upstream: Mutex<Option<(TcpStream, WireFormat)>>,
     /// Where aggregation passes are spawned (aggregators only). Only a
     /// handle: passes hold this node, so a node that owned the runtime
     /// could end up dropping it on one of its own workers.
@@ -227,34 +240,20 @@ struct NodeInner {
     /// Replica shard ring (root only).
     ring: Option<HashRing>,
     groups: Vec<Vec<String>>,
-    local_addr: SocketAddr,
-    stop: AtomicBool,
     query_seq: AtomicU64,
     completed: AtomicU64,
     served: AtomicU64,
     in_flight: AtomicUsize,
-    /// Live connection-handler threads, for the accept-loop ceiling.
-    conns_active: AtomicUsize,
     prepared: Mutex<FxHashMap<(u64, String), Arc<PreparedContexts>>>,
     recent: Mutex<Vec<RecentExec>>,
-    /// Always-on ring of recent per-query summaries.
-    flight: FlightRecorder,
-    /// Where flight dumps land ([`NodeOptions::flight_file`]).
-    flight_file: Option<PathBuf>,
-    /// One-shot latch: the first real-failure detection dumps the
-    /// flight ring; later ones don't rewrite it (the interesting state
-    /// is what led up to the first).
-    degraded: AtomicBool,
     /// Durable learned priors (aggregators with a checkpoint dir).
     learner: Option<MeshLearner>,
-    /// Bound address of the Prometheus HTTP endpoint, when serving one.
-    metrics_http_addr: Option<SocketAddr>,
 }
 
 /// Ceiling on simultaneously live connection threads per mesh node. A
 /// node talks to its parent, its children, and a handful of clients;
 /// anything past this is a runaway peer and is dropped at accept.
-const MAX_NODE_CONNECTIONS: usize = 256;
+pub const MAX_NODE_CONNECTIONS: usize = 256;
 
 /// Optional durability and observability facilities for [`start_with`].
 #[derive(Debug, Default)]
@@ -266,7 +265,7 @@ pub struct NodeOptions {
     /// (`GET` anything → the node's metrics page).
     pub metrics_addr: Option<String>,
     /// File the flight recorder dumps to on shutdown, real-failure
-    /// detection, or the [`OP_FLIGHT_DUMP`] op.
+    /// detection, or the [`proto::OP_FLIGHT_DUMP`] op.
     pub flight_file: Option<PathBuf>,
     /// Flight-recorder ring capacity; 0 means the default (256).
     pub flight_capacity: usize,
@@ -300,8 +299,24 @@ pub fn start_with(
             format!("node {name:?} is not in the topology"),
         )
     })?;
-    let listener = TcpListener::bind(&me.addr)?;
-    let local_addr = listener.local_addr()?;
+    let flight_capacity = if options.flight_capacity == 0 {
+        DEFAULT_FLIGHT_CAPACITY
+    } else {
+        options.flight_capacity
+    };
+    let (front, listeners) = Frontend::bind(FrontendConfig {
+        addr: me.addr.clone(),
+        scrape_addr: options.metrics_addr,
+        max_connections: MAX_NODE_CONNECTIONS,
+        // Per frame: a parent's live link sends a heartbeat every
+        // `heartbeat` (500 ms by default), far inside this budget.
+        idle_timeout: DEFAULT_IDLE_TIMEOUT,
+        drain_deadline: DEFAULT_DRAIN_DEADLINE,
+        node: me.name.clone(),
+        role: me.role.as_str().to_owned(),
+        flight: FlightRecorder::new(flight_capacity),
+        flight_file: options.flight_file,
+    })?;
     let metrics = MeshMetrics::new(name);
     let router = Arc::new(Router::new());
     let topology_hash = topology.hash();
@@ -350,20 +365,8 @@ pub fn start_with(
     } else {
         None
     };
-    let metrics_http = match &options.metrics_addr {
-        Some(addr) => Some(TcpListener::bind(addr)?),
-        None => None,
-    };
-    let metrics_http_addr = match &metrics_http {
-        Some(l) => Some(l.local_addr()?),
-        None => None,
-    };
-    let flight_capacity = if options.flight_capacity == 0 {
-        DEFAULT_FLIGHT_CAPACITY
-    } else {
-        options.flight_capacity
-    };
     let inner = Arc::new(NodeInner {
+        front,
         topo: topology,
         me,
         fault_plan,
@@ -371,54 +374,31 @@ pub fn start_with(
         router,
         links,
         upstream: Mutex::new(None),
-        upstream_wire: AtomicU8::new(wire_to_u8(WireFormat::Json)),
         rt: rt.as_ref().map(|rt| rt.handle().clone()),
         ring,
         groups,
-        local_addr,
-        stop: AtomicBool::new(false),
         query_seq: AtomicU64::new(0),
         completed: AtomicU64::new(0),
         served: AtomicU64::new(0),
         in_flight: AtomicUsize::new(0),
-        conns_active: AtomicUsize::new(0),
         prepared: Mutex::new(FxHashMap::default()),
         recent: Mutex::new(Vec::new()),
-        flight: FlightRecorder::new(flight_capacity),
-        flight_file: options.flight_file,
-        degraded: AtomicBool::new(false),
         learner,
-        metrics_http_addr,
     });
-    if let Some(http) = metrics_http {
-        let scraper = Arc::clone(&inner);
-        std::thread::spawn(move || scraper.metrics_http_loop(&http));
-    }
-    let acceptor = Arc::clone(&inner);
-    let accept = std::thread::spawn(move || {
-        acceptor.accept_loop(&listener);
+    let node = Arc::clone(&inner);
+    let serving = listeners.serve(&inner, move || {
         // The accept thread owns the runtime and stops it here, once the
-        // node has. Routes go first: each holds a pass's channel sender,
-        // and a pass parked on that channel holds this node — a cycle
-        // nothing could break once the workers are gone.
-        acceptor.router.clear();
+        // node has stopped and drained. Routes go first: each holds a
+        // pass's channel sender, and a pass parked on that channel holds
+        // this node — a cycle nothing could break once the workers are
+        // gone.
+        node.router.clear();
         drop(rt);
-    });
+    })?;
     Ok(NodeHandle {
         inner,
-        accept: Some(accept),
+        serving: Some(serving),
     })
-}
-
-/// Replies in the framing the request arrived in, like the server.
-fn write_matching(stream: &TcpStream, version: u8, resp: &Response) -> io::Result<()> {
-    if version == 0 {
-        proto::write_frame(&mut &*stream, resp)
-    } else if version == proto::PROTO_VERSION_BINARY {
-        proto::write_frame_binary(&mut &*stream, resp)
-    } else {
-        proto::write_frame_versioned(&mut &*stream, resp)
-    }
 }
 
 /// The wire format a frame of the given protocol version arrived in.
@@ -430,230 +410,25 @@ fn wire_of_version(version: u8) -> WireFormat {
     }
 }
 
-/// [`WireFormat`] ⇄ `u8`, for the atomic upstream-format cell.
-fn wire_to_u8(wire: WireFormat) -> u8 {
-    match wire {
-        WireFormat::Json => 0,
-        WireFormat::Binary => 1,
-    }
-}
-
-fn wire_from_u8(v: u8) -> WireFormat {
-    if v == 1 {
-        WireFormat::Binary
-    } else {
-        WireFormat::Json
-    }
-}
-
-impl NodeInner {
-    fn accept_loop(self: &Arc<Self>, listener: &TcpListener) {
-        for conn in listener.incoming() {
-            if self.stop.load(Ordering::Acquire) {
-                break;
-            }
-            let Ok(stream) = conn else { continue };
-            // Claim a slot under the connection ceiling before spawning;
-            // at the cap the socket is dropped, so a runaway peer cannot
-            // grow the thread count without bound.
-            let claimed = self.conns_active.fetch_add(1, Ordering::AcqRel);
-            let at_capacity = claimed >= MAX_NODE_CONNECTIONS;
-            if at_capacity {
-                self.conns_active.fetch_sub(1, Ordering::AcqRel);
-                drop(stream);
-                continue;
-            }
-            let node = Arc::clone(self);
-            std::thread::spawn(move || {
-                node.serve(&stream);
-                node.conns_active.fetch_sub(1, Ordering::AcqRel);
-            });
-        }
+impl Handler for NodeInner {
+    fn front(&self) -> &Frontend {
+        &self.front
     }
 
-    /// Signals shutdown: persists learned state and the flight ring,
-    /// stops child links, and unblocks the acceptor.
-    fn stop_signal(&self) {
-        if self.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.flight_dump("shutdown");
-        if let Some(learner) = &self.learner {
-            learner.checkpoint_now();
-        }
-        for link in &self.links {
-            link.stop();
-        }
-        if let Some(s) = self.upstream.lock().unpoisoned().take() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-        // Throwaway connections pop the blocking accept()s so both
-        // listener threads observe the stop flag.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(addr) = self.metrics_http_addr {
-            let _ = TcpStream::connect(addr);
-        }
-    }
-
-    /// Freezes the flight ring into a dump and, when a dump file is
-    /// configured, writes it there atomically. Returns the dump for
-    /// callers that also serve it.
-    fn flight_dump(&self, reason: &str) -> FlightDump {
-        let dump = self.flight.dump(
-            self.me.name.clone(),
-            self.me.role.as_str(),
-            reason,
-            clock::unix_us(),
-        );
-        if let Some(path) = &self.flight_file {
-            let _ = write_atomic(path, &dump.encode());
-        }
-        dump
-    }
-
-    /// Latches into the degraded state on the first *real* (non-
-    /// injected) failure detection and dumps the flight ring once.
-    fn note_degraded(&self) {
-        if !self.degraded.swap(true, Ordering::AcqRel) {
-            self.flight_dump("degraded");
-        }
-    }
-
-    /// Serves Prometheus scrapes over plain HTTP until shutdown — the
-    /// same head-read/answer/close loop as the server's `--metrics-addr`
-    /// port, rendering this node's registry.
-    fn metrics_http_loop(&self, listener: &TcpListener) {
-        loop {
-            let Ok((stream, _)) = listener.accept() else {
-                if self.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
-            };
-            if self.stop.load(Ordering::Acquire) {
-                return;
-            }
-            self.serve_scrape(&stream);
-        }
-    }
-
-    fn serve_scrape(&self, stream: &TcpStream) {
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-        let _ = stream.set_nodelay(true);
-        // Read until the blank line ending the request head; a scraper
-        // that cannot deliver its head promptly is dropped rather than
-        // allowed to pin this thread.
-        let mut head = Vec::new();
-        let mut buf = [0u8; 1024];
-        let deadline = clock::now() + Duration::from_secs(2);
-        loop {
-            match (&mut &*stream).read(&mut buf) {
-                Ok(0) => return,
-                Ok(n) => {
-                    head.extend_from_slice(&buf[..n]);
-                    if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() > 8192 {
-                        break;
-                    }
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if self.stop.load(Ordering::Acquire) || clock::now() >= deadline {
-                        return;
-                    }
-                }
-                Err(_) => return,
-            }
-        }
-        let body = self.metrics.registry.render();
-        let header = format!(
-            "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n",
-            body.len()
-        );
-        let _ = (&mut &*stream)
-            .write_all(header.as_bytes())
-            .and_then(|()| (&mut &*stream).write_all(body.as_bytes()));
-    }
-
-    /// One connection: reads frames until EOF, answering client
-    /// requests and mesh messages as they come.
-    fn serve(self: &Arc<Self>, stream: &TcpStream) {
-        let _ = stream.set_nodelay(true);
-        while !self.stop.load(Ordering::Acquire) {
-            let Ok(Some(raw)) = proto::read_frame_raw(&mut &*stream) else {
-                break;
-            };
-            let recv_unix_us = clock::unix_us();
-            let decode_started = clock::now();
-            if !raw.is_supported() {
-                // Legacy framing so any client can decode the refusal.
-                let resp = Response::err_code(
-                    proto::ERR_UNSUPPORTED_VERSION,
-                    format!(
-                        "protocol version {} not supported (this build speaks 0, {} and {})",
-                        raw.version,
-                        proto::PROTO_VERSION,
-                        proto::PROTO_VERSION_BINARY
-                    ),
-                );
-                if proto::write_frame(&mut &*stream, &resp).is_err() {
-                    break;
-                }
-                continue;
-            }
-            if let Ok(msg) = raw.decode_auto::<MeshMsg>() {
-                let spans = RecvSpans {
-                    recv_unix_us,
-                    decode_us: decode_started.elapsed().as_micros() as u64,
-                    handled_at: clock::now(),
-                };
-                if !self.handle_mesh(msg, stream, wire_of_version(raw.version), spans) {
-                    break;
-                }
-                continue;
-            }
-            match raw.decode_auto::<Request>() {
-                Ok(req) => {
-                    let spans = RecvSpans {
-                        recv_unix_us,
-                        decode_us: decode_started.elapsed().as_micros() as u64,
-                        handled_at: clock::now(),
-                    };
-                    let shutdown = req.op == proto::OP_SHUTDOWN;
-                    let resp = self.handle_request(&req, spans);
-                    if write_matching(stream, raw.version, &resp).is_err() {
-                        break;
-                    }
-                    if shutdown {
-                        self.stop_signal();
-                        break;
-                    }
-                }
-                Err(e) => {
-                    let resp = Response::err_code(proto::ERR_BAD_REQUEST, e.to_string());
-                    if write_matching(stream, raw.version, &resp).is_err() {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Handles one mesh frame; returns `false` to close the connection.
-    /// `wire` is the encoding the frame arrived in; replies answer in
-    /// kind.
-    fn handle_mesh(
+    /// Mesh frames first: a JSON `MeshMsg` also decodes as a `Request`
+    /// (serde ignores unknown fields), so the mesh vocabulary must get
+    /// the first look. Replies answer in the encoding the frame arrived
+    /// in.
+    fn frame(
         self: &Arc<Self>,
-        msg: MeshMsg,
+        raw: &RawFrame,
         stream: &TcpStream,
-        wire: WireFormat,
-        spans: RecvSpans,
-    ) -> bool {
-        match msg {
+        received: Instant,
+    ) -> Option<bool> {
+        let msg = raw.decode_auto::<MeshMsg>().ok()?;
+        let wire = wire_of_version(raw.version);
+        let spans = RecvSpans::decoded(received);
+        Some(match msg {
             MeshMsg::Hello { topology_hash, .. } => {
                 let ok = topology_hash == self.topo.hash();
                 let ack = MeshMsg::HelloAck {
@@ -668,16 +443,15 @@ impl NodeInner {
                 };
                 if !ok {
                     let _ = wire::send_as(&mut &*stream, &ack, wire);
-                    return false;
+                    return Some(false);
                 }
                 // This connection becomes our upstream: acks and partial
                 // pushes share its write lock from here on, answering in
                 // whichever encoding the parent's hello used.
                 match stream.try_clone() {
                     Ok(writer) => {
-                        self.upstream_wire
-                            .store(wire_to_u8(wire), Ordering::Release);
-                        if let Some(old) = self.upstream.lock().unpoisoned().replace(writer) {
+                        let old = self.upstream.lock().unpoisoned().replace((writer, wire));
+                        if let Some((old, _)) = old {
                             let _ = old.shutdown(Shutdown::Both);
                         }
                         self.send_upstream(&ack)
@@ -733,39 +507,16 @@ impl NodeInner {
             MeshMsg::HelloAck { .. } | MeshMsg::HeartbeatAck { .. } | MeshMsg::Partial { .. } => {
                 true
             }
-        }
+        })
     }
 
-    /// Writes one frame on the upstream connection (serialized with
-    /// every other upstream writer). Returns `false` when there is no
-    /// live upstream or the write failed.
-    fn send_upstream(&self, msg: &MeshMsg) -> bool {
-        let mut guard = self.upstream.lock().unpoisoned();
-        let Some(stream) = guard.as_mut() else {
-            return false;
-        };
-        let wire = wire_from_u8(self.upstream_wire.load(Ordering::Acquire));
-        if wire::send_as(&mut &*stream, msg, wire).is_err() {
-            let _ = stream.shutdown(Shutdown::Both);
-            *guard = None;
-            return false;
-        }
-        true
-    }
-
-    fn ship_partial(&self, msg: &MeshMsg) {
-        if self.send_upstream(msg) {
-            self.metrics.partials_sent.inc();
-        }
-    }
-
-    fn handle_request(self: &Arc<Self>, req: &Request, spans: RecvSpans) -> Response {
+    fn request(self: &Arc<Self>, req: &Request, received: Instant) -> Response {
         match req.op.as_str() {
             proto::OP_PING | proto::OP_SHUTDOWN => Response::ok(),
             proto::OP_METRICS => Response::with_metrics(self.metrics.registry.render()),
             OP_METRICS_FEDERATED => self.metrics_federated(),
-            OP_FLIGHT_DUMP => {
-                let dump = self.flight_dump("operator");
+            proto::OP_FLIGHT_DUMP => {
+                let dump = self.front.flight_dump("operator");
                 Response::with_metrics(serde_json::to_string(&dump).unwrap_or_default())
             }
             proto::OP_STATS => {
@@ -777,7 +528,7 @@ impl NodeInner {
                     cache_hits: 0,
                     cache_misses: 0,
                     in_flight: self.in_flight.load(Ordering::Acquire),
-                    shed_total: 0,
+                    shed_total: self.front.shed_total(),
                     served_total: self.served.load(Ordering::Acquire),
                     // Absent (not zero) on nodes without a checkpoint
                     // dir, so clients can tell "no durability" from
@@ -791,7 +542,7 @@ impl NodeInner {
             proto::OP_QUERY => {
                 if self.me.role == Role::Root {
                     self.served.fetch_add(1, Ordering::AcqRel);
-                    self.root_query(req, spans)
+                    self.root_query(req, RecvSpans::decoded(received))
                 } else {
                     Response::err_code(
                         proto::ERR_BAD_REQUEST,
@@ -803,6 +554,51 @@ impl NodeInner {
                 }
             }
             other => Response::err_code(proto::ERR_UNKNOWN_OP, format!("unknown op {other:?}")),
+        }
+    }
+
+    fn scrape(&self) -> String {
+        self.metrics.registry.render()
+    }
+
+    /// Stops the layer (which dumps the flight ring), then persists
+    /// learned state, stops child links and drops the upstream.
+    fn stop(&self) {
+        if !self.front.stop() {
+            return;
+        }
+        if let Some(learner) = &self.learner {
+            learner.checkpoint_now();
+        }
+        for link in &self.links {
+            link.stop();
+        }
+        if let Some((s, _)) = self.upstream.lock().unpoisoned().take() {
+            let _ = s.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+impl NodeInner {
+    /// Writes one frame on the upstream connection (serialized with
+    /// every other upstream writer). Returns `false` when there is no
+    /// live upstream or the write failed.
+    fn send_upstream(&self, msg: &MeshMsg) -> bool {
+        let mut guard = self.upstream.lock().unpoisoned();
+        let Some((stream, wire)) = guard.as_mut() else {
+            return false;
+        };
+        if wire::send_as(&mut &*stream, msg, *wire).is_err() {
+            let _ = stream.shutdown(Shutdown::Both);
+            *guard = None;
+            return false;
+        }
+        true
+    }
+
+    fn ship_partial(&self, msg: &MeshMsg) {
+        if self.send_upstream(msg) {
+            self.metrics.partials_sent.inc();
         }
     }
 
@@ -1049,7 +845,7 @@ impl NodeInner {
             }
         }
         if real_crashes {
-            self.note_degraded();
+            self.front.note_degraded();
         }
 
         let sorted = |mut v: Vec<(usize, f64)>| -> Vec<f64> {
@@ -1139,7 +935,7 @@ impl NodeInner {
             None
         };
 
-        self.flight.record(FlightEntry {
+        self.front.flight_record(FlightEntry {
             query_id,
             started_unix_us,
             latency_us: start.elapsed().as_micros() as u64,
@@ -1296,7 +1092,7 @@ impl NodeInner {
             }
         }
         if unreachable {
-            self.note_degraded();
+            self.front.note_degraded();
         }
 
         let self_name = self.me.name.clone();
@@ -1355,7 +1151,7 @@ impl NodeInner {
         }
         // The flight entry reflects the pass itself, recorded before the
         // own-fate gamble below so crashed/hung passes still leave one.
-        self.flight.record(FlightEntry {
+        self.front.flight_record(FlightEntry {
             query_id,
             started_unix_us: recv_spans.recv_unix_us,
             latency_us: start.elapsed().as_micros() as u64,
@@ -1608,7 +1404,7 @@ impl NodeInner {
                     node.ship_partial(&msg);
                 }
             }
-            node.flight.record(FlightEntry {
+            node.front.flight_record(FlightEntry {
                 query_id,
                 started_unix_us: spans.recv_unix_us,
                 latency_us: start.elapsed().as_micros() as u64,

@@ -17,11 +17,10 @@
 //!
 //! [`Topology::miss_limit`]: crate::topology::Topology::miss_limit
 
-use crate::clock;
 use crate::metrics::PeerMetrics;
 use crate::wire::{self, MeshMsg};
 use cedar_core::LockExt;
-use cedar_server::WireFormat;
+use cedar_server::{clock, WireFormat};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;

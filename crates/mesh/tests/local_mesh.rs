@@ -853,3 +853,30 @@ fn mesh_aggregators_trace_estimates_and_time_their_wait_scans() {
 
     shutdown_all(handles);
 }
+
+#[test]
+fn malformed_frames_get_a_typed_refusal_and_the_connection_keeps_serving() {
+    let _serial = serial();
+    let topo = topo(false);
+    let worker = cedar_mesh::start(topo.clone(), "w0", None).expect("start w0");
+    let mut conn = TcpStream::connect(worker.local_addr()).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    // An empty frame: a length prefix of zero and nothing after it.
+    conn.write_all(&0u32.to_be_bytes())
+        .expect("write empty frame");
+    cedar_server::proto::write_frame(&mut conn, &Request::ping()).expect("write ping");
+    let refused: cedar_server::proto::Response = cedar_server::proto::read_frame(&mut conn)
+        .expect("refusal")
+        .expect("a response, not EOF");
+    assert!(!refused.ok);
+    assert_eq!(
+        refused.code.as_deref(),
+        Some(cedar_server::proto::ERR_BAD_REQUEST)
+    );
+    let pong: cedar_server::proto::Response = cedar_server::proto::read_frame(&mut conn)
+        .expect("pong")
+        .expect("a response, not EOF");
+    assert!(pong.ok, "{pong:?}");
+    worker.shutdown();
+}

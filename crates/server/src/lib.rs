@@ -16,9 +16,11 @@
 //! - [`spill`]: an optional second-level FIFO behind the admission
 //!   queue — encoded request frames overflow to a bounded segment file
 //!   under burst and replay in order as slots free;
-//! - [`server`]: the TCP service — one OS thread per connection parses
-//!   frames and drives queries on a shared multi-threaded tokio runtime
-//!   through the concurrent [`AggregationService`];
+//! - [`frontend`]: the one listener/connection layer (one OS thread per
+//!   connection) the server and every mesh node serve through;
+//! - [`server`]: the TCP service — its ops drive queries on a shared
+//!   multi-threaded tokio runtime through the concurrent
+//!   [`AggregationService`];
 //! - [`client`]: a small blocking client used by `cedar-cli loadgen`
 //!   and the tests.
 //!
@@ -45,6 +47,7 @@
 pub mod admission;
 pub mod client;
 pub mod clock;
+pub mod frontend;
 pub mod proto;
 pub mod server;
 pub mod spill;

@@ -482,6 +482,10 @@ pub fn write_frame_versioned<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::
 /// opening with `{` is a legacy version-0 frame; anything else is a
 /// versioned frame whose first byte is the version. Returns `Ok(None)`
 /// on a clean end-of-stream at a frame boundary.
+///
+/// An empty frame (consumed whole) is [`io::ErrorKind::InvalidData`]; a
+/// length over [`MAX_FRAME_BYTES`] is [`io::ErrorKind::FileTooLarge`],
+/// its body left unread, so no later frame boundary can be found.
 pub fn read_frame_raw<R: Read>(r: &mut R) -> io::Result<Option<RawFrame>> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
@@ -490,10 +494,10 @@ pub fn read_frame_raw<R: Read>(r: &mut R) -> io::Result<Option<RawFrame>> {
         Err(e) => return Err(e),
     }
     let len = usize::try_from(u32::from_be_bytes(len_buf))
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame length overflows usize"))?;
+        .map_err(|_| io::Error::new(io::ErrorKind::FileTooLarge, "frame length overflows usize"))?;
     if len > MAX_FRAME_BYTES {
         return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
+            io::ErrorKind::FileTooLarge,
             format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES} limit"),
         ));
     }

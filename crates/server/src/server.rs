@@ -1,38 +1,36 @@
-//! The TCP service: an accept loop, one OS thread per connection, and a
+//! The TCP service: the query, stats, health and metrics ops served
+//! through the [`frontend`](crate::frontend) connection layer, and a
 //! shared multi-threaded tokio runtime executing the queries.
 //!
-//! Connection threads parse [`proto`](crate::proto) frames, claim an
-//! [`AdmissionGate`] slot, and bridge onto the runtime with
-//! `Handle::block_on` — so slow clients tie up cheap OS threads, never
-//! runtime workers. Shutdown is graceful: a flag flips, the accept loop
-//! is woken by a self-connection, idle connections notice within one
-//! poll interval, and in-flight queries run to completion before their
-//! threads are joined.
+//! Connection threads claim an [`AdmissionGate`] slot and bridge onto
+//! the runtime with `Handle::block_on` — so slow clients tie up cheap OS
+//! threads, never runtime workers. Shutdown is graceful: the layer stops
+//! accepting and wakes idle connections at once, in-flight queries run
+//! to completion before their threads are joined, and a final
+//! checkpoint is taken before the runtime is torn down.
 
 use crate::admission::{AdmissionConfig, AdmissionGate, AdmissionPermit, Shed};
 use crate::clock;
+use crate::frontend::{
+    Frontend, FrontendConfig, Handler, Serving, DEFAULT_DRAIN_DEADLINE, DEFAULT_IDLE_TIMEOUT,
+};
 use crate::proto::{self, HealthState, HealthStatus, QueryResult, Request, Response, ServerStats};
 use crate::spill::{SpillConfig, SpillQueue};
 use crate::wire2::BinaryCodec;
-use cedar_core::fs::write_atomic;
-use cedar_core::{LockExt, Millis};
+use cedar_core::Millis;
 use cedar_runtime::{AggregationService, QueryOptions, RuntimeMetrics, ServiceConfig, TimeScale};
 use cedar_telemetry::flight::DEFAULT_FLIGHT_CAPACITY;
 use cedar_telemetry::{
-    Counter, FlightDump, FlightEntry, FlightRecorder, Gauge, QueryTrace, Registry, TraceSummary,
+    Counter, FlightEntry, FlightRecorder, Gauge, QueryTrace, Registry, TraceSummary,
 };
 use cedar_workloads::production;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How often blocked reads wake up to check the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(150);
 
 /// Everything needed to start a [`Server`].
 #[derive(Debug, Clone)]
@@ -89,8 +87,8 @@ impl ServerConfig {
             service,
             admission: AdmissionConfig::default(),
             worker_threads: 0,
-            idle_timeout: Duration::from_mins(1),
-            drain_deadline: Duration::from_secs(10),
+            idle_timeout: DEFAULT_IDLE_TIMEOUT,
+            drain_deadline: DEFAULT_DRAIN_DEADLINE,
             query_timeout: Some(Duration::from_secs(30)),
             metrics_addr: None,
             spill: None,
@@ -271,63 +269,48 @@ impl ServerMetrics {
     }
 }
 
-/// State shared by the accept loop, every connection thread, and the
-/// handle.
+/// State shared by every connection thread and the handle.
 struct ServerShared {
+    front: Frontend,
     service: AggregationService,
     gate: AdmissionGate,
     spill: Option<SpillQueue>,
     runtime: tokio::runtime::Handle,
-    addr: SocketAddr,
     metrics: ServerMetrics,
-    metrics_addr: Option<SocketAddr>,
-    shutdown: AtomicBool,
+    /// Admission sheds; the front end counts its connection-cap sheds.
     shed_total: AtomicU64,
     served_total: AtomicU64,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
-    max_connections: usize,
-    idle_timeout: Duration,
-    drain_deadline: Duration,
     query_timeout: Option<Duration>,
-    flight: FlightRecorder,
-    flight_file: Option<PathBuf>,
     query_seq: AtomicU64,
-    degraded: AtomicBool,
 }
 
-impl ServerShared {
-    /// Flips the shutdown flag and wakes the accept loop (idempotently).
-    fn begin_shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::AcqRel) {
-            self.flight_dump("shutdown");
-            // The accept loops block in `accept`; a throwaway connection
-            // gets each to re-check the flag.
-            let _ = TcpStream::connect(self.addr);
-            if let Some(addr) = self.metrics_addr {
-                let _ = TcpStream::connect(addr);
-            }
+impl Handler for ServerShared {
+    fn front(&self) -> &Frontend {
+        &self.front
+    }
+
+    fn request(self: &Arc<Self>, req: &Request, _received: Instant) -> Response {
+        self.metrics.on_request(&req.op);
+        match req.op.as_str() {
+            proto::OP_PING => Response::ok(),
+            proto::OP_SHUTDOWN => Response::ok(),
+            proto::OP_STATS => Response::with_stats(collect_stats(self)),
+            proto::OP_METRICS => Response::with_metrics(self.metrics.render(self)),
+            proto::OP_HEALTH => Response::with_health(collect_health(self)),
+            proto::OP_FLIGHT_DUMP => Response::with_metrics(
+                serde_json::to_string(&self.front.flight_dump("operator")).unwrap_or_default(),
+            ),
+            proto::OP_QUERY => serve_query(self, req),
+            other => Response::err_code(proto::ERR_UNKNOWN_OP, format!("unknown op {other:?}")),
         }
     }
 
-    /// Snapshots the flight ring, writing the dump to the configured
-    /// file when one is set. Returns the dump for callers that serve it.
-    fn flight_dump(&self, reason: &str) -> FlightDump {
-        let dump = self
-            .flight
-            .dump("server", "server", reason, clock::unix_us());
-        if let Some(path) = &self.flight_file {
-            let _ = write_atomic(path, &dump.encode());
-        }
-        dump
+    fn scrape(&self) -> String {
+        self.metrics.render(self)
     }
 
-    /// Latches the first transition into a degraded state: exactly one
-    /// `"degraded"` dump per boot, capturing the queries leading up to
-    /// the first sign of trouble before the ring forgets them.
-    fn note_degraded(&self) {
-        if !self.degraded.swap(true, Ordering::AcqRel) {
-            self.flight_dump("degraded");
-        }
+    fn on_response(&self, resp: &Response) {
+        self.metrics.on_response(resp);
     }
 }
 
@@ -349,60 +332,34 @@ impl Server {
         let metrics = ServerMetrics::new();
         cfg.service.metrics = Some(metrics.runtime.clone());
 
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
-        let metrics_listener = cfg
-            .metrics_addr
-            .as_deref()
-            .map(TcpListener::bind)
-            .transpose()?;
-        let metrics_addr = metrics_listener
-            .as_ref()
-            .map(TcpListener::local_addr)
-            .transpose()?;
+        let (front, listeners) = Frontend::bind(FrontendConfig {
+            addr: cfg.addr,
+            scrape_addr: cfg.metrics_addr,
+            max_connections: cfg.max_connections,
+            idle_timeout: cfg.idle_timeout,
+            drain_deadline: cfg.drain_deadline,
+            node: "server".into(),
+            role: "server".into(),
+            flight: FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY),
+            flight_file: cfg.flight_file,
+        })?;
         let spill = cfg.spill.as_ref().map(SpillQueue::open).transpose()?;
         let shared = Arc::new(ServerShared {
+            front,
             service: AggregationService::new(cfg.service),
             gate: AdmissionGate::new(cfg.admission),
             spill,
             runtime: runtime.handle().clone(),
-            addr,
             metrics,
-            metrics_addr,
-            shutdown: AtomicBool::new(false),
             shed_total: AtomicU64::new(0),
             served_total: AtomicU64::new(0),
-            conn_threads: Mutex::new(Vec::new()),
-            max_connections: cfg.max_connections.max(1),
-            idle_timeout: cfg.idle_timeout.max(POLL_INTERVAL),
-            drain_deadline: cfg.drain_deadline,
             query_timeout: cfg.query_timeout,
-            flight: FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY),
-            flight_file: cfg.flight_file.clone(),
             query_seq: AtomicU64::new(0),
-            degraded: AtomicBool::new(false),
         });
-
-        let accept = {
-            let shared = shared.clone();
-            thread::Builder::new()
-                .name("cedar-accept".into())
-                .spawn(move || accept_loop(listener, shared))?
-        };
-        let scrape = metrics_listener
-            .map(|listener| {
-                let shared = shared.clone();
-                thread::Builder::new()
-                    .name("cedar-metrics".into())
-                    .spawn(move || metrics_http_loop(&listener, &shared))
-            })
-            .transpose()?;
-
+        let serving = listeners.serve(&shared, || {})?;
         Ok(ServerHandle {
-            addr,
             shared,
-            accept: Some(accept),
-            scrape,
+            serving: Some(serving),
             runtime: Some(runtime),
         })
     }
@@ -410,23 +367,21 @@ impl Server {
 
 /// Controls a running server; dropping it shuts the server down.
 pub struct ServerHandle {
-    addr: SocketAddr,
     shared: Arc<ServerShared>,
-    accept: Option<JoinHandle<()>>,
-    scrape: Option<JoinHandle<()>>,
+    serving: Option<Serving>,
     runtime: Option<tokio::runtime::Runtime>,
 }
 
 impl ServerHandle {
     /// The bound address (with the real port when `:0` was requested).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.front.addr()
     }
 
     /// The bound HTTP metrics address, when
     /// [`ServerConfig::metrics_addr`] was set.
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.shared.metrics_addr
+        self.shared.front.scrape_addr()
     }
 
     /// Queries currently executing.
@@ -449,6 +404,7 @@ impl ServerHandle {
     /// Initiates shutdown and blocks until in-flight queries have
     /// drained and every thread is joined.
     pub fn shutdown(mut self) -> io::Result<()> {
+        self.shared.front.stop();
         self.finish()
     }
 
@@ -456,63 +412,27 @@ impl ServerHandle {
     /// then drains and joins like [`shutdown`](Self::shutdown). This is
     /// what `cedar-cli serve` parks on.
     pub fn wait(mut self) -> io::Result<()> {
-        if let Some(accept) = self.accept.take() {
-            accept
-                .join()
-                .map_err(|_| io::Error::other("accept thread panicked"))?;
-        }
         self.finish()
     }
 
+    /// Waits for the front end to stop and drain, then checkpoints and
+    /// tears down the runtime.
     fn finish(&mut self) -> io::Result<()> {
-        self.shared.begin_shutdown();
-        let mut result = Ok(());
-        if let Some(accept) = self.accept.take() {
-            if accept.join().is_err() {
-                result = Err(io::Error::other("accept thread panicked"));
+        let Some(serving) = self.serving.take() else {
+            return Ok(());
+        };
+        let mut result = serving.join();
+        if result
+            .as_ref()
+            .is_err_and(|e| e.kind() == io::ErrorKind::TimedOut)
+        {
+            // Detached stragglers may still sit in `block_on`: leak the
+            // runtime, whose teardown would drop tasks out from under
+            // them.
+            if let Some(rt) = self.runtime.take() {
+                std::mem::forget(rt);
             }
-        }
-        if let Some(scrape) = self.scrape.take() {
-            if scrape.join().is_err() {
-                result = Err(io::Error::other("metrics thread panicked"));
-            }
-        }
-        // Drain with a deadline: connection threads normally notice the
-        // shutdown flag within one poll interval, but a thread wedged in
-        // a query must not wedge shutdown with it.
-        let drain_until = clock::now() + self.shared.drain_deadline;
-        let mut conns = std::mem::take(&mut *self.shared.conn_threads.lock().unpoisoned());
-        loop {
-            let mut pending = Vec::new();
-            for conn in conns {
-                if conn.is_finished() {
-                    if conn.join().is_err() {
-                        result = Err(io::Error::other("connection thread panicked"));
-                    }
-                } else {
-                    pending.push(conn);
-                }
-            }
-            conns = pending;
-            if conns.is_empty() {
-                break;
-            }
-            if clock::now() >= drain_until {
-                // Detach the stragglers: they hold only their sockets and
-                // will die with the process. Leak the runtime too — its
-                // teardown would drop tasks out from under their
-                // `block_on` calls.
-                let stranded = conns.len();
-                drop(conns);
-                if let Some(rt) = self.runtime.take() {
-                    std::mem::forget(rt);
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!("drain deadline exceeded; {stranded} connection(s) detached"),
-                ));
-            }
-            thread::sleep(POLL_INTERVAL.min(Duration::from_millis(20)));
+            return result;
         }
         // One final durable checkpoint of the learned state, while the
         // runtime is still alive to run the refit task. A service
@@ -542,253 +462,9 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
+        self.shared.front.stop();
         let _ = self.finish();
     }
-}
-
-/// Accepts connections until shutdown, one handler thread each.
-fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            if shared.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            continue;
-        };
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        // Reap finished handlers and enforce the connection ceiling
-        // before spawning: holding the registry lock across the spawn
-        // keeps the live-thread count exact. A connection over the cap
-        // is shed by dropping its socket — the unbounded resource here
-        // is OS threads, and the cap is the choke point that bounds the
-        // spawn below.
-        let mut threads = shared.conn_threads.lock().unpoisoned();
-        threads.retain(|t| !t.is_finished());
-        let at_capacity = threads.len() >= shared.max_connections;
-        if at_capacity {
-            shared.shed_total.fetch_add(1, Ordering::AcqRel);
-            drop(stream);
-            continue;
-        }
-        let handler = {
-            let shared = shared.clone();
-            thread::Builder::new()
-                .name("cedar-conn".into())
-                .spawn(move || handle_connection(&shared, stream))
-        };
-        if let Ok(handler) = handler {
-            threads.push(handler);
-        }
-    }
-}
-
-/// A `Read` over a timeout-armed stream that retries poll ticks until
-/// data arrives, the per-frame deadline passes, or the server shuts
-/// down. The deadline is the slowloris defense: without it, a client
-/// dripping (or never sending) bytes pins this connection's thread
-/// forever.
-struct PatientReader<'a> {
-    stream: &'a TcpStream,
-    shutdown: &'a AtomicBool,
-    deadline: Instant,
-}
-
-impl Read for PatientReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            match (&mut self.stream).read(buf) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "server shutting down",
-                        ));
-                    }
-                    if clock::now() >= self.deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "idle timeout: no complete frame",
-                        ));
-                    }
-                }
-                other => return other,
-            }
-        }
-    }
-}
-
-/// Serves one connection: a request/response loop until EOF, error, or
-/// shutdown.
-fn handle_connection(shared: &Arc<ServerShared>, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    // A client that stops draining its socket must not pin this thread
-    // in `write_frame` either.
-    let _ = stream.set_write_timeout(Some(shared.idle_timeout));
-    let _ = stream.set_nodelay(true);
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let mut reader = PatientReader {
-            stream: &stream,
-            shutdown: &shared.shutdown,
-            deadline: clock::now() + shared.idle_timeout,
-        };
-        let raw = match proto::read_frame_raw(&mut reader) {
-            Ok(Some(raw)) => raw,
-            Ok(None) => return, // clean EOF
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // The frame was consumed whole; the stream is still
-                // aligned, so report and keep serving.
-                let resp = Response::err_code(proto::ERR_BAD_REQUEST, format!("bad request: {e}"));
-                shared.metrics.on_response(&resp);
-                if proto::write_frame(&mut &stream, &resp).is_err() {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return, // shutdown tick, idle timeout, or I/O error
-        };
-        // Answer unknown-version frames in the legacy framing, which
-        // every client decodes, with a typed error instead of the JSON
-        // parse failure the body would otherwise produce.
-        if !raw.is_supported() {
-            let resp = Response::err_code(
-                proto::ERR_UNSUPPORTED_VERSION,
-                format!(
-                    "unsupported protocol version {} (this server speaks 0, {} and {})",
-                    raw.version,
-                    proto::PROTO_VERSION,
-                    proto::PROTO_VERSION_BINARY
-                ),
-            );
-            shared.metrics.on_response(&resp);
-            if proto::write_frame(&mut &stream, &resp).is_err() {
-                return;
-            }
-            continue;
-        }
-        let req: Request = match raw.decode_auto() {
-            Ok(req) => req,
-            Err(e) => {
-                let resp = Response::err_code(proto::ERR_BAD_REQUEST, format!("bad request: {e}"));
-                shared.metrics.on_response(&resp);
-                if write_frame_matching(&stream, raw.version, &resp).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        let resp = dispatch(shared, &req);
-        shared.metrics.on_response(&resp);
-        // Reply in the framing the request arrived in.
-        if write_frame_matching(&stream, raw.version, &resp).is_err() {
-            return;
-        }
-        if req.op == proto::OP_SHUTDOWN {
-            shared.begin_shutdown();
-            return;
-        }
-    }
-}
-
-/// Writes `resp` in the framing version the request arrived in, so old
-/// clients keep receiving bare-JSON frames and binary clients get
-/// binary replies.
-fn write_frame_matching(stream: &TcpStream, version: u8, resp: &Response) -> io::Result<()> {
-    if version == 0 {
-        proto::write_frame(&mut &*stream, resp)
-    } else if version == proto::PROTO_VERSION_BINARY {
-        proto::write_frame_binary(&mut &*stream, resp)
-    } else {
-        proto::write_frame_versioned(&mut &*stream, resp)
-    }
-}
-
-fn dispatch(shared: &ServerShared, req: &Request) -> Response {
-    shared.metrics.on_request(&req.op);
-    if shared.shutdown.load(Ordering::Acquire) && req.op != proto::OP_SHUTDOWN {
-        return Response::err_code(proto::ERR_UNAVAILABLE, "server shutting down");
-    }
-    match req.op.as_str() {
-        proto::OP_PING => Response::ok(),
-        proto::OP_SHUTDOWN => Response::ok(),
-        proto::OP_STATS => Response::with_stats(collect_stats(shared)),
-        proto::OP_METRICS => Response::with_metrics(shared.metrics.render(shared)),
-        proto::OP_HEALTH => Response::with_health(collect_health(shared)),
-        proto::OP_FLIGHT_DUMP => Response::with_metrics(
-            serde_json::to_string(&shared.flight_dump("operator")).unwrap_or_default(),
-        ),
-        proto::OP_QUERY => serve_query(shared, req),
-        other => Response::err_code(proto::ERR_UNKNOWN_OP, format!("unknown op {other:?}")),
-    }
-}
-
-/// Serves Prometheus scrapes over plain HTTP: reads (and discards) the
-/// request head, then writes one `200 text/plain` response and closes.
-fn metrics_http_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
-    loop {
-        let Ok(stream) = listener.accept().map(|(s, _)| s) else {
-            if shared.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            continue;
-        };
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        serve_scrape(shared, stream);
-    }
-}
-
-fn serve_scrape(shared: &Arc<ServerShared>, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = stream.set_nodelay(true);
-    // Read until the blank line ending the request head; a scraper that
-    // cannot deliver its head within a few poll ticks is dropped rather
-    // than allowed to pin this thread (slowloris defense, as on the
-    // frame port).
-    let mut head = Vec::new();
-    let mut buf = [0u8; 1024];
-    let deadline = clock::now() + shared.idle_timeout.min(Duration::from_secs(2));
-    loop {
-        match (&stream).read(&mut buf) {
-            Ok(0) => return,
-            Ok(n) => {
-                head.extend_from_slice(&buf[..n]);
-                if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() > 8192 {
-                    break;
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::Acquire) || clock::now() >= deadline {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-    let body = shared.metrics.render(shared);
-    let header = format!(
-        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    let _ = (&stream)
-        .write_all(header.as_bytes())
-        .and_then(|()| (&stream).write_all(body.as_bytes()));
 }
 
 fn collect_stats(shared: &ServerShared) -> ServerStats {
@@ -800,7 +476,7 @@ fn collect_stats(shared: &ServerShared) -> ServerStats {
         cache_hits,
         cache_misses,
         in_flight: shared.gate.in_flight(),
-        shed_total: shared.shed_total.load(Ordering::Acquire),
+        shed_total: shared.shed_total.load(Ordering::Acquire) + shared.front.shed_total(),
         served_total: shared.served_total.load(Ordering::Acquire),
         priors_age_queries: Some(shared.service.priors_age_queries() as u64),
         checkpoint_age_ms: shared.service.checkpoint_age_ms(),
@@ -830,7 +506,7 @@ fn collect_health(shared: &ServerShared) -> HealthStatus {
         HealthState::Ok
     };
     if state != HealthState::Ok {
-        shared.note_degraded();
+        shared.front.note_degraded();
     }
     let p99 = shared
         .metrics
@@ -878,7 +554,7 @@ fn spill_and_replay(
             return Err(Response::err_code(proto::ERR_SHED, shed.to_string()));
         }
     };
-    match spill.await_replay(ticket, &shared.gate, &shared.shutdown) {
+    match spill.await_replay(ticket, &shared.gate, shared.front.stop_flag()) {
         Ok((bytes, permit)) => {
             let replayed = Request::decode_binary(&bytes).map_err(|e| {
                 Response::err_code(proto::ERR_INTERNAL, format!("replaying spilled frame: {e}"))
@@ -934,7 +610,7 @@ fn serve_query(shared: &ServerShared, req: &Request) -> Response {
     // an overload incident must show what was turned away, not only
     // what ran.
     let record_shed = || {
-        shared.flight.record(FlightEntry {
+        shared.front.flight_record(FlightEntry {
             query_id,
             started_unix_us,
             latency_us: 0,
@@ -1014,7 +690,7 @@ fn serve_query(shared: &ServerShared, req: &Request) -> Response {
     let latency_ms = Millis::from_duration(start.elapsed()).get();
     let latency_us = start.elapsed().as_micros() as u64;
     let record_failed = || {
-        shared.flight.record(FlightEntry {
+        shared.front.flight_record(FlightEntry {
             query_id,
             started_unix_us,
             latency_us,
@@ -1045,11 +721,11 @@ fn serve_query(shared: &ServerShared, req: &Request) -> Response {
             // exists for: capture the ring (with this query's entry in
             // it) before anything else happens.
             record_failed();
-            shared.flight_dump("panic");
+            shared.front.flight_dump("panic");
             return Response::err_code(proto::ERR_INTERNAL, format!("query panicked: {msg}"));
         }
     };
-    shared.flight.record(FlightEntry {
+    shared.front.flight_record(FlightEntry {
         query_id,
         started_unix_us,
         latency_us,

@@ -380,3 +380,36 @@ fn connection_cap_sheds_excess_connections() {
     assert!(stats.shed_total >= 1, "cap shed must be counted");
     handle.shutdown().unwrap();
 }
+
+#[test]
+fn oversized_frame_gets_one_refusal_then_close() {
+    let handle = Server::start(fast_server()).unwrap();
+    let mut sock = std::net::TcpStream::connect(handle.addr()).unwrap();
+    // A length prefix past MAX_FRAME_BYTES and the start of its body:
+    // the body is never read, so the stream cannot be realigned.
+    sock.write_all(&(17u32 << 20).to_be_bytes()).unwrap();
+    sock.write_all(&[b'A'; 64]).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let resp: Response = proto::read_frame(&mut sock).unwrap().unwrap();
+    assert_eq!(resp.code.as_deref(), Some(proto::ERR_BAD_REQUEST));
+    // Then the server hangs up: EOF (or a reset), never a second reply.
+    match proto::read_frame::<_, Response>(&mut sock) {
+        Ok(None) | Err(_) => {}
+        Ok(Some(extra)) => panic!("a second response to one frame: {extra:?}"),
+    }
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn shutdown_with_an_idle_keep_alive_client_is_prompt() {
+    let handle = Server::start(fast_server()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    // The round trip proves the connection's thread is up and idle in
+    // its next read.
+    assert!(client.ping().unwrap().ok);
+    let started = Instant::now();
+    handle.shutdown().unwrap();
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
+    drop(client);
+}

@@ -1,15 +1,18 @@
 //! Model check of the checkpoint-writer / refit-epoch handoff
-//! (crates/runtime/src/service.rs + checkpoint.rs): the refit task is
-//! the single writer of the epoch-versioned priors, and the checkpoint
-//! writer persists a `(epoch, stats)` snapshot after each accepted
-//! refit. The durable artifact must never mix state across epochs.
+//! (crates/runtime/src/learner.rs + checkpoint.rs): a learner's caller
+//! publishes each accepted refit's epoch-versioned priors, and the
+//! learner then persists a `(epoch, stats)` snapshot. The durable
+//! artifact must never mix state across epochs. Every write — refit or
+//! on demand, from the service or a mesh aggregator — runs under the
+//! learner's one lock, which is the single writer modelled here (the
+//! two-writer regression below is what that lock rules out).
 //!
 //! Invariants checked across every interleaving:
 //!
 //! 1. **Snapshot atomicity** — every persisted checkpoint pairs the
 //!    epoch with the stats fitted at that epoch. The production code
-//!    guarantees this by building the whole [`Checkpoint`] from one
-//!    read-guard snapshot; a "torn" test proves the checker catches the
+//!    guarantees this by building the whole [`Checkpoint`] under that
+//!    one lock; a "torn" test proves the checker catches the
 //!    field-at-a-time variant.
 //! 2. **Durable monotonicity** — the sequence of persisted epochs never
 //!    goes backwards, so warm restart (which loads the newest valid

@@ -1,8 +1,9 @@
 //! Model check of the aggregation service's shared-state protocol
 //! (crates/runtime/src/service.rs): epoch-versioned priors behind a
-//! `RwLock`, refitted by a single background writer, snapshotted by
-//! concurrent request handlers; plus the bounded refit-record channel
-//! feeding the writer.
+//! `RwLock`, refitted by a single background writer (the refit task,
+//! publishing each refit its learner — learner.rs — accepts),
+//! snapshotted by concurrent request handlers; plus the bounded
+//! refit-record channel feeding the writer.
 //!
 //! Invariants checked across every interleaving:
 //!

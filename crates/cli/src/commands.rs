@@ -123,7 +123,8 @@ USAGE:
       --faults installs a fault-injection plan on the root; it travels
       to every node inside each query's exec frame. --checkpoint-dir
       makes an aggregator persist its learned leaf-duration priors and
-      warm-restart from them (stats then reports epoch/refits/ages).
+      warm-restart from them (it prints the same warm restart / cold
+      start line as serve; stats then reports epoch/refits/ages).
       --metrics-addr serves the node's Prometheus page over plain HTTP
       GET; the root additionally answers the metrics_federated op with
       every node's page merged under node=\"...\" labels. --flight-file

@@ -73,6 +73,9 @@ pub fn cmd_node(args: &Args) -> Result<(), String> {
         role.as_str(),
         handle.local_addr()
     );
+    if let Some(learner) = handle.learner() {
+        crate::service_cmds::print_restore(learner.warm_restart(), learner.cold_start_reason());
+    }
     if let Some(addr) = handle.metrics_addr() {
         println!("  metrics: http://{addr}/metrics");
     }

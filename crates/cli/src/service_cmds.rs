@@ -5,7 +5,7 @@ use crate::args::Args;
 use cedar_core::{StageSpec, TreeSpec};
 use cedar_distrib::spec::DistSpec;
 use cedar_distrib::LogNormal;
-use cedar_runtime::{CheckpointConfig, TimeScale};
+use cedar_runtime::{CheckpointConfig, TimeScale, WarmRestart};
 use cedar_server::{AdmissionConfig, Client, Server, ServerConfig, SpillConfig, WireFormat};
 use cedar_workloads::production::{
     FACEBOOK_MAP_REPLAY, FACEBOOK_REDUCE, FB_MU_JITTER, FB_SIGMA_JITTER,
@@ -91,19 +91,10 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
     let handle = Server::start(cfg).map_err(|e| format!("starting server: {e}"))?;
     println!("cedar-server listening on {}", handle.addr());
     if checkpointing {
-        match handle.warm_restart() {
-            Some(w) => println!(
-                "warm restart: epoch {}, {} completed queries, {} refits \
-                 (checkpoint was {} ms old)",
-                w.epoch, w.completed, w.refits, w.age_ms
-            ),
-            None => {
-                let reason = handle
-                    .cold_start_reason()
-                    .unwrap_or_else(|| "no checkpoint found".to_owned());
-                println!("cold start: {reason}");
-            }
-        }
+        print_restore(
+            handle.warm_restart().as_ref(),
+            handle.cold_start_reason().as_deref(),
+        );
     }
     if let Some(maddr) = handle.metrics_addr() {
         println!("metrics endpoint on http://{maddr}/metrics");
@@ -118,6 +109,22 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
         handle.addr()
     );
     handle.wait().map_err(|e| format!("serving: {e}"))
+}
+
+/// Prints how a checkpointing process came up (`serve`, and `node` on
+/// an aggregator).
+pub(crate) fn print_restore(warm: Option<&WarmRestart>, cold_reason: Option<&str>) {
+    match warm {
+        Some(w) => println!(
+            "warm restart: epoch {}, {} completed queries, {} refits \
+             (checkpoint was {} ms old)",
+            w.epoch, w.completed, w.refits, w.age_ms
+        ),
+        None => println!(
+            "cold start: {}",
+            cold_reason.unwrap_or("no checkpoint found")
+        ),
+    }
 }
 
 /// One-shot elasticity probe: prints the server's `health` op snapshot.

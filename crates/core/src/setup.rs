@@ -26,8 +26,9 @@ fn shifted_arrival(dist: Arc<dyn ContinuousDist>, wait_below: f64) -> Arc<dyn Co
 ///
 /// The contexts belong to the policy `kind` they were built for: the
 /// prior arrival chain embeds that policy's own initial waits. Every
-/// caller (both engines, `aggregate_remote`, the mesh node, the service,
-/// the simulator) runs the kind it prepared with.
+/// caller (the in-process engine and the mesh node, both through
+/// `run_pass`, the service, the simulator) runs the kind it prepared
+/// with.
 #[derive(Debug, Clone)]
 pub struct PreparedContexts {
     contexts: Vec<PolicyContext>,

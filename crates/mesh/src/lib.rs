@@ -29,7 +29,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod learner;
 pub mod metrics;
 pub mod node;
 pub mod peer;
@@ -37,7 +36,6 @@ pub mod ring;
 pub mod topology;
 pub mod wire;
 
-pub use learner::{LearnerStats, MeshLearner};
 pub use metrics::{federate, MeshMetrics, PeerMetrics};
 pub use node::{start, start_with, NodeHandle, NodeOptions};
 pub use peer::{LinkConfig, PeerLink, Router};

@@ -19,7 +19,9 @@
 //!    ([`cedar_runtime::run_pass`]), fed by the link reader threads; a
 //!    watchdog fires speculative `retry` frames, missing leaves are
 //!    right-censored at departure, and one aggregated `partial` ships
-//!    upstream after the aggregator's own sampled stage-1 duration.
+//!    upstream after the aggregator's own sampled stage-1 duration. An
+//!    aggregator given a checkpoint directory also feeds each pass's
+//!    leaf durations and thresholds to the service's [`Learner`].
 //! 3. Each **worker** samples its leaves' durations from seeds that are
 //!    pure functions of `(query seed, global origin)`, applies the
 //!    fault plan at the send boundary exactly like the engine's
@@ -53,7 +55,6 @@
 //! [`OP_METRICS_FEDERATED`] op that merges every node's Prometheus page
 //! under `node=` labels.
 
-use crate::learner::MeshLearner;
 use crate::metrics::{MeshMetrics, PeerMetrics};
 use crate::peer::{LinkConfig, PeerLink, Router};
 use crate::ring::HashRing;
@@ -64,8 +65,10 @@ use cedar_core::{LockExt, Millis, PolicyContext, PreparedContexts, WaitPolicyKin
 use cedar_distrib::ContinuousDist;
 use cedar_estimate::Model;
 use cedar_mathx::fxhash::FxHashMap;
+use cedar_runtime::pass::Seen;
 use cedar_runtime::{
-    run_pass, Arrival, CheckpointConfig, FailureReport, FaultKind, FaultPlan, Ledger, PassConfig,
+    run_pass, Arrival, CheckpointConfig, FailureReport, FaultKind, FaultPlan, Learner, Ledger,
+    PassConfig,
 };
 use cedar_server::clock;
 use cedar_server::frontend::{
@@ -80,7 +83,6 @@ use cedar_telemetry::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -96,6 +98,9 @@ const SCAN_STEPS: usize = 64;
 const RECENT_EXECS: usize = 64;
 /// Prepared-context cache entries kept before a wholesale reset.
 const PREPARED_CACHE_MAX: usize = 16;
+/// Aggregation passes between refits of a checkpointing aggregator's
+/// learner.
+const REFIT_INTERVAL: usize = 8;
 
 /// Client op served by roots only: every node's Prometheus page merged
 /// under `node=` labels (plus a synthetic `cedar_mesh_federated_up`).
@@ -214,6 +219,13 @@ impl NodeHandle {
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
         self.inner.front.scrape_addr()
     }
+
+    /// The learner of an aggregator started with a checkpoint directory
+    /// (how it came up, what it has learned); `None` on every other node.
+    #[must_use]
+    pub fn learner(&self) -> Option<&Learner> {
+        self.inner.learner.as_ref()
+    }
 }
 
 struct NodeInner {
@@ -246,8 +258,9 @@ struct NodeInner {
     in_flight: AtomicUsize,
     prepared: Mutex<FxHashMap<(u64, String), Arc<PreparedContexts>>>,
     recent: Mutex<Vec<RecentExec>>,
-    /// Durable learned priors (aggregators with a checkpoint dir).
-    learner: Option<MeshLearner>,
+    /// Durable learned priors (aggregators with a checkpoint dir):
+    /// bookkeeping only, the declared tree still plans.
+    learner: Option<Learner>,
 }
 
 /// Ceiling on simultaneously live connection threads per mesh node. A
@@ -258,8 +271,8 @@ pub const MAX_NODE_CONNECTIONS: usize = 256;
 /// Optional durability and observability facilities for [`start_with`].
 #[derive(Debug, Default)]
 pub struct NodeOptions {
-    /// Aggregators given a checkpoint directory persist their learned
-    /// priors there and warm-restart from it ([`MeshLearner`]).
+    /// Aggregators given a checkpoint directory learn their leaf stage
+    /// through a [`Learner`], persist it there and warm-restart from it.
     pub checkpoint: Option<CheckpointConfig>,
     /// Bind address for a plain-HTTP Prometheus scrape endpoint
     /// (`GET` anything → the node's metrics page).
@@ -360,11 +373,19 @@ pub fn start_with(
         let labels: Vec<String> = groups.iter().map(|g| g.join("+")).collect();
         HashRing::new(&labels)
     });
-    let learner = if me.role == Role::Agg {
-        options.checkpoint.as_ref().map(MeshLearner::open)
-    } else {
-        None
-    };
+    let learner = options
+        .checkpoint
+        .as_ref()
+        .filter(|_| me.role == Role::Agg)
+        .map(|ckpt| {
+            Learner::open(
+                vec![topology.leaves_under(&me)],
+                Model::LogNormal,
+                REFIT_INTERVAL,
+                Some(ckpt),
+                Some(Arc::clone(&metrics.runtime)),
+            )
+        });
     let inner = Arc::new(NodeInner {
         front,
         topo: topology,
@@ -520,11 +541,11 @@ impl Handler for NodeInner {
                 Response::with_metrics(serde_json::to_string(&dump).unwrap_or_default())
             }
             proto::OP_STATS => {
-                let learner = self.learner.as_ref().map(MeshLearner::stats);
+                let learner = self.learner.as_ref();
                 Response::with_stats(ServerStats {
                     completed: self.completed.load(Ordering::Acquire) as usize,
-                    refits: learner.map_or(0, |l| l.refits as usize),
-                    epoch: learner.map_or(0, |l| l.epoch),
+                    refits: learner.map_or(0, |l| l.refits() as usize),
+                    epoch: learner.map_or(0, Learner::epoch),
                     cache_hits: 0,
                     cache_misses: 0,
                     in_flight: self.in_flight.load(Ordering::Acquire),
@@ -534,9 +555,9 @@ impl Handler for NodeInner {
                     // dir, so clients can tell "no durability" from
                     // "age 0". Aggregators started with one report the
                     // learner's real ages.
-                    priors_age_queries: learner.map(|l| l.priors_age_queries as u64),
-                    checkpoint_age_ms: learner.map(|l| l.checkpoint_age_ms),
-                    warm_restart: learner.map(|l| l.warm_restart),
+                    priors_age_queries: learner.map(Learner::priors_age_queries),
+                    checkpoint_age_ms: learner.and_then(Learner::checkpoint_age_ms),
+                    warm_restart: learner.map(|l| l.warm_restart().is_some()),
                 })
             }
             proto::OP_QUERY => {
@@ -568,7 +589,7 @@ impl Handler for NodeInner {
             return;
         }
         if let Some(learner) = &self.learner {
-            learner.checkpoint_now();
+            let _ = learner.checkpoint_now();
         }
         for link in &self.links {
             link.stop();
@@ -764,7 +785,7 @@ impl NodeInner {
         // Gather until deadline or full collection, suppressing
         // duplicate origins.
         let deadline_at = start + scale.to_wall(deadline);
-        let mut seen: HashSet<usize> = HashSet::new();
+        let mut seen = Seen::new(0..k2);
         let mut included = 0usize;
         let mut arrivals = 0usize;
         let mut value_sum = 0.0f64;
@@ -774,7 +795,10 @@ impl NodeInner {
         // First-seen segment per origin, with its receive stamp, for
         // stitching (duplicates re-ship the same segment).
         let mut segs: FxHashMap<usize, (TraceSegment, u64)> = FxHashMap::default();
-        while let Some(left) = deadline_at.checked_duration_since(clock::now()) {
+        loop {
+            // Channel first: a partial already queued when the deadline
+            // comes due got here in time (a zero timeout still looks).
+            let left = deadline_at.saturating_duration_since(clock::now());
             let Ok(msg) = rx.recv_timeout(left) else {
                 break;
             };
@@ -832,13 +856,14 @@ impl NodeInner {
             }
         }
         self.router.unregister(query_id);
+        let silent = seen.missing();
 
         // An aggregator that was dispatched to, went silent, AND whose
         // link is down died for real mid-query.
         let mut real_crashes = false;
-        for (origin, link) in dispatched.iter().enumerate() {
-            if let Some(l) = link {
-                if !seen.contains(&origin) && !l.is_up() {
+        for &origin in &silent {
+            if let Some(Some(l)) = dispatched.get(origin) {
+                if !l.is_up() {
                     report.crashed += 1;
                     real_crashes = true;
                 }
@@ -871,10 +896,8 @@ impl NodeInner {
         // Close the decision trace and stitch the cross-process tree.
         let trace = if let Some(qt) = &qtrace {
             let at = scale.to_model(start.elapsed());
-            for origin in 0..k2 {
-                if !seen.contains(&origin) {
-                    qt.record(at, 2, 0, TraceEventKind::Censored { origin });
-                }
+            for &origin in &silent {
+                qt.record(at, 2, 0, TraceEventKind::Censored { origin });
             }
             qt.record(
                 at,
@@ -1143,11 +1166,13 @@ impl NodeInner {
         let observed = delivered.pop().unwrap_or_default();
         let censored = censored.pop().unwrap_or_default();
 
-        // Feed the durable learner: delivered leaf durations plus one
-        // right-censoring threshold per missing leaf. Bookkeeping only —
+        // Feed the durable learner: delivered leaf durations plus the
+        // departure threshold of each missing leaf. Bookkeeping only —
         // the declared tree stays the policy context.
         if let Some(learner) = &self.learner {
-            learner.observe_pass(k1, &observed, outcome.departed_at, censored.len());
+            let durations =
+                |log: &[(usize, f64)]| -> Vec<f64> { log.iter().map(|&(_, d)| d).collect() };
+            learner.record(&[durations(&observed)], &[durations(&censored)], |_, _| {});
         }
         // The flight entry reflects the pass itself, recorded before the
         // own-fate gamble below so crashed/hung passes still leave one.

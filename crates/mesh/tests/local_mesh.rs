@@ -880,3 +880,169 @@ fn malformed_frames_get_a_typed_refusal_and_the_connection_keeps_serving() {
     assert!(pong.ok, "{pong:?}");
     worker.shutdown();
 }
+
+/// A scratch checkpoint root for one test, emptied first.
+fn scratch(name: &str) -> std::path::PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("cedar-mesh-learner-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Boots `agg0` alone, learning into `dir` (its workers never come up;
+/// the client ops it serves do not need them).
+fn boot_learning_agg(topo: &Topology, dir: &std::path::Path) -> NodeHandle {
+    cedar_mesh::start_with(
+        topo.clone(),
+        "agg0",
+        None,
+        NodeOptions {
+            checkpoint: Some(cedar_runtime::CheckpointConfig::new(dir)),
+            ..NodeOptions::default()
+        },
+    )
+    .expect("start agg0")
+}
+
+fn node_stats(addr: std::net::SocketAddr) -> cedar_server::proto::ServerStats {
+    let mut c = Client::connect(addr).expect("connect");
+    c.stats().expect("stats").stats.expect("stats body")
+}
+
+/// A checkpoint for one leaf stage of `fanout`, written `age_ms` ago.
+fn store_leaf_checkpoint(dir: &std::path::Path, fanout: usize, age_ms: u64) {
+    use cedar_runtime::checkpoint::{self, Checkpoint, StageCheckpoint};
+    let ckpt = Checkpoint {
+        epoch: 3,
+        completed: 24,
+        refits: 3,
+        written_unix_ms: cedar_runtime::clock::unix_ms() - age_ms,
+        stages: vec![StageCheckpoint {
+            fanout: fanout as u64,
+            fitted: Some((2.0, 0.5)),
+            stats: cedar_estimate::EmpiricalStats::default(),
+            censored: 0,
+        }],
+    };
+    checkpoint::store(dir, &ckpt).expect("store checkpoint");
+}
+
+/// An aggregator's learner reports through the same registry as the
+/// service's: after a refit, its scrape and its `stats` op agree.
+#[test]
+fn aggregator_stats_and_scrape_agree_on_refits() {
+    let _mesh = serial();
+    let dir = scratch("scrape");
+    let topo = topo(false);
+    let mut handles = Vec::new();
+    for role in [Role::Worker, Role::Agg, Role::Root] {
+        for node in topo.nodes.iter().filter(|n| n.role == role) {
+            let options = NodeOptions {
+                checkpoint: (role == Role::Agg)
+                    .then(|| cedar_runtime::CheckpointConfig::new(dir.join(&node.name))),
+                ..NodeOptions::default()
+            };
+            handles.push(
+                cedar_mesh::start_with(topo.clone(), &node.name, None, options)
+                    .unwrap_or_else(|e| panic!("starting {}: {e}", node.name)),
+            );
+        }
+    }
+    wait_ready(&handles);
+    let mut client = root_client(&topo);
+    for seed in 0..8 {
+        let resp = client
+            .query(&tree(AGGS), Some(DEADLINE), Some(seed))
+            .expect("query");
+        assert!(resp.ok, "query failed: {:?}", resp.error);
+    }
+    for agg in ["agg0", "agg1"] {
+        let addr = handles
+            .iter()
+            .find(|h| h.name() == agg)
+            .expect("agg handle")
+            .local_addr();
+        // The eighth pass refits before it ships; allow for a partial
+        // that lost the race to the root's deadline.
+        let by = Instant::now() + Duration::from_secs(10);
+        let stats = loop {
+            let s = node_stats(addr);
+            if s.refits >= 1 {
+                break s;
+            }
+            assert!(Instant::now() < by, "{agg} never refitted: {s:?}");
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut c = Client::connect(addr).expect("connect");
+        let page = c.metrics().expect("metrics").metrics.expect("text");
+        assert!((metric(&page, "cedar_refits_total") - stats.refits as f64).abs() < f64::EPSILON);
+        assert!((metric(&page, "cedar_priors_epoch") - stats.epoch as f64).abs() < f64::EPSILON);
+        assert!(metric(&page, "cedar_checkpoints_total") >= 1.0, "{page}");
+        assert!(stats.checkpoint_age_ms.is_some(), "the refit checkpointed");
+    }
+    shutdown_all(handles);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A warm-restarted aggregator counts the checkpoint's age from when
+/// it was written, not from boot.
+#[test]
+fn warm_restarted_aggregator_reports_the_checkpoints_age() {
+    let _mesh = serial();
+    let dir = scratch("aged");
+    store_leaf_checkpoint(&dir, LEAVES_PER_AGG, 60_000);
+    let agg = boot_learning_agg(&topo(false), &dir);
+    let stats = node_stats(agg.local_addr());
+    assert_eq!(stats.warm_restart, Some(true));
+    assert_eq!((stats.epoch, stats.refits), (3, 3));
+    let age = stats
+        .checkpoint_age_ms
+        .expect("a restored checkpoint has an age");
+    assert!(age >= 60_000, "age {age} ms");
+    agg.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fresh aggregator has no checkpoint, so no checkpoint age — until
+/// it writes one (here: on shutdown), which the next boot adopts.
+#[test]
+fn fresh_aggregator_reports_no_checkpoint_age_until_it_writes_one() {
+    let _mesh = serial();
+    let dir = scratch("fresh");
+    let topo = topo(false);
+    let agg = boot_learning_agg(&topo, &dir);
+    let stats = node_stats(agg.local_addr());
+    assert_eq!(stats.warm_restart, Some(false));
+    assert_eq!(stats.checkpoint_age_ms, None);
+    assert!(agg
+        .learner()
+        .and_then(cedar_runtime::Learner::cold_start_reason)
+        .is_some_and(|r| r.contains("no checkpoint")));
+    agg.shutdown();
+    let agg = boot_learning_agg(&topo, &dir);
+    let stats = node_stats(agg.local_addr());
+    assert_eq!(stats.warm_restart, Some(true));
+    assert!(stats.checkpoint_age_ms.is_some());
+    agg.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint written for another fan-out does not fit this
+/// aggregator: it cold-starts and says why.
+#[test]
+fn aggregator_refuses_a_checkpoint_for_another_fanout() {
+    let _mesh = serial();
+    let dir = scratch("shape");
+    store_leaf_checkpoint(&dir, 2 * LEAVES_PER_AGG, 0);
+    let agg = boot_learning_agg(&topo(false), &dir);
+    let stats = node_stats(agg.local_addr());
+    assert_eq!(stats.warm_restart, Some(false));
+    assert_eq!((stats.epoch, stats.refits), (0, 0));
+    let reason = agg
+        .learner()
+        .and_then(cedar_runtime::Learner::cold_start_reason)
+        .expect("a cold-start reason");
+    assert!(reason.contains("fan-out"), "{reason}");
+    agg.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -3,7 +3,7 @@
 
 use crate::faults::{FailureReport, FaultKind, FaultPlan, Ledger, StageLog};
 use crate::metrics::RuntimeMetrics;
-use crate::pass::{run_pass, PassConfig};
+use crate::pass::{gather, run_pass, PassConfig};
 use crate::scale::TimeScale;
 use cedar_core::policy::WaitPolicyKind;
 use cedar_core::profile::ProfileConfig;
@@ -11,10 +11,9 @@ use cedar_core::setup::PreparedContexts;
 use cedar_core::TreeSpec;
 use cedar_distrib::ContinuousDist;
 use cedar_estimate::Model;
-use cedar_telemetry::{QueryTrace, ShipReason, TraceEventKind};
+use cedar_telemetry::{QueryTrace, TraceEventKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 use tokio::sync::mpsc;
@@ -317,7 +316,7 @@ pub async fn run_query_prepared(
 
     // Root channel.
     let top_fanout = cfg.tree.stage(agg_levels - 1).fanout.max(1);
-    let (root_tx, mut root_rx) =
+    let (root_tx, root_rx) =
         mpsc::channel::<PartialResult>(cfg.tree.nodes_at(agg_levels).max(top_fanout));
 
     // Build aggregator channels level by level, top-down, so each level
@@ -474,47 +473,16 @@ pub async fn run_query_prepared(
     drop(level1_txs);
     drop(upper_txs);
 
-    // Root: gather until the deadline (suppressing duplicate top-level
-    // arrivals when faults can duplicate them).
-    let mut included = 0usize;
-    let mut arrivals = 0usize;
-    let mut value_sum = 0.0f64;
-    let mut root_seen: HashSet<usize> = HashSet::new();
-    let mut end_reason = ShipReason::AllArrived;
-    loop {
-        tokio::select! {
-            () = tokio::time::sleep_until(deadline_instant) => {
-                end_reason = ShipReason::DeadlineExpired;
-                break;
-            }
-            msg = root_rx.recv() => match msg {
-                Some(m) => {
-                    let now_model = cfg.scale.to_model(start.elapsed());
-                    if let Some(c) = &chaos {
-                        if !root_seen.insert(m.origin) {
-                            c.ledger.duplicate_suppressed();
-                            record_root(
-                                now_model,
-                                TraceEventKind::DuplicateSuppressed { origin: m.origin },
-                            );
-                            continue;
-                        }
-                    }
-                    included += m.payload;
-                    arrivals += 1;
-                    value_sum += m.value;
-                    record_root(
-                        now_model,
-                        TraceEventKind::RootArrival {
-                            origin: m.origin,
-                            weight: m.payload,
-                        },
-                    );
-                }
-                None => break,
-            },
-        }
-    }
+    // Root: gather the top level's results until the deadline.
+    let top = origin_base[agg_levels]..origin_base[agg_levels] + cfg.tree.nodes_at(agg_levels);
+    let gathered = gather(
+        root_rx,
+        deadline_instant,
+        top,
+        chaos.as_ref().map(|c| &*c.ledger),
+        |kind| record_root(cfg.scale.to_model(start.elapsed()), kind),
+    )
+    .await;
 
     let (failures, realized_durations, censored_durations) = match &chaos {
         Some(c) => {
@@ -537,11 +505,11 @@ pub async fn run_query_prepared(
     };
 
     let outcome = RuntimeOutcome {
-        quality: included as f64 / total_processes.max(1) as f64,
-        included_outputs: included,
+        quality: gathered.included as f64 / total_processes.max(1) as f64,
+        included_outputs: gathered.included,
         total_processes,
-        root_arrivals: arrivals,
-        value_sum,
+        root_arrivals: gathered.arrivals,
+        value_sum: gathered.value_sum,
         wall_elapsed: start.elapsed().min(cfg.scale.to_wall(cfg.deadline)),
         realized_durations,
         failures,
@@ -552,7 +520,7 @@ pub async fn run_query_prepared(
         TraceEventKind::QueryEnd {
             quality: outcome.quality,
             included: outcome.included_outputs,
-            reason: end_reason,
+            reason: gathered.reason,
         },
     );
     if let Some(m) = &cfg.metrics {

@@ -18,6 +18,9 @@
 //! - the **root** gathers whatever aggregated results arrive before the
 //!   wall-clock deadline.
 //!
+//! Between queries, the [`service`] and every checkpointing mesh
+//! aggregator learn stage distributions through one [`Learner`].
+//!
 //! Model time (the units of the workload distributions, e.g. seconds for
 //! the Facebook trace) maps to wall time through [`TimeScale`], so a
 //! 1000-second query replays in ~100 ms of wall clock without changing
@@ -30,6 +33,7 @@ pub mod checkpoint;
 pub mod clock;
 mod engine;
 pub mod faults;
+pub mod learner;
 pub mod metrics;
 pub mod pass;
 pub mod pool;
@@ -41,6 +45,7 @@ pub use engine::{
     run_query, run_query_prepared, run_query_with_values, RuntimeConfig, RuntimeOutcome,
 };
 pub use faults::{FailureReport, FaultKind, FaultPlan, FaultSpec, Ledger, RecoveryPolicy};
+pub use learner::Learner;
 pub use metrics::RuntimeMetrics;
 pub use pass::{run_pass, Arrival, PassConfig, PassOutcome};
 pub use pool::{ones, VecPool};

@@ -13,6 +13,10 @@
 //! or across the wire). Whatever is refused, retried or censored is
 //! booked into the caller's [`Ledger`] at the site that records it in
 //! the decision trace.
+//!
+//! The engine's root runs the terminal loop beside it, `gather`: the
+//! same channel-first order and the same [`Seen`] dedupe, over the top
+//! level's origins.
 
 use crate::faults::Ledger;
 use crate::metrics::RuntimeMetrics;
@@ -99,14 +103,17 @@ pub struct PassOutcome {
 
 /// Which of the `expected` children have been counted: one bit per
 /// child, so a second arrival from the same origin and an origin that
-/// is nobody's child are refused by the same test.
-struct Seen {
+/// is nobody's child are refused by the same test. Every loop that
+/// counts arrivals dedupes through it (the mesh root's too).
+#[derive(Debug)]
+pub struct Seen {
     expected: Range<usize>,
     words: Vec<u64>,
 }
 
 impl Seen {
-    fn new(expected: Range<usize>) -> Self {
+    /// Nothing counted yet out of `expected`.
+    pub fn new(expected: Range<usize>) -> Self {
         let words = vec![0; expected.len().div_ceil(64)];
         Self { expected, words }
     }
@@ -119,7 +126,7 @@ impl Seen {
 
     /// Marks `origin`; `false` when it was already marked or is not an
     /// expected child.
-    fn insert(&mut self, origin: usize) -> bool {
+    pub fn insert(&mut self, origin: usize) -> bool {
         if !self.expected.contains(&origin) {
             return false;
         }
@@ -130,7 +137,7 @@ impl Seen {
     }
 
     /// The expected origins not yet marked, ascending.
-    fn missing(&self) -> Vec<usize> {
+    pub fn missing(&self) -> Vec<usize> {
         let unmarked = |&origin: &usize| {
             let (word, mask) = self.bit(origin);
             self.words[word] & mask == 0
@@ -346,6 +353,68 @@ pub async fn run_pass(
     }
 }
 
+/// What the root gathered by the deadline.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Gathered {
+    /// Process outputs included.
+    pub included: usize,
+    /// Distinct top-level results counted.
+    pub arrivals: usize,
+    /// Their aggregated value.
+    pub value_sum: f64,
+    /// `DeadlineExpired` when the deadline ended the gather,
+    /// `AllArrived` when every sender was gone first.
+    pub reason: ShipReason,
+}
+
+/// The root's terminal loop: count each top-level result from the
+/// `expected` origins once, until the deadline or until every sender is
+/// gone. Channel first, like [`run_pass`]: a result already queued when
+/// the deadline comes due got here in time. Refused arrivals are booked
+/// into `ledger` and handed to `record`, as are counted ones.
+pub(crate) async fn gather(
+    mut rx: mpsc::Receiver<Arrival>,
+    deadline: Instant,
+    expected: Range<usize>,
+    ledger: Option<&Ledger>,
+    record: impl Fn(TraceEventKind),
+) -> Gathered {
+    let mut seen = Seen::new(expected);
+    let mut got = Gathered {
+        included: 0,
+        arrivals: 0,
+        value_sum: 0.0,
+        reason: ShipReason::AllArrived,
+    };
+    loop {
+        tokio::select! {
+            biased;
+            msg = rx.recv() => match msg {
+                Some(m) if seen.insert(m.origin) => {
+                    got.included += m.payload;
+                    got.arrivals += 1;
+                    got.value_sum += m.value;
+                    record(TraceEventKind::RootArrival {
+                        origin: m.origin,
+                        weight: m.payload,
+                    });
+                }
+                Some(m) => {
+                    if let Some(l) = ledger {
+                        l.duplicate_suppressed();
+                    }
+                    record(TraceEventKind::DuplicateSuppressed { origin: m.origin });
+                }
+                None => return got,
+            },
+            () = tokio::time::sleep_until(deadline) => {
+                got.reason = ShipReason::DeadlineExpired;
+                return got;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,6 +592,27 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn root_counts_results_queued_before_a_deadline_already_past() {
+        // The deadline is due at the very first poll; what is already in
+        // the queue got here first and counts — once per origin, and only
+        // from the top level.
+        let ledger = Ledger::new(1);
+        let (_tx, rx) = queued(&[4, 5, 5, 9]);
+        let got = gather(rx, Instant::now(), 4..6, Some(&ledger), |_| {}).await;
+        assert_eq!((got.arrivals, got.included), (2, 2));
+        assert!((got.value_sum - 2.0).abs() < 1e-12);
+        assert_eq!(got.reason, ShipReason::DeadlineExpired);
+        assert_eq!(ledger.finish().0.duplicates_suppressed, 2);
+
+        // Every sender gone before the deadline: a full gather.
+        let (tx, rx) = queued(&[4]);
+        drop(tx);
+        let later = Instant::now() + Duration::from_secs(1);
+        let got = gather(rx, later, 4..6, None, |_| {}).await;
+        assert_eq!((got.arrivals, got.reason), (1, ShipReason::AllArrived));
     }
 
     #[tokio::test(start_paused = true)]

@@ -11,11 +11,11 @@
 //! 2. each runs on the tokio engine under the configured policy, using a
 //!    snapshot of the service's current priors;
 //! 3. the engine's realized stage durations are streamed to a background
-//!    refit task, which folds them into one bounded
-//!    [`SlidingWindow`] of sufficient statistics per stage; every
-//!    `refit_interval` completed queries the service re-fits its
-//!    population priors by log-normal MLE from those windows, at a cost
-//!    independent of how much history they hold.
+//!    refit task, which feeds them to the service's [`Learner`]: one
+//!    bounded sliding window of sufficient statistics per stage, re-fit
+//!    by log-normal MLE every `refit_interval` completed queries at a
+//!    cost independent of how much history it holds, and published here
+//!    as the new population priors.
 //!
 //! The service therefore adapts to slow drift the way a deployment
 //! would, while Cedar's per-query learning handles fast variation.
@@ -30,18 +30,20 @@
 //!   the only writer, bumping the epoch with each accepted refit — so a
 //!   query never sees a half-updated tree.
 //! - **Realized durations** flow over an mpsc channel to a single
-//!   background refit task; window bookkeeping is serialized there
-//!   instead of under a lock on the submission path. `submit` awaits the
-//!   task's per-query ack, so `completed()` / `refits()` / `epoch()` are
+//!   background refit task, the learner's only feeder, instead of
+//!   through a lock on the submission path. `submit` awaits the task's
+//!   per-query ack, so `completed()` / `refits()` / `epoch()` are
 //!   deterministic immediately after a submission resolves.
 //! - **Prepared policy contexts** ([`PreparedContexts`]) — the expensive
 //!   query-independent setup (§5.2 reports tens of ms per profile) — are
 //!   cached per `(priors epoch, deadline bucket)`, so concurrent queries
 //!   with the same deadline don't redundantly recompute profiles.
 
-use crate::checkpoint::{self, Checkpoint, CheckpointConfig, StageCheckpoint};
+use crate::checkpoint::CheckpointConfig;
 use crate::engine::{run_query_prepared, RuntimeConfig, RuntimeOutcome};
 use crate::faults::FaultPlan;
+use crate::learner::Learner;
+pub use crate::learner::WarmRestart;
 use crate::metrics::RuntimeMetrics;
 use crate::scale::TimeScale;
 use cedar_core::policy::WaitPolicyKind;
@@ -49,26 +51,12 @@ use cedar_core::profile::ProfileConfig;
 use cedar_core::setup::PreparedContexts;
 use cedar_core::LockExt;
 use cedar_core::{StageSpec, TreeSpec};
-use cedar_distrib::{ContinuousDist, DistError};
-use cedar_estimate::{DurationEstimator, EmpiricalEstimator, EmpiricalStats, Model, SlidingWindow};
+use cedar_distrib::LogNormal;
+use cedar_estimate::Model;
 use cedar_mathx::fxhash::FxHashMap;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 use tokio::sync::{mpsc, oneshot};
-
-/// Per-stage sample cap recorded into the refit window per query, so a
-/// single huge query cannot dominate the sliding window.
-const PER_QUERY_STAGE_SAMPLES: usize = 256;
-
-/// Per-stage refit window: 50 blocks of 1 000 samples, so a refit sees
-/// the latest 49 000–50 000 and the window slides 2 % at a time.
-const WINDOW_BLOCK_LEN: usize = 1_000;
-const WINDOW_BLOCKS: usize = 50;
-
-/// A stage keeps its old prior until its window holds this many
-/// observed durations.
-const MIN_REFIT_SAMPLES: usize = 20;
 
 /// Capacity of the refit-record channel. Submitters wait for a per-record
 /// ack before returning, so each in-flight query contributes at most one
@@ -183,50 +171,6 @@ struct RefitRecord {
     ack: oneshot::Sender<()>,
 }
 
-/// Work items for the background refit task, which also owns all
-/// checkpoint writes (single writer: no cross-thread coordination on
-/// the lifetime statistics).
-enum RefitMsg {
-    /// A completed query's realized durations.
-    Record(RefitRecord),
-    /// Write a checkpoint now; the reply is `Ok(true)` once the file is
-    /// durable, `Ok(false)` if checkpointing is disabled.
-    Checkpoint(oneshot::Sender<Result<bool, String>>),
-}
-
-/// How a service with checkpointing enabled came up.
-#[derive(Debug, Clone)]
-pub struct WarmRestart {
-    /// Priors epoch restored from the checkpoint.
-    pub epoch: u64,
-    /// Completed-query count restored.
-    pub completed: u64,
-    /// Accepted-refit count restored.
-    pub refits: u64,
-    /// Wall-clock age of the checkpoint at restore time (ms between its
-    /// write and this process's start; 0 if either clock was unusable).
-    pub age_ms: u64,
-}
-
-/// Checkpoint bookkeeping shared behind the service handle.
-struct DurabilityState {
-    /// Checkpoint directory; `None` disables all persistence.
-    dir: Option<PathBuf>,
-    /// Set when construction restored a valid checkpoint.
-    warm: Option<WarmRestart>,
-    /// Why the service cold-started although checkpointing is enabled
-    /// (no file, or every generation rejected — with the decode reason).
-    cold_reason: Option<String>,
-    /// Unix ms of the newest known checkpoint (restored or written);
-    /// 0 = none yet.
-    last_checkpoint_ms: AtomicU64,
-    /// Checkpoints written by this process.
-    written: AtomicU64,
-    /// Restored per-stage learned state, parked here until the refit
-    /// task starts and takes ownership of it.
-    restored_stages: Mutex<Option<Vec<StageCheckpoint>>>,
-}
-
 /// Shared state behind every [`AggregationService`] handle.
 struct ServiceState {
     cfg: ServiceConfig,
@@ -236,18 +180,14 @@ struct ServiceState {
     cache: Mutex<FxHashMap<(u64, u64), Arc<PreparedContexts>>>,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    completed: AtomicUsize,
-    refits: AtomicUsize,
-    /// `completed` as of the last accepted refit (or service start):
-    /// the clock-free "age" of the current priors in queries.
-    completed_at_refit: AtomicUsize,
     submit_counter: AtomicU64,
-    refit_tx: mpsc::Sender<RefitMsg>,
+    refit_tx: mpsc::Sender<RefitRecord>,
     /// Receiver parked here until the first submission spawns the refit
     /// task (spawning needs a runtime; `new` must stay callable outside
     /// one).
-    refit_rx: Mutex<Option<mpsc::Receiver<RefitMsg>>>,
-    durability: DurabilityState,
+    refit_rx: Mutex<Option<mpsc::Receiver<RefitRecord>>>,
+    /// Counters, refits, checkpoints and the durability readouts.
+    learner: Learner,
 }
 
 /// The long-running service; see the module docs.
@@ -284,68 +224,31 @@ impl AggregationService {
     /// never an error or panic.
     pub fn new(cfg: ServiceConfig) -> Self {
         let (refit_tx, refit_rx) = mpsc::channel(REFIT_QUEUE_CAP);
-        let mut snapshot = PriorsSnapshot {
-            epoch: 0,
-            tree: Arc::new(cfg.initial_priors.clone()),
+        let learner = Learner::open(
+            cfg.initial_priors
+                .stages()
+                .iter()
+                .map(|s| s.fanout)
+                .collect(),
+            cfg.model,
+            cfg.refit_interval,
+            cfg.checkpoint.as_ref(),
+            cfg.metrics.clone(),
+        );
+        let snapshot = PriorsSnapshot {
+            epoch: learner.epoch(),
+            tree: Arc::new(priors_tree(&cfg.initial_priors, &learner.fitted())),
         };
-        let mut durability = DurabilityState {
-            dir: cfg.checkpoint.as_ref().map(|c| c.dir.clone()),
-            warm: None,
-            cold_reason: None,
-            last_checkpoint_ms: AtomicU64::new(0),
-            written: AtomicU64::new(0),
-            restored_stages: Mutex::new(None),
-        };
-        let mut completed0 = 0usize;
-        let mut refits0 = 0usize;
-        if let Some(dir) = durability.dir.clone() {
-            let loaded = checkpoint::load(&dir);
-            let mut reasons = loaded.rejected;
-            if let Some(ckpt) = loaded.checkpoint {
-                match restore_priors(&cfg.initial_priors, &ckpt) {
-                    Ok(tree) => {
-                        durability.warm = Some(WarmRestart {
-                            epoch: ckpt.epoch,
-                            completed: ckpt.completed,
-                            refits: ckpt.refits,
-                            age_ms: crate::clock::unix_ms().saturating_sub(ckpt.written_unix_ms),
-                        });
-                        durability.last_checkpoint_ms = AtomicU64::new(ckpt.written_unix_ms);
-                        durability.restored_stages = Mutex::new(Some(ckpt.stages));
-                        snapshot = PriorsSnapshot {
-                            epoch: ckpt.epoch,
-                            tree: Arc::new(tree),
-                        };
-                        completed0 = usize::try_from(ckpt.completed).unwrap_or(usize::MAX);
-                        refits0 = usize::try_from(ckpt.refits).unwrap_or(usize::MAX);
-                        if let Some(m) = &cfg.metrics {
-                            m.priors_epoch.set(ckpt.epoch as f64);
-                        }
-                    }
-                    Err(reason) => reasons.push(reason),
-                }
-            }
-            if durability.warm.is_none() {
-                durability.cold_reason = Some(if reasons.is_empty() {
-                    format!("no checkpoint in {}", dir.display())
-                } else {
-                    reasons.join("; ")
-                });
-            }
-        }
         let state = Arc::new(ServiceState {
             priors: RwLock::new(snapshot),
             cfg,
             cache: Mutex::new(FxHashMap::default()),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
-            completed: AtomicUsize::new(completed0),
-            refits: AtomicUsize::new(refits0),
-            completed_at_refit: AtomicUsize::new(completed0),
             submit_counter: AtomicU64::new(0),
             refit_tx,
             refit_rx: Mutex::new(Some(refit_rx)),
-            durability,
+            learner,
         });
         Self { state }
     }
@@ -364,12 +267,12 @@ impl AggregationService {
     /// Completed query count (recorded by the refit task; deterministic
     /// once a submission resolves).
     pub fn completed(&self) -> usize {
-        self.state.completed.load(Ordering::Acquire)
+        self.state.learner.completed() as usize
     }
 
     /// Number of offline refits performed.
     pub fn refits(&self) -> usize {
-        self.state.refits.load(Ordering::Acquire)
+        self.state.learner.refits() as usize
     }
 
     /// Prepared-context cache counters as `(hits, misses)`.
@@ -383,61 +286,45 @@ impl AggregationService {
     /// Queries completed since the last accepted refit (or since this
     /// process started): the clock-free age of the current priors.
     pub fn priors_age_queries(&self) -> usize {
-        self.completed()
-            .saturating_sub(self.state.completed_at_refit.load(Ordering::Acquire))
+        self.state.learner.priors_age_queries() as usize
     }
 
     /// Whether checkpointing is configured.
     pub fn checkpointing(&self) -> bool {
-        self.state.durability.dir.is_some()
+        self.state.learner.checkpointing()
     }
 
     /// How this process came up: `Some` after a successful warm restart
     /// from a checkpoint, `None` on a cold start (or with checkpointing
     /// disabled).
     pub fn warm_restart(&self) -> Option<WarmRestart> {
-        self.state.durability.warm.clone()
+        self.state.learner.warm_restart().cloned()
     }
 
     /// Why the service cold-started although checkpointing is enabled:
     /// "no checkpoint in <dir>" on a first boot, or the decode-rejection
     /// reason(s) when every on-disk generation was invalid.
     pub fn cold_start_reason(&self) -> Option<String> {
-        self.state.durability.cold_reason.clone()
+        self.state.learner.cold_start_reason().map(str::to_owned)
     }
 
     /// Wall-clock age (ms) of the newest known checkpoint — restored at
     /// startup or written by this process. `None` until one exists.
     pub fn checkpoint_age_ms(&self) -> Option<u64> {
-        let last = self
-            .state
-            .durability
-            .last_checkpoint_ms
-            .load(Ordering::Acquire);
-        (last != 0).then(|| crate::clock::unix_ms().saturating_sub(last))
+        self.state.learner.checkpoint_age_ms()
     }
 
     /// Checkpoints written by this process.
     pub fn checkpoints_written(&self) -> u64 {
-        self.state.durability.written.load(Ordering::Acquire)
+        self.state.learner.checkpoints_written()
     }
 
     /// Writes a checkpoint now (the graceful-shutdown hook; refit epochs
     /// already checkpoint on their own). Resolves once the file is
     /// durable: `Ok(true)` written, `Ok(false)` checkpointing disabled.
+    #[allow(clippy::unused_async)] // kept async: callers await it, and the signature is public API
     pub async fn checkpoint_now(&self) -> Result<bool, String> {
-        if !self.checkpointing() {
-            return Ok(false);
-        }
-        self.ensure_refit_task();
-        let (tx, rx) = oneshot::channel();
-        self.state
-            .refit_tx
-            .send(RefitMsg::Checkpoint(tx))
-            .await
-            .map_err(|_| "refit task is gone".to_owned())?;
-        rx.await
-            .map_err(|_| "refit task dropped the checkpoint request".to_owned())?
+        self.state.learner.checkpoint_now()
     }
 
     /// Runs one query whose true stage distributions are `true_tree`
@@ -495,7 +382,7 @@ impl AggregationService {
             censored,
             ack: ack_tx,
         };
-        if state.refit_tx.send(RefitMsg::Record(record)).await.is_ok() {
+        if state.refit_tx.send(record).await.is_ok() {
             let _ = ack_rx.await;
         }
         outcome
@@ -556,278 +443,69 @@ impl AggregationService {
     }
 }
 
-/// The refit task's accumulated learning state: the per-stage sliding
-/// windows driving refits, plus the lifetime evidence a checkpoint
-/// persists (per-stage empirical sufficient statistics, censored counts,
-/// and the last fitted parameters).
-struct LearnedState {
-    /// What refits are fitted from; bounded at ingest, so it stays
-    /// bounded with refits disabled too.
-    windows: Vec<SlidingWindow>,
-    /// Lifetime per-stage sufficient statistics (shifted Kahan sums);
-    /// restored bit-exactly across restarts.
-    lifetime: Vec<EmpiricalEstimator>,
-    /// Lifetime per-stage right-censored observation counts.
-    lifetime_censored: Vec<u64>,
-    /// The `(mu, sigma)` of the last accepted refit per stage — what a
-    /// warm restart rebuilds the priors from. `None` until a refit has
-    /// actually replaced that stage's prior.
-    fitted: Vec<Option<(f64, f64)>>,
-}
-
-impl LearnedState {
-    fn new() -> Self {
-        Self {
-            windows: Vec::new(),
-            lifetime: Vec::new(),
-            lifetime_censored: Vec::new(),
-            fitted: Vec::new(),
-        }
-    }
-
-    /// Rehydrates the lifetime evidence from a restored checkpoint.
-    fn restore(&mut self, model: Model, stages: &[StageCheckpoint]) {
-        self.lifetime = stages
-            .iter()
-            .map(|s| EmpiricalEstimator::restore(model, &s.stats))
-            .collect();
-        self.lifetime_censored = stages.iter().map(|s| s.censored).collect();
-        self.fitted = stages.iter().map(|s| s.fitted).collect();
-    }
-
-    fn grow_to(&mut self, stages: usize, model: Model) {
-        while self.windows.len() < stages {
-            self.windows
-                .push(SlidingWindow::new(WINDOW_BLOCK_LEN, WINDOW_BLOCKS));
-        }
-        while self.lifetime.len() < stages {
-            self.lifetime.push(EmpiricalEstimator::new(model));
-        }
-        if self.lifetime_censored.len() < stages {
-            self.lifetime_censored.resize(stages, 0);
-            self.fitted.resize(stages, None);
-        }
-    }
-
-    /// Folds one completed query's realized durations and censoring
-    /// thresholds (one list per stage) into the windows and the lifetime
-    /// evidence.
-    fn record(&mut self, durations: &[Vec<f64>], censored: &[Vec<f64>], model: Model) {
-        self.grow_to(durations.len(), model);
-        for (w, d) in self.windows.iter_mut().zip(durations) {
-            for &x in d.iter().take(PER_QUERY_STAGE_SAMPLES) {
-                w.observe(x);
-            }
-        }
-        for (w, d) in self.windows.iter_mut().zip(censored) {
-            for &c in d.iter().take(PER_QUERY_STAGE_SAMPLES) {
-                w.observe_censored(c);
-            }
-        }
-        // Lifetime evidence takes every observation (its footprint is a
-        // handful of scalars per stage, not a sample window).
-        for (est, d) in self.lifetime.iter_mut().zip(durations) {
-            for &x in d {
-                est.observe(x);
-            }
-        }
-        for (c, d) in self.lifetime_censored.iter_mut().zip(censored) {
-            *c += d.len() as u64;
-        }
-    }
-}
-
-/// The background refit task: the single consumer of realized durations,
-/// the single writer of the priors, and the single writer of checkpoints.
-async fn refit_loop(state: Weak<ServiceState>, mut rx: mpsc::Receiver<RefitMsg>) {
-    let mut learned = LearnedState::new();
-    let mut seeded = false;
-    while let Some(msg) = rx.recv().await {
+/// The background refit task: the learner's single feeder and the
+/// single writer of the priors.
+async fn refit_loop(state: Weak<ServiceState>, mut rx: mpsc::Receiver<RefitRecord>) {
+    while let Some(record) = rx.recv().await {
         let Some(state) = state.upgrade() else {
             return;
         };
-        if !seeded {
-            seeded = true;
-            let restored = state.durability.restored_stages.lock().unpoisoned().take();
-            if let Some(stages) = restored {
-                learned.restore(state.cfg.model, &stages);
-            }
-        }
-        let record = match msg {
-            RefitMsg::Record(record) => record,
-            RefitMsg::Checkpoint(ack) => {
-                let _ = ack.send(write_checkpoint(&state, &learned));
-                continue;
-            }
-        };
         let RefitRecord {
-            durations: rec_durations,
-            censored: rec_censored,
+            durations,
+            censored,
             ack,
         } = record;
-        learned.record(&rec_durations, &rec_censored, state.cfg.model);
+        state
+            .learner
+            .record(&durations, &censored, |epoch, fitted| {
+                publish(&state, epoch, fitted);
+            });
         // The shells (and their inner buffers) go back on the shelf for
         // the next submission.
-        REFIT_BUFFERS.put(rec_durations);
-        REFIT_BUFFERS.put(rec_censored);
-        let completed = state.completed.fetch_add(1, Ordering::AcqRel) + 1;
-        let interval = state.cfg.refit_interval;
-        if interval > 0 && completed % interval == 0 {
-            // A degenerate window (e.g. all-equal durations) leaves the
-            // old priors in place; the service stays available.
-            if let Ok(epoch) = apply_refit(&state, &mut learned) {
-                if let Some(m) = &state.cfg.metrics {
-                    m.on_refit(epoch);
-                }
-                // Refit epochs are the durability points: persist the
-                // new priors and the lifetime statistics they rest on.
-                // A failed write leaves the previous generation in
-                // place; the service keeps running.
-                let _ = write_checkpoint(&state, &learned);
-            }
-        }
+        REFIT_BUFFERS.put(durations);
+        REFIT_BUFFERS.put(censored);
         // Ack after all bookkeeping so observers see a consistent state
         // as soon as their submission resolves.
         let _ = ack.send(());
     }
 }
 
-/// Builds and durably writes a checkpoint of the current learned state.
-/// Runs on the refit task (the single owner of `learned`).
-fn write_checkpoint(state: &ServiceState, learned: &LearnedState) -> Result<bool, String> {
-    let Some(dir) = &state.durability.dir else {
-        return Ok(false);
-    };
-    let snapshot = state.priors.read().unpoisoned().clone();
-    let now_ms = crate::clock::unix_ms();
-    let stages = snapshot
-        .tree
-        .stages()
-        .iter()
-        .enumerate()
-        .map(|(idx, s)| StageCheckpoint {
-            fanout: s.fanout as u64,
-            fitted: learned.fitted.get(idx).copied().flatten(),
-            stats: learned
-                .lifetime
-                .get(idx)
-                .map_or_else(EmpiricalStats::default, EmpiricalEstimator::stats),
-            censored: learned.lifetime_censored.get(idx).copied().unwrap_or(0),
-        })
-        .collect();
-    let ckpt = Checkpoint {
-        epoch: snapshot.epoch,
-        completed: state.completed.load(Ordering::Acquire) as u64,
-        refits: state.refits.load(Ordering::Acquire) as u64,
-        written_unix_ms: now_ms,
-        stages,
-    };
-    checkpoint::store(dir, &ckpt)
-        .map_err(|e| format!("writing checkpoint to {}: {e}", dir.display()))?;
-    state
-        .durability
-        .last_checkpoint_ms
-        .store(now_ms, Ordering::Release);
-    state.durability.written.fetch_add(1, Ordering::AcqRel);
-    if let Some(m) = &state.cfg.metrics {
-        m.checkpoints_total.inc();
-    }
-    Ok(true)
-}
-
-/// Rebuilds a priors tree from a decoded checkpoint, validating that it
-/// describes the tree shape this service was configured with. Stages the
-/// checkpoint never refitted keep the configured initial prior. Returns
-/// the cold-start reason on any mismatch.
-fn restore_priors(initial: &TreeSpec, ckpt: &Checkpoint) -> Result<TreeSpec, String> {
-    if ckpt.stages.len() != initial.levels() {
-        return Err(format!(
-            "checkpoint has {} stages but the configured tree has {}",
-            ckpt.stages.len(),
-            initial.levels()
-        ));
-    }
-    let mut stages = Vec::with_capacity(ckpt.stages.len());
-    for (idx, s) in ckpt.stages.iter().enumerate() {
-        let old = initial.stage(idx);
-        if s.fanout != old.fanout as u64 {
-            return Err(format!(
-                "stage {idx} fan-out {} does not match the configured {}",
-                s.fanout, old.fanout
-            ));
-        }
-        let dist: Arc<dyn ContinuousDist> = match s.fitted {
-            Some((mu, sigma)) => Arc::new(
-                cedar_distrib::LogNormal::new(mu, sigma)
-                    .map_err(|e| format!("stage {idx} fitted parameters rejected: {e:?}"))?,
-            ),
-            None => old.dist.clone(),
-        };
-        stages.push(StageSpec::from_arc(dist, old.fanout));
-    }
-    Ok(TreeSpec::new(stages))
-}
-
-/// Re-fits every stage's prior from its sliding window (log-normal MLE;
-/// the censored likelihood when the window holds right-censored entries,
-/// so non-arrivals under faults don't bias the prior toward fast
-/// completions), keeping fan-outs; bumps the epoch and drops stale cache
-/// entries. Returns the new epoch.
-fn apply_refit(state: &ServiceState, learned: &mut LearnedState) -> Result<u64, DistError> {
-    let current = state.priors.read().unpoisoned().clone();
-    let mut stages = Vec::with_capacity(learned.windows.len());
-    let mut fitted_params = vec![None; learned.windows.len()];
-    for (idx, w) in learned.windows.iter().enumerate() {
-        let old = current.tree.stage(idx);
-        let dist: Arc<dyn ContinuousDist> = if w.observed() >= MIN_REFIT_SAMPLES {
-            let p = w
-                .fit()
-                .ok_or(DistError::InvalidData("degenerate window (zero variance)"))?;
-            let ln = cedar_distrib::LogNormal::new(p.mu, p.sigma)?;
-            fitted_params[idx] = Some((ln.mu(), ln.sigma()));
-            Arc::new(ln)
-        } else {
-            old.dist.clone()
-        };
-        stages.push(StageSpec::from_arc(dist, old.fanout));
-    }
-    let refitted = TreeSpec::new(stages);
+/// Publishes an accepted refit as the priors of `epoch` and drops the
+/// cache entries of older epochs.
+fn publish(state: &ServiceState, epoch: u64, fitted: &[Option<LogNormal>]) {
+    let tree = Arc::new(priors_tree(&state.cfg.initial_priors, fitted));
     // Whole-struct assignment keeps the snapshot panic-atomic: no reader
     // (or poison-recovering writer) can ever observe the new epoch paired
     // with the old tree. The loom model in crates/analysis guards this
     // protocol (`loom_service.rs`).
-    let new_epoch = {
-        let mut priors = state.priors.write().unpoisoned();
-        let next = priors.epoch + 1;
-        *priors = PriorsSnapshot {
-            epoch: next,
-            tree: Arc::new(refitted),
-        };
-        next
-    };
-    state.refits.fetch_add(1, Ordering::AcqRel);
-    state
-        .completed_at_refit
-        .store(state.completed.load(Ordering::Acquire), Ordering::Release);
-    // Record what this refit decided per stage, for the next checkpoint.
-    for (slot, p) in learned.fitted.iter_mut().zip(&fitted_params) {
-        if p.is_some() {
-            *slot = *p;
-        }
-    }
+    *state.priors.write().unpoisoned() = PriorsSnapshot { epoch, tree };
     // Contexts keyed by older epochs can never be requested again.
     state
         .cache
         .lock()
         .unpoisoned()
-        .retain(|(epoch, _), _| *epoch >= new_epoch);
-    Ok(new_epoch)
+        .retain(|(e, _), _| *e >= epoch);
+}
+
+/// The configured priors with every fitted stage replaced by its
+/// log-normal fit; fan-outs are kept.
+fn priors_tree(initial: &TreeSpec, fitted: &[Option<LogNormal>]) -> TreeSpec {
+    let stages = initial
+        .stages()
+        .iter()
+        .zip(fitted)
+        .map(|(old, fit)| match fit {
+            Some(ln) => StageSpec::new(*ln, old.fanout),
+            None => old.clone(),
+        })
+        .collect();
+    TreeSpec::new(stages)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cedar_distrib::LogNormal;
+    use crate::checkpoint;
 
     fn tree(mu: f64) -> TreeSpec {
         TreeSpec::two_level(
@@ -957,28 +635,6 @@ mod tests {
         }
         assert_eq!(svc.refits(), 2, "both due refits were accepted");
         assert_eq!(svc.epoch(), 2);
-    }
-
-    #[test]
-    fn learned_state_stays_bounded_without_a_refit() {
-        // `refit_interval = 0` never calls `apply_refit`, so whatever
-        // bounds the refit task's state has to act at ingest.
-        let window = WINDOW_BLOCK_LEN * WINDOW_BLOCKS;
-        let durations = vec![vec![2.5; PER_QUERY_STAGE_SAMPLES], vec![1.5; 8]];
-        let censored = vec![vec![9.0; 16], Vec::new()];
-        let mut learned = LearnedState::new();
-        let queries = 3 * window / (PER_QUERY_STAGE_SAMPLES + 16) + 1;
-        for _ in 0..queries {
-            learned.record(&durations, &censored, Model::LogNormal);
-        }
-        let bottom = &learned.windows[0];
-        assert!(bottom.len() <= window, "{} entries", bottom.len());
-        assert!(bottom.len() > window - WINDOW_BLOCK_LEN);
-        // The lifetime evidence, a few scalars, still saw everything.
-        assert_eq!(
-            learned.lifetime[0].count(),
-            queries * PER_QUERY_STAGE_SAMPLES
-        );
     }
 
     fn ckpt_dir(name: &str) -> std::path::PathBuf {

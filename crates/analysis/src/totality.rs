@@ -6,7 +6,7 @@
 //! The engine is generic and dependency-free; `cargo xtask totality`
 //! registers the concrete surfaces (`cedar-server::wire2`,
 //! `cedar-mesh::wire`, `cedar-runtime::checkpoint`,
-//! `cedar-server::spill`, and the frame-version negotiation) and
+//! `cedar-server::spill`, and the frame reader's version check) and
 //! supplies the counting allocator. For each surface the checker runs
 //! four probe families:
 //!

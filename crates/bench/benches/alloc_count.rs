@@ -3,18 +3,17 @@
 //!
 //! Not a timing bench: it prints a table of heap allocation events per
 //! call, measured after warmup, for the per-arrival decision path and
-//! both wire codecs. The steady-state rows (grid-driven wait scan,
+//! the wire codec. The steady-state rows (grid-driven wait scan,
 //! batched CDFs, binary encode into a reused buffer, interned ones)
-//! must read 0.00; the decode rows document what an owned message
-//! costs, which the zero-copy layout keeps to a handful of allocations
-//! instead of a serde_json tree.
+//! must read 0.00; the decode row documents what an owned message
+//! costs, which the zero-copy layout keeps to a handful of allocations.
 //!
 //! Run with `cargo bench --bench alloc_count`.
 
 use cedar_core::wait::{calculate_wait, calculate_wait_with_grid, QupGrid};
 use cedar_distrib::spec::DistSpec;
 use cedar_distrib::{ContinuousDist, LogNormal, Mixture, Pareto};
-use cedar_server::proto::{read_frame_raw, write_frame_versioned, Request};
+use cedar_server::proto::{read_frame_raw, Request};
 use cedar_server::wire2::encode_frame_into;
 use cedar_workloads::treedef::{StageDef, TreeDef};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -105,7 +104,7 @@ fn main() {
         }),
     ));
 
-    // Wire codecs, framing included, encode buffers reused.
+    // Wire codec, framing included, encode buffer reused.
     let tree = TreeDef {
         stages: vec![
             StageDef {
@@ -140,24 +139,6 @@ fn main() {
         allocs_per_op(WARMUP, ROUNDS, || {
             let raw = read_frame_raw(&mut &bin_frame[..]).unwrap().unwrap();
             black_box(raw.decode_auto::<Request>().unwrap());
-        }),
-    ));
-    let mut jbuf = Vec::new();
-    rows.push((
-        "json encode (reused buf)",
-        allocs_per_op(WARMUP, ROUNDS, || {
-            jbuf.clear();
-            write_frame_versioned(&mut jbuf, &req).unwrap();
-            black_box(jbuf.len());
-        }),
-    ));
-    let mut json_frame = Vec::new();
-    write_frame_versioned(&mut json_frame, &req).unwrap();
-    rows.push((
-        "json decode (owned msg)",
-        allocs_per_op(WARMUP, ROUNDS, || {
-            let raw = read_frame_raw(&mut &json_frame[..]).unwrap().unwrap();
-            black_box(raw.decode::<Request>().unwrap());
         }),
     ));
 

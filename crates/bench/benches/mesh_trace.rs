@@ -16,7 +16,7 @@ use cedar_mesh::topology::{NodeDef, Role, Topology};
 use cedar_mesh::wire::{self, MeshMsg};
 use cedar_mesh::NodeHandle;
 use cedar_runtime::FailureReport;
-use cedar_server::{Client, WireFormat};
+use cedar_server::Client;
 use cedar_telemetry::{HopRecord, TraceSegment, TraceSummary};
 use cedar_workloads::treedef::{StageDef, TreeDef};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -105,7 +105,7 @@ fn partial(segment: Option<Box<TraceSegment>>) -> MeshMsg {
 /// Encode + decode one frame on the binary wire.
 fn roundtrip(msg: &MeshMsg) -> MeshMsg {
     let mut buf = Vec::with_capacity(4096);
-    wire::send_as(&mut buf, msg, WireFormat::Binary).expect("encode");
+    wire::send(&mut buf, msg).expect("encode");
     wire::recv(&mut buf.as_slice())
         .expect("decode")
         .expect("one frame")

@@ -18,7 +18,7 @@ use cedar_runtime::{
 };
 use cedar_server::proto::Request;
 use cedar_server::wire2::BinaryCodec;
-use cedar_server::{Client, WireFormat};
+use cedar_server::Client;
 use cedar_workloads::production::{FACEBOOK_MAP_REPLAY, FACEBOOK_REDUCE};
 use cedar_workloads::treedef::{StageDef, TreeDef};
 use std::net::TcpListener;
@@ -53,7 +53,6 @@ pub fn cmd_chaos(args: &Args) -> Result<(), String> {
     let k1: usize = args.opt_parse("k1", 8)?;
     let k2: usize = args.opt_parse("k2", 4)?;
     let seed: u64 = args.opt_parse("seed", 0xC1A05)?;
-    let wire = WireFormat::parse(args.opt("wire").unwrap_or("json"))?;
     let rates: Vec<f64> = args
         .opt("rates")
         .unwrap_or(DEFAULT_RATES)
@@ -92,13 +91,11 @@ pub fn cmd_chaos(args: &Args) -> Result<(), String> {
 
     println!(
         "chaos sweep: mode {mode}, {queries} queries per rate, \
-         {k1}x{k2} tree, deadline {deadline} model units, seed {seed}, \
-         {} wire (in-process round-trip)",
-        wire.name()
+         {k1}x{k2} tree, deadline {deadline} model units, seed {seed}"
     );
-    // The sweep's tree rides through the selected wire codec before it
-    // runs: the same encode/decode pair a remote client would exercise,
-    // applied in-process so a codec bug shows up as a sweep failure.
+    // The sweep's tree rides through the wire codec before it runs: the
+    // same encode/decode pair a remote client would exercise, applied
+    // in-process so a codec bug shows up as a sweep failure.
     let wire_tree = round_trip_tree(
         TreeDef {
             stages: vec![
@@ -119,7 +116,6 @@ pub fn cmd_chaos(args: &Args) -> Result<(), String> {
             ],
         },
         deadline,
-        wire,
     )?;
     let scale = cedar_runtime::TimeScale::millis();
     let scaled_deadline = scale.to_wall(deadline);
@@ -214,23 +210,14 @@ pub fn cmd_chaos(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Round-trips the sweep's tree through the chosen wire codec (as a
-/// full query request, the way a client would ship it) and materializes
-/// the decoded definition.
-fn round_trip_tree(def: TreeDef, deadline: f64, wire: WireFormat) -> Result<TreeSpec, String> {
-    let req = Request::query(def, Some(deadline), None);
-    let decoded: Request = match wire {
-        WireFormat::Json => {
-            let text = serde_json::to_string(&req).map_err(|e| format!("encoding request: {e}"))?;
-            serde_json::from_str(&text).map_err(|e| format!("decoding request: {e}"))?
-        }
-        WireFormat::Binary => {
-            let mut buf = Vec::new();
-            req.encode_binary(&mut buf);
-            Request::decode_binary(&buf).map_err(|e| format!("decoding request: {e}"))?
-        }
-    };
-    decoded
+/// Round-trips the sweep's tree through the wire codec (as a full query
+/// request, the way a client would ship it) and materializes the
+/// decoded definition.
+fn round_trip_tree(def: TreeDef, deadline: f64) -> Result<TreeSpec, String> {
+    let mut buf = Vec::new();
+    Request::query(def, Some(deadline), None).encode_binary(&mut buf);
+    Request::decode_binary(&buf)
+        .map_err(|e| format!("decoding request: {e}"))?
         .tree
         .ok_or_else(|| "round-tripped request lost its tree".to_owned())?
         .build()
@@ -631,32 +618,6 @@ mod tests {
         assert!(dispatch(&sv(&["chaos", "--rates", "0,nope"])).is_err());
         assert!(dispatch(&sv(&["chaos", "--rates", "1.5"])).is_err());
         assert!(dispatch(&sv(&["chaos", "--mode", "meteor", "--queries", "1"])).is_err());
-        assert!(dispatch(&sv(&[
-            "chaos",
-            "--wire",
-            "carrier-pigeon",
-            "--queries",
-            "1"
-        ]))
-        .is_err());
-    }
-
-    #[test]
-    fn chaos_runs_over_the_binary_wire() {
-        let argv = sv(&[
-            "chaos",
-            "--wire",
-            "binary",
-            "--rates",
-            "0,0.3",
-            "--queries",
-            "2",
-            "--k1",
-            "3",
-            "--k2",
-            "2",
-        ]);
-        dispatch(&argv).unwrap();
     }
 
     #[test]

@@ -47,33 +47,30 @@ USAGE:
       disk-backed overflow behind the admission queue: bursts past the
       in-memory queue spill encoded frames to a segment file and replay
       FIFO as slots free; past the disk bound they shed as queue_full.
-  cedar-cli health --addr A [--wire json|binary] [--fail-on-degraded BOOL]
+  cedar-cli health --addr A [--fail-on-degraded BOOL]
       Probe a running server's elasticity state (ok|degraded|overloaded)
       plus queue/spill depths, priors epoch and age, checkpoint age and
       warm-restart flag. With --fail-on-degraded true, exits non-zero
       unless the state is ok — a scriptable readiness gate.
   cedar-cli loadgen --addr A [--qps Q] [--queries N] [--deadline D]
                     [--k1 N] [--k2 N] [--seed S] [--stop-server BOOL]
-                    [--wire json|binary] [--save-baseline FILE]
-                    [--compare-baseline FILE] [--fail-threshold F]
+                    [--save-baseline FILE] [--compare-baseline FILE]
+                    [--fail-threshold F]
       Open-loop Poisson load against a running service; reports achieved
       QPS, quality distribution and latency percentiles, and scrapes the
-      server's metrics mid-run on a dedicated connection. --wire selects
-      the client protocol (default json; binary is the v2 zero-copy
-      framing) — the report prints it and the baseline records it. A
-      baseline file stores the percentile summary as JSON; comparing
-      prints p50/p95/p99 deltas against it and exits non-zero when any
+      server's metrics mid-run on a dedicated connection. A baseline
+      file stores the percentile summary as JSON; comparing prints
+      p50/p95/p99 deltas against it and exits non-zero when any
       latency percentile rises (or quality falls) by more than F
       (default 0.10) relative to the baseline — the CI gate. Errors are
       counted per class (using the typed response codes) and excluded
       from the percentiles.
   cedar-cli chaos [--rates R1,R2,..] [--mode crash|straggle|mixed]
                   [--queries N] [--deadline D] [--k1 N] [--k2 N] [--seed S]
-                  [--wire json|binary]
       Sweep injected failure rates against the cedar policy on a paused
       clock; per rate, reports mean/p10 quality, injected/recovered fault
-      counts and deadline violations. --wire picks the codec the sweep's
-      query tree is round-tripped through before it runs.
+      counts and deadline violations. The sweep's query tree is
+      round-tripped through the wire codec before it runs.
   cedar-cli chaos --kill-restart true [--steady N] [--window N]
                   [--deadline D] [--k1 N] [--k2 N] [--unit-us U]
                   [--refit-interval N] [--prior-mu MU] [--prior-sigma S]

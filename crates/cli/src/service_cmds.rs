@@ -6,7 +6,7 @@ use cedar_core::{StageSpec, TreeSpec};
 use cedar_distrib::spec::DistSpec;
 use cedar_distrib::LogNormal;
 use cedar_runtime::{CheckpointConfig, TimeScale, WarmRestart};
-use cedar_server::{AdmissionConfig, Client, Server, ServerConfig, SpillConfig, WireFormat};
+use cedar_server::{AdmissionConfig, Client, Server, ServerConfig, SpillConfig};
 use cedar_workloads::production::{
     FACEBOOK_MAP_REPLAY, FACEBOOK_REDUCE, FB_MU_JITTER, FB_SIGMA_JITTER,
 };
@@ -130,10 +130,8 @@ pub(crate) fn print_restore(warm: Option<&WarmRestart>, cold_reason: Option<&str
 /// One-shot elasticity probe: prints the server's `health` op snapshot.
 pub fn cmd_health(args: &Args) -> Result<(), String> {
     let addr = args.req("addr")?;
-    let wire = WireFormat::parse(args.opt("wire").unwrap_or("json"))?;
     let fail_on_degraded: bool = args.opt_parse("fail-on-degraded", false)?;
-    let mut client =
-        Client::connect_with(addr, wire).map_err(|e| format!("connecting to {addr}: {e}"))?;
+    let mut client = Client::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
     let resp = client
         .health()
         .map_err(|e| format!("probing {addr}: {e}"))?;
@@ -188,17 +186,13 @@ struct Shot {
 /// one that tracked fewer percentiles) still compares: a missing key
 /// prints as "n/a" and is skipped by the regression gate instead of
 /// failing the whole run.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, PartialEq)]
 struct Baseline {
     latency_p50: Option<f64>,
     latency_p95: Option<f64>,
     latency_p99: Option<f64>,
     quality_mean: Option<f64>,
     quality_p50: Option<f64>,
-    /// Wire format the run was measured over (`"json"` / `"binary"`).
-    /// Latencies across formats are not comparable, so a mismatch is
-    /// called out in the comparison report (absent in old baselines).
-    wire: Option<String>,
 }
 
 impl Baseline {
@@ -219,9 +213,6 @@ impl Baseline {
         let mut root = Map::new();
         root.insert("latency_ms", Value::Object(latency));
         root.insert("quality", Value::Object(quality));
-        if let Some(wire) = &self.wire {
-            root.insert("wire", Value::String(wire.clone()));
-        }
         Value::Object(root)
     }
 
@@ -240,21 +231,12 @@ impl Baseline {
                 .map(Some)
                 .ok_or_else(|| format!("baseline \"{}\" is not a number", path.join(".")))
         };
-        let wire = match v.as_object().and_then(|m| m.get("wire")) {
-            None => None,
-            Some(w) => Some(
-                w.as_str()
-                    .ok_or_else(|| "baseline \"wire\" is not a string".to_owned())?
-                    .to_owned(),
-            ),
-        };
         let out = Self {
             latency_p50: f(&["latency_ms", "p50"])?,
             latency_p95: f(&["latency_ms", "p95"])?,
             latency_p99: f(&["latency_ms", "p99"])?,
             quality_mean: f(&["quality", "mean"])?,
             quality_p50: f(&["quality", "p50"])?,
-            wire,
         };
         if out.latency_p50.is_none()
             && out.latency_p95.is_none()
@@ -387,7 +369,6 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), String> {
     let save_baseline = args.opt("save-baseline").map(str::to_owned);
     let compare_baseline = args.opt("compare-baseline").map(str::to_owned);
     let fail_threshold: f64 = args.opt_parse("fail-threshold", 0.10)?;
-    let wire = WireFormat::parse(args.opt("wire").unwrap_or("json"))?;
     let deadline: Option<f64> = match args.opt("deadline") {
         Some(v) => Some(v.parse().map_err(|_| "--deadline has an invalid value")?),
         None => None,
@@ -400,8 +381,7 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), String> {
     }
 
     // Fail fast if nothing is listening.
-    let mut control =
-        Client::connect_with(&addr, wire).map_err(|e| format!("connecting to {addr}: {e}"))?;
+    let mut control = Client::connect(&addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
     control.ping().map_err(|e| format!("pinging {addr}: {e}"))?;
 
     // Per-query trees: the FB-MR population model at the bottom (each
@@ -431,7 +411,7 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), String> {
         let addr = addr.clone();
         let stop = scrape_stop.clone();
         thread::spawn(move || -> (usize, Option<String>) {
-            let Ok(mut client) = Client::connect_with(&addr, wire) else {
+            let Ok(mut client) = Client::connect(&addr) else {
                 return (0, None);
             };
             let mut scrapes = 0;
@@ -450,10 +430,7 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), String> {
         })
     };
 
-    println!(
-        "offering {qps} QPS, {queries} queries, FB-MR {k1}x{k2} trees, {} wire",
-        wire.name()
-    );
+    println!("offering {qps} QPS, {queries} queries, FB-MR {k1}x{k2} trees");
     let start = Instant::now();
     let mut next_arrival = 0.0f64;
     for _ in 0..queries {
@@ -494,8 +471,7 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), String> {
             let now = in_flight.fetch_add(1, Ordering::AcqRel) + 1;
             peak.fetch_max(now, Ordering::AcqRel);
             let sent = Instant::now();
-            let shot = match Client::connect_with(&addr, wire)
-                .and_then(|mut c| c.query(&tree, deadline, None))
+            let shot = match Client::connect(&addr).and_then(|mut c| c.query(&tree, deadline, None))
             {
                 Ok(resp) => {
                     let shed = resp.is_shed();
@@ -573,7 +549,6 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), String> {
         "peak in-flight:    {}",
         peak_in_flight.load(Ordering::Acquire)
     );
-    println!("wire format:       {}", wire.name());
     if !served.is_empty() {
         println!(
             "quality:           mean {:.3}, p10 {:.3}, p50 {:.3}, p90 {:.3}",
@@ -595,7 +570,6 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), String> {
             latency_p99: Some(percentile(&latencies, 99.0)),
             quality_mean: Some(qualities.iter().sum::<f64>() / qualities.len() as f64),
             quality_p50: Some(percentile(&qualities, 50.0)),
-            wire: Some(wire.name().to_owned()),
         };
         if let Some(path) = &compare_baseline {
             let text = std::fs::read_to_string(path)
@@ -605,15 +579,6 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), String> {
                 .and_then(|v| Baseline::from_json(&v))?;
             println!();
             println!("vs baseline {path}:");
-            if let Some(stored_wire) = &stored.wire {
-                if stored_wire != wire.name() {
-                    println!(
-                        "  NOTE baseline was measured over the {stored_wire} wire; \
-                         this run used {} — latencies are not like-for-like",
-                        wire.name()
-                    );
-                }
-            }
             for line in current.diff_report(&stored) {
                 println!("{line}");
             }
@@ -744,7 +709,6 @@ mod tests {
             latency_p99: Some(88.25),
             quality_mean: Some(0.93),
             quality_p50: Some(0.97),
-            wire: Some("binary".to_owned()),
         };
         let back = Baseline::from_json(&b.to_json()).unwrap();
         assert_eq!(back, b);
@@ -762,6 +726,17 @@ mod tests {
         assert_eq!(b.latency_p50, Some(10.0));
         assert_eq!(b.latency_p99, None);
         assert_eq!(b.quality_mean, None);
+
+        // So does one recorded with the wire format it was measured
+        // over, from when loadgen had more than one.
+        let tagged = serde_json::from_str::<serde_json::Value>(
+            r#"{"latency_ms": {"p50": 10.0}, "wire": "binary"}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            Baseline::from_json(&tagged).unwrap().latency_p50,
+            Some(10.0)
+        );
 
         // A baseline with none of the known keys is garbage, not old.
         let empty = serde_json::from_str::<serde_json::Value>(r#"{"foo": 1}"#).unwrap();
@@ -786,7 +761,6 @@ mod tests {
             latency_p99: None,
             quality_mean: Some(0.9),
             quality_p50: None,
-            ..Baseline::default()
         };
         let current = Baseline {
             latency_p50: Some(11.0),
@@ -794,7 +768,6 @@ mod tests {
             latency_p99: Some(400.0),
             quality_mean: Some(0.9),
             quality_p50: Some(0.1),
-            ..Baseline::default()
         };
         // The huge p95/p99/quality-p50 movements are unjudgeable
         // against a baseline that never recorded them; only the p50
@@ -818,7 +791,6 @@ mod tests {
             latency_p99: Some(40.0),
             quality_mean: Some(0.9),
             quality_p50: Some(0.95),
-            ..Baseline::default()
         };
         // Latency improvements and small wobbles pass...
         let fine = Baseline {
@@ -827,7 +799,6 @@ mod tests {
             latency_p99: Some(43.0),
             quality_mean: Some(0.89),
             quality_p50: Some(0.95),
-            ..Baseline::default()
         };
         assert!(fine.regressions(&stored, 0.10).is_empty());
         // ...a latency blow-up and a quality collapse both fail.
@@ -837,7 +808,6 @@ mod tests {
             latency_p99: Some(40.0),
             quality_mean: Some(0.9),
             quality_p50: Some(0.70),
-            ..Baseline::default()
         };
         let r = worse.regressions(&stored, 0.10);
         assert_eq!(r.len(), 2, "{r:?}");
@@ -879,7 +849,6 @@ mod tests {
             latency_p99: Some(40.0),
             quality_mean: Some(0.9),
             quality_p50: Some(0.95),
-            ..Baseline::default()
         };
         let now = Baseline {
             latency_p50: Some(5.0),
@@ -887,7 +856,6 @@ mod tests {
             latency_p99: Some(40.0),
             quality_mean: Some(0.9),
             quality_p50: Some(0.95),
-            ..Baseline::default()
         };
         let report = now.diff_report(&then);
         assert_eq!(report.len(), 5);
@@ -926,15 +894,12 @@ mod tests {
         ]);
         dispatch(&argv).unwrap();
 
-        // A second run — over the binary wire, against the JSON-run
-        // baseline (exercising the cross-format comparison note) —
-        // then shuts the server down.
+        // A second run against that baseline, then shuts the server
+        // down.
         let argv = sv(&[
             "loadgen",
             "--addr",
             &addr,
-            "--wire",
-            "binary",
             "--qps",
             "400",
             "--queries",

@@ -3,7 +3,7 @@
 //! This crate turns the in-process runtime into a 3-level mesh of
 //! cooperating processes — one **root**, a layer of **aggregators**,
 //! and a layer of **workers** — speaking the existing length-prefixed
-//! protocol extended with versioned inter-node frames ([`wire`]).
+//! binary protocol extended with inter-node frames ([`wire`]).
 //!
 //! * [`topology`] — the declarative config: node names, roles,
 //!   addresses, parent/child edges, replica sets, and the time scale

@@ -75,7 +75,7 @@ use cedar_server::frontend::{
     Frontend, FrontendConfig, Handler, Serving, DEFAULT_DRAIN_DEADLINE, DEFAULT_IDLE_TIMEOUT,
 };
 use cedar_server::proto::{self, QueryResult, RawFrame, Request, Response, ServerStats};
-use cedar_server::{Client, WireFormat};
+use cedar_server::Client;
 use cedar_telemetry::flight::DEFAULT_FLIGHT_CAPACITY;
 use cedar_telemetry::{
     FlightEntry, FlightRecorder, HopRecord, MeshTrace, QueryTrace, ShipReason, TraceEventKind,
@@ -239,12 +239,8 @@ struct NodeInner {
     /// Child links in topology child order (root → aggs, agg → workers).
     links: Vec<Arc<PeerLink>>,
     /// Writer half of the connection our parent holds to us, shared so
-    /// heartbeat acks and partial pushes serialize their frames, and the
-    /// encoding the parent's `hello` arrived in: everything pushed
-    /// upstream answers in kind, so a binary parent gets binary partials
-    /// and a JSON parent keeps JSON (mixed-version meshes interoperate
-    /// per link).
-    upstream: Mutex<Option<(TcpStream, WireFormat)>>,
+    /// heartbeat acks and partial pushes serialize their frames.
+    upstream: Mutex<Option<TcpStream>>,
     /// Where aggregation passes are spawned (aggregators only). Only a
     /// handle: passes hold this node, so a node that owned the runtime
     /// could end up dropping it on one of its own workers.
@@ -350,7 +346,6 @@ pub fn start_with(
                     topology_hash,
                     heartbeat: topology.heartbeat(),
                     miss_limit: topology.miss_limit(),
-                    wire: topology.wire_format_for(&me),
                 },
                 PeerMetrics::register(&metrics.registry, child),
                 Arc::clone(&router),
@@ -422,24 +417,14 @@ pub fn start_with(
     })
 }
 
-/// The wire format a frame of the given protocol version arrived in.
-fn wire_of_version(version: u8) -> WireFormat {
-    if version == proto::PROTO_VERSION_BINARY {
-        WireFormat::Binary
-    } else {
-        WireFormat::Json
-    }
-}
-
 impl Handler for NodeInner {
     fn front(&self) -> &Frontend {
         &self.front
     }
 
-    /// Mesh frames first: a JSON `MeshMsg` also decodes as a `Request`
-    /// (serde ignores unknown fields), so the mesh vocabulary must get
-    /// the first look. Replies answer in the encoding the frame arrived
-    /// in.
+    /// Mesh frames. Their kind bytes (`0x10..=0x16`) are disjoint from
+    /// the client's, so a frame that decodes as a [`MeshMsg`] is one,
+    /// and anything else is left to the layer's [`Request`] decode.
     fn frame(
         self: &Arc<Self>,
         raw: &RawFrame,
@@ -447,7 +432,6 @@ impl Handler for NodeInner {
         received: Instant,
     ) -> Option<bool> {
         let msg = raw.decode_auto::<MeshMsg>().ok()?;
-        let wire = wire_of_version(raw.version);
         let spans = RecvSpans::decoded(received);
         Some(match msg {
             MeshMsg::Hello { topology_hash, .. } => {
@@ -463,16 +447,15 @@ impl Handler for NodeInner {
                     }),
                 };
                 if !ok {
-                    let _ = wire::send_as(&mut &*stream, &ack, wire);
+                    let _ = wire::send(&mut &*stream, &ack);
                     return Some(false);
                 }
                 // This connection becomes our upstream: acks and partial
-                // pushes share its write lock from here on, answering in
-                // whichever encoding the parent's hello used.
+                // pushes share its write lock from here on.
                 match stream.try_clone() {
                     Ok(writer) => {
-                        let old = self.upstream.lock().unpoisoned().replace((writer, wire));
-                        if let Some((old, _)) = old {
+                        let old = self.upstream.lock().unpoisoned().replace(writer);
+                        if let Some(old) = old {
                             let _ = old.shutdown(Shutdown::Both);
                         }
                         self.send_upstream(&ack)
@@ -594,7 +577,7 @@ impl Handler for NodeInner {
         for link in &self.links {
             link.stop();
         }
-        if let Some((s, _)) = self.upstream.lock().unpoisoned().take() {
+        if let Some(s) = self.upstream.lock().unpoisoned().take() {
             let _ = s.shutdown(Shutdown::Both);
         }
     }
@@ -606,10 +589,10 @@ impl NodeInner {
     /// live upstream or the write failed.
     fn send_upstream(&self, msg: &MeshMsg) -> bool {
         let mut guard = self.upstream.lock().unpoisoned();
-        let Some((stream, wire)) = guard.as_mut() else {
+        let Some(stream) = guard.as_mut() else {
             return false;
         };
-        if wire::send_as(&mut &*stream, msg, *wire).is_err() {
+        if wire::send(&mut &*stream, msg).is_err() {
             let _ = stream.shutdown(Shutdown::Both);
             *guard = None;
             return false;

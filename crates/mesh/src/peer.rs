@@ -20,7 +20,7 @@
 use crate::metrics::PeerMetrics;
 use crate::wire::{self, MeshMsg};
 use cedar_core::LockExt;
-use cedar_server::{clock, WireFormat};
+use cedar_server::clock;
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -111,8 +111,6 @@ pub struct LinkConfig {
     pub heartbeat: Duration,
     /// Consecutive missed heartbeats before the link is declared down.
     pub miss_limit: u32,
-    /// Encoding this link's sends use (the child answers in kind).
-    pub wire: WireFormat,
 }
 
 /// The parent's half of one tree edge. See the module docs.
@@ -202,7 +200,7 @@ impl PeerLink {
                 format!("link to {} is down", self.cfg.peer_name),
             ));
         };
-        let sent = wire::send_as(&mut &*stream, msg, self.cfg.wire);
+        let sent = wire::send(&mut &*stream, msg);
         if sent.is_err() {
             let _ = stream.shutdown(Shutdown::Both);
             *guard = None;
@@ -254,14 +252,13 @@ impl PeerLink {
         stream.set_nodelay(true)?;
         // Bound the handshake so a wedged peer cannot pin this thread.
         stream.set_read_timeout(Some(self.cfg.heartbeat * self.cfg.miss_limit.max(1)))?;
-        wire::send_as(
+        wire::send(
             &mut &stream,
             &MeshMsg::Hello {
                 from: self.cfg.self_name.clone(),
                 role: self.cfg.self_role.clone(),
                 topology_hash: self.cfg.topology_hash,
             },
-            self.cfg.wire,
         )?;
         match wire::recv(&mut &stream)? {
             Some(MeshMsg::HelloAck { ok: true, .. }) => {}

@@ -28,9 +28,14 @@
 //! replica sets; the root routes each query to one set by consistent
 //! hash of its key ([`crate::ring`]). Without it, every query runs on
 //! all aggregators (a single replica).
+//!
+//! Every mesh link speaks the binary framing ([`crate::wire`]). The
+//! deployment-wide and per-node `wire` fields remain so existing configs
+//! still load: each may be absent or `"binary"`, and `"json"` is
+//! refused, since JSON links were removed.
 
 use cedar_runtime::TimeScale;
-use cedar_server::WireFormat;
+use cedar_server::frontend::DEFAULT_IDLE_TIMEOUT;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::time::Duration;
@@ -84,10 +89,8 @@ pub struct NodeDef {
     pub children: Option<Vec<String>>,
     /// Leaf processes hosted (workers only).
     pub processes: Option<usize>,
-    /// Per-node override of the deployment-wide `wire` format for this
-    /// node's outbound links (`"json"` or `"binary"`). Lets a mesh run
-    /// mixed-version — e.g. a binary root over JSON aggregators —
-    /// because every receiver accepts both encodings.
+    /// Absent or `"binary"`, the one mesh framing; kept so configs and
+    /// the repo benchmark's struct literals that carry it still load.
     pub wire: Option<String>,
 }
 
@@ -115,10 +118,8 @@ pub struct Topology {
     /// Consecutive missed heartbeats before a peer is declared down
     /// (default 3).
     pub miss_limit: Option<u32>,
-    /// Wire format this deployment's senders put on mesh links:
-    /// `"json"` (protocol 1, the default) or `"binary"` (protocol 2).
-    /// Receivers accept every supported version regardless, so rolling
-    /// a mesh from one format to the other is safe link by link.
+    /// Absent or `"binary"`, the one mesh framing; kept so configs and
+    /// the repo benchmark's struct literals that carry it still load.
     pub wire: Option<String>,
     /// Optional replica sets: each inner list names aggregators; the
     /// sets must partition the root's children. Omitted means one
@@ -153,12 +154,23 @@ impl Topology {
         if self.nodes.is_empty() {
             return Err("topology has no nodes".into());
         }
-        if let Some(wire) = &self.wire {
-            WireFormat::parse(wire)?;
-        }
+        check_wire(self.wire.as_deref())?;
         for n in &self.nodes {
-            if let Some(wire) = &n.wire {
-                WireFormat::parse(wire).map_err(|e| format!("node {:?}: {e}", n.name))?;
+            check_wire(n.wire.as_deref()).map_err(|e| format!("node {:?}: {e}", n.name))?;
+        }
+        // A child reaps a link that sends nothing for its per-frame idle
+        // deadline, so heartbeats must come sooner — and a zero interval
+        // is no interval (the OS refuses a zero socket timeout).
+        if let Some(ms) = self.heartbeat_ms {
+            if ms == 0 {
+                return Err("heartbeat_ms must be positive".into());
+            }
+            if Duration::from_millis(ms) >= DEFAULT_IDLE_TIMEOUT {
+                return Err(format!(
+                    "heartbeat_ms {ms} must be below the {} ms a node waits for the next \
+                     frame on a link before closing it",
+                    DEFAULT_IDLE_TIMEOUT.as_millis()
+                ));
             }
         }
         let mut names = HashSet::new();
@@ -362,28 +374,6 @@ impl Topology {
         self.miss_limit.unwrap_or(DEFAULT_MISS_LIMIT).max(1)
     }
 
-    /// Wire format this deployment's senders use on mesh links; JSON
-    /// when omitted. [`validate`](Topology::validate) has already
-    /// checked the spelling, so unknown values fall back to JSON here
-    /// rather than panic.
-    #[must_use]
-    pub fn wire_format(&self) -> WireFormat {
-        self.wire
-            .as_deref()
-            .and_then(|w| WireFormat::parse(w).ok())
-            .unwrap_or_default()
-    }
-
-    /// The wire format `node`'s outbound links use: its own override,
-    /// or the deployment-wide [`wire_format`](Topology::wire_format).
-    #[must_use]
-    pub fn wire_format_for(&self, node: &NodeDef) -> WireFormat {
-        node.wire
-            .as_deref()
-            .and_then(|w| WireFormat::parse(w).ok())
-            .unwrap_or_else(|| self.wire_format())
-    }
-
     /// FNV-1a over the canonical JSON encoding: the topology handshake
     /// token. Two processes agree on it iff they loaded byte-identical
     /// configurations (field order is fixed by the struct definitions).
@@ -464,6 +454,20 @@ impl Topology {
         };
         topo.validate()?;
         Ok(topo)
+    }
+}
+
+/// A `wire` field may only be absent or name the one mesh framing.
+fn check_wire(wire: Option<&str>) -> Result<(), String> {
+    match wire {
+        None | Some("binary") => Ok(()),
+        Some("json") => Err(
+            "wire \"json\" is refused: JSON mesh links were removed; every link speaks binary"
+                .into(),
+        ),
+        Some(other) => Err(format!(
+            "unknown wire format {other:?} (the only one is \"binary\")"
+        )),
     }
 }
 
@@ -550,6 +554,42 @@ mod tests {
         // Replica that is not a partition.
         let mut topo = Topology::regular(2, 1, 1, "h", 1, 1).unwrap();
         topo.replicas = Some(vec![vec!["agg0".into()]]);
+        assert!(topo.validate().is_err());
+    }
+
+    #[test]
+    fn zero_heartbeat_is_refused() {
+        let mut topo = Topology::regular(1, 1, 1, "h", 1, 1).unwrap();
+        topo.heartbeat_ms = Some(0);
+        let err = topo.validate().unwrap_err();
+        assert!(err.contains("heartbeat_ms"), "{err}");
+    }
+
+    #[test]
+    fn heartbeat_at_the_idle_deadline_is_refused() {
+        let mut topo = Topology::regular(1, 1, 1, "h", 1, 1).unwrap();
+        topo.heartbeat_ms = Some(60_000);
+        let err = topo.validate().unwrap_err();
+        assert!(err.contains("heartbeat_ms 60000"), "{err}");
+        topo.heartbeat_ms = Some(500);
+        assert_eq!(topo.validate(), Ok(()));
+    }
+
+    #[test]
+    fn json_wire_is_refused_with_a_typed_message() {
+        let mut topo = Topology::regular(1, 1, 1, "h", 1, 1).unwrap();
+        topo.wire = Some("json".into());
+        let err = topo.validate().unwrap_err();
+        assert!(err.contains("JSON mesh links were removed"), "{err}");
+        let json = topo.to_json();
+        assert!(Topology::from_json(&json).is_err());
+
+        topo.wire = Some("binary".into());
+        assert_eq!(topo.validate(), Ok(()));
+        topo.nodes[1].wire = Some("json".into());
+        let err = topo.validate().unwrap_err();
+        assert!(err.contains("node \"agg0\""), "{err}");
+        topo.nodes[1].wire = Some("carrier-pigeon".into());
         assert!(topo.validate().is_err());
     }
 }

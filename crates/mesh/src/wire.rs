@@ -1,19 +1,14 @@
 //! Inter-node frames: the mesh's extension of the cedar-server wire
 //! protocol.
 //!
-//! Every mesh frame travels in the **versioned** framing of
-//! [`cedar_server::proto`]: length, version byte, then either JSON
-//! (version 1) or the zero-copy binary layout of
-//! [`cedar_server::wire2`] (version 2, kind bytes `0x10..=0x16`). A
-//! legacy client that wanders onto a mesh port gets a typed
-//! `unsupported_version`-style rejection instead of garbage, and the
-//! mesh can evolve its frames behind the version byte. JSON messages
-//! are internally tagged with `op` and binary ones with a kind byte,
-//! both disjoint from the client protocol's, so one listener can serve
-//! both families on a single port in either encoding. Receivers always
-//! accept every supported version; which one a sender puts on the wire
-//! is the topology's `wire` knob, so mixed-version meshes interoperate
-//! link by link.
+//! Every mesh frame travels in the binary framing of
+//! [`cedar_server::proto`]: length, version byte `0x02`, then the
+//! zero-copy layout of [`cedar_server::wire2`] under the mesh's kind
+//! bytes `0x10..=0x16`, disjoint from the client protocol's, so one
+//! listener serves both families on a single port. A frame in any other
+//! framing is refused — by a listener with a typed
+//! `unsupported_version` reply, by [`recv`] with an
+//! [`io::ErrorKind::Unsupported`] error.
 //!
 //! The conversation on one parent→child connection:
 //!
@@ -455,27 +450,33 @@ fn read_timings(r: &mut Reader<'_>) -> WireResult<Vec<StageTiming>> {
     Ok(timings)
 }
 
-/// Writes one mesh frame in the versioned JSON framing. Kept as the
-/// spelling for paths that have not negotiated a format; prefer
-/// [`send_as`] where the link's configured format is known.
+/// Writes one mesh frame.
 pub fn send<W: Write>(w: &mut W, msg: &MeshMsg) -> io::Result<()> {
-    proto::write_frame_versioned(w, msg)
+    proto::write_frame_binary(w, msg)
 }
 
-/// Writes one mesh frame in the given wire format: versioned JSON
-/// (protocol 1) or binary (protocol 2).
-pub fn send_as<W: Write>(w: &mut W, msg: &MeshMsg, wire: WireFormat) -> io::Result<()> {
-    match wire {
-        WireFormat::Json => proto::write_frame_versioned(w, msg),
-        WireFormat::Binary => proto::write_frame_binary(w, msg),
-    }
+/// [`send`] under the name and signature the repo benchmark
+/// (`benchmark/`) calls; binary is the only format.
+pub fn send_as<W: Write>(w: &mut W, msg: &MeshMsg, _wire: WireFormat) -> io::Result<()> {
+    send(w, msg)
 }
 
-/// Reads one mesh frame, accepting both framings (a peer of the same
-/// build always sends versioned) and rejecting unknown versions.
-/// Returns `Ok(None)` on clean end-of-stream.
+/// Reads one mesh frame, refusing any framing but binary with an
+/// [`io::ErrorKind::Unsupported`] error. Returns `Ok(None)` on clean
+/// end-of-stream.
 pub fn recv<R: Read>(r: &mut R) -> io::Result<Option<MeshMsg>> {
-    Ok(proto::read_frame_negotiated(r)?.map(|(_, msg)| msg))
+    match proto::read_frame_raw(r)? {
+        None => Ok(None),
+        Some(raw) if raw.is_supported() => raw.decode_auto().map(Some),
+        Some(raw) => Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            format!(
+                "frame version {} not supported (mesh links speak {})",
+                raw.version,
+                proto::PROTO_VERSION_BINARY
+            ),
+        )),
+    }
 }
 
 /// Derives the duration-sampling seed for one leaf: a splitmix64 mix of
@@ -548,5 +549,20 @@ mod tests {
         assert_ne!(trace_id(7, 3), trace_id(7, 4));
         assert_ne!(trace_id(7, 3), trace_id(8, 3));
         assert_ne!(trace_id(7, 3), leaf_seed(7, 3));
+    }
+
+    #[test]
+    fn send_writes_the_binary_framing() {
+        let mut buf = Vec::new();
+        send(
+            &mut buf,
+            &MeshMsg::Heartbeat {
+                from: "root".into(),
+                seq: 1,
+            },
+        )
+        .expect("send into a Vec");
+        assert_eq!(buf[4], proto::PROTO_VERSION_BINARY);
+        assert_eq!(buf[5], KIND_HEARTBEAT);
     }
 }

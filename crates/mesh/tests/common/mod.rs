@@ -1,5 +1,5 @@
-//! Shared test helpers: a seeded `MeshMsg` generator used by both the
-//! JSON (`wire_props`) and binary (`wire2_props`) wire property suites.
+//! Test helpers: a seeded `MeshMsg` generator for the wire property
+//! suite (`wire2_props`).
 //!
 //! The vendored proptest subset has no combinators, so messages are
 //! derived from a single seeded generator: every field is a pure

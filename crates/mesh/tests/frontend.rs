@@ -1,6 +1,7 @@
 //! A mesh node's connection lifecycle, now served by the server's front
 //! end: stop wakes and joins every connection thread, nothing is
-//! answered after it, and connections dropped at the cap are counted.
+//! answered after it, connections dropped at the cap are counted, and a
+//! frame in any framing but binary gets one typed refusal.
 //!
 //! The thread counts are process-wide, so the tests in this binary run
 //! one at a time and nothing else lives here.
@@ -9,7 +10,8 @@ use cedar_mesh::node::MAX_NODE_CONNECTIONS;
 use cedar_mesh::topology::{NodeDef, Role, Topology};
 use cedar_server::proto::{self, Request, Response};
 use cedar_server::Client;
-use std::io::{ErrorKind, Read};
+use cedar_workloads::treedef::TreeDef;
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -49,6 +51,14 @@ fn topology() -> Topology {
     }
 }
 
+/// One binary ping on `conn`: its reply, or `None` at end-of-stream.
+fn ping(conn: &mut TcpStream) -> io::Result<Option<Response>> {
+    proto::write_frame_binary(conn, &Request::ping())?;
+    proto::read_frame_raw(conn)?
+        .map(|raw| raw.decode_auto())
+        .transpose()
+}
+
 /// This process's live thread count.
 fn threads() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
@@ -70,8 +80,7 @@ fn shutdown_joins_every_connection_and_answers_nothing_after() {
         .map(|_| TcpStream::connect(addr).expect("connect"))
         .collect();
     let mut pinged = TcpStream::connect(addr).expect("connect");
-    proto::write_frame(&mut pinged, &Request::ping()).expect("ping");
-    let pong: Response = proto::read_frame(&mut pinged)
+    let pong = ping(&mut pinged)
         .expect("pong")
         .expect("a response, not EOF");
     assert!(pong.ok);
@@ -92,15 +101,13 @@ fn shutdown_joins_every_connection_and_answers_nothing_after() {
     pinged
         .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("timeout");
-    if proto::write_frame(&mut pinged, &Request::ping()).is_ok() {
-        match proto::read_frame::<_, Response>(&mut pinged) {
-            Ok(None) | Err(_) => {}
-            Ok(Some(resp)) => assert_eq!(
-                resp.code.as_deref(),
-                Some(proto::ERR_UNAVAILABLE),
-                "a stopped node answered {resp:?}"
-            ),
-        }
+    match ping(&mut pinged) {
+        Ok(None) | Err(_) => {}
+        Ok(Some(resp)) => assert_eq!(
+            resp.code.as_deref(),
+            Some(proto::ERR_UNAVAILABLE),
+            "a stopped node answered {resp:?}"
+        ),
     }
     drop(silent);
 }
@@ -142,5 +149,40 @@ fn connections_dropped_at_the_cap_are_counted_as_sheds() {
     );
 
     drop((silent, over));
+    node.shutdown();
+}
+
+#[test]
+fn json_frames_get_one_refusal_then_binary_is_served() {
+    let _serial = serial();
+    let node = cedar_mesh::start(topology(), "w0", None).expect("start w0");
+    let mut conn = TcpStream::connect(node.local_addr()).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+
+    // A legacy bare-JSON (v0) query, then a versioned-JSON (v1) ping.
+    let query = Request::query(TreeDef::example(), None, Some(1));
+    proto::write_frame(&mut conn, &query).expect("write v0 query");
+    let json = br#"{"op":"ping","tree":null,"deadline":null,"seed":null,"explain":null}"#;
+    let mut v1 = u32::try_from(json.len() + 1)
+        .expect("small frame")
+        .to_be_bytes()
+        .to_vec();
+    v1.push(1);
+    v1.extend_from_slice(json);
+    conn.write_all(&v1).expect("write v1 ping");
+
+    // Each gets one refusal in the legacy framing a JSON client reads.
+    for _ in 0..2 {
+        let resp: Response = proto::read_frame(&mut conn)
+            .expect("refusal")
+            .expect("a response, not EOF");
+        assert!(!resp.ok, "a JSON frame was served: {resp:?}");
+        assert_eq!(resp.code.as_deref(), Some(proto::ERR_UNSUPPORTED_VERSION));
+    }
+    // The binary ping's answer is the next frame: nothing more was sent
+    // for the JSON frames, and the connection still serves.
+    let pong = ping(&mut conn).expect("pong").expect("a response, not EOF");
+    assert!(pong.ok, "{pong:?}");
     node.shutdown();
 }

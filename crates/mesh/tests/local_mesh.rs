@@ -252,53 +252,6 @@ fn clean_mesh_answers_at_full_quality_and_deterministically() {
     shutdown_all(handles);
 }
 
-/// A mixed-version mesh: the root sends binary (protocol 2) frames to
-/// its aggregators, while the aggregators keep JSON (protocol 1) links
-/// to their workers — and a binary client queries the root. Every
-/// receiver dispatches on the version byte, so the deployment must
-/// answer exactly like an all-JSON mesh, down to the deterministic
-/// per-seed answer.
-#[test]
-fn mixed_version_mesh_interops_binary_root_json_aggs() {
-    let _mesh = serial();
-    let mut topo = topo(false);
-    topo.nodes[0].wire = Some("binary".into());
-    topo.validate().expect("wire override validates");
-    let handles = start_mesh(&topo, None);
-
-    let mut client = Client::connect_with(&topo.root().addr, cedar_server::WireFormat::Binary)
-        .expect("connect binary client to root");
-    assert!(client.ping().expect("ping").ok);
-
-    let tree = tree(AGGS);
-    let resp = client
-        .query(&tree, Some(DEADLINE), Some(42))
-        .expect("query over binary wire");
-    assert!(resp.ok, "mixed-version query failed: {:?}", resp.error);
-    let result = resp.result.expect("result");
-    assert_eq!(result.total_processes, TOTAL);
-    assert_eq!(
-        result.included_outputs, TOTAL,
-        "a clean mixed-version mesh loses nothing"
-    );
-    assert!((result.quality - 1.0).abs() < f64::EPSILON);
-    assert!((result.value_sum - TOTAL as f64).abs() < 1e-9);
-    let report = result.failures.expect("failure report");
-    assert!(report.is_clean(), "clean run reported failures: {report:?}");
-
-    // A plain JSON client on the same root must agree answer-for-answer
-    // with the binary one: the wire format cannot leak into results.
-    let mut json_client = root_client(&topo);
-    let twin = json_client
-        .query(&tree, Some(DEADLINE), Some(42))
-        .expect("query over json wire");
-    let twin_result = twin.result.expect("result");
-    assert!((twin_result.quality - result.quality).abs() < f64::EPSILON);
-    assert!((twin_result.value_sum - result.value_sum).abs() < 1e-9);
-
-    shutdown_all(handles);
-}
-
 #[test]
 fn non_root_nodes_refuse_queries_and_unknown_ops_are_typed() {
     let _mesh = serial();
@@ -865,7 +818,7 @@ fn malformed_frames_get_a_typed_refusal_and_the_connection_keeps_serving() {
     // An empty frame: a length prefix of zero and nothing after it.
     conn.write_all(&0u32.to_be_bytes())
         .expect("write empty frame");
-    cedar_server::proto::write_frame(&mut conn, &Request::ping()).expect("write ping");
+    cedar_server::proto::write_frame_binary(&mut conn, &Request::ping()).expect("write ping");
     let refused: cedar_server::proto::Response = cedar_server::proto::read_frame(&mut conn)
         .expect("refusal")
         .expect("a response, not EOF");
@@ -874,9 +827,11 @@ fn malformed_frames_get_a_typed_refusal_and_the_connection_keeps_serving() {
         refused.code.as_deref(),
         Some(cedar_server::proto::ERR_BAD_REQUEST)
     );
-    let pong: cedar_server::proto::Response = cedar_server::proto::read_frame(&mut conn)
+    let pong: cedar_server::proto::Response = cedar_server::proto::read_frame_raw(&mut conn)
         .expect("pong")
-        .expect("a response, not EOF");
+        .expect("a response, not EOF")
+        .decode_auto()
+        .expect("decode pong");
     assert!(pong.ok, "{pong:?}");
     worker.shutdown();
 }

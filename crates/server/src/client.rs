@@ -1,41 +1,27 @@
 //! A small blocking client for the cedar-server protocol, used by
-//! `cedar-cli loadgen` and the integration tests.
+//! `cedar-cli` and the integration tests. It speaks the binary framing.
 
 use crate::proto::{self, Request, Response};
 use cedar_workloads::treedef::TreeDef;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 
-/// Which encoding a [`Client`] puts on the wire. The server answers in
-/// the framing each request arrived in, so the choice is per-client and
-/// needs no handshake.
+/// The wire format a [`Client`] speaks. Binary is the only one; the type
+/// stays because the repo benchmark (`benchmark/`) names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireFormat {
-    /// Legacy length-prefixed bare JSON (protocol version 0) — what
-    /// every historical client speaks; the default.
-    #[default]
-    Json,
     /// The zero-copy binary layout of [`crate::wire2`] behind protocol
     /// version [`proto::PROTO_VERSION_BINARY`].
+    #[default]
     Binary,
 }
 
 impl WireFormat {
-    /// The flag spelling (`json` / `binary`), for reports and baselines.
+    /// The format's name, for reports.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            WireFormat::Json => "json",
             WireFormat::Binary => "binary",
-        }
-    }
-
-    /// Parses the `--wire` flag spelling.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "json" => Ok(WireFormat::Json),
-            "binary" => Ok(WireFormat::Binary),
-            other => Err(format!("unknown wire format {other:?} (json|binary)")),
         }
     }
 }
@@ -45,56 +31,39 @@ impl WireFormat {
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
-    wire: WireFormat,
-    /// Reused encode scratch so binary requests allocate nothing in
-    /// steady state.
+    /// Reused encode scratch so requests allocate nothing in steady
+    /// state.
     buf: Vec<u8>,
 }
 
 impl Client {
-    /// Connects to a running server speaking legacy JSON frames.
+    /// Connects to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        Self::connect_with(addr, WireFormat::default())
-    }
-
-    /// Connects to a running server speaking the given wire format.
-    pub fn connect_with(addr: impl ToSocketAddrs, wire: WireFormat) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(Self {
             stream,
-            wire,
             buf: Vec::new(),
         })
     }
 
-    /// The wire format this client sends.
-    #[must_use]
-    pub fn wire_format(&self) -> WireFormat {
-        self.wire
+    /// [`connect`](Client::connect) under the name the repo benchmark
+    /// (`benchmark/`) calls.
+    pub fn connect_with(addr: impl ToSocketAddrs, _wire: WireFormat) -> io::Result<Self> {
+        Self::connect(addr)
     }
 
-    /// Sends one request and waits for its response.
+    /// Sends one request and waits for its response (a refusal in the
+    /// legacy framing decodes as a typed error response too).
     pub fn request(&mut self, req: &Request) -> io::Result<Response> {
-        let resp = match self.wire {
-            WireFormat::Json => {
-                proto::write_frame(&mut self.stream, req)?;
-                proto::read_frame(&mut self.stream)?
-            }
-            WireFormat::Binary => {
-                proto::write_frame_binary_buf(&mut self.stream, req, &mut self.buf)?;
-                match proto::read_frame_raw(&mut self.stream)? {
-                    Some(raw) => Some(raw.decode_auto()?),
-                    None => None,
-                }
-            }
-        };
-        resp.ok_or_else(|| {
-            io::Error::new(
+        proto::write_frame_binary_buf(&mut self.stream, req, &mut self.buf)?;
+        match proto::read_frame_raw(&mut self.stream)? {
+            Some(raw) => raw.decode_auto(),
+            None => Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection before responding",
-            )
-        })
+            )),
+        }
     }
 
     /// Runs one aggregation query.

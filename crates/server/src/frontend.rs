@@ -2,7 +2,7 @@
 //! through. The TCP [`server`](crate::server) and each mesh node are
 //! [`Handler`]s — sets of ops — and this module owns everything between
 //! the socket and their `match req.op`: the accept loop and its cap,
-//! per-frame idle deadlines, typed refusals, replies in kind, the HTTP
+//! per-frame idle deadlines, binary replies and typed refusals, the HTTP
 //! scrape endpoint, the flight-recorder latch, and stop and drain.
 //!
 //! Nothing polls. The idle deadline is the socket's read timeout; stop
@@ -367,7 +367,7 @@ fn serve_connection<H: Handler>(handler: &Arc<H>, stream: &TcpStream) {
         |e: io::Error| Response::err_code(proto::ERR_BAD_REQUEST, format!("bad request: {e}"));
     while !front.is_stopped() {
         frame.deadline = clock::now() + front.idle_timeout;
-        let (version, resp, close) = match proto::read_frame_raw(&mut frame) {
+        let (legacy, resp, close) = match proto::read_frame_raw(&mut frame) {
             // An empty frame was consumed whole, so the stream is still
             // aligned; an oversized one's body was never read, so the
             // connection closes after the refusal.
@@ -378,12 +378,12 @@ fn serve_connection<H: Handler>(handler: &Arc<H>, stream: &TcpStream) {
                 ) =>
             {
                 let close = e.kind() == io::ErrorKind::FileTooLarge;
-                (0, bad_request(e), close)
+                (true, bad_request(e), close)
             }
             Ok(None) | Err(_) => return,
-            // Legacy framing, which every client decodes, for a version
-            // this build does not speak.
-            Ok(Some(raw)) if !raw.is_supported() => (0, unsupported(raw.version), false),
+            // Any framing but binary — a JSON client's included — gets
+            // one refusal and the connection keeps serving.
+            Ok(Some(raw)) if !raw.is_supported() => (true, unsupported(raw.version), false),
             Ok(Some(raw)) => {
                 let received = clock::now();
                 if let Some(keep_open) = handler.frame(&raw, stream, received) {
@@ -395,7 +395,7 @@ fn serve_connection<H: Handler>(handler: &Arc<H>, stream: &TcpStream) {
                 let resp = match raw.decode_auto::<Request>() {
                     Ok(req) if req.op == proto::OP_SHUTDOWN => {
                         let resp = handler.request(&req, received);
-                        let _ = reply(&**handler, stream, raw.version, &resp);
+                        let _ = reply(&**handler, stream, false, &resp);
                         handler.stop();
                         return;
                     }
@@ -405,10 +405,10 @@ fn serve_connection<H: Handler>(handler: &Arc<H>, stream: &TcpStream) {
                     Ok(req) => handler.request(&req, received),
                     Err(e) => bad_request(e),
                 };
-                (raw.version, resp, false)
+                (false, resp, false)
             }
         };
-        if reply(&**handler, stream, version, &resp).is_err() || close {
+        if reply(&**handler, stream, legacy, &resp).is_err() || close {
             return;
         }
     }
@@ -418,28 +418,28 @@ fn unsupported(version: u8) -> Response {
     Response::err_code(
         proto::ERR_UNSUPPORTED_VERSION,
         format!(
-            "unsupported protocol version {version} (this build speaks 0, {} and {})",
-            proto::PROTO_VERSION,
+            "unsupported protocol version {version} (this build speaks only the binary framing, \
+             version {})",
             proto::PROTO_VERSION_BINARY
         ),
     )
 }
 
-/// Writes `resp` in the framing `version` names — the one its request
-/// arrived in, so legacy clients keep bare JSON and binary clients get
-/// binary — once the handler has observed it.
+/// Writes `resp` once the handler has observed it: in the binary
+/// framing, or — for the refusal of a frame that never decoded — in the
+/// legacy bare-JSON framing every client can read.
 fn reply<H: Handler>(
     handler: &H,
     stream: &TcpStream,
-    version: u8,
+    legacy: bool,
     resp: &Response,
 ) -> io::Result<()> {
     handler.on_response(resp);
     let mut w = stream;
-    match version {
-        0 => proto::write_frame(&mut w, resp),
-        proto::PROTO_VERSION_BINARY => proto::write_frame_binary(&mut w, resp),
-        _ => proto::write_frame_versioned(&mut w, resp),
+    if legacy {
+        proto::write_frame(&mut w, resp)
+    } else {
+        proto::write_frame_binary(&mut w, resp)
     }
 }
 

@@ -7,8 +7,8 @@
 //! serving layer:
 //!
 //! - [`proto`]: the wire protocol — length-prefixed (u32 big-endian)
-//!   frames carrying either JSON (versions 0/1) or the hand-rolled
-//!   binary layout of [`wire2`] (version 2);
+//!   frames carrying the hand-rolled binary layout of [`wire2`]
+//!   (version 2); any other framing gets one typed refusal;
 //! - [`wire2`]: the zero-copy binary codec behind protocol version 2;
 //! - [`admission`]: a bounded in-flight gate — beyond the cap, requests
 //!   queue for a bounded time and are then shed, so deadline semantics

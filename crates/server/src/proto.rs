@@ -1,27 +1,22 @@
-//! Wire protocol: length-prefixed frames, JSON or binary bodies.
+//! Wire protocol: length-prefixed binary frames.
 //!
 //! Every message is a 4-byte big-endian length followed by that many
-//! bytes of payload. Three framings coexist on the wire:
+//! bytes of payload: the version byte [`PROTO_VERSION_BINARY`] (`0x02`)
+//! and then the zero-copy binary layout of [`crate::wire2`] — kind byte,
+//! varints, `f64` bit patterns, borrowed length-prefixed views. Requests
+//! carry an op kind; responses carry `ok` plus either a payload or an
+//! error. The mesh's inter-node frames ride the same framing under their
+//! own kind bytes.
 //!
-//! * **Legacy (version 0):** the payload is bare UTF-8 JSON, so its
-//!   first byte is always `{`. Old clients speak only this.
-//! * **Versioned JSON (version 1):** the payload is a single version
-//!   byte followed by UTF-8 JSON. The version byte can never be `{`
-//!   (0x7B), which is how the two framings are told apart.
-//! * **Binary (version 2):** the payload is the version byte
-//!   [`PROTO_VERSION_BINARY`] followed by the zero-copy binary layout
-//!   of [`crate::wire2`] — kind byte, varints, `f64` bit patterns,
-//!   borrowed length-prefixed views. No JSON is touched on this path.
-//!
-//! Requests carry an `op` discriminator; responses carry `ok` plus
-//! either a payload or an error string. A reader that sees a version it
-//! does not speak answers with a typed [`ERR_UNSUPPORTED_VERSION`]
-//! error instead of a JSON parse failure.
-//!
-//! ```text
-//! -> { "op": "query", "tree": {...}, "deadline": 1600.0, "seed": 7 }
-//! <- { "ok": true, "result": { "quality": 0.93, ... } }
-//! ```
+//! A frame in any other framing is refused, not served: a legacy
+//! bare-JSON body (first byte `{`, read as version 0), a versioned-JSON
+//! body (version 1) or anything newer gets one typed
+//! [`ERR_UNSUPPORTED_VERSION`] response, and the connection keeps
+//! serving. Refusals of frames that never decoded (that one, an empty
+//! frame, an oversized one) are written by [`write_frame`] in the legacy
+//! bare-JSON framing, so an old JSON client can read why it was turned
+//! away. [`write_frame`], [`read_frame`] and the JSON decoder behind
+//! [`RawFrame::decode_auto`] are the only JSON left on the wire path.
 
 use cedar_runtime::FailureReport;
 use cedar_telemetry::TraceReport;
@@ -32,14 +27,10 @@ use std::io::{self, Read, Write};
 /// Upper bound on a single frame, to fail fast on garbage input.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
-/// Protocol version spoken by this build's versioned JSON framing.
-/// Version `0` denotes the legacy bare-JSON framing, which has no
-/// version byte and is recognized by its leading `{`.
-pub const PROTO_VERSION: u8 = 1;
-
-/// Protocol version of the zero-copy binary framing ([`crate::wire2`]).
-/// Pinned to the body-layout version of `cedar-wire` so the frame
-/// version byte and the primitive layout can never drift apart.
+/// Protocol version of the binary framing ([`crate::wire2`]), the one
+/// framing this build serves. Pinned to the body-layout version of
+/// `cedar-wire` so the frame version byte and the primitive layout can
+/// never drift apart.
 pub const PROTO_VERSION_BINARY: u8 = cedar_wire::BINARY_VERSION;
 
 /// The byte that opens every legacy (version-0) JSON frame body; a
@@ -74,9 +65,9 @@ pub const ERR_INTERNAL: &str = "internal";
 pub const ERR_TIMEOUT: &str = "timeout";
 /// Error code: the server is shutting down.
 pub const ERR_UNAVAILABLE: &str = "unavailable";
-/// Error code: the frame carried a protocol version this build does not
-/// speak. The error response itself is sent in the legacy framing so
-/// every client can decode it.
+/// Error code: the frame was not in the binary framing. The error
+/// response itself is sent in the legacy bare-JSON framing so every
+/// client can decode it.
 pub const ERR_UNSUPPORTED_VERSION: &str = "unsupported_version";
 /// Error code: the request's `op` is not one this server understands.
 /// Distinct from [`ERR_BAD_REQUEST`] (a recognized op with bad fields).
@@ -365,7 +356,8 @@ impl Response {
     }
 }
 
-/// Writes one length-prefixed JSON frame.
+/// Writes one frame in the legacy bare-JSON framing: how a refusal of a
+/// frame that never decoded goes out.
 pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<()> {
     let body = serde_json::to_string(msg)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encoding frame: {e}")))?;
@@ -382,37 +374,26 @@ pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<()>
     w.flush()
 }
 
-/// Reads one length-prefixed JSON frame. Returns `Ok(None)` on a clean
-/// end-of-stream at a frame boundary.
+/// Reads one frame in the legacy bare-JSON framing — such as a refusal.
+/// Returns `Ok(None)` on a clean end-of-stream at a frame boundary.
 pub fn read_frame<R: Read, T: Deserialize>(r: &mut R) -> io::Result<Option<T>> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = usize::try_from(u32::from_be_bytes(len_buf))
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame length overflows usize"))?;
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES} limit"),
-        ));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    decode_json(&body)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("decoding frame: {e}")))
+    read_frame_raw(r)?
+        .map(|raw| match raw.version {
+            0 => decode_json(&raw.body),
+            v => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame version {v} is not bare JSON"),
+            )),
+        })
+        .transpose()
 }
 
-/// One frame as it came off the wire: the negotiated version plus the
-/// still-encoded JSON body. Callers check [`is_supported`] before
-/// [`decode`]-ing, so an unknown version yields a typed error rather
-/// than a parse failure on bytes laid out for a different protocol.
+/// One frame as it came off the wire: its version plus the
+/// still-encoded body. Callers check [`is_supported`] before decoding,
+/// so a frame in another framing gets a typed refusal rather than a
+/// parse failure on bytes laid out for a different protocol.
 ///
 /// [`is_supported`]: RawFrame::is_supported
-/// [`decode`]: RawFrame::decode
 #[derive(Debug, Clone)]
 pub struct RawFrame {
     /// Frame version: `0` for legacy bare-JSON, else the version byte.
@@ -421,23 +402,19 @@ pub struct RawFrame {
 }
 
 impl RawFrame {
-    /// Whether this build can decode the frame's body.
+    /// Whether the frame is binary ([`PROTO_VERSION_BINARY`]), the one
+    /// framing this build serves.
     #[must_use]
     pub fn is_supported(&self) -> bool {
-        self.version == 0 || self.version == PROTO_VERSION || self.version == PROTO_VERSION_BINARY
+        self.version == PROTO_VERSION_BINARY
     }
 
-    /// Decodes the JSON body. Call only on frames known to carry JSON
-    /// (versions 0 and 1); the bytes of other versions are not JSON.
-    pub fn decode<T: Deserialize>(&self) -> io::Result<T> {
-        decode_json(&self.body)
-    }
-
-    /// Decodes the body in whichever codec the frame's version selects:
-    /// JSON for versions 0/1, the binary layout for
-    /// [`PROTO_VERSION_BINARY`]. Call only on supported versions.
+    /// Decodes the body: the binary layout for a supported frame, bare
+    /// JSON otherwise — the framing of a refusal, so a binary client
+    /// reads one as a typed error response. (One function under this
+    /// name because the repo benchmark, `benchmark/`, calls it.)
     pub fn decode_auto<T: Deserialize + crate::wire2::BinaryCodec>(&self) -> io::Result<T> {
-        if self.version == PROTO_VERSION_BINARY {
+        if self.is_supported() {
             T::decode_binary(&self.body).map_err(io::Error::from)
         } else {
             decode_json(&self.body)
@@ -458,30 +435,10 @@ fn decode_json<T: Deserialize>(body: &[u8]) -> io::Result<T> {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("decoding frame: {e}")))
 }
 
-/// Writes one versioned frame: 4-byte length, then [`PROTO_VERSION`],
-/// then the JSON body. Legacy peers reading it fail fast on the version
-/// byte instead of mid-JSON.
-pub fn write_frame_versioned<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<()> {
-    let body = serde_json::to_string(msg)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encoding frame: {e}")))?;
-    let bytes = body.as_bytes();
-    if bytes.len() + 1 > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame exceeds MAX_FRAME_BYTES",
-        ));
-    }
-    let len = (bytes.len() as u32 + 1).to_be_bytes();
-    w.write_all(&len)?;
-    w.write_all(&[PROTO_VERSION])?;
-    w.write_all(bytes)?;
-    w.flush()
-}
-
-/// Reads one frame in either framing without decoding its JSON. A body
-/// opening with `{` is a legacy version-0 frame; anything else is a
-/// versioned frame whose first byte is the version. Returns `Ok(None)`
-/// on a clean end-of-stream at a frame boundary.
+/// Reads one frame without decoding its body. A body opening with `{`
+/// is a legacy version-0 frame; anything else is a versioned frame
+/// whose first byte is the version. Returns `Ok(None)` on a clean
+/// end-of-stream at a frame boundary.
 ///
 /// An empty frame (consumed whole) is [`io::ErrorKind::InvalidData`]; a
 /// length over [`MAX_FRAME_BYTES`] is [`io::ErrorKind::FileTooLarge`],
@@ -514,29 +471,6 @@ pub fn read_frame_raw<R: Read>(r: &mut R) -> io::Result<Option<RawFrame>> {
         version: body[0],
         body: rest,
     }))
-}
-
-/// Reads one frame in any framing and decodes it with the codec its
-/// version selects (JSON for 0/1, binary for [`PROTO_VERSION_BINARY`]),
-/// rejecting versions this build does not speak with an
-/// [`io::ErrorKind::Unsupported`] error. The convenience path for
-/// symmetric peers (mesh links) where both ends are this build; servers
-/// facing arbitrary clients should use [`read_frame_raw`] and answer
-/// [`ERR_UNSUPPORTED_VERSION`].
-pub fn read_frame_negotiated<R: Read, T: Deserialize + crate::wire2::BinaryCodec>(
-    r: &mut R,
-) -> io::Result<Option<(u8, T)>> {
-    match read_frame_raw(r)? {
-        None => Ok(None),
-        Some(raw) if raw.is_supported() => Ok(Some((raw.version, raw.decode_auto()?))),
-        Some(raw) => Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            format!(
-                "frame version {} not supported (this build speaks 0, {PROTO_VERSION} and {PROTO_VERSION_BINARY})",
-                raw.version
-            ),
-        )),
-    }
 }
 
 /// Writes one binary frame: 4-byte length, [`PROTO_VERSION_BINARY`],
@@ -678,28 +612,40 @@ mod tests {
     }
 
     #[test]
-    fn versioned_frames_round_trip() {
-        let req = Request::query(TreeDef::example(), Some(800.0), Some(3));
+    fn only_binary_frames_are_supported() {
         let mut buf = Vec::new();
-        write_frame_versioned(&mut buf, &req).unwrap();
+        write_frame_binary(&mut buf, &Request::ping()).unwrap();
         let raw = read_frame_raw(&mut buf.as_slice()).unwrap().unwrap();
-        assert_eq!(raw.version, PROTO_VERSION);
+        assert_eq!(raw.version, PROTO_VERSION_BINARY);
         assert!(raw.is_supported());
-        let back: Request = raw.decode().unwrap();
-        assert_eq!(back.op, OP_QUERY);
-        assert_eq!(back.seed, Some(3));
+        assert_eq!(raw.decode_auto::<Request>().unwrap().op, OP_PING);
+
+        // A legacy bare-JSON frame reads as version 0, and a versioned
+        // JSON one as version 1: both are refused, not served.
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &Request::ping()).unwrap();
+        let raw = read_frame_raw(&mut buf.as_slice()).unwrap().unwrap();
+        assert_eq!(raw.version, 0);
+        assert!(!raw.is_supported());
+        let json = br#"{"op":"ping"}"#;
+        let mut buf = (json.len() as u32 + 1).to_be_bytes().to_vec();
+        buf.push(1);
+        buf.extend_from_slice(json);
+        let raw = read_frame_raw(&mut buf.as_slice()).unwrap().unwrap();
+        assert_eq!(raw.version, 1);
+        assert!(!raw.is_supported());
     }
 
     #[test]
-    fn raw_reader_detects_legacy_frames_as_version_zero() {
-        let req = Request::ping();
+    fn a_refusal_decodes_as_a_typed_response() {
+        // Refusals go out in the legacy framing; the reader a binary
+        // client uses still decodes them.
+        let refusal = Response::err_code(ERR_UNSUPPORTED_VERSION, "binary only");
         let mut buf = Vec::new();
-        write_frame(&mut buf, &req).unwrap();
+        write_frame(&mut buf, &refusal).unwrap();
         let raw = read_frame_raw(&mut buf.as_slice()).unwrap().unwrap();
-        assert_eq!(raw.version, 0);
-        assert!(raw.is_supported());
-        let back: Request = raw.decode().unwrap();
-        assert_eq!(back.op, OP_PING);
+        let back: Response = raw.decode_auto().unwrap();
+        assert_eq!(back.code.as_deref(), Some(ERR_UNSUPPORTED_VERSION));
     }
 
     #[test]
@@ -713,22 +659,6 @@ mod tests {
         let raw = read_frame_raw(&mut buf.as_slice()).unwrap().unwrap();
         assert_eq!(raw.version, 9);
         assert!(!raw.is_supported());
-        let err = read_frame_negotiated::<_, Request>(&mut buf.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
-    }
-
-    #[test]
-    fn negotiated_reader_accepts_both_framings() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &Request::ping()).unwrap();
-        write_frame_versioned(&mut buf, &Request::stats()).unwrap();
-        let mut cursor = buf.as_slice();
-        let (v0, first): (u8, Request) = read_frame_negotiated(&mut cursor).unwrap().unwrap();
-        let (v1, second): (u8, Request) = read_frame_negotiated(&mut cursor).unwrap().unwrap();
-        assert_eq!((v0, first.op.as_str()), (0, OP_PING));
-        assert_eq!((v1, second.op.as_str()), (PROTO_VERSION, OP_STATS));
-        let done: Option<(u8, Request)> = read_frame_negotiated(&mut cursor).unwrap();
-        assert!(done.is_none());
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Protocol version 2: the zero-copy binary codec for client frames.
 //!
-//! Version 1 frames UTF-8 JSON; parsing it allocates a tree of owned
-//! strings and numbers per request. Version 2 keeps the outer framing
-//! (4-byte big-endian length + version byte, here
-//! [`proto::PROTO_VERSION_BINARY`]) and replaces the body with the
-//! binary layout of [`cedar_wire`]: one kind byte, LEB128 varints for
-//! integers and lengths, `f64` bit patterns, and length-prefixed byte
-//! runs that decode as *borrowed* views into the frame body. There is
-//! no intermediate `serde_json::Value`; decoding is a single front-to-
-//! back walk.
+//! A frame is a 4-byte big-endian length, the version byte
+//! [`crate::proto::PROTO_VERSION_BINARY`], and a body in the binary
+//! layout of [`cedar_wire`]: one kind byte, LEB128 varints for integers
+//! and lengths, `f64` bit patterns, and length-prefixed byte runs that
+//! decode as *borrowed* views into the frame body. There is no
+//! intermediate `serde_json::Value`; decoding is a single front-to-back
+//! walk.
 //!
 //! ## Body layout
 //!
@@ -54,14 +52,14 @@
 //! ```
 //!
 //! Kind bytes 0x10..=0x16 are reserved for the mesh frames
-//! (`cedar_mesh::wire`), so one listener can sniff which family a
-//! binary body belongs to the same way it does for JSON ops.
+//! (`cedar_mesh::wire`), so one listener can tell which family a body
+//! belongs to from its first byte.
 //!
 //! ## Equivalence and limits
 //!
 //! Every encodable value round-trips bit-exactly (floats by bit
 //! pattern — NaN, ±0 and infinities included). Decoding enforces the
-//! same structural limits as the JSON path plus a recursion cap on
+//! same structural limits as a JSON tree definition plus a recursion cap on
 //! nested [`DistSpec`]s, and every malformed body yields a typed
 //! [`WireError`], never a panic.
 

@@ -140,16 +140,9 @@ fn mismatched_tree_shape_is_rejected() {
 }
 
 #[test]
-fn version_negotiation_over_a_live_connection() {
+fn future_versions_are_refused_over_a_live_connection() {
     let handle = Server::start(fast_server()).unwrap();
     let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
-
-    // A versioned (v1) ping is served and answered in kind.
-    proto::write_frame_versioned(&mut stream, &Request::ping()).unwrap();
-    let (version, resp): (u8, Response) =
-        proto::read_frame_negotiated(&mut stream).unwrap().unwrap();
-    assert_eq!(version, proto::PROTO_VERSION);
-    assert!(resp.ok);
 
     // A frame from the future gets a typed error in the legacy framing
     // (readable by any client), and the connection keeps serving.
@@ -163,10 +156,10 @@ fn version_negotiation_over_a_live_connection() {
     assert!(!resp.ok);
     assert_eq!(resp.code.as_deref(), Some(proto::ERR_UNSUPPORTED_VERSION));
 
-    // Legacy v0 frames still work on the same connection afterwards.
-    proto::write_frame(&mut stream, &Request::ping()).unwrap();
-    let resp: Response = proto::read_frame(&mut stream).unwrap().unwrap();
-    assert!(resp.ok);
+    // Binary frames still work on the same connection afterwards.
+    proto::write_frame_binary(&mut stream, &Request::ping()).unwrap();
+    let raw = proto::read_frame_raw(&mut stream).unwrap().unwrap();
+    assert!(raw.decode_auto::<Response>().unwrap().ok);
 
     drop(stream);
     handle.shutdown().unwrap();
@@ -412,4 +405,45 @@ fn shutdown_with_an_idle_keep_alive_client_is_prompt() {
     let took = started.elapsed();
     assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
     drop(client);
+}
+
+#[test]
+fn json_frames_get_one_refusal_then_binary_is_served() {
+    let handle = Server::start(fast_server()).unwrap();
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    // A legacy bare-JSON (v0) query, then a versioned-JSON (v1) ping.
+    let query = Request::query(matching_tree(1.0), None, Some(1));
+    proto::write_frame(&mut stream, &query).unwrap();
+    let ping = br#"{"op":"ping","tree":null,"deadline":null,"seed":null,"explain":null}"#;
+    let mut v1 = (ping.len() as u32 + 1).to_be_bytes().to_vec();
+    v1.push(1);
+    v1.extend_from_slice(ping);
+    stream.write_all(&v1).unwrap();
+
+    // Each gets one refusal in the legacy framing a JSON client reads.
+    for _ in 0..2 {
+        let resp: Response = proto::read_frame(&mut stream).unwrap().unwrap();
+        assert!(!resp.ok, "a JSON frame was served: {resp:?}");
+        assert_eq!(resp.code.as_deref(), Some(proto::ERR_UNSUPPORTED_VERSION));
+    }
+    // Then the same connection answers a binary ping, and that answer
+    // is the next frame: nothing more was sent for the JSON frames.
+    proto::write_frame_binary(&mut stream, &Request::ping()).unwrap();
+    let raw = proto::read_frame_raw(&mut stream).unwrap().unwrap();
+    assert!(raw.is_supported(), "a binary request gets a binary reply");
+    assert!(raw.decode_auto::<Response>().unwrap().ok);
+
+    let stats = Client::connect(handle.addr())
+        .unwrap()
+        .stats()
+        .unwrap()
+        .stats
+        .unwrap();
+    assert_eq!(stats.served_total, 0, "the JSON query never ran");
+    drop(stream);
+    handle.shutdown().unwrap();
 }

@@ -8,7 +8,7 @@ use cedar_distrib::spec::DistSpec;
 use cedar_distrib::LogNormal;
 use cedar_runtime::{CheckpointConfig, ServiceConfig, TimeScale};
 use cedar_server::proto::HealthState;
-use cedar_server::{AdmissionConfig, Client, Server, ServerConfig, SpillConfig, WireFormat};
+use cedar_server::{AdmissionConfig, Client, Server, ServerConfig, SpillConfig};
 use cedar_workloads::treedef::{StageDef, TreeDef};
 use std::path::PathBuf;
 use std::thread;
@@ -119,31 +119,23 @@ fn burst_beyond_the_admission_queue_spills_and_replays_instead_of_shedding() {
 }
 
 #[test]
-fn health_probe_reports_ok_and_durability_fields_in_both_framings() {
+fn health_probe_reports_ok_and_durability_fields() {
     let dir = scratch("health");
     let mut cfg = ServerConfig::new("127.0.0.1:0", service(60.0, Duration::from_micros(100)));
     cfg.service.checkpoint = Some(CheckpointConfig::new(&dir));
     cfg.spill = Some(SpillConfig::new(dir.join("spill")));
     let handle = Server::start(cfg).unwrap();
 
-    for wire in [WireFormat::Json, WireFormat::Binary] {
-        let mut client = Client::connect_with(handle.addr(), wire).unwrap();
-        let resp = client.health().unwrap();
-        assert!(
-            resp.ok,
-            "health failed over {}: {:?}",
-            wire.name(),
-            resp.error
-        );
-        let h = resp.health.expect("health payload");
-        assert_eq!(h.state, HealthState::Ok);
-        assert_eq!(h.queued, 0);
-        assert_eq!(h.spilled, 0);
-        assert!(!h.warm_restart, "fresh dir cannot warm-restart");
-    }
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let resp = client.health().unwrap();
+    assert!(resp.ok, "health failed: {:?}", resp.error);
+    let h = resp.health.expect("health payload");
+    assert_eq!(h.state, HealthState::Ok);
+    assert_eq!(h.queued, 0);
+    assert_eq!(h.spilled, 0);
+    assert!(!h.warm_restart, "fresh dir cannot warm-restart");
 
     // Durability fields ride the stats op too.
-    let mut client = Client::connect(handle.addr()).unwrap();
     client.query(&matching_tree(), None, Some(1)).unwrap();
     let stats = client.stats().unwrap().stats.unwrap();
     assert_eq!(stats.warm_restart, Some(false));
@@ -161,7 +153,7 @@ fn health_probe_reports_ok_and_durability_fields_in_both_framings() {
     let mut cfg = ServerConfig::new("127.0.0.1:0", service(60.0, Duration::from_micros(100)));
     cfg.service.checkpoint = Some(CheckpointConfig::new(&dir));
     let handle = Server::start(cfg).unwrap();
-    let mut client = Client::connect_with(handle.addr(), WireFormat::Binary).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
     let h = client.health().unwrap().health.expect("health payload");
     assert!(h.warm_restart, "second boot must restore the checkpoint");
     let stats = client.stats().unwrap().stats.unwrap();

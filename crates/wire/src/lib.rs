@@ -1,7 +1,7 @@
 //! Zero-copy binary wire primitives for cedar's version-2 protocol.
 //!
-//! The version-1 protocol frames UTF-8 JSON; at "millions of users"
-//! scale the service spends its arrival path in `serde_json`, not in
+//! The version-1 protocol framed UTF-8 JSON; at "millions of users"
+//! scale the service spent its arrival path in `serde_json`, not in
 //! hold-vs-fold decisions. Version 2 replaces the body with a
 //! hand-rolled binary layout built from exactly three ingredients:
 //!
@@ -21,19 +21,20 @@
 //! encoding allocates nothing) and decoders walk the borrowed body
 //! once, front to back.
 //!
-//! The framing *around* a body is unchanged from version 1: a 4-byte
-//! big-endian length, then a version byte (`0x02` for binary bodies),
-//! then the body. See `cedar_server::proto` for the negotiation rules
-//! and `cedar_server::wire2` / `cedar_mesh::wire` for the message
-//! layouts built on these primitives.
+//! The framing *around* a body is a 4-byte big-endian length, then the
+//! version byte `0x02`, then the body. See `cedar_server::proto` for the
+//! framing and its refusal of every other version, and
+//! `cedar_server::wire2` / `cedar_mesh::wire` for the message layouts
+//! built on these primitives.
 
 use std::fmt;
 
 pub mod crc;
 pub use crc::crc32;
 
-/// Protocol version byte that announces a binary body in the versioned
-/// framing. (`0` is legacy bare JSON, `1` is versioned JSON.)
+/// Protocol version byte that announces a binary body, the one framing
+/// served. (`0` was legacy bare JSON and `1` versioned JSON; both are
+/// now refused.)
 pub const BINARY_VERSION: u8 = 2;
 
 /// Longest legal LEB128 encoding of a `u64`: 10 bytes of 7 payload bits.

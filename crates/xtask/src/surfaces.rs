@@ -37,7 +37,7 @@ pub fn all() -> Vec<Surface<'static>> {
         checkpoint_surface(),
         flight_dump_surface(),
         spill_record_surface(),
-        negotiated_frame_surface(),
+        frame_surface(),
     ]
 }
 
@@ -490,73 +490,41 @@ fn spill_record_surface() -> Surface<'static> {
     }
 }
 
-fn negotiated_frame_surface() -> Surface<'static> {
-    let frame = |write: &dyn Fn(&mut Vec<u8>) -> std::io::Result<()>| {
+fn frame_surface() -> Surface<'static> {
+    let frame = |req: &Request| {
         let mut buf = Vec::new();
-        write(&mut buf).expect("encoding a golden frame cannot fail");
+        proto::write_frame_binary(&mut buf, req).expect("encoding a golden frame cannot fail");
         buf
     };
-    let query = Request::query(small_tree(), Some(1600.0), Some(7));
-    let goldens = vec![
-        frame(&|buf| proto::write_frame(buf, &query)),
-        frame(&|buf| proto::write_frame_versioned(buf, &Request::ping())),
-        frame(&|buf| proto::write_frame_binary(buf, &query)),
-        frame(&|buf| proto::write_frame_binary(buf, &Request::stats())),
-    ];
     Surface {
-        name: "cedar-server::proto::negotiated-frame",
+        name: "cedar-server::proto::frame",
         seeds: vec![
             // 4-byte big-endian length prefixes for tiny frames, with and
-            // without the version byte the negotiation dispatches on.
+            // without the version byte the reader checks.
             vec![0x00, 0x00, 0x00, 0x01],
-            vec![0x00, 0x00, 0x00, 0x02, proto::PROTO_VERSION],
             vec![0x00, 0x00, 0x00, 0x02, proto::PROTO_VERSION_BINARY],
             vec![0x00, 0x00, 0x00, 0x02, b'{'],
             vec![0x00, 0x00, 0x00, 0x06, proto::PROTO_VERSION_BINARY],
         ],
-        goldens,
+        goldens: vec![
+            frame(&Request::query(small_tree(), Some(1600.0), Some(7))),
+            frame(&Request::ping()),
+            frame(&Request::stats()),
+        ],
         // The frame reader trusts declared lengths up to MAX_FRAME_BYTES
         // (16 MiB) before the body read fails, so a hostile 4-byte
         // prefix can cost one body-sized allocation. Cap = that bound
         // plus re-encode slack; anything past it is a real regression.
         alloc_cap: (proto::MAX_FRAME_BYTES as u64) + (1 << 22),
+        // Only binary frames are served; every other version is refused
+        // before its body is looked at. The length prefix and version
+        // byte are fixed by the body, so a binary frame re-encodes
+        // byte-exactly when its body does: the law is the Request
+        // surface's.
         decode: Box::new(|input: &[u8]| {
-            let mut cur = std::io::Cursor::new(input);
-            match proto::read_frame_negotiated::<_, Request>(&mut cur) {
-                Err(_) | Ok(None) => Outcome::Reject,
-                Ok(Some((version, msg))) => {
-                    let consumed = cur.position() as usize;
-                    let mut out = Vec::new();
-                    let wrote = match version {
-                        0 => proto::write_frame(&mut out, &msg),
-                        proto::PROTO_VERSION_BINARY => proto::write_frame_binary(&mut out, &msg),
-                        _ => proto::write_frame_versioned(&mut out, &msg),
-                    };
-                    // Streams carry many frames; identity is per frame,
-                    // over the consumed prefix. JSON bodies (versions 0
-                    // and 1) are canonical-fixpoint: serde may reorder
-                    // or drop whitespace relative to a hand-built body,
-                    // but the re-encoded frame must itself be stable.
-                    let ok = wrote.is_ok()
-                        && (out == input[..consumed] || {
-                            let mut cur2 = std::io::Cursor::new(out.as_slice());
-                            match proto::read_frame_negotiated::<_, Request>(&mut cur2) {
-                                Ok(Some((v2, m2))) => {
-                                    let mut out2 = Vec::new();
-                                    let wrote2 = match v2 {
-                                        0 => proto::write_frame(&mut out2, &m2),
-                                        proto::PROTO_VERSION_BINARY => {
-                                            proto::write_frame_binary(&mut out2, &m2)
-                                        }
-                                        _ => proto::write_frame_versioned(&mut out2, &m2),
-                                    };
-                                    wrote2.is_ok() && out2 == out
-                                }
-                                _ => false,
-                            }
-                        });
-                    Outcome::Accept { roundtrip_ok: ok }
-                }
+            match proto::read_frame_raw(&mut std::io::Cursor::new(input)) {
+                Ok(Some(raw)) if raw.is_supported() => roundtrip_outcome::<Request>(raw.body()),
+                _ => Outcome::Reject,
             }
         }),
     }

@@ -175,7 +175,8 @@ pub struct RuntimeOutcome {
     /// Sum of the included workers' partial values (the "answer" of the
     /// aggregation query).
     pub value_sum: f64,
-    /// Wall-clock time the query took (bounded by the scaled deadline).
+    /// Wall-clock time the query took, overrun past the scaled deadline
+    /// included.
     pub wall_elapsed: Duration,
     /// The per-stage durations the engine actually ran with (model
     /// units): `realized_durations[0]` is one entry per leaf process,
@@ -510,7 +511,7 @@ pub async fn run_query_prepared(
         total_processes,
         root_arrivals: gathered.arrivals,
         value_sum: gathered.value_sum,
-        wall_elapsed: start.elapsed().min(cfg.scale.to_wall(cfg.deadline)),
+        wall_elapsed: start.elapsed(),
         realized_durations,
         failures,
         censored_durations,

@@ -190,6 +190,10 @@ pub async fn run_pass(
     let mut value = 0.0f64;
     let mut seen = Seen::new(expected);
     let mut prev_detail: Option<DecisionDetail> = None;
+    // One timer for the whole pass, re-armed in place each turn: building
+    // a fresh `sleep_until` per arrival would pay a registration and a
+    // cancel every time.
+    let mut sleep = std::pin::pin!(tokio::time::sleep_until(timer));
     loop {
         // The vendored select! has exactly two arms, so the watchdog
         // shares the timer arm: sleep until whichever is earlier and
@@ -198,6 +202,7 @@ pub async fn run_pass(
             Some(w) if w < timer => w,
             _ => timer,
         };
+        sleep.as_mut().reset(wake);
         tokio::select! {
             // The channel arm goes first: a result already sitting in
             // the queue beat the timer in wall time, so it must not be
@@ -290,7 +295,7 @@ pub async fn run_pass(
                 // All senders gone: nothing more can arrive.
                 None => break,
             },
-            () = tokio::time::sleep_until(wake) => {
+            () = sleep.as_mut() => {
                 let now_model = scale.to_model(start.elapsed());
                 if wake < timer {
                     // Watchdog, not the policy timer: hand the caller
@@ -380,6 +385,7 @@ pub(crate) async fn gather(
     record: impl Fn(TraceEventKind),
 ) -> Gathered {
     let mut seen = Seen::new(expected);
+    let mut expiry = std::pin::pin!(tokio::time::sleep_until(deadline));
     let mut got = Gathered {
         included: 0,
         arrivals: 0,
@@ -407,7 +413,7 @@ pub(crate) async fn gather(
                 }
                 None => return got,
             },
-            () = tokio::time::sleep_until(deadline) => {
+            () = expiry.as_mut() => {
                 got.reason = ShipReason::DeadlineExpired;
                 return got;
             }

@@ -11,7 +11,7 @@ use cedar_runtime::{
     run_query, AggregationService, FaultPlan, FaultSpec, QueryOptions, RuntimeConfig,
     RuntimeOutcome, ServiceConfig,
 };
-use cedar_telemetry::{QueryTrace, Registry, TraceEventKind};
+use cedar_telemetry::{QueryTrace, Registry, ShipReason, TraceEventKind};
 use std::sync::Arc;
 
 const K1: usize = 8;
@@ -78,6 +78,40 @@ async fn trace_query_end_matches_outcome() {
     let text = report.render_timeline();
     assert!(text.contains("query start"), "timeline:\n{text}");
     assert!(text.contains("query end"), "timeline:\n{text}");
+}
+
+#[tokio::test(flavor = "multi_thread", worker_threads = 2)]
+async fn a_deadline_bound_query_reports_its_overrun() {
+    // Real clock. Every aggregator waits past the deadline, so the root
+    // leaves on its deadline timer — which never fires exactly on time.
+    // The outcome and the trace's last event both carry the overrun.
+    let deadline = 4.0;
+    let trace = Arc::new(QueryTrace::new());
+    let cfg = RuntimeConfig::new(tree(), deadline)
+        .with_seed(1)
+        .with_trace(trace.clone());
+    let out = run_query(&cfg, WaitPolicyKind::FixedWait(5.0)).await;
+    let scaled = cfg.scale.to_wall(deadline);
+    assert!(
+        out.wall_elapsed > scaled,
+        "{:?} is not past the {scaled:?} deadline",
+        out.wall_elapsed
+    );
+    let events = trace.events();
+    let end = events.last().expect("trace must end with QueryEnd");
+    assert!(
+        matches!(
+            end.kind,
+            TraceEventKind::QueryEnd {
+                reason: ShipReason::DeadlineExpired,
+                ..
+            }
+        ),
+        "{:?}",
+        end.kind
+    );
+    assert_eq!(end.at, cfg.scale.to_model(out.wall_elapsed));
+    assert!(events.iter().all(|e| e.at <= end.at), "{events:?}");
 }
 
 #[tokio::test(start_paused = true)]

@@ -6,13 +6,16 @@
 //! everywhere, query on the root) and inter-node [`MeshMsg`]s. Mesh ops
 //! are disjoint from client ops, so the dispatch is unambiguous.
 //!
-//! Data flow for one query, mirroring the in-process engine:
+//! Data flow for one query, mirroring the in-process engine. Every node
+//! runs its per-query work as tasks on its one async runtime, so one
+//! scheduler and one clock time a query end to end:
 //!
 //! 1. The **root** assigns a query id, routes the query to one replica
 //!    set by consistent hash of its seed, fans `exec` frames out to that
-//!    replica's aggregators, and gathers their `partial`s until the
-//!    deadline (duplicate origins suppressed) — the same terminal loop
-//!    the engine's root runs over its channel.
+//!    replica's aggregators, and gathers their `partial`s with the
+//!    engine root's own terminal loop ([`cedar_runtime::gather`]), fed
+//!    by the link reader threads, until every aggregator is counted or
+//!    the deadline passes (duplicate origins suppressed).
 //! 2. Each **aggregator** re-anchors the deadline at `exec` receipt
 //!    (wire latency manifests as genuine straggling), fans out to its
 //!    workers, and runs the engine's own Pseudocode-1 loop
@@ -25,8 +28,9 @@
 //! 3. Each **worker** samples its leaves' durations from seeds that are
 //!    pure functions of `(query seed, global origin)`, applies the
 //!    fault plan at the send boundary exactly like the engine's
-//!    channel-send injection, and pushes one `partial` per surviving
-//!    leaf at its scheduled completion instant.
+//!    channel-send injection, and one task pushes one `partial` per
+//!    surviving leaf at its scheduled completion instant (a `retry`
+//!    likewise, one task per frame).
 //!
 //! Failure accounting reconciles end-to-end without coordination:
 //! *injected* fault counts are computed at the root from the plan alone
@@ -65,10 +69,9 @@ use cedar_core::{LockExt, Millis, PolicyContext, PreparedContexts, WaitPolicyKin
 use cedar_distrib::ContinuousDist;
 use cedar_estimate::Model;
 use cedar_mathx::fxhash::FxHashMap;
-use cedar_runtime::pass::Seen;
 use cedar_runtime::{
-    run_pass, Arrival, CheckpointConfig, FailureReport, FaultKind, FaultPlan, Learner, Ledger,
-    PassConfig,
+    gather, run_pass, Arrival, CheckpointConfig, FailureReport, FaultKind, FaultPlan, Learner,
+    Ledger, PassConfig,
 };
 use cedar_server::clock;
 use cedar_server::frontend::{
@@ -78,9 +81,10 @@ use cedar_server::proto::{self, QueryResult, RawFrame, Request, Response, Server
 use cedar_server::Client;
 use cedar_telemetry::flight::DEFAULT_FLIGHT_CAPACITY;
 use cedar_telemetry::{
-    FlightEntry, FlightRecorder, HopRecord, MeshTrace, QueryTrace, ShipReason, TraceEventKind,
-    TraceSegment, TraceSummary,
+    FlightEntry, FlightRecorder, HopRecord, MeshTrace, QueryTrace, TraceEventKind, TraceSegment,
+    TraceSummary,
 };
+use cedar_workloads::treedef::TreeDef;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io;
@@ -135,7 +139,7 @@ impl RecvSpans {
 struct ExecJob {
     query_id: u64,
     agg_index: usize,
-    tree: cedar_workloads::treedef::TreeDef,
+    tree: TreeDef,
     deadline: f64,
     seed: u64,
     plan: Option<FaultPlan>,
@@ -144,15 +148,31 @@ struct ExecJob {
 }
 
 /// What a worker needs to re-execute leaves of a recent query.
+#[derive(Clone)]
 struct RecentExec {
     query_id: u64,
     base: usize,
     count: usize,
-    start: Instant,
+    start: tokio::time::Instant,
     deadline: f64,
     plan: Option<FaultPlan>,
     dist: Arc<dyn ContinuousDist>,
 }
+
+/// What the root keeps of an aggregator's `partial` beside the
+/// [`Arrival`] it routes to `gather`: folded in only if `gather` counted
+/// that origin.
+struct RootPart {
+    duration: f64,
+    timings: Vec<StageTiming>,
+    censored: Vec<StageTiming>,
+    failures: FailureReport,
+    /// The aggregator's trace segment and when the root received it.
+    segment: Option<(TraceSegment, u64)>,
+}
+
+/// A leaf to ship: `(model duration, global origin, copies to send)`.
+type Leaf = (f64, usize, usize);
 
 /// A running mesh node. Dropping the handle does not stop the node;
 /// call [`shutdown`](NodeHandle::shutdown) (or send the `shutdown`
@@ -241,10 +261,12 @@ struct NodeInner {
     /// Writer half of the connection our parent holds to us, shared so
     /// heartbeat acks and partial pushes serialize their frames.
     upstream: Mutex<Option<TcpStream>>,
-    /// Where aggregation passes are spawned (aggregators only). Only a
-    /// handle: passes hold this node, so a node that owned the runtime
-    /// could end up dropping it on one of its own workers.
-    rt: Option<tokio::runtime::Handle>,
+    /// The node's runtime, for every role's per-query work: the root's
+    /// gather, aggregation passes and leaf shipping. Only a handle: those
+    /// tasks hold this node, so a node that owned the runtime could end
+    /// up dropping it on one of its own workers. The accept thread owns
+    /// it and drops it, with whatever is still in flight, at exit.
+    rt: tokio::runtime::Handle,
     /// Replica shard ring (root only).
     ring: Option<HashRing>,
     groups: Vec<Vec<String>>,
@@ -252,7 +274,9 @@ struct NodeInner {
     completed: AtomicU64,
     served: AtomicU64,
     in_flight: AtomicUsize,
-    prepared: Mutex<FxHashMap<(u64, String), Arc<PreparedContexts>>>,
+    /// Policy contexts by `(deadline bits, tree)`; at most
+    /// [`PREPARED_CACHE_MAX`] entries, scanned in order.
+    prepared: Mutex<Vec<(u64, TreeDef, Arc<PreparedContexts>)>>,
     recent: Mutex<Vec<RecentExec>>,
     /// Durable learned priors (aggregators with a checkpoint dir):
     /// bookkeeping only, the declared tree still plans.
@@ -353,16 +377,10 @@ pub fn start_with(
             )
         })
         .collect();
-    let rt = if me.role == Role::Agg {
-        Some(
-            tokio::runtime::Builder::new_multi_thread()
-                .worker_threads(2)
-                .enable_all()
-                .build()?,
-        )
-    } else {
-        None
-    };
+    let rt = tokio::runtime::Builder::new_multi_thread()
+        .worker_threads(2)
+        .enable_all()
+        .build()?;
     let groups = topology.replica_groups();
     let ring = (me.role == Role::Root).then(|| {
         let labels: Vec<String> = groups.iter().map(|g| g.join("+")).collect();
@@ -390,24 +408,25 @@ pub fn start_with(
         router,
         links,
         upstream: Mutex::new(None),
-        rt: rt.as_ref().map(|rt| rt.handle().clone()),
+        rt: rt.handle().clone(),
         ring,
         groups,
         query_seq: AtomicU64::new(0),
         completed: AtomicU64::new(0),
         served: AtomicU64::new(0),
         in_flight: AtomicUsize::new(0),
-        prepared: Mutex::new(FxHashMap::default()),
+        prepared: Mutex::new(Vec::new()),
         recent: Mutex::new(Vec::new()),
         learner,
     });
     let node = Arc::clone(&inner);
     let serving = listeners.serve(&inner, move || {
         // The accept thread owns the runtime and stops it here, once the
-        // node has stopped and drained. Routes go first: each holds a
-        // pass's channel sender, and a pass parked on that channel holds
-        // this node — a cycle nothing could break once the workers are
-        // gone.
+        // node has stopped and drained; tasks still in flight (a pass,
+        // a worker's unshipped leaves) are dropped with it. Routes go
+        // first: each holds a pass's or a gather's channel sender, and a
+        // pass parked on that channel holds this node — a cycle nothing
+        // could break once the workers are gone.
         node.router.clear();
         drop(rt);
     })?;
@@ -492,7 +511,12 @@ impl Handler for NodeInner {
                     spans,
                 };
                 match self.me.role {
-                    Role::Agg => self.agg_exec(job),
+                    Role::Agg => {
+                        // The serving thread stays free for heartbeats
+                        // and further execs.
+                        let node = Arc::clone(self);
+                        self.rt.spawn(async move { node.agg_run(job).await });
+                    }
                     Role::Worker => self.worker_exec(job),
                     Role::Root => {}
                 }
@@ -606,6 +630,74 @@ impl NodeInner {
         }
     }
 
+    /// The link to the child named `name`.
+    fn link(&self, name: &str) -> Option<&Arc<PeerLink>> {
+        self.links.iter().find(|l| l.peer_name() == name)
+    }
+
+    /// This node's trace segment for one query: the `exec`'s receive
+    /// spans and queue time, nothing under it yet.
+    fn segment(
+        &self,
+        level: usize,
+        origin: usize,
+        trace_id: u64,
+        spans: RecvSpans,
+        queue_us: u64,
+    ) -> TraceSegment {
+        TraceSegment {
+            node: self.me.name.clone(),
+            role: self.me.role.as_str().to_owned(),
+            level,
+            origin,
+            trace_id,
+            exec_recv_unix_us: spans.recv_unix_us,
+            exec_decode_us: spans.decode_us,
+            exec_queue_us: queue_us,
+            partial_sent_unix_us: 0,
+            hops: Vec::new(),
+            children: Vec::new(),
+            report: None,
+            summary: TraceSummary::default(),
+        }
+    }
+
+    /// One hop per child an `exec` went to — `(name, exec sent stamp,
+    /// its segment and receive stamp if it answered)`, in dispatch order
+    /// — and the answered children's segments. A silent child is a
+    /// censored hop.
+    fn hops(
+        &self,
+        dispatched: impl Iterator<Item = (String, u64, Option<(TraceSegment, u64)>)>,
+    ) -> (Vec<HopRecord>, Vec<TraceSegment>) {
+        let mut children = Vec::new();
+        let hops = dispatched
+            .map(|(child, sent, answer)| {
+                let offset = self
+                    .link(&child)
+                    .and_then(|l| l.clock_offset_us())
+                    .unwrap_or(0);
+                let Some((seg, recv_us)) = answer else {
+                    return HopRecord::censored(child, sent, offset);
+                };
+                let hop = HopRecord {
+                    child,
+                    censored: false,
+                    clock_offset_us: offset,
+                    exec_sent_unix_us: sent,
+                    exec_recv_unix_us: seg.exec_recv_unix_us,
+                    exec_decode_us: seg.exec_decode_us,
+                    exec_queue_us: seg.exec_queue_us,
+                    partial_sent_unix_us: seg.partial_sent_unix_us,
+                    partial_recv_unix_us: recv_us,
+                };
+                children.push(seg);
+                hop
+            })
+            .collect();
+        (hops, children)
+    }
+
     /// Scrapes every node in the topology over fresh client
     /// connections (peer links carry mesh frames only) and merges the
     /// pages under `node=` labels. Unreachable nodes are marked down
@@ -687,23 +779,57 @@ impl NodeInner {
         let query_id = self.query_seq.fetch_add(1, Ordering::AcqRel) + 1;
         self.in_flight.fetch_add(1, Ordering::AcqRel);
         let scale = self.topo.scale();
-        let start = clock::now();
+        let start = tokio::time::Instant::now();
         let started_unix_us = clock::unix_us();
         let queue_us = spans.handled_at.elapsed().as_micros() as u64;
         let explain = req.explain.unwrap_or(false);
         let trace_id = wire::trace_id(seed, query_id);
         let qtrace = explain.then(|| Arc::new(QueryTrace::new()));
-        let (tx, rx) = std::sync::mpsc::sync_channel(4 * k2 + 8);
-        self.router
-            .register(query_id, move |msg| tx.try_send(msg).is_ok());
+        // The route feeds `gather` the engine's channel-send boundary type
+        // and keeps the rest of each aggregator's first partial beside it.
+        // It MUST exist before any exec goes out.
+        let (tx, rx) = tokio::sync::mpsc::channel::<Arrival>(4 * k2 + 8);
+        let parts: Arc<Mutex<Vec<Option<RootPart>>>> =
+            Arc::new(Mutex::new((0..k2).map(|_| None).collect()));
+        let route_parts = Arc::clone(&parts);
+        self.router.register(query_id, move |msg| {
+            let MeshMsg::Partial {
+                origin,
+                payload,
+                value,
+                duration,
+                retry,
+                timings,
+                censored,
+                failures,
+                segment,
+                ..
+            } = msg
+            else {
+                return false;
+            };
+            if let Some(slot) = route_parts.lock().unpoisoned().get_mut(origin) {
+                slot.get_or_insert_with(|| RootPart {
+                    duration,
+                    timings,
+                    censored,
+                    failures,
+                    segment: segment.map(|seg| (*seg, clock::unix_us())),
+                });
+            }
+            let arrival = Arrival {
+                payload,
+                value,
+                origin,
+                duration,
+                retry,
+            };
+            tx.try_send(arrival).is_ok()
+        });
 
         // Injected faults are a pure function of the plan — account for
         // the whole tree here, no coordination needed.
         let mut report = FailureReport::default();
-        if let Some(plan) = &self.fault_plan {
-            plan.planned_into(0, 0..k1 * k2, &mut report);
-            plan.planned_into(1, 0..k2, &mut report);
-        }
         if let Some(qt) = &qtrace {
             qt.record(
                 0.0,
@@ -715,15 +841,13 @@ impl NodeInner {
                     priors_epoch: 0,
                 },
             );
-            if let Some(plan) = &self.fault_plan {
-                for origin in 0..k1 * k2 {
-                    if let Some(kind) = plan.fault_for(0, origin) {
-                        let fault = kind.class();
-                        qt.record(0.0, 2, 0, TraceEventKind::FaultInjected { fault, origin });
-                    }
-                }
-                for origin in 0..k2 {
-                    if let Some(kind) = plan.fault_for(1, origin) {
+        }
+        if let Some(plan) = &self.fault_plan {
+            for (level, count) in [(0, k1 * k2), (1, k2)] {
+                plan.planned_into(level, 0..count, &mut report);
+                let Some(qt) = &qtrace else { continue };
+                for origin in 0..count {
+                    if let Some(kind) = plan.fault_for(level, origin) {
                         let fault = kind.class();
                         qt.record(0.0, 2, 0, TraceEventKind::FaultInjected { fault, origin });
                     }
@@ -732,13 +856,9 @@ impl NodeInner {
         }
 
         // Fan out; a dead aggregator at dispatch is a real crash.
-        let mut dispatched: Vec<Option<Arc<PeerLink>>> = Vec::with_capacity(group.len());
+        let mut dispatched: Vec<Option<&Arc<PeerLink>>> = Vec::with_capacity(group.len());
         let mut sent_stamps: Vec<u64> = Vec::with_capacity(group.len());
         for (agg_index, agg_name) in group.iter().enumerate() {
-            let link = self
-                .links
-                .iter()
-                .find(|l| l.peer_name() == agg_name.as_str());
             let sent_unix_us = clock::unix_us();
             sent_stamps.push(sent_unix_us);
             let exec = MeshMsg::Exec {
@@ -756,8 +876,8 @@ impl NodeInner {
                     sent_unix_us,
                 }),
             };
-            match link {
-                Some(l) if l.send(&exec).is_ok() => dispatched.push(Some(Arc::clone(l))),
+            match self.link(agg_name) {
+                Some(l) if l.send(&exec).is_ok() => dispatched.push(Some(l)),
                 _ => {
                     report.crashed += 1;
                     dispatched.push(None);
@@ -765,111 +885,65 @@ impl NodeInner {
             }
         }
 
-        // Gather until deadline or full collection, suppressing
-        // duplicate origins.
-        let deadline_at = start + scale.to_wall(deadline);
-        let mut seen = Seen::new(0..k2);
-        let mut included = 0usize;
-        let mut arrivals = 0usize;
-        let mut value_sum = 0.0f64;
-        let mut realized0: Vec<(usize, f64)> = Vec::new();
-        let mut realized1: Vec<(usize, f64)> = Vec::new();
-        let mut censored0: Vec<(usize, f64)> = Vec::new();
-        // First-seen segment per origin, with its receive stamp, for
-        // stitching (duplicates re-ship the same segment).
-        let mut segs: FxHashMap<usize, (TraceSegment, u64)> = FxHashMap::default();
-        loop {
-            // Channel first: a partial already queued when the deadline
-            // comes due got here in time (a zero timeout still looks).
-            let left = deadline_at.saturating_duration_since(clock::now());
-            let Ok(msg) = rx.recv_timeout(left) else {
-                break;
-            };
-            let MeshMsg::Partial {
-                origin,
-                payload,
-                value,
-                duration,
-                timings,
-                censored,
-                failures,
-                segment,
-                ..
-            } = msg
-            else {
-                continue;
-            };
-            if !seen.insert(origin) {
-                report.duplicates_suppressed += 1;
-                continue;
-            }
-            if let Some(seg) = segment {
-                segs.insert(origin, (*seg, clock::unix_us()));
-            }
-            if let Some(qt) = &qtrace {
-                qt.record(
-                    scale.to_model(start.elapsed()),
-                    2,
-                    0,
-                    TraceEventKind::RootArrival {
-                        origin,
-                        weight: payload,
-                    },
-                );
-            }
-            included += payload;
-            arrivals += 1;
-            value_sum += value;
-            realized1.push((origin, duration));
-            realized0.extend(
-                timings
-                    .iter()
-                    .filter(|t| t.level == 0)
-                    .map(|t| (t.origin, t.duration)),
-            );
-            censored0.extend(
-                censored
-                    .iter()
-                    .filter(|t| t.level == 0)
-                    .map(|t| (t.origin, t.duration)),
-            );
-            report.absorb(&failures);
-            if arrivals == k2 {
-                break;
-            }
-        }
-        self.router.unregister(query_id);
-        let silent = seen.missing();
-
-        // An aggregator that was dispatched to, went silent, AND whose
-        // link is down died for real mid-query.
-        let mut real_crashes = false;
-        for &origin in &silent {
-            if let Some(Some(l)) = dispatched.get(origin) {
-                if !l.is_up() {
-                    report.crashed += 1;
-                    real_crashes = true;
+        // Gather until every aggregator is counted or the deadline
+        // passes, duplicate origins suppressed into the ledger.
+        let ledger = Ledger::default();
+        let gathered = self.rt.block_on(gather(
+            rx,
+            start + scale.to_wall(deadline),
+            0..k2,
+            Some(&ledger),
+            |kind| {
+                if let Some(qt) = &qtrace {
+                    qt.record(scale.to_model(start.elapsed()), 2, 0, kind);
                 }
-            }
+            },
+        ));
+        self.router.unregister(query_id);
+        report.absorb(&ledger.finish().0);
+        let silent = &gathered.missing;
+        // Only what `gather` counted is folded in.
+        let mut parts = std::mem::take(&mut *parts.lock().unpoisoned());
+        for &origin in silent {
+            parts[origin] = None;
         }
-        if real_crashes {
-            self.front.note_degraded();
+        for part in parts.iter().flatten() {
+            report.absorb(&part.failures);
         }
-
-        let sorted = |mut v: Vec<(usize, f64)>| -> Vec<f64> {
+        // Leaf durations the counted aggregators logged, by origin.
+        let stage0 = |log: fn(&RootPart) -> &[StageTiming]| -> Vec<f64> {
+            let mut v: Vec<(usize, f64)> = (parts.iter().flatten().flat_map(log))
+                .filter(|t| t.level == 0)
+                .map(|t| (t.origin, t.duration))
+                .collect();
             v.sort_by_key(|&(origin, _)| origin);
             v.into_iter().map(|(_, d)| d).collect()
         };
+
+        // An aggregator that was dispatched to, went silent, AND whose
+        // link is down died for real mid-query.
+        let dead = (silent.iter().filter_map(|&origin| dispatched[origin]))
+            .filter(|l| !l.is_up())
+            .count();
+        report.crashed += dead;
+        if dead > 0 {
+            self.front.note_degraded();
+        }
+
+        let (included, arrivals) = (gathered.included, gathered.arrivals);
         let outcome = cedar_runtime::RuntimeOutcome {
             quality: included as f64 / (k1 * k2).max(1) as f64,
             included_outputs: included,
             total_processes: k1 * k2,
             root_arrivals: arrivals,
-            value_sum,
+            value_sum: gathered.value_sum,
             wall_elapsed: start.elapsed(),
-            realized_durations: vec![sorted(realized0), sorted(realized1)],
+            realized_durations: vec![
+                stage0(|p| &p.timings),
+                parts.iter().flatten().map(|p| p.duration).collect(),
+            ],
             failures: report,
-            censored_durations: vec![sorted(censored0), Vec::new()],
+            censored_durations: vec![stage0(|p| &p.censored), Vec::new()],
         };
         self.metrics.runtime.observe_outcome(&outcome);
         self.metrics.queries.inc();
@@ -879,7 +953,7 @@ impl NodeInner {
         // Close the decision trace and stitch the cross-process tree.
         let trace = if let Some(qt) = &qtrace {
             let at = scale.to_model(start.elapsed());
-            for &origin in &silent {
+            for &origin in silent {
                 qt.record(at, 2, 0, TraceEventKind::Censored { origin });
             }
             qt.record(
@@ -889,50 +963,25 @@ impl NodeInner {
                 TraceEventKind::QueryEnd {
                     quality: outcome.quality,
                     included,
-                    reason: if arrivals == k2 {
-                        ShipReason::AllArrived
-                    } else {
-                        ShipReason::DeadlineExpired
-                    },
+                    reason: gathered.reason,
                 },
             );
-            let mut hops = Vec::with_capacity(group.len());
-            let mut children = Vec::new();
-            for (origin, link) in dispatched.iter().enumerate() {
-                let offset = link.as_ref().and_then(|l| l.clock_offset_us()).unwrap_or(0);
-                let sent = sent_stamps.get(origin).copied().unwrap_or(started_unix_us);
-                match segs.remove(&origin) {
-                    Some((seg, recv_us)) => {
-                        hops.push(HopRecord {
-                            child: group[origin].clone(),
-                            censored: false,
-                            clock_offset_us: offset,
-                            exec_sent_unix_us: sent,
-                            exec_recv_unix_us: seg.exec_recv_unix_us,
-                            exec_decode_us: seg.exec_decode_us,
-                            exec_queue_us: seg.exec_queue_us,
-                            partial_sent_unix_us: seg.partial_sent_unix_us,
-                            partial_recv_unix_us: recv_us,
-                        });
-                        children.push(seg);
-                    }
-                    None => hops.push(HopRecord::censored(group[origin].clone(), sent, offset)),
-                }
-            }
+            let answered = parts
+                .iter_mut()
+                .map(|p| p.as_mut().and_then(|p| p.segment.take()));
+            let (hops, children) = self.hops(
+                group
+                    .iter()
+                    .cloned()
+                    .zip(sent_stamps)
+                    .zip(answered)
+                    .map(|((child, sent), answer)| (child, sent, answer)),
+            );
             let root = TraceSegment {
-                node: self.me.name.clone(),
-                role: self.me.role.as_str().to_owned(),
-                level: 2,
-                origin: 0,
-                trace_id,
-                exec_recv_unix_us: spans.recv_unix_us,
-                exec_decode_us: spans.decode_us,
-                exec_queue_us: queue_us,
-                partial_sent_unix_us: 0,
                 hops,
                 children,
-                report: None,
                 summary: qt.summary(),
+                ..self.segment(2, 0, trace_id, spans, queue_us)
             };
             let mut r = qt.report();
             r.mesh = Some(Box::new(MeshTrace { trace_id, root }));
@@ -970,18 +1019,9 @@ impl NodeInner {
 
     // ---- aggregator ----
 
-    /// Spawns one aggregation pass onto the async runtime; the serving
-    /// thread stays free for heartbeats and further execs.
-    fn agg_exec(self: &Arc<Self>, job: ExecJob) {
-        let Some(rt) = &self.rt else { return };
-        let node = Arc::clone(self);
-        rt.spawn(async move {
-            node.agg_run(job).await;
-        });
-    }
-
-    /// One aggregation pass: the engine's Pseudocode-1 loop fed by
-    /// the link reader threads, with watchdog retries over the wire.
+    /// One aggregation pass, spawned per `exec` onto the runtime: the
+    /// engine's Pseudocode-1 loop fed by the link reader threads, with
+    /// watchdog retries over the wire.
     async fn agg_run(self: &Arc<Self>, job: ExecJob) {
         let ExecJob {
             query_id,
@@ -1069,7 +1109,6 @@ impl NodeInner {
                 continue;
             };
             let range = (base + offset)..(base + offset + def.processes());
-            let link = self.links.iter().find(|l| l.peer_name() == child.as_str());
             let sent_unix_us = clock::unix_us();
             hop_sends.push((child.clone(), sent_unix_us));
             let exec = MeshMsg::Exec {
@@ -1087,7 +1126,7 @@ impl NodeInner {
                     sent_unix_us,
                 }),
             };
-            match link {
+            match self.link(child) {
                 Some(l) if l.send(&exec).is_ok() => worker_spans.push((range, Arc::clone(l))),
                 _ => {
                     unreachable = true;
@@ -1202,45 +1241,18 @@ impl NodeInner {
         // worker (censored when it never answered), the workers' own
         // segments, and the local decision trace.
         let segment = qtrace.as_ref().map(|qt| {
-            let collected = segs.lock().unpoisoned();
-            let mut hops = Vec::with_capacity(hop_sends.len());
-            for (child, sent) in &hop_sends {
-                let offset = self
-                    .links
-                    .iter()
-                    .find(|l| l.peer_name() == child.as_str())
-                    .and_then(|l| l.clock_offset_us())
-                    .unwrap_or(0);
-                match collected.get(child) {
-                    Some((seg, recv_us)) => hops.push(HopRecord {
-                        child: child.clone(),
-                        censored: false,
-                        clock_offset_us: offset,
-                        exec_sent_unix_us: *sent,
-                        exec_recv_unix_us: seg.exec_recv_unix_us,
-                        exec_decode_us: seg.exec_decode_us,
-                        exec_queue_us: seg.exec_queue_us,
-                        partial_sent_unix_us: seg.partial_sent_unix_us,
-                        partial_recv_unix_us: *recv_us,
-                    }),
-                    None => hops.push(HopRecord::censored(child.clone(), *sent, offset)),
-                }
-            }
-            let children = collected.values().map(|(s, _)| s.clone()).collect();
+            let mut collected = segs.lock().unpoisoned();
+            let (hops, children) = self.hops(hop_sends.into_iter().map(|(child, sent)| {
+                let answer = collected.remove(&child);
+                (child, sent, answer)
+            }));
             Box::new(TraceSegment {
-                node: self.me.name.clone(),
-                role: self.me.role.as_str().to_owned(),
-                level: 1,
-                origin: agg_index,
-                trace_id,
-                exec_recv_unix_us: recv_spans.recv_unix_us,
-                exec_decode_us: recv_spans.decode_us,
-                exec_queue_us: queue_us,
                 partial_sent_unix_us: clock::unix_us(),
                 hops,
                 children,
                 report: Some(qt.report()),
                 summary: qt.summary(),
+                ..self.segment(1, agg_index, trace_id, recv_spans, queue_us)
             })
         });
         let msg = MeshMsg::Partial {
@@ -1266,14 +1278,14 @@ impl NodeInner {
     /// bottom-level context for one query.
     fn prepared_ctx(
         &self,
-        tree: &cedar_workloads::treedef::TreeDef,
+        tree: &TreeDef,
         spec_tree: &cedar_core::TreeSpec,
         deadline: f64,
     ) -> Option<PolicyContext> {
-        let key = (deadline.to_bits(), tree.to_json());
+        let bits = deadline.to_bits();
         let prepared = {
             let mut cache = self.prepared.lock().unpoisoned();
-            if let Some(p) = cache.get(&key) {
+            if let Some((_, _, p)) = cache.iter().find(|(b, t, _)| *b == bits && t == tree) {
                 Arc::clone(p)
             } else {
                 let p = Arc::new(PreparedContexts::new(
@@ -1287,7 +1299,7 @@ impl NodeInner {
                 if cache.len() >= PREPARED_CACHE_MAX {
                     cache.clear();
                 }
-                cache.insert(key, Arc::clone(&p));
+                cache.push((bits, tree.clone(), Arc::clone(&p)));
                 p
             }
         };
@@ -1296,10 +1308,10 @@ impl NodeInner {
 
     // ---- worker ----
 
-    /// Simulates this worker's leaves on a dedicated thread: sample
-    /// each duration from its origin-pure seed, apply the fault plan at
-    /// the send boundary, and push one partial per surviving leaf at
-    /// its completion instant.
+    /// Simulates this worker's leaves in one runtime task: sample each
+    /// duration from its origin-pure seed, apply the fault plan at the
+    /// send boundary, and push one partial per surviving leaf at its
+    /// completion instant.
     fn worker_exec(self: &Arc<Self>, job: ExecJob) {
         let ExecJob {
             query_id,
@@ -1318,10 +1330,9 @@ impl NodeInner {
         let Some(offset) = self.topo.worker_offset(&self.me.name) else {
             return;
         };
-        let start = clock::now();
+        let start = tokio::time::Instant::now();
         let dist = spec_tree.stage(0).dist.clone();
-        let k1 = tree.stages[0].fanout;
-        let base = agg_index * k1 + offset;
+        let base = agg_index * tree.stages[0].fanout + offset;
         let count = self.me.processes();
         {
             let mut recent = self.recent.lock().unpoisoned();
@@ -1339,33 +1350,16 @@ impl NodeInner {
             });
         }
         let traced = trace.filter(|t| t.explain);
-        let scale = self.topo.scale();
         let node = Arc::clone(self);
-        std::thread::spawn(move || {
-            // Queue time covers dispatch plus this thread's spawn.
+        self.rt.spawn(async move {
+            // Queue time covers dispatch plus this task's first poll.
             let queue_us = spans.handled_at.elapsed().as_micros() as u64;
             // The worker's segment, re-shipped (with a fresh ship
             // stamp) inside every leaf partial so the aggregator's
             // keep-latest copy carries the final one.
-            let base_seg = traced.map(|t| TraceSegment {
-                node: node.me.name.clone(),
-                role: node.me.role.as_str().to_owned(),
-                level: 0,
-                origin: base,
-                trace_id: t.trace_id,
-                exec_recv_unix_us: spans.recv_unix_us,
-                exec_decode_us: spans.decode_us,
-                exec_queue_us: queue_us,
-                partial_sent_unix_us: 0,
-                hops: Vec::new(),
-                children: Vec::new(),
-                report: None,
-                summary: TraceSummary::default(),
-            });
-            // (fire time, origin, copies to send)
-            let mut events: Vec<(f64, usize, usize)> = Vec::with_capacity(count);
-            for i in 0..count {
-                let origin = base + i;
+            let segment = traced.map(|t| node.segment(0, base, t.trace_id, spans, queue_us));
+            let mut leaves: Vec<Leaf> = Vec::with_capacity(count);
+            for origin in base..base + count {
                 let mut rng = StdRng::seed_from_u64(leaf_seed(seed, origin));
                 let mut dur = dist.sample(&mut rng);
                 let mut copies = 1usize;
@@ -1382,36 +1376,11 @@ impl NodeInner {
                     // right-censored there, like the engine's late tail.
                     continue;
                 }
-                events.push((dur, origin, copies));
+                leaves.push((dur, origin, copies));
             }
-            events.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let shipped = events.len();
-            for (dur, origin, copies) in events {
-                let target = start + scale.to_wall(dur);
-                let now = clock::now();
-                if let Some(wait) = target.checked_duration_since(now) {
-                    std::thread::sleep(wait);
-                }
-                let msg = MeshMsg::Partial {
-                    query_id,
-                    from: node.me.name.clone(),
-                    origin,
-                    payload: 1,
-                    value: 1.0,
-                    duration: dur,
-                    retry: false,
-                    timings: Vec::new(),
-                    censored: Vec::new(),
-                    failures: FailureReport::default(),
-                    segment: base_seg.clone().map(|mut s| {
-                        s.partial_sent_unix_us = clock::unix_us();
-                        Box::new(s)
-                    }),
-                };
-                for _ in 0..copies {
-                    node.ship_partial(&msg);
-                }
-            }
+            let shipped = leaves.len();
+            node.ship_leaves(query_id, start, leaves, false, segment)
+                .await;
             node.front.flight_record(FlightEntry {
                 query_id,
                 started_unix_us: spans.recv_unix_us,
@@ -1430,73 +1399,79 @@ impl NodeInner {
     /// fault-free, with the plan's dedicated retry seeds — the wire
     /// form of the engine's speculative retry.
     fn worker_retry(self: &Arc<Self>, query_id: u64, origins: &[usize]) {
-        let Some((base, count, start, deadline, plan, dist)) = ({
-            let recent = self.recent.lock().unpoisoned();
-            recent
-                .iter()
-                .rev()
-                .find(|e| e.query_id == query_id)
-                .map(|e| {
-                    (
-                        e.base,
-                        e.count,
-                        e.start,
-                        e.deadline,
-                        e.plan.clone(),
-                        e.dist.clone(),
-                    )
-                })
-        }) else {
+        let found = (self.recent.lock().unpoisoned().iter().rev())
+            .find(|e| e.query_id == query_id)
+            .cloned();
+        let Some(RecentExec {
+            base,
+            count,
+            start,
+            deadline,
+            plan: Some(plan),
+            dist,
+            ..
+        }) = found
+        else {
             return;
         };
-        let Some(plan) = plan else { return };
-        let mine: Vec<usize> = origins
+        let issued = tokio::time::Instant::now();
+        // Re-executions that cannot land before the deadline (anchored
+        // at the original exec) are not run at all.
+        let spent = self.topo.scale().to_model(issued.duration_since(start));
+        let leaves: Vec<Leaf> = origins
             .iter()
             .copied()
             .filter(|&o| o >= base && o < base + count)
+            .map(|origin| {
+                let mut rng = StdRng::seed_from_u64(plan.retry_seed(origin));
+                (dist.sample(&mut rng), origin, 1)
+            })
+            .filter(|&(dur, _, _)| spent + dur <= deadline)
             .collect();
-        if mine.is_empty() {
+        if leaves.is_empty() {
             return;
         }
-        let scale = self.topo.scale();
         let node = Arc::clone(self);
-        std::thread::spawn(move || {
-            let issued = clock::now();
-            let mut events: Vec<(f64, usize)> = mine
-                .into_iter()
-                .map(|origin| {
-                    let mut rng = StdRng::seed_from_u64(plan.retry_seed(origin));
-                    (dist.sample(&mut rng), origin)
-                })
-                .collect();
-            events.sort_by(|a, b| a.0.total_cmp(&b.0));
-            for (dur, origin) in events {
-                // Skip re-executions that cannot land before the
-                // deadline anyway (anchored at the original exec).
-                if scale.to_model(issued.duration_since(start)) + dur > deadline {
-                    continue;
-                }
-                let target = issued + scale.to_wall(dur);
-                if let Some(wait) = target.checked_duration_since(clock::now()) {
-                    std::thread::sleep(wait);
-                }
-                let msg = MeshMsg::Partial {
-                    query_id,
-                    from: node.me.name.clone(),
-                    origin,
-                    payload: 1,
-                    value: 1.0,
-                    duration: dur,
-                    retry: true,
-                    timings: Vec::new(),
-                    censored: Vec::new(),
-                    failures: FailureReport::default(),
-                    // Retries stay untraced: the original exec's
-                    // segment already covers this worker.
-                    segment: None,
-                };
-                node.ship_partial(&msg);
-            }
+        // Retries stay untraced: the original exec's segment already
+        // covers this worker.
+        self.rt.spawn(async move {
+            node.ship_leaves(query_id, issued, leaves, true, None).await;
         });
+    }
+
+    /// Ships `leaves` in completion order, each at `start` plus its
+    /// duration, the segment (if any) re-stamped on every partial.
+    async fn ship_leaves(
+        &self,
+        query_id: u64,
+        start: tokio::time::Instant,
+        mut leaves: Vec<Leaf>,
+        retry: bool,
+        segment: Option<TraceSegment>,
+    ) {
+        let scale = self.topo.scale();
+        leaves.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for (duration, origin, copies) in leaves {
+            tokio::time::sleep_until(start + scale.to_wall(duration)).await;
+            let msg = MeshMsg::Partial {
+                query_id,
+                from: self.me.name.clone(),
+                origin,
+                payload: 1,
+                value: 1.0,
+                duration,
+                retry,
+                timings: Vec::new(),
+                censored: Vec::new(),
+                failures: FailureReport::default(),
+                segment: segment.clone().map(|mut s| {
+                    s.partial_sent_unix_us = clock::unix_us();
+                    Box::new(s)
+                }),
+            };
+            for _ in 0..copies {
+                self.ship_partial(&msg);
+            }
+        }
     }
 }

@@ -11,9 +11,10 @@
 //!
 //! Partial-result frames are fanned out by query through a [`Router`]:
 //! query execution registers a delivery hook per in-flight query — a
-//! `try_send` into the gather loop's bounded channel — the link's
-//! reader thread runs it without blocking, and frames for queries that
-//! already departed are counted instead of delivered.
+//! `try_send` into the bounded tokio channel its aggregation pass or
+//! root gather reads on the node's runtime — the link's reader thread
+//! runs it without blocking, and frames for queries that already
+//! departed are counted instead of delivered.
 //!
 //! [`Topology::miss_limit`]: crate::topology::Topology::miss_limit
 
@@ -30,11 +31,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Takes one partial-result frame for its query; `false` when it could
-/// not (the gather loop's channel is full, or it already left).
+/// not (the pass's or gather's channel is full, or it already left).
 type Hook = Box<dyn Fn(MeshMsg) -> bool + Send>;
 
-/// Fans incoming partial-result frames out to their queries' gather
-/// loops, straight from the network reader: nothing sits between a
+/// Fans incoming partial-result frames out to their queries' passes and
+/// gathers, straight from the network reader: nothing sits between a
 /// frame coming off the socket and the loop's own channel. Delivery
 /// never blocks the reader: a refusing or missing hook drops the frame
 /// (and the caller counts it), exactly like the engine's bounded
@@ -77,7 +78,7 @@ impl Router {
         self.routes.lock().unpoisoned().remove(&query_id);
     }
 
-    /// Removes every route, closing each gather loop's channel.
+    /// Removes every route, closing each pass's and gather's channel.
     pub fn clear(&self) {
         self.routes.lock().unpoisoned().clear();
     }
@@ -382,8 +383,9 @@ mod tests {
         }
     }
 
-    /// Registers the root's kind of route: a hook over a bounded
-    /// channel's sender.
+    /// Registers a route of the shape every query's is: a hook over a
+    /// bounded channel's sender (a std one here, which needs no
+    /// runtime; the node's routes feed tokio channels).
     fn register(router: &Router, query_id: u64, capacity: usize) -> Receiver<MeshMsg> {
         let (tx, rx) = sync_channel(capacity);
         router.register(query_id, move |msg| tx.try_send(msg).is_ok());

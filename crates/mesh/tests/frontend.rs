@@ -6,11 +6,13 @@
 //! The thread counts are process-wide, so the tests in this binary run
 //! one at a time and nothing else lives here.
 
+use cedar_distrib::spec::DistSpec;
 use cedar_mesh::node::MAX_NODE_CONNECTIONS;
 use cedar_mesh::topology::{NodeDef, Role, Topology};
+use cedar_mesh::wire::{self, MeshMsg};
 use cedar_server::proto::{self, Request, Response};
 use cedar_server::Client;
-use cedar_workloads::treedef::TreeDef;
+use cedar_workloads::treedef::{StageDef, TreeDef};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -27,7 +29,7 @@ fn free_addr() -> String {
 }
 
 /// root → agg0 → w0; the tests start only the worker, which holds no
-/// links and no runtime, so its threads are its front end's.
+/// links, so its threads are its front end's and its runtime's.
 fn topology() -> Topology {
     let node = |name: &str, role, children: Option<&str>, processes| NodeDef {
         name: name.into(),
@@ -185,4 +187,61 @@ fn json_frames_get_one_refusal_then_binary_is_served() {
     let pong = ping(&mut conn).expect("pong").expect("a response, not EOF");
     assert!(pong.ok, "{pong:?}");
     node.shutdown();
+}
+
+/// Live threads a node started: its front end's (`cedar-*`) and its
+/// runtime's (`tokio-*`). A thread spawned without a name inherits its
+/// creator's, so one started from a connection thread counts too. The
+/// test harness's own threads, which come and go with other tests, do
+/// not.
+fn node_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("read /proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("cedar-") || comm.starts_with("tokio-"))
+        .count()
+}
+
+#[test]
+fn shutdown_drops_a_workers_unshipped_leaves() {
+    let _serial = serial();
+    let idle = node_threads();
+    let node = cedar_mesh::start(topology(), "w0", None).expect("start w0");
+
+    // At 1 ms per model unit each of the worker's four leaves completes
+    // 2-3 s after the exec: all of them are still pending at shutdown.
+    let stage = |a, b, fanout| StageDef {
+        dist: DistSpec::Uniform { a, b },
+        fanout,
+    };
+    let exec = MeshMsg::Exec {
+        query_id: 1,
+        from: "agg0".into(),
+        target: "w0".into(),
+        agg_index: 0,
+        tree: TreeDef {
+            stages: vec![stage(2_000.0, 3_000.0, 4), stage(1.0, 2.0, 1)],
+        },
+        deadline: 10_000.0,
+        seed: 1,
+        fault_plan: None,
+        trace: None,
+    };
+    let mut conn = TcpStream::connect(node.local_addr()).expect("connect");
+    wire::send(&mut &conn, &exec).expect("send exec");
+    // One connection's frames are served in order: the pong means the
+    // exec has been handled.
+    let pong = ping(&mut conn).expect("pong").expect("a response, not EOF");
+    assert!(pong.ok);
+
+    node.shutdown();
+    let settle_by = Instant::now() + Duration::from_secs(1);
+    while node_threads() > idle {
+        assert!(
+            Instant::now() < settle_by,
+            "{} node thread(s) outlived shutdown by 1 s",
+            node_threads() - idle
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }

@@ -16,7 +16,7 @@
 //!   partial aggregation on arrival, online re-estimation, timer re-arm,
 //!   early departure when all inputs are in;
 //! - the **root** gathers whatever aggregated results arrive before the
-//!   wall-clock deadline.
+//!   wall-clock deadline, through [`gather`] (which mesh roots run too).
 //!
 //! Between queries, the [`service`] and every checkpointing mesh
 //! aggregator learn stage distributions through one [`Learner`].
@@ -47,7 +47,7 @@ pub use engine::{
 pub use faults::{FailureReport, FaultKind, FaultPlan, FaultSpec, Ledger, RecoveryPolicy};
 pub use learner::Learner;
 pub use metrics::RuntimeMetrics;
-pub use pass::{run_pass, Arrival, PassConfig, PassOutcome};
+pub use pass::{gather, run_pass, Arrival, Gathered, PassConfig, PassOutcome};
 pub use pool::{ones, VecPool};
 pub use scale::TimeScale;
 pub use service::{AggregationService, QueryOptions, ServiceConfig, WarmRestart};

@@ -14,9 +14,9 @@
 //! booked into the caller's [`Ledger`] at the site that records it in
 //! the decision trace.
 //!
-//! The engine's root runs the terminal loop beside it, `gather`: the
-//! same channel-first order and the same [`Seen`] dedupe, over the top
-//! level's origins.
+//! Both roots — the engine's and a mesh root's — run the terminal loop
+//! beside it, [`gather`]: the same channel-first order and the same
+//! dedupe, over the top level's origins.
 
 use crate::faults::Ledger;
 use crate::metrics::RuntimeMetrics;
@@ -103,17 +103,17 @@ pub struct PassOutcome {
 
 /// Which of the `expected` children have been counted: one bit per
 /// child, so a second arrival from the same origin and an origin that
-/// is nobody's child are refused by the same test. Every loop that
-/// counts arrivals dedupes through it (the mesh root's too).
+/// is nobody's child are refused by the same test. Both loops that
+/// count arrivals dedupe through it.
 #[derive(Debug)]
-pub struct Seen {
+struct Seen {
     expected: Range<usize>,
     words: Vec<u64>,
 }
 
 impl Seen {
     /// Nothing counted yet out of `expected`.
-    pub fn new(expected: Range<usize>) -> Self {
+    fn new(expected: Range<usize>) -> Self {
         let words = vec![0; expected.len().div_ceil(64)];
         Self { expected, words }
     }
@@ -126,7 +126,7 @@ impl Seen {
 
     /// Marks `origin`; `false` when it was already marked or is not an
     /// expected child.
-    pub fn insert(&mut self, origin: usize) -> bool {
+    fn insert(&mut self, origin: usize) -> bool {
         if !self.expected.contains(&origin) {
             return false;
         }
@@ -137,7 +137,7 @@ impl Seen {
     }
 
     /// The expected origins not yet marked, ascending.
-    pub fn missing(&self) -> Vec<usize> {
+    fn missing(&self) -> Vec<usize> {
         let unmarked = |&origin: &usize| {
             let (word, mask) = self.bit(origin);
             self.words[word] & mask == 0
@@ -359,65 +359,83 @@ pub async fn run_pass(
 }
 
 /// What the root gathered by the deadline.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Gathered {
+#[derive(Debug, Clone)]
+pub struct Gathered {
     /// Process outputs included.
     pub included: usize,
     /// Distinct top-level results counted.
     pub arrivals: usize,
     /// Their aggregated value.
     pub value_sum: f64,
-    /// `DeadlineExpired` when the deadline ended the gather,
-    /// `AllArrived` when every sender was gone first.
+    /// `DeadlineExpired` when the deadline ended the gather (or was due
+    /// by the time the queue behind the last counted origin was empty),
+    /// `AllArrived` when every expected origin was counted or every
+    /// sender was gone first.
     pub reason: ShipReason,
+    /// The expected origins not counted, ascending.
+    pub missing: Vec<usize>,
 }
 
 /// The root's terminal loop: count each top-level result from the
-/// `expected` origins once, until the deadline or until every sender is
-/// gone. Channel first, like [`run_pass`]: a result already queued when
-/// the deadline comes due got here in time. Refused arrivals are booked
-/// into `ledger` and handed to `record`, as are counted ones.
-pub(crate) async fn gather(
+/// `expected` origins once, until all are counted, the deadline passes
+/// or every sender is gone. Channel first, like [`run_pass`]: a result
+/// already queued when the deadline comes due got here in time. Refused
+/// arrivals are booked into `ledger` and handed to `record`, as are
+/// counted ones.
+pub async fn gather(
     mut rx: mpsc::Receiver<Arrival>,
     deadline: Instant,
     expected: Range<usize>,
     ledger: Option<&Ledger>,
     record: impl Fn(TraceEventKind),
 ) -> Gathered {
+    let total = expected.len();
     let mut seen = Seen::new(expected);
     let mut expiry = std::pin::pin!(tokio::time::sleep_until(deadline));
-    let mut got = Gathered {
-        included: 0,
-        arrivals: 0,
-        value_sum: 0.0,
-        reason: ShipReason::AllArrived,
-    };
-    loop {
-        tokio::select! {
-            biased;
-            msg = rx.recv() => match msg {
-                Some(m) if seen.insert(m.origin) => {
-                    got.included += m.payload;
-                    got.arrivals += 1;
-                    got.value_sum += m.value;
-                    record(TraceEventKind::RootArrival {
-                        origin: m.origin,
-                        weight: m.payload,
-                    });
-                }
-                Some(m) => {
-                    if let Some(l) = ledger {
-                        l.duplicate_suppressed();
-                    }
-                    record(TraceEventKind::DuplicateSuppressed { origin: m.origin });
-                }
-                None => return got,
-            },
-            () = expiry.as_mut() => {
-                got.reason = ShipReason::DeadlineExpired;
-                return got;
+    let (mut included, mut arrivals, mut value_sum) = (0, 0, 0.0);
+    let reason = loop {
+        let msg = if arrivals < total {
+            tokio::select! {
+                biased;
+                msg = rx.recv() => msg,
+                () = expiry.as_mut() => break ShipReason::DeadlineExpired,
             }
+        } else {
+            // Every origin is counted. What is already queued behind the
+            // last of them is still looked at (and refused); then the
+            // gather ends — on the deadline, if that is due too.
+            match rx.try_recv() {
+                Ok(m) => Some(m),
+                Err(_) if Instant::now() >= deadline => break ShipReason::DeadlineExpired,
+                Err(_) => break ShipReason::AllArrived,
+            }
+        };
+        match msg {
+            Some(m) if seen.insert(m.origin) => {
+                included += m.payload;
+                arrivals += 1;
+                value_sum += m.value;
+                record(TraceEventKind::RootArrival {
+                    origin: m.origin,
+                    weight: m.payload,
+                });
+            }
+            Some(m) => {
+                if let Some(l) = ledger {
+                    l.duplicate_suppressed();
+                }
+                record(TraceEventKind::DuplicateSuppressed { origin: m.origin });
+            }
+            None => break ShipReason::AllArrived,
         }
+    };
+    let missing = seen.missing();
+    Gathered {
+        included,
+        arrivals,
+        value_sum,
+        reason,
+        missing,
     }
 }
 
@@ -651,5 +669,25 @@ mod tests {
         assert_eq!(report.retries_delivered, 1);
         assert_eq!(censored[0].len(), 2);
         assert!(report.matches_trace(&trace.summary()));
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn root_leaves_once_every_expected_origin_is_counted() {
+        // The sender stays alive, as a mesh root's route does: only the
+        // count can end the gather before the deadline, a second away.
+        let begun = Instant::now();
+        let (_tx, rx) = queued(&[4, 5]);
+        let got = gather(rx, begun + Duration::from_secs(1), 4..6, None, |_| {}).await;
+        assert_eq!((got.arrivals, got.reason), (2, ShipReason::AllArrived));
+        assert_eq!(begun.elapsed(), Duration::ZERO);
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn root_names_the_origins_it_did_not_count() {
+        let (tx, rx) = queued(&[5, 5, 9]);
+        drop(tx);
+        let later = Instant::now() + Duration::from_secs(1);
+        let got = gather(rx, later, 4..8, None, |_| {}).await;
+        assert_eq!(got.missing, vec![4, 6, 7]);
     }
 }

@@ -17,6 +17,31 @@
 //! Both expressions are already normalized to quality units (fractions of
 //! the `k` downstream outputs).
 
+/// `x^k` lane by lane, by square-and-multiply inlined into the caller:
+/// in each lane the same multiplications in the same order as
+/// `f64::powi` (whose non-constant exponent is an out-of-line
+/// `__powidf2` call), so every lane is bit-for-bit `x.powi(k as i32)`
+/// for `k <= i32::MAX`. All lanes share the exponent, hence the
+/// branches, so the multiplications vectorise across lanes.
+#[inline(always)]
+fn pow_k<const L: usize>(x: [f64; L], k: usize) -> [f64; L] {
+    let (mut base, mut n, mut acc) = (x, k, [1.0; L]);
+    loop {
+        if n & 1 == 1 {
+            for (a, b) in acc.iter_mut().zip(base) {
+                *a *= b;
+            }
+        }
+        n >>= 1;
+        if n == 0 {
+            return acc;
+        }
+        for b in &mut base {
+            *b *= *b;
+        }
+    }
+}
+
 /// Expected *number* of outputs received by time `t`, conditioned on not
 /// all `k` having arrived: `k (F - F^k) / (1 - F^k)` with `F = F1(t)`
 /// (Appendix C of the paper's TR).
@@ -25,7 +50,7 @@
 pub fn expected_outputs_by(cdf_value: f64, k: usize) -> f64 {
     let f = cdf_value.clamp(0.0, 1.0);
     let kf = k as f64;
-    let fk = f.powi(k as i32);
+    let [fk] = pow_k([f], k);
     let denom = 1.0 - fk;
     if denom <= f64::EPSILON {
         return kf;
@@ -49,9 +74,25 @@ pub fn quality_gain(f_t: f64, f_t_dt: f64, q_up_after: f64) -> f64 {
 /// `f_t` is the lower-stage CDF at `t`; `k` the fan-out; `q_up_before` and
 /// `q_up_after` are `q_{n-1}(D - t)` and `q_{n-1}(D - (t + dt))`.
 pub fn quality_loss(f_t: f64, k: usize, q_up_before: f64, q_up_after: f64) -> f64 {
-    let f = f_t.clamp(0.0, 1.0);
-    let at_risk = f - f.powi(k as i32);
-    at_risk.max(0.0) * (q_up_before - q_up_after).max(0.0)
+    let [loss] = quality_loss_lanes([f_t], k, [q_up_before], [q_up_after]);
+    loss
+}
+
+/// [`quality_loss`] of `L` steps at once, lane by lane bit-identical to
+/// it: the wait scan's vectorised pass.
+#[inline(always)]
+pub(crate) fn quality_loss_lanes<const L: usize>(
+    f_t: [f64; L],
+    k: usize,
+    q_up_before: [f64; L],
+    q_up_after: [f64; L],
+) -> [f64; L] {
+    let f = f_t.map(|f| f.clamp(0.0, 1.0));
+    let fk = pow_k(f, k);
+    std::array::from_fn(|i| {
+        let at_risk = f[i] - fk[i];
+        at_risk.max(0.0) * (q_up_before[i] - q_up_after[i]).max(0.0)
+    })
 }
 
 /// Expected quality of a *single* aggregator that departs exactly at its
@@ -109,6 +150,42 @@ where
 mod tests {
     use super::*;
     use cedar_distrib::{ContinuousDist, LogNormal};
+    use proptest::prelude::*;
+
+    /// `pow_k` against `powi`, bit for bit, for every `k` in `1..=1024`,
+    /// alone and as one lane of four.
+    fn assert_pow_k_matches_powi(f: f64) {
+        for k in 1..=1024usize {
+            let want = f.powi(k as i32).to_bits();
+            assert_eq!(pow_k([f], k)[0].to_bits(), want, "pow_k({f:e}, {k})");
+            let lanes = pow_k([0.5, f, 1.0, f64::MIN_POSITIVE], k);
+            assert_eq!(lanes[1].to_bits(), want, "lane 1 of pow_k({f:e}, {k})");
+        }
+    }
+
+    #[test]
+    fn pow_k_is_bit_identical_to_powi() {
+        // A dense grid over [0, 1] (the CDF values the scan feeds it),
+        // the points right below 1 where high powers round away slowly,
+        // and the subnormals, where every product underflows.
+        let dense = (0..=4096).map(|i| i as f64 / 4096.0);
+        let near_one = (1..=64).map(|i| 1.0 - i as f64 * f64::EPSILON);
+        let subnormal = [
+            f64::from_bits(1),
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+            f64::MIN_POSITIVE / 3.0,
+        ];
+        for f in dense.chain(near_one).chain(subnormal) {
+            assert_pow_k_matches_powi(f);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn pow_k_matches_powi_anywhere_in_the_unit_interval(f in 0.0..1.0f64) {
+            assert_pow_k_matches_powi(f);
+        }
+    }
 
     #[test]
     fn expected_outputs_limits() {

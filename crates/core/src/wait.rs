@@ -6,20 +6,21 @@
 //! argmax. The accumulated value at the optimum *is* the maximum expected
 //! quality `q_n(D)`, which is what makes the recursion of §4.3.2 work.
 
-use crate::quality::{quality_gain, quality_loss};
+use crate::quality::{quality_gain, quality_loss, quality_loss_lanes};
 use cedar_distrib::ContinuousDist;
 use cedar_mathx::KahanSum;
 use std::cell::RefCell;
 
 /// Reusable per-thread buffers for the batched scan: the ε-grid, the
-/// batched lower-stage CDF values, and (for the closure-driven entry
-/// point) the upstream quality values. Sized on first use and reused, so
-/// steady-state scans allocate nothing.
+/// batched lower-stage CDF values, (for the closure-driven entry point)
+/// the upstream quality values, and each step's net quality change.
+/// Sized on first use and reused, so steady-state scans allocate nothing.
 #[derive(Default)]
 struct Scratch {
     ts: Vec<f64>,
     fs: Vec<f64>,
     qs: Vec<f64>,
+    nets: Vec<f64>,
 }
 
 thread_local! {
@@ -28,6 +29,7 @@ thread_local! {
             ts: Vec::new(),
             fs: Vec::new(),
             qs: Vec::new(),
+            nets: Vec::new(),
         })
     };
 }
@@ -206,7 +208,8 @@ where
         scratch.fs.resize(steps, 0.0);
         lower.cdf_batch(&scratch.ts, &mut scratch.fs);
         let q0 = q_up(deadline).clamp(0.0, 1.0);
-        accumulate_scan(lower, fanout, &scratch.ts, &scratch.fs, q0, &scratch.qs)
+        let Scratch { ts, fs, qs, nets } = scratch;
+        accumulate_scan(lower, fanout, ts, fs, q0, qs, nets)
     })
 }
 
@@ -239,21 +242,22 @@ pub fn calculate_wait_with_grid(
         fill_grid(&mut scratch.ts, deadline, grid.epsilon, steps);
         scratch.fs.resize(steps, 0.0);
         lower.cdf_batch(&scratch.ts, &mut scratch.fs);
-        accumulate_scan(
-            lower,
-            fanout,
-            &scratch.ts,
-            &scratch.fs,
-            grid.q0,
-            &grid.values,
-        )
+        let Scratch { ts, fs, nets, .. } = scratch;
+        accumulate_scan(lower, fanout, ts, fs, grid.q0, &grid.values, nets)
     })
 }
 
 /// The shared accumulation kernel: given departure candidates `ts`, the
 /// batched lower-stage CDF values `fs`, and the upstream quality values,
-/// walks the grid once accumulating gain − loss with Kahan summation and
-/// keeps the first maximizer.
+/// accumulates gain − loss with Kahan summation and keeps the first
+/// maximizer.
+///
+/// Two passes over the grid. The first writes every step's gain − loss
+/// into `nets`, [`LANES`] steps at a time: the terms are independent of
+/// one another, so their `F^k` chains run side by side in vector lanes
+/// instead of queueing behind the Kahan sum. The second runs the Kahan
+/// sum and the argmax serially, in the same order over the same terms
+/// as one fused walk would, so the decision is bit-identical to it.
 fn accumulate_scan(
     lower: &dyn ContinuousDist,
     fanout: usize,
@@ -261,18 +265,40 @@ fn accumulate_scan(
     fs: &[f64],
     q0: f64,
     qs: &[f64],
+    nets: &mut Vec<f64>,
 ) -> WaitDecision {
+    let steps = ts.len().min(fs.len()).min(qs.len());
+    nets.clear();
+    if steps > 0 {
+        // Step 0 leaves from F(0) and q_up(D); step i from step i − 1's end.
+        nets.extend(step_nets::<1>(fanout, &[lower.cdf(0.0)], fs, &[q0], qs));
+        let (f_prev, f_next) = (&fs[..steps - 1], &fs[1..steps]);
+        let (q_prev, q_next) = (&qs[..steps - 1], &qs[1..steps]);
+        let blocks = |s| <[f64]>::chunks_exact(s, LANES);
+        let lanes = blocks(f_prev)
+            .zip(blocks(f_next))
+            .zip(blocks(q_prev))
+            .zip(blocks(q_next));
+        for (((fp, fnx), qp), qn) in lanes {
+            nets.extend(step_nets::<LANES>(fanout, fp, fnx, qp, qn));
+        }
+        // The last steps that do not fill a block.
+        for i in nets.len() - 1..steps - 1 {
+            nets.extend(step_nets::<1>(
+                fanout,
+                &f_prev[i..],
+                &f_next[i..],
+                &q_prev[i..],
+                &q_next[i..],
+            ));
+        }
+    }
+
     let mut running = KahanSum::new();
     let mut best_q = 0.0f64;
     let mut best_wait = 0.0f64;
-
-    let mut f_prev = lower.cdf(0.0);
-    let mut q_up_prev = q0;
-    for ((&t_next, &f_next), &q_up_next) in ts.iter().zip(fs).zip(qs) {
-        let gain = quality_gain(f_prev, f_next, q_up_next);
-        let loss = quality_loss(f_prev, fanout, q_up_prev, q_up_next);
-        running.add(gain - loss);
-
+    for (&t_next, &step) in ts.iter().zip(nets.iter()) {
+        running.add(step);
         // Keep the *first* maximizer: on quality plateaus (gain and loss
         // both ~0) a later departure buys nothing but risks model error,
         // so the earliest wait achieving the maximum is the safe argmax.
@@ -281,15 +307,32 @@ fn accumulate_scan(
             best_q = q;
             best_wait = t_next;
         }
-
-        f_prev = f_next;
-        q_up_prev = q_up_next;
     }
 
     WaitDecision {
         wait: best_wait,
         quality: best_q.clamp(0.0, 1.0),
     }
+}
+
+/// Steps of the scan's first pass evaluated side by side.
+const LANES: usize = 4;
+
+/// Gain − loss of the `L` steps that start at the heads of `f_prev` and
+/// `q_prev` and end at the heads of `f_next` and `q_next`.
+#[inline(always)]
+fn step_nets<const L: usize>(
+    fanout: usize,
+    f_prev: &[f64],
+    f_next: &[f64],
+    q_prev: &[f64],
+    q_next: &[f64],
+) -> [f64; L] {
+    let lanes = |s: &[f64]| -> [f64; L] { std::array::from_fn(|i| s[i]) };
+    let (f_prev, f_next) = (lanes(f_prev), lanes(f_next));
+    let (q_prev, q_next) = (lanes(q_prev), lanes(q_next));
+    let loss = quality_loss_lanes(f_prev, fanout, q_prev, q_next);
+    std::array::from_fn(|i| quality_gain(f_prev[i], f_next[i], q_next[i]) - loss[i])
 }
 
 /// Recomputes the marginal quality gain and loss of the ε-step that ends
@@ -334,62 +377,6 @@ pub fn gain_loss_at(
     )
 }
 
-/// The pre-batching scalar scan, kept verbatim as the reference
-/// implementation: one virtual `cdf` call and one `q_up` evaluation per
-/// ε-step. The equivalence tests and the `wait_scan` bench compare the
-/// batched paths against this.
-pub fn calculate_wait_scalar<Q>(
-    deadline: f64,
-    lower: &dyn ContinuousDist,
-    fanout: usize,
-    q_up: Q,
-    epsilon: f64,
-) -> WaitDecision
-where
-    Q: Fn(f64) -> f64,
-{
-    assert!(epsilon > 0.0, "epsilon must be positive");
-    assert!(fanout >= 1, "fanout must be at least 1");
-    if deadline <= 0.0 {
-        return WaitDecision {
-            wait: 0.0,
-            quality: 0.0,
-        };
-    }
-
-    let steps = scan_steps(deadline, epsilon);
-    let mut running = KahanSum::new();
-    let mut best_q = 0.0f64;
-    let mut best_wait = 0.0f64;
-
-    let mut f_prev = lower.cdf(0.0);
-    let mut q_up_prev = q_up(deadline).clamp(0.0, 1.0);
-    for i in 0..steps {
-        let t = i as f64 * epsilon;
-        let t_next = (t + epsilon).min(deadline);
-        let f_next = lower.cdf(t_next);
-        let q_up_next = q_up(deadline - t_next).clamp(0.0, 1.0);
-
-        let gain = quality_gain(f_prev, f_next, q_up_next);
-        let loss = quality_loss(f_prev, fanout, q_up_prev, q_up_next);
-        running.add(gain - loss);
-
-        let q = running.value();
-        if q > best_q {
-            best_q = q;
-            best_wait = t_next;
-        }
-
-        f_prev = f_next;
-        q_up_prev = q_up_next;
-    }
-
-    WaitDecision {
-        wait: best_wait,
-        quality: best_q.clamp(0.0, 1.0),
-    }
-}
-
 /// Convenience wrapper choosing `epsilon = deadline / DEFAULT_STEPS`.
 pub fn calculate_wait_default<Q>(
     deadline: f64,
@@ -415,11 +402,154 @@ where
     )
 }
 
+/// The scans the production kernel replaced, kept verbatim so tests can
+/// pin the fast paths to them.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// Eq. 4's loss with `F^k` from `powi`, as both scans had it.
+    fn quality_loss_powi(f_t: f64, k: usize, q_up_before: f64, q_up_after: f64) -> f64 {
+        let f = f_t.clamp(0.0, 1.0);
+        let at_risk = f - f.powi(k as i32);
+        at_risk.max(0.0) * (q_up_before - q_up_after).max(0.0)
+    }
+
+    /// The pre-batching scalar scan: one virtual `cdf` call and one
+    /// `q_up` evaluation per ε-step.
+    pub fn calculate_wait_scalar<Q>(
+        deadline: f64,
+        lower: &dyn ContinuousDist,
+        fanout: usize,
+        q_up: Q,
+        epsilon: f64,
+    ) -> WaitDecision
+    where
+        Q: Fn(f64) -> f64,
+    {
+        assert!(epsilon > 0.0, "epsilon must be positive");
+        assert!(fanout >= 1, "fanout must be at least 1");
+        if deadline <= 0.0 {
+            return WaitDecision {
+                wait: 0.0,
+                quality: 0.0,
+            };
+        }
+
+        let steps = scan_steps(deadline, epsilon);
+        let mut running = KahanSum::new();
+        let mut best_q = 0.0f64;
+        let mut best_wait = 0.0f64;
+
+        let mut f_prev = lower.cdf(0.0);
+        let mut q_up_prev = q_up(deadline).clamp(0.0, 1.0);
+        for i in 0..steps {
+            let t = i as f64 * epsilon;
+            let t_next = (t + epsilon).min(deadline);
+            let f_next = lower.cdf(t_next);
+            let q_up_next = q_up(deadline - t_next).clamp(0.0, 1.0);
+
+            let gain = quality_gain(f_prev, f_next, q_up_next);
+            let loss = quality_loss_powi(f_prev, fanout, q_up_prev, q_up_next);
+            running.add(gain - loss);
+
+            let q = running.value();
+            if q > best_q {
+                best_q = q;
+                best_wait = t_next;
+            }
+
+            f_prev = f_next;
+            q_up_prev = q_up_next;
+        }
+
+        WaitDecision {
+            wait: best_wait,
+            quality: best_q.clamp(0.0, 1.0),
+        }
+    }
+
+    /// The single-pass grid kernel: gain − loss, the Kahan sum and the
+    /// argmax fused into one walk, `F^k` from `powi`.
+    pub fn calculate_wait_with_grid_fused(
+        lower: &dyn ContinuousDist,
+        fanout: usize,
+        grid: &QupGrid,
+    ) -> WaitDecision {
+        let steps = grid.steps();
+        let mut ts = Vec::new();
+        fill_grid(&mut ts, grid.deadline, grid.epsilon, steps);
+        let mut fs = vec![0.0; steps];
+        lower.cdf_batch(&ts, &mut fs);
+
+        let mut running = KahanSum::new();
+        let mut best_q = 0.0f64;
+        let mut best_wait = 0.0f64;
+        let mut f_prev = lower.cdf(0.0);
+        let mut q_up_prev = grid.q0;
+        for ((&t_next, &f_next), &q_up_next) in ts.iter().zip(&fs).zip(&grid.values) {
+            let gain = quality_gain(f_prev, f_next, q_up_next);
+            let loss = quality_loss_powi(f_prev, fanout, q_up_prev, q_up_next);
+            running.add(gain - loss);
+            let q = running.value();
+            if q > best_q {
+                best_q = q;
+                best_wait = t_next;
+            }
+            f_prev = f_next;
+            q_up_prev = q_up_next;
+        }
+        WaitDecision {
+            wait: best_wait,
+            quality: best_q.clamp(0.0, 1.0),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::{calculate_wait_scalar, calculate_wait_with_grid_fused};
     use super::*;
     use crate::quality::departure_quality;
     use cedar_distrib::{Exponential, LogNormal, Normal};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn two_pass_kernel_is_bit_identical_to_the_fused_one() {
+        // 200 log-normal lower stages around the rpc_wide regime and 200
+        // Gaussian ones, against a log-normal upper stage, at the
+        // runtime's and the default ε-resolutions (and one whose steps
+        // fill the vector blocks exactly): the same decision to the last
+        // bit.
+        let mut rng = StdRng::seed_from_u64(26);
+        let upper = LogNormal::new(4.0, 1.2).unwrap();
+        let deadline = 1000.0;
+        for steps in [300usize, 301, 500] {
+            let grid = QupGrid::build(deadline, deadline / steps as f64, |rem| {
+                if rem <= 0.0 {
+                    0.0
+                } else {
+                    upper.cdf(rem)
+                }
+            });
+            for i in 0..400 {
+                let fanout = rng.gen_range(1..101usize);
+                let lower: Box<dyn ContinuousDist> = if i % 2 == 0 {
+                    let (mu, sigma) = (rng.gen_range(4.0..7.5), rng.gen_range(0.2..1.5));
+                    Box::new(LogNormal::new(mu, sigma).unwrap())
+                } else {
+                    let (mean, sd) = (rng.gen_range(50.0..900.0), rng.gen_range(5.0..400.0));
+                    Box::new(Normal::new(mean, sd).unwrap())
+                };
+                assert_eq!(
+                    calculate_wait_with_grid(&*lower, fanout, &grid),
+                    calculate_wait_with_grid_fused(&*lower, fanout, &grid),
+                    "{lower:?}, fan-out {fanout}, {steps} steps"
+                );
+            }
+        }
+    }
 
     /// Two-level helper: upstream quality is just the upper-stage CDF.
     fn two_level_qup(upper: &(impl ContinuousDist + Clone)) -> impl Fn(f64) -> f64 + '_ {

@@ -29,8 +29,9 @@
 //!    pure functions of `(query seed, global origin)`, applies the
 //!    fault plan at the send boundary exactly like the engine's
 //!    channel-send injection, and one task pushes one `partial` per
-//!    surviving leaf at its scheduled completion instant (a `retry`
-//!    likewise, one task per frame).
+//!    surviving leaf at its scheduled completion instant through the
+//!    engine's own leaf shipper ([`cedar_runtime::ship_leaves`]; a
+//!    `retry` likewise, one task per frame).
 //!
 //! Failure accounting reconciles end-to-end without coordination:
 //! *injected* fault counts are computed at the root from the plan alone
@@ -1372,8 +1373,9 @@ impl NodeInner {
                     None => {}
                 }
                 if dur > deadline {
-                    // It cannot be counted upstream; its absence is
-                    // right-censored there, like the engine's late tail.
+                    // It cannot be counted upstream, so it is never
+                    // scheduled; its absence is right-censored there,
+                    // like the engine's late tail.
                     continue;
                 }
                 leaves.push((dur, origin, copies));
@@ -1439,20 +1441,24 @@ impl NodeInner {
         });
     }
 
-    /// Ships `leaves` in completion order, each at `start` plus its
-    /// duration, the segment (if any) re-stamped on every partial.
+    /// Ships `leaves` through the engine's shipper, each at `start` plus
+    /// its duration, the segment (if any) re-stamped on every partial.
     async fn ship_leaves(
         &self,
         query_id: u64,
         start: tokio::time::Instant,
-        mut leaves: Vec<Leaf>,
+        leaves: Vec<Leaf>,
         retry: bool,
         segment: Option<TraceSegment>,
     ) {
         let scale = self.topo.scale();
-        leaves.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for (duration, origin, copies) in leaves {
-            tokio::time::sleep_until(start + scale.to_wall(duration)).await;
+        let leaves = leaves
+            .into_iter()
+            .map(|(duration, origin, copies)| {
+                (start + scale.to_wall(duration), origin, (duration, copies))
+            })
+            .collect();
+        cedar_runtime::ship_leaves(leaves, |origin, (duration, copies)| {
             let msg = MeshMsg::Partial {
                 query_id,
                 from: self.me.name.clone(),
@@ -1472,6 +1478,8 @@ impl NodeInner {
             for _ in 0..copies {
                 self.ship_partial(&msg);
             }
-        }
+            std::future::ready(())
+        })
+        .await;
     }
 }

@@ -1,5 +1,12 @@
-//! Query execution on the tokio runtime: workers, aggregators and root
+//! Query execution on the tokio runtime: leaves, aggregators and root
 //! wired by channels, timers driven by the wall clock.
+//!
+//! One task per aggregator runs the Pseudocode-1 pass; one more per
+//! bottom aggregator ships that aggregator's leaves, each at its sampled
+//! completion instant, through [`ship_leaves`] (the mesh worker's
+//! shipper too). A leaf that completes after the deadline cannot be
+//! counted by anybody, so it is never scheduled: its shipper only keeps
+//! the channel open past the deadline, as the leaf itself would have.
 
 use crate::faults::{FailureReport, FaultKind, FaultPlan, Ledger, StageLog};
 use crate::metrics::RuntimeMetrics;
@@ -14,6 +21,7 @@ use cedar_estimate::Model;
 use cedar_telemetry::{QueryTrace, TraceEventKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::future::Future;
 use std::sync::Arc;
 use std::time::Duration;
 use tokio::sync::mpsc;
@@ -28,9 +36,60 @@ use crate::pass::Arrival as PartialResult;
 struct ChaosShared {
     plan: Arc<FaultPlan>,
     ledger: Arc<Ledger>,
-    /// When hung tasks finally release their channel ends: past the
-    /// deadline, so a hang can never be mistaken for a slow completion.
-    hang_until: Instant,
+}
+
+/// Where a leaf's faults are booked: the query's ledger, and its trace
+/// when one is attached, at the same instant.
+struct LeafFaults {
+    ledger: Arc<Ledger>,
+    trace: Option<Arc<QueryTrace>>,
+    start: Instant,
+    scale: TimeScale,
+}
+
+impl LeafFaults {
+    fn book(&self, origin: usize, k: FaultKind) {
+        self.ledger.injected(k);
+        if let Some(t) = &self.trace {
+            t.record(
+                self.scale.to_model(self.start.elapsed()),
+                0,
+                origin,
+                TraceEventKind::FaultInjected {
+                    fault: k.class(),
+                    origin,
+                },
+            );
+        }
+    }
+}
+
+/// A leaf in a bottom aggregator's shipper: its partial result and the
+/// fault that strikes it at the send, if any.
+type BottomLeaf = (PartialResult, Option<FaultKind>);
+
+/// Ships each `(instant, origin, item)` by handing `(origin, item)` to
+/// `ship` at its instant, in `(instant, origin)` order — the order in
+/// which one timer per leaf would fire. Every instant is awaited on one
+/// timer, re-armed in place, so a bottom aggregator's leaves (or a mesh
+/// worker's) cost one task and one timer registration at a time rather
+/// than one each.
+pub async fn ship_leaves<T, F>(
+    mut leaves: Vec<(Instant, usize, T)>,
+    mut ship: impl FnMut(usize, T) -> F,
+) where
+    F: Future<Output = ()>,
+{
+    leaves.sort_by_key(|&(at, origin, _)| (at, origin));
+    let Some(&(first, _, _)) = leaves.first() else {
+        return;
+    };
+    let mut timer = std::pin::pin!(tokio::time::sleep_until(first));
+    for (at, origin, item) in leaves {
+        timer.as_mut().reset(at);
+        timer.as_mut().await;
+        ship(origin, item).await;
+    }
 }
 
 /// An aggregator's own fate at its upstream send boundary.
@@ -294,13 +353,14 @@ pub async fn run_query_prepared(
 
     // Chaos wiring (None on clean runs; the clean path below is
     // byte-identical to the fault-free engine).
-    let chaos = cfg.faults.as_ref().map(|plan| {
-        Arc::new(ChaosShared {
-            plan: plan.clone(),
-            ledger: Arc::new(Ledger::new(n)),
-            hang_until: deadline_instant + cfg.scale.to_wall(1.0),
-        })
+    let chaos = cfg.faults.as_ref().map(|plan| ChaosShared {
+        plan: plan.clone(),
+        ledger: Arc::new(Ledger::new(n)),
     });
+    // When a task that will never send releases its channel end: past
+    // the deadline, so its silence can never close a channel before the
+    // aggregator behind it has timed out.
+    let hold_until = deadline_instant + cfg.scale.to_wall(1.0);
     let watchdog = cfg
         .faults
         .as_ref()
@@ -369,7 +429,7 @@ pub async fn run_query_prepared(
             let agg_chaos = chaos.as_ref().map(|c| AggChaos {
                 ledger: c.ledger.clone(),
                 fault: c.plan.fault_for(level, agg),
-                hang_until: c.hang_until,
+                hang_until: hold_until,
             });
             // cedar-lint: allow(L10): one task per aggregator of a tree already validated against MAX_STAGES at decode; the loop bound is the tree shape, not raw client input
             tokio::spawn(aggregator_task(
@@ -390,88 +450,61 @@ pub async fn run_query_prepared(
         }
     }
 
-    // Workers. Faults strike at the channel-send boundary: the sampled
-    // duration is the work, the send is the one act a fault can deny.
+    // Leaves: one shipper per bottom aggregator. Faults strike at the
+    // channel-send boundary: the sampled duration is the work, the send
+    // is the one act a fault can deny.
     let k1 = cfg.tree.stage(0).fanout;
-    for (i, &dur) in process_durations.iter().enumerate() {
-        let tx = level1_txs[i / k1].clone();
-        // A fault only exists with its chaos wiring; carrying them as a
-        // pair keeps that invariant in the type instead of in expects.
-        let fault = chaos
-            .as_ref()
-            .and_then(|c| c.plan.fault_for(0, i).map(|k| (k, Arc::clone(c))));
-        // A trace handle rides along only when this worker has a fault
-        // to report (its only trace-worthy events are injections).
-        let wtrace = if fault.is_some() {
-            cfg.trace.clone()
-        } else {
-            None
-        };
-        let dur = match &fault {
-            Some((FaultKind::Straggle { factor }, _)) => dur * factor,
-            _ => dur,
-        };
-        let fire_at = start + cfg.scale.to_wall(dur);
-        let scale = cfg.scale;
-        let value = values[i];
-        // cedar-lint: allow(L10): one task per worker of the validated tree; process_durations is sized by the decode-time fan-out caps
-        tokio::spawn(async move {
-            // Mirror every Ledger::injected call into the trace at the
-            // same instant so trace and FailureReport counts agree.
-            let trace_fault = |k: FaultKind| {
-                if let Some(t) = &wtrace {
-                    t.record(
-                        scale.to_model(start.elapsed()),
-                        0,
-                        i,
-                        TraceEventKind::FaultInjected {
-                            fault: k.class(),
-                            origin: i,
-                        },
-                    );
+    for (agg, (durations, tx)) in process_durations.chunks(k1).zip(level1_txs).enumerate() {
+        let mut leaves = Vec::with_capacity(durations.len());
+        // Hangs and straggles are booked when the shipper starts, for
+        // every leaf they strike, whether it is ever sent or not.
+        let mut at_start = Vec::new();
+        let mut held_back = false;
+        for (origin, &dur) in (agg * k1..).zip(durations) {
+            let fault = chaos.as_ref().and_then(|c| c.plan.fault_for(0, origin));
+            let dur = match fault {
+                Some(k @ FaultKind::Straggle { factor }) => {
+                    at_start.push((origin, k));
+                    dur * factor
                 }
+                Some(FaultKind::Hang) => {
+                    at_start.push((origin, FaultKind::Hang));
+                    held_back = true;
+                    continue;
+                }
+                _ => dur,
             };
-            match fault {
-                Some((FaultKind::Hang, c)) => {
-                    c.ledger.injected(FaultKind::Hang);
-                    trace_fault(FaultKind::Hang);
-                    // Never finishes: holds `tx` past the deadline so the
-                    // channel cannot close early, then exits unsent.
-                    tokio::time::sleep_until(c.hang_until).await;
-                }
-                Some((k @ (FaultKind::CrashBeforeSend | FaultKind::DropMessage), c)) => {
-                    // The work happens; the result never leaves the host.
-                    tokio::time::sleep_until(fire_at).await;
-                    c.ledger.injected(k);
-                    trace_fault(k);
-                }
-                fault => {
-                    if let Some((k @ FaultKind::Straggle { .. }, c)) = &fault {
-                        c.ledger.injected(*k);
-                        trace_fault(*k);
-                    }
-                    tokio::time::sleep_until(fire_at).await;
-                    let msg = PartialResult {
-                        payload: 1,
-                        value,
-                        origin: i,
-                        duration: dur,
-                        retry: false,
-                    };
-                    if let Some((k @ FaultKind::DuplicateMessage, c)) = &fault {
-                        c.ledger.injected(*k);
-                        trace_fault(*k);
-                        let _ = tx.send(msg).await;
-                    }
-                    // The aggregator may already have departed; a send error is
-                    // exactly the "output ignored upstream" case.
-                    let _ = tx.send(msg).await;
-                }
+            let at = start + cfg.scale.to_wall(dur);
+            if at > deadline_instant {
+                // Nobody can count it, so nothing is slept to for it.
+                held_back = true;
+                continue;
             }
+            let msg = PartialResult {
+                payload: 1,
+                value: values[origin],
+                origin,
+                duration: dur,
+                retry: false,
+            };
+            leaves.push((at, origin, (msg, fault)));
+        }
+        let faults = chaos.as_ref().map(|c| LeafFaults {
+            ledger: c.ledger.clone(),
+            trace: cfg.trace.clone(),
+            start,
+            scale: cfg.scale,
         });
+        // cedar-lint: allow(L10): one task per bottom aggregator of a tree already validated against MAX_STAGES at decode; the loop bound is the tree shape, not raw client input
+        tokio::spawn(bottom_leaves(
+            tx,
+            leaves,
+            faults,
+            at_start,
+            held_back.then_some(hold_until),
+        ));
     }
     // Drop our clones so channels close when tasks finish.
-    drop(level1_txs);
     drop(upper_txs);
 
     // Root: gather the top level's results until the deadline.
@@ -528,6 +561,49 @@ pub async fn run_query_prepared(
         m.observe_outcome(&outcome);
     }
     outcome
+}
+
+/// One bottom aggregator's leaves: book the faults struck at the start,
+/// ship the leaves due by the deadline, then — if any leaf was held
+/// back — keep the channel open until `hold_until`, as that leaf would
+/// have, so the aggregator still leaves on its own timer.
+async fn bottom_leaves(
+    tx: mpsc::Sender<PartialResult>,
+    leaves: Vec<(Instant, usize, BottomLeaf)>,
+    faults: Option<LeafFaults>,
+    at_start: Vec<(usize, FaultKind)>,
+    hold_until: Option<Instant>,
+) {
+    // A fault only exists with its chaos wiring, so `faults` is there
+    // whenever one needs booking.
+    let book = |origin, k| {
+        if let Some(f) = &faults {
+            f.book(origin, k);
+        }
+    };
+    for &(origin, k) in &at_start {
+        book(origin, k);
+    }
+    let (tx, book) = (&tx, &book);
+    ship_leaves(leaves, move |origin, (msg, fault)| async move {
+        match fault {
+            // The work happened; the result never leaves the host.
+            Some(k @ (FaultKind::CrashBeforeSend | FaultKind::DropMessage)) => book(origin, k),
+            fault => {
+                if let Some(k @ FaultKind::DuplicateMessage) = fault {
+                    book(origin, k);
+                    let _ = tx.send(msg).await;
+                }
+                // The aggregator may already have departed; a send error
+                // is exactly the "output ignored upstream" case.
+                let _ = tx.send(msg).await;
+            }
+        }
+    })
+    .await;
+    if let Some(at) = hold_until {
+        tokio::time::sleep_until(at).await;
+    }
 }
 
 /// One aggregator: run the shared Pseudocode-1 pass over this
@@ -795,6 +871,117 @@ mod tests {
         assert_eq!(fresh.included_outputs, cached.included_outputs);
         assert_eq!(fresh.root_arrivals, cached.root_arrivals);
         assert_eq!(fresh.realized_durations, cached.realized_durations);
+    }
+
+    /// A traced two-level run; the trace comes back beside the outcome.
+    async fn traced(
+        tree: TreeSpec,
+        deadline: f64,
+        kind: WaitPolicyKind,
+    ) -> (RuntimeOutcome, Vec<cedar_telemetry::TraceEvent>) {
+        let trace = Arc::new(QueryTrace::new());
+        let cfg = RuntimeConfig::new(tree, deadline)
+            .with_seed(12)
+            .with_trace(trace.clone());
+        let out = run_query(&cfg, kind).await;
+        (out, trace.events())
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn leaves_past_the_deadline_keep_their_aggregator_on_its_timer() {
+        // Half the leaves finish within 5 units, half after the 100-unit
+        // deadline. An aggregator holding both kinds has all it can get
+        // by 5, but it must still wait for its timer at 50, as it would
+        // with the late leaves on their way: its channel stays open.
+        let leaves = cedar_distrib::Mixture::new(vec![
+            (0.5, Box::new(Uniform::new(1.0, 5.0).unwrap()) as _),
+            (0.5, Box::new(Uniform::new(200.0, 300.0).unwrap()) as _),
+        ])
+        .unwrap();
+        let tree = TreeSpec::two_level(
+            StageSpec::new(leaves, 4),
+            StageSpec::new(Uniform::new(1.0, 2.0).unwrap(), 4),
+        );
+        let (out, events) = traced(tree, 100.0, WaitPolicyKind::FixedWait(50.0)).await;
+        let mixed: Vec<usize> = (0..4)
+            .filter(|&agg| {
+                let mine = &out.realized_durations[0][agg * 4..agg * 4 + 4];
+                mine.iter().any(|&d| d < 5.0) && mine.iter().any(|&d| d > 100.0)
+            })
+            .collect();
+        assert!(
+            !mixed.is_empty(),
+            "no aggregator holds early and late leaves"
+        );
+        for agg in mixed {
+            let mine: Vec<_> = events
+                .iter()
+                .filter(|e| e.level == 1 && e.index == agg)
+                .collect();
+            let at_timer = |at: f64| (at - 50.0).abs() < 1e-9;
+            assert!(
+                mine.iter()
+                    .any(|e| at_timer(e.at) && e.kind == TraceEventKind::TimerFired),
+                "aggregator {agg} left before its timer: {mine:?}"
+            );
+            assert!(
+                mine.last().is_some_and(
+                    |e| at_timer(e.at) && matches!(e.kind, TraceEventKind::Departed { .. })
+                ),
+                "aggregator {agg}: {mine:?}"
+            );
+        }
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn same_instant_leaves_ship_in_origin_order() {
+        // Every leaf takes 5 units to well under a nanosecond of wall
+        // time, so each aggregator's leaves all land at one instant.
+        let tree = TreeSpec::two_level(
+            StageSpec::new(Uniform::new(5.0, 5.0 + 1e-9).unwrap(), 6),
+            StageSpec::new(Uniform::new(1.0, 2.0).unwrap(), 3),
+        );
+        let (out, events) = traced(tree, 100.0, WaitPolicyKind::Cedar).await;
+        assert_eq!(out.included_outputs, 18);
+        for agg in 0..3 {
+            let origins: Vec<usize> = events
+                .iter()
+                .filter(|e| e.level == 1 && e.index == agg)
+                .filter_map(|e| match e.kind {
+                    TraceEventKind::Arrival { origin, .. } => Some(origin),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(origins, (agg * 6..agg * 6 + 6).collect::<Vec<_>>());
+        }
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn shipper_orders_by_instant_then_origin() {
+        let t0 = Instant::now();
+        let at = |ms| t0 + Duration::from_millis(ms);
+        let leaves = vec![
+            (at(2), 7, 'a'),
+            (at(1), 9, 'b'),
+            (at(2), 3, 'c'),
+            (at(1), 4, 'd'),
+        ];
+        let shipped = std::sync::Mutex::new(Vec::new());
+        ship_leaves(leaves, |origin, item| {
+            shipped.lock().unwrap().push((t0.elapsed(), origin, item));
+            std::future::ready(())
+        })
+        .await;
+        let ms = Duration::from_millis;
+        assert_eq!(
+            shipped.into_inner().unwrap(),
+            vec![
+                (ms(1), 4, 'd'),
+                (ms(1), 9, 'b'),
+                (ms(2), 3, 'c'),
+                (ms(2), 7, 'a')
+            ]
+        );
     }
 
     #[test]

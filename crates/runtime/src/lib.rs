@@ -8,9 +8,12 @@
 //! tokio runtime exercises exactly those mechanics with real (wall-clock)
 //! timers and real message passing:
 //!
-//! - every leaf **worker** is a task that performs its share of work
-//!   (sleeping for a sampled duration at the configured time scale, then
-//!   producing a partial value);
+//! - every leaf **worker** performs its share of work (a sampled
+//!   duration at the configured time scale) and produces a partial
+//!   value; one task per bottom aggregator sleeps to each of its leaves'
+//!   completion instants in turn and ships them, through
+//!   [`ship_leaves`] (which mesh workers run too), and a leaf that would
+//!   complete after the deadline is never slept to;
 //! - every **aggregator** is a task running Pseudocode 1 off the one
 //!   `tokio::select!` loop in [`pass`] (which mesh aggregators run too):
 //!   partial aggregation on arrival, online re-estimation, timer re-arm,
@@ -42,7 +45,8 @@ pub mod service;
 
 pub use checkpoint::{Checkpoint, CheckpointConfig, CheckpointError, StageCheckpoint};
 pub use engine::{
-    run_query, run_query_prepared, run_query_with_values, RuntimeConfig, RuntimeOutcome,
+    run_query, run_query_prepared, run_query_with_values, ship_leaves, RuntimeConfig,
+    RuntimeOutcome,
 };
 pub use faults::{FailureReport, FaultKind, FaultPlan, FaultSpec, Ledger, RecoveryPolicy};
 pub use learner::Learner;

@@ -3,7 +3,7 @@
 //! An aggregator needs a timer, a channel of arrivals and the
 //! per-arrival re-optimization; [`run_pass`] is that loop, and the only
 //! driver of [`AggregatorState`] outside the simulator. The in-process
-//! engine feeds it from worker tasks over a bounded channel; a mesh
+//! engine feeds it from leaf shipper tasks over a bounded channel; a mesh
 //! node's network reader threads push each decoded partial-result frame
 //! into the same kind of channel as an [`Arrival`]. A dead or straggling
 //! *real* peer therefore degrades quality through the same code path as

@@ -1,9 +1,10 @@
 //! Fault-injection integration tests: a seeded [`FaultPlan`] is
 //! bit-reproducible, quality degrades gracefully under injected crashes
 //! (never a panic, hang, or blown deadline), duplicates are suppressed
-//! exactly, speculative retries recover crashed workers, and the
+//! exactly, speculative retries recover crashed workers, the
 //! censored-observation plumbing matches an explicitly-constructed
-//! right-censored sample.
+//! right-censored sample, and a query leaves nothing behind: no leaf
+//! books a fault after its `QueryEnd`.
 //!
 //! Everything runs on the paused clock: model time advances instantly,
 //! so even the `#[ignore]`d sweep is wall-fast and fully deterministic.
@@ -15,6 +16,8 @@ use cedar_estimate::{fit_right_censored, Model};
 use cedar_runtime::{
     run_query, FaultKind, FaultPlan, FaultSpec, RecoveryPolicy, RuntimeConfig, RuntimeOutcome,
 };
+use cedar_telemetry::{QueryTrace, TraceEventKind};
+use std::sync::Arc;
 use std::time::Duration;
 
 const K1: usize = 8;
@@ -196,6 +199,95 @@ async fn crashes_surface_as_explicit_right_censoring() {
         survivors_only.mu
     );
     assert!(engine_fit.mu.is_finite() && engine_fit.sigma.is_finite());
+}
+
+/// Leaves centred at 80 units against a 40-unit deadline: about 4 % of
+/// them finish in time, so most aggregators count nothing and never
+/// ship, and the root gathers until the deadline.
+fn late_tree() -> TreeSpec {
+    TreeSpec::two_level(
+        StageSpec::new(LogNormal::new(80f64.ln(), 0.4).unwrap(), K1),
+        StageSpec::new(LogNormal::new(0.0, 0.3).unwrap(), K2),
+    )
+}
+
+#[tokio::test(start_paused = true)]
+async fn nothing_happens_after_query_end() {
+    // Crashes, drops and duplicates among leaves that mostly finish
+    // after the deadline, retries off. Every leaf that could still fire
+    // is past the deadline; none may book a fault once the query ended.
+    let spec = FaultSpec {
+        crash: 0.2,
+        drop: 0.2,
+        duplicate: 0.2,
+        ..FaultSpec::none()
+    };
+    let plan = FaultPlan::new(26, spec).with_recovery(RecoveryPolicy {
+        watchdog_quantile: 0.99,
+        speculative_retry: false,
+    });
+    let deadline = 40.0;
+    let clean = run_query(
+        &RuntimeConfig::new(late_tree(), deadline).with_seed(8),
+        WaitPolicyKind::Cedar,
+    )
+    .await;
+    let late_faults = (0..WORKERS)
+        .filter(|&i| plan.fault_for(0, i).is_some() && clean.realized_durations[0][i] > deadline)
+        .count();
+    assert!(
+        late_faults > 0,
+        "the plan must strike leaves past the deadline"
+    );
+
+    let trace = Arc::new(QueryTrace::new());
+    let cfg = RuntimeConfig::new(late_tree(), deadline)
+        .with_seed(8)
+        .with_faults(plan)
+        .with_trace(trace.clone());
+    let out = run_query(&cfg, WaitPolicyKind::Cedar).await;
+    // Past the slowest leaf (its duration is far below an hour of model
+    // time): whatever the query left behind has run by now.
+    let slowest = clean.realized_durations[0]
+        .iter()
+        .copied()
+        .fold(0.0, f64::max);
+    tokio::time::sleep(cfg.scale.to_wall(slowest + 3600.0)).await;
+
+    assert!(
+        matches!(
+            trace.events().last().map(|e| &e.kind),
+            Some(TraceEventKind::QueryEnd { .. })
+        ),
+        "events after the query ended: {:?}",
+        trace.events().last()
+    );
+    assert!(
+        out.failures.matches_trace(&trace.summary()),
+        "trace {:?} != report {:?}",
+        trace.summary(),
+        out.failures
+    );
+}
+
+#[tokio::test(start_paused = true)]
+async fn stragglers_pushed_past_the_deadline_are_all_reported() {
+    // Stragglers are booked when their leaves start, so a leaf slowed
+    // past the deadline counts as straggled although it never ships.
+    let deadline = 40.0;
+    let plan = FaultPlan::new(5, FaultSpec::stragglers(0.5, 20.0));
+    let clean = run(deadline, 3, None).await;
+    let struck: Vec<usize> = (0..WORKERS)
+        .filter(|&i| matches!(plan.fault_for(0, i), Some(FaultKind::Straggle { .. })))
+        .collect();
+    assert!(
+        struck
+            .iter()
+            .any(|&i| clean.realized_durations[0][i] * 20.0 > deadline),
+        "the plan must push some leaf past the deadline"
+    );
+    let out = run(deadline, 3, Some(plan)).await;
+    assert_eq!(out.failures.straggled, struck.len());
 }
 
 #[tokio::test(start_paused = true)]

@@ -3,7 +3,8 @@
 //! so it is the most expensive policy by design).
 
 use cedar_core::policy::WaitPolicyKind;
-use cedar_sim::{simulate_query, Prepared, SimConfig};
+use cedar_core::PreparedContexts;
+use cedar_sim::{simulate_query, SimConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
 use std::hint::black_box;
@@ -32,12 +33,20 @@ fn bench_policies(c: &mut Criterion) {
 }
 
 fn bench_prepared_amortization(c: &mut Criterion) {
-    // The profile build dominates one-off queries; Prepared amortizes it.
+    // The profile build dominates one-off queries; prepared contexts
+    // amortize it.
     let tree = cedar_bench::bench_tree(50, 50);
     let cfg = SimConfig::new(tree, 1000.0)
         .with_seed(2)
         .with_scan_steps(200);
-    let prepared = Prepared::new(&cfg, WaitPolicyKind::Cedar);
+    let prepared = PreparedContexts::new(
+        &cfg.priors,
+        cfg.deadline,
+        WaitPolicyKind::Cedar,
+        cfg.model,
+        cfg.scan_steps,
+        &cfg.profile,
+    );
     let mut group = c.benchmark_group("simulate_query_amortized");
     group.sample_size(20);
     group.bench_function("with_prepared_contexts", |b| {

@@ -319,10 +319,18 @@ mod tests {
         xs.iter().map(|s| (*s).to_owned()).collect()
     }
 
-    fn tree_file() -> std::path::PathBuf {
+    /// A scratch path named `name` that no other test writes, in this
+    /// run or a concurrent one: tests run in parallel, and a shared file
+    /// can be read while another test rewrites or removes it.
+    fn scratch_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("cedar-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tree.json");
+        dir.join(format!("{}-{name}", std::process::id()))
+    }
+
+    /// The example tree, written to `test`'s own file.
+    fn tree_file(test: &str) -> std::path::PathBuf {
+        let path = scratch_path(&format!("{test}.tree.json"));
         std::fs::write(&path, TreeDef::example().to_json()).unwrap();
         path
     }
@@ -351,7 +359,7 @@ mod tests {
     #[test]
     fn template_and_optimize_run() {
         assert!(dispatch(&sv(&["template"])).is_ok());
-        let path = tree_file();
+        let path = tree_file("template_and_optimize_run");
         let argv = sv(&[
             "optimize",
             "--tree",
@@ -360,11 +368,12 @@ mod tests {
             "200",
         ]);
         assert!(dispatch(&argv).is_ok());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn simulate_runs_small() {
-        let path = tree_file();
+        let path = tree_file("simulate_runs_small");
         let argv = sv(&[
             "simulate",
             "--tree",
@@ -377,24 +386,24 @@ mod tests {
             "2",
         ]);
         assert!(dispatch(&argv).is_ok());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn dual_runs_and_validates() {
-        let path = tree_file();
+        let path = tree_file("dual_runs_and_validates");
         let ok = sv(&["dual", "--tree", path.to_str().unwrap(), "--quality", "0.5"]);
         assert!(dispatch(&ok).is_ok());
         let bad = sv(&["dual", "--tree", path.to_str().unwrap(), "--quality", "1.5"]);
         assert!(dispatch(&bad).is_err());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn fit_runs_on_generated_data() {
         use cedar_distrib::ContinuousDist;
         use rand::SeedableRng;
-        let dir = std::env::temp_dir().join("cedar-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("durations.txt");
+        let path = scratch_path("durations.txt");
         let d = cedar_distrib::LogNormal::new(2.0, 0.7).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let samples = d.sample_vec(&mut rng, 500);
@@ -406,13 +415,12 @@ mod tests {
         std::fs::write(&path, text).unwrap();
         let argv = sv(&["fit", "--data", path.to_str().unwrap()]);
         assert!(dispatch(&argv).is_ok());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn trace_gen_writes_file() {
-        let dir = std::env::temp_dir().join("cedar-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.jsonl");
+        let path = scratch_path("trace.jsonl");
         let argv = sv(&["trace-gen", "--jobs", "2", "--out", path.to_str().unwrap()]);
         assert!(dispatch(&argv).is_ok());
         assert!(path.exists());

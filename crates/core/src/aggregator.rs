@@ -1,28 +1,92 @@
-//! The aggregator state machine (Pseudocode 1), shared by the
-//! discrete-event simulator and the tokio runtime.
+//! The aggregator state machine (Pseudocode 1): the whole per-aggregator
+//! pass, driven unchanged by the discrete-event simulator and by every
+//! deployed aggregator (`cedar_runtime::run_pass`).
 //!
 //! The machine owns a wait policy and mirrors the paper's event handlers:
 //!
 //! - `PARALLELHIERARCHICALCOMP`: [`AggregatorState::start`] sets the
 //!   initial timer;
-//! - `PROCESSHANDLER`: [`AggregatorState::on_output`] records an arrival,
-//!   lets the policy revise the wait, and departs early once all inputs
-//!   are in;
+//! - `PROCESSHANDLER`: [`AggregatorState::on_arrival`] counts a first
+//!   result from an expected child, lets the policy revise the wait, and
+//!   departs early once all inputs are in ([`AggregatorState::on_output`]
+//!   is the policy step alone);
 //! - `TIMEREXPIRE`: [`AggregatorState::on_timer`] departs with whatever
-//!   has been collected.
+//!   has been collected — or, when the watchdog is the earlier wake,
+//!   fires it once with the children still missing.
 //!
-//! Time is abstract (absolute units from query start); the driver maps it
-//! onto simulated or wall-clock time.
+//! What the pass collected is read back at departure: payload, value,
+//! children received, whether that was all of them, and which are
+//! missing. Time is abstract (absolute units from query start); the
+//! loop feeding the machine maps it onto simulated or wall-clock time
+//! and books whatever it reports (trace, ledger, metrics) — the
+//! simulator books nothing.
 
 use crate::policy::{PolicyContext, WaitPolicy};
+use std::ops::Range;
 
 /// What the driver should do after feeding an event to the state machine.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AggregatorAction {
     /// Keep waiting; (re-)arm the departure timer for this absolute time.
     SetTimer(f64),
+    /// Keep waiting; the timer last armed stands, because the revised
+    /// wait moved by no more than 1e-12 (only
+    /// [`AggregatorState::on_arrival`] tells the two apart).
+    Hold,
     /// Ship the collected outputs upstream now.
     Depart,
+    /// The watchdog fired — it fires once — with these expected children
+    /// still missing, ascending; keep waiting.
+    Watchdog(Vec<usize>),
+    /// Nothing changed: an arrival that is not a first from an expected
+    /// child, anything after departure, or a stale timer.
+    Ignored,
+}
+
+/// Which of the `expected` children have been counted: one bit per
+/// child, so a second arrival from the same origin and an origin that
+/// is nobody's child are refused by the same test. Every loop that
+/// counts arrivals dedupes through it — the aggregator pass and the
+/// root's gather.
+#[derive(Debug)]
+pub struct Seen {
+    expected: Range<usize>,
+    words: Vec<u64>,
+}
+
+impl Seen {
+    /// Nothing counted yet out of `expected`.
+    pub fn new(expected: Range<usize>) -> Self {
+        let words = vec![0; expected.len().div_ceil(64)];
+        Self { expected, words }
+    }
+
+    /// Word index and mask of an expected origin's bit.
+    fn bit(&self, origin: usize) -> (usize, u64) {
+        let bit = origin - self.expected.start;
+        (bit / 64, 1 << (bit % 64))
+    }
+
+    /// Marks `origin`; `false` when it was already marked or is not an
+    /// expected child.
+    pub fn insert(&mut self, origin: usize) -> bool {
+        if !self.expected.contains(&origin) {
+            return false;
+        }
+        let (word, mask) = self.bit(origin);
+        let fresh = self.words[word] & mask == 0;
+        self.words[word] |= mask;
+        fresh
+    }
+
+    /// The expected origins not yet marked, ascending.
+    pub fn missing(&self) -> Vec<usize> {
+        let unmarked = |&origin: &usize| {
+            let (word, mask) = self.bit(origin);
+            self.words[word] & mask == 0
+        };
+        self.expected.clone().filter(unmarked).collect()
+    }
 }
 
 /// Per-(aggregator, query) execution state.
@@ -30,21 +94,46 @@ pub enum AggregatorAction {
 pub struct AggregatorState {
     policy: Box<dyn WaitPolicy>,
     ctx: PolicyContext,
+    seen: Seen,
     received: usize,
+    payload: usize,
+    value: f64,
     timer: f64,
-    departed: bool,
+    /// The timer last handed out, by `start` or a `SetTimer`.
+    armed: f64,
+    /// The watchdog instant, until it fires.
+    watchdog: Option<f64>,
+    departed_at: Option<f64>,
 }
 
 impl AggregatorState {
-    /// Creates the state machine; call [`AggregatorState::start`] before
-    /// feeding events.
+    /// Creates the state machine for children `0..fanout` with no
+    /// watchdog; call [`AggregatorState::start`] before feeding events.
     pub fn new(policy: Box<dyn WaitPolicy>, ctx: PolicyContext) -> Self {
+        let children = 0..ctx.fanout;
+        Self::for_children(policy, ctx, children, None)
+    }
+
+    /// Creates the state machine for an aggregator whose children carry
+    /// the global origin ids `children`, with a watchdog at the absolute
+    /// time `watchdog` when speculative retries are on.
+    pub fn for_children(
+        policy: Box<dyn WaitPolicy>,
+        ctx: PolicyContext,
+        children: Range<usize>,
+        watchdog: Option<f64>,
+    ) -> Self {
         Self {
             policy,
             ctx,
+            seen: Seen::new(children),
             received: 0,
+            payload: 0,
+            value: 0.0,
             timer: 0.0,
-            departed: false,
+            armed: 0.0,
+            watchdog,
+            departed_at: None,
         }
     }
 
@@ -58,7 +147,40 @@ impl AggregatorState {
         } else {
             self.ctx.deadline
         };
+        self.armed = self.timer;
         self.timer
+    }
+
+    /// Handles a result from `origin` carrying `payload` process outputs
+    /// that aggregate to `value`, arriving at absolute time `now`.
+    ///
+    /// Returns [`AggregatorAction::Ignored`] unless it is the first from
+    /// an expected child before departure; otherwise counts it and runs
+    /// [`AggregatorState::on_output`], reporting a revised timer only
+    /// when it moved by more than 1e-12 ([`AggregatorAction::Hold`]
+    /// otherwise), so an event queue is not flooded with timers.
+    pub fn on_arrival(
+        &mut self,
+        origin: usize,
+        payload: usize,
+        value: f64,
+        now: f64,
+    ) -> AggregatorAction {
+        if self.departed_at.is_some() || !self.seen.insert(origin) {
+            return AggregatorAction::Ignored;
+        }
+        self.payload += payload;
+        self.value += value;
+        match self.on_output(now) {
+            AggregatorAction::SetTimer(w) if (w - self.armed).abs() <= 1e-12 => {
+                AggregatorAction::Hold
+            }
+            AggregatorAction::SetTimer(w) => {
+                self.armed = w;
+                AggregatorAction::SetTimer(w)
+            }
+            action => action,
+        }
     }
 
     /// Handles one downstream output arriving at absolute time `now`.
@@ -68,13 +190,13 @@ impl AggregatorState {
     /// wait is already in the past; otherwise returns the (possibly
     /// updated) timer.
     pub fn on_output(&mut self, now: f64) -> AggregatorAction {
-        if self.departed {
+        if self.departed_at.is_some() {
             // Late output after departure: upstream already left; ignore.
             return AggregatorAction::Depart;
         }
         self.received += 1;
         if self.received >= self.ctx.fanout {
-            self.departed = true;
+            self.departed_at = Some(now);
             return AggregatorAction::Depart;
         }
         if let Some(w) = self.policy.on_arrival(&self.ctx, now) {
@@ -83,24 +205,42 @@ impl AggregatorState {
             }
         }
         if self.timer <= now {
-            self.departed = true;
+            self.departed_at = Some(now);
             AggregatorAction::Depart
         } else {
             AggregatorAction::SetTimer(self.timer)
         }
     }
 
-    /// Handles the departure timer firing at absolute time `now`.
-    ///
-    /// Returns `true` if this firing is current (the aggregator departs),
-    /// `false` if the timer was stale (superseded by a later re-arm) or
-    /// the aggregator already departed.
-    pub fn on_timer(&mut self, now: f64) -> bool {
-        if self.departed || now + 1e-12 < self.timer {
-            return false;
+    /// Handles a timer firing at absolute time `now`: the watchdog, when
+    /// it is armed, due and earlier than the departure timer
+    /// ([`AggregatorAction::Watchdog`]); otherwise the departure timer
+    /// ([`AggregatorAction::Depart`]), unless that firing is stale —
+    /// superseded by a later re-arm — or the aggregator already departed
+    /// ([`AggregatorAction::Ignored`]).
+    pub fn on_timer(&mut self, now: f64) -> AggregatorAction {
+        if self.departed_at.is_some() {
+            return AggregatorAction::Ignored;
         }
-        self.departed = true;
-        true
+        if let Some(w) = self.watchdog {
+            if w < self.timer && now + 1e-12 >= w {
+                self.watchdog = None;
+                return AggregatorAction::Watchdog(self.seen.missing());
+            }
+        }
+        if now + 1e-12 < self.timer {
+            return AggregatorAction::Ignored;
+        }
+        self.departed_at = Some(now);
+        AggregatorAction::Depart
+    }
+
+    /// When a real-time loop should next call
+    /// [`AggregatorState::on_timer`]: the earlier of the departure timer
+    /// and the watchdog, until the watchdog fires. A loop that sleeps
+    /// to exactly this instant passes it back as `now`.
+    pub fn next_wake(&self) -> f64 {
+        self.watchdog.map_or(self.timer, |w| w.min(self.timer))
     }
 
     /// Outputs collected so far.
@@ -108,14 +248,30 @@ impl AggregatorState {
         self.received
     }
 
-    /// Current departure timer (absolute).
-    pub fn timer(&self) -> f64 {
-        self.timer
+    /// Process outputs aggregated so far.
+    pub fn payload(&self) -> usize {
+        self.payload
     }
 
-    /// Whether the aggregator has departed.
-    pub fn departed(&self) -> bool {
-        self.departed
+    /// Aggregated value over those outputs.
+    pub fn value(&self) -> f64 {
+        self.value
+    }
+
+    /// Whether every child's output is in (`numOutputs == k`): a
+    /// departure short of this one left on a timer.
+    pub fn collected_all(&self) -> bool {
+        self.received >= self.ctx.fanout
+    }
+
+    /// The expected children not counted, ascending.
+    pub fn missing(&self) -> Vec<usize> {
+        self.seen.missing()
+    }
+
+    /// When the aggregator departed (absolute), once it has.
+    pub fn departed_at(&self) -> Option<f64> {
+        self.departed_at
     }
 
     /// The policy context (immutable view).
@@ -170,7 +326,7 @@ mod tests {
         assert_eq!(agg.on_output(2.0), AggregatorAction::SetTimer(50.0));
         // Third of three: immediate departure (numOutputs == k).
         assert_eq!(agg.on_output(3.0), AggregatorAction::Depart);
-        assert!(agg.departed());
+        assert!(agg.departed_at().is_some());
         assert_eq!(agg.received(), 3);
     }
 
@@ -179,10 +335,10 @@ mod tests {
         let mut agg = AggregatorState::new(Box::new(FixedWaitPolicy(10.0)), ctx(5, 100.0));
         agg.start();
         agg.on_output(1.0);
-        assert!(agg.on_timer(10.0));
-        assert!(agg.departed());
+        assert_eq!(agg.on_timer(10.0), AggregatorAction::Depart);
+        assert!(agg.departed_at().is_some());
         // Second firing is a no-op.
-        assert!(!agg.on_timer(10.0));
+        assert_eq!(agg.on_timer(10.0), AggregatorAction::Ignored);
     }
 
     #[test]
@@ -203,10 +359,10 @@ mod tests {
         assert_eq!(agg.start(), 10.0);
         assert_eq!(agg.on_output(5.0), AggregatorAction::SetTimer(20.0));
         // Old timer for t=10 fires: stale.
-        assert!(!agg.on_timer(10.0));
-        assert!(!agg.departed());
+        assert_eq!(agg.on_timer(10.0), AggregatorAction::Ignored);
+        assert!(agg.departed_at().is_none());
         // Current timer fires.
-        assert!(agg.on_timer(20.0));
+        assert_eq!(agg.on_timer(20.0), AggregatorAction::Depart);
     }
 
     #[test]
@@ -225,7 +381,7 @@ mod tests {
         agg.start();
         // Arrival at t=5 revises wait to t=1 (already past): depart now.
         assert_eq!(agg.on_output(5.0), AggregatorAction::Depart);
-        assert!(agg.departed());
+        assert!(agg.departed_at().is_some());
     }
 
     #[test]
@@ -238,10 +394,116 @@ mod tests {
     fn outputs_after_departure_are_ignored() {
         let mut agg = AggregatorState::new(Box::new(FixedWaitPolicy(10.0)), ctx(5, 100.0));
         agg.start();
-        assert!(agg.on_timer(10.0));
+        assert_eq!(agg.on_timer(10.0), AggregatorAction::Depart);
         assert_eq!(agg.on_output(11.0), AggregatorAction::Depart);
         // The late output must not be counted as collected.
         assert_eq!(agg.received(), 0);
+        assert_eq!(agg.on_arrival(0, 1, 1.0, 11.0), AggregatorAction::Ignored);
+        assert_eq!((agg.received(), agg.payload()), (0, 0));
+    }
+
+    /// A pass over children `10..14` under a fixed wait of 50 in a
+    /// deadline of 100.
+    fn children_10_to_13(watchdog: Option<f64>) -> AggregatorState {
+        let mut agg = AggregatorState::for_children(
+            Box::new(FixedWaitPolicy(50.0)),
+            ctx(4, 100.0),
+            10..14,
+            watchdog,
+        );
+        agg.start();
+        agg
+    }
+
+    #[test]
+    fn refuses_an_origin_that_is_not_a_child() {
+        let mut agg = children_10_to_13(None);
+        for origin in [9, 14, 1000] {
+            assert_eq!(
+                agg.on_arrival(origin, 1, 1.0, 1.0),
+                AggregatorAction::Ignored
+            );
+        }
+        assert_eq!((agg.received(), agg.payload()), (0, 0));
+        assert_eq!(agg.missing(), vec![10, 11, 12, 13]);
+    }
+
+    #[test]
+    fn suppresses_a_duplicate_and_accumulates_firsts() {
+        let mut agg = children_10_to_13(None);
+        // The fixed wait never moves: counted, nothing to re-arm.
+        assert_eq!(agg.on_arrival(11, 3, 2.5, 1.0), AggregatorAction::Hold);
+        assert_eq!(agg.on_arrival(11, 3, 2.5, 2.0), AggregatorAction::Ignored);
+        assert_eq!(agg.on_arrival(12, 2, 0.5, 3.0), AggregatorAction::Hold);
+        assert_eq!((agg.received(), agg.payload()), (2, 5));
+        assert!((agg.value() - 3.0).abs() < 1e-12);
+        assert_eq!(agg.missing(), vec![10, 13]);
+    }
+
+    #[test]
+    fn re_arms_only_when_the_wait_moves() {
+        // The wait jumps to 20 on the first arrival and stays there.
+        #[derive(Debug)]
+        struct Extender;
+        impl crate::policy::WaitPolicy for Extender {
+            fn initial_wait(&mut self, _ctx: &PolicyContext) -> f64 {
+                10.0
+            }
+            fn on_arrival(&mut self, _ctx: &PolicyContext, _arrival: f64) -> Option<f64> {
+                Some(20.0)
+            }
+        }
+        let mut agg = AggregatorState::new(Box::new(Extender), ctx(5, 100.0));
+        agg.start();
+        assert_eq!(
+            agg.on_arrival(0, 1, 1.0, 1.0),
+            AggregatorAction::SetTimer(20.0)
+        );
+        assert_eq!(agg.on_arrival(1, 1, 1.0, 2.0), AggregatorAction::Hold);
+    }
+
+    #[test]
+    fn watchdog_fires_once_with_the_missing_children() {
+        let mut agg = children_10_to_13(Some(5.0));
+        assert_eq!(agg.next_wake(), 5.0);
+        agg.on_arrival(11, 1, 1.0, 1.0);
+        assert_eq!(
+            agg.on_timer(5.0),
+            AggregatorAction::Watchdog(vec![10, 12, 13])
+        );
+        // Fired once: the next wake is the departure timer, and a repeat
+        // of the watchdog's instant is only a stale timer.
+        assert_eq!(agg.next_wake(), 50.0);
+        assert_eq!(agg.on_timer(5.0), AggregatorAction::Ignored);
+        assert!(agg.departed_at().is_none());
+        assert_eq!(agg.on_timer(50.0), AggregatorAction::Depart);
+    }
+
+    #[test]
+    fn a_watchdog_past_the_timer_never_fires() {
+        let mut agg = children_10_to_13(Some(60.0));
+        assert_eq!(agg.next_wake(), 50.0);
+        assert_eq!(agg.on_timer(50.0), AggregatorAction::Depart);
+    }
+
+    #[test]
+    fn a_timer_departure_is_not_a_full_collection() {
+        let mut agg = children_10_to_13(None);
+        agg.on_arrival(10, 1, 4.0, 1.0);
+        agg.on_arrival(13, 1, 4.0, 2.0);
+        assert_eq!(agg.on_timer(50.0), AggregatorAction::Depart);
+        assert!(!agg.collected_all());
+        assert_eq!(agg.departed_at(), Some(50.0));
+        assert_eq!((agg.received(), agg.payload()), (2, 2));
+        assert_eq!(agg.missing(), vec![11, 12]);
+
+        let mut full = children_10_to_13(None);
+        for (t, origin) in (10..14).enumerate() {
+            full.on_arrival(origin, 1, 1.0, t as f64);
+        }
+        assert!(full.collected_all());
+        assert_eq!(full.departed_at(), Some(3.0));
+        assert!(full.missing().is_empty());
     }
 
     #[test]
@@ -264,7 +526,7 @@ mod tests {
         for &t in &times {
             match agg.on_output(t) {
                 AggregatorAction::SetTimer(w) => assert!(w <= 100.0),
-                AggregatorAction::Depart => break,
+                _ => break,
             }
         }
         assert!(agg.received() >= 1);

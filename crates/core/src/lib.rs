@@ -22,8 +22,9 @@
 //!   the **Proportional-split** / **Equal-split** / **Subtract-upper**
 //!   straw-men, the **Ideal** oracle, and the ablations (empirical
 //!   estimates, no online learning);
-//! - [`aggregator`] — the aggregator state machine (Pseudocode 1), shared
-//!   by the discrete-event simulator and the tokio runtime;
+//! - [`aggregator`] — the aggregator state machine (Pseudocode 1): the
+//!   whole per-aggregator pass, driven by both the discrete-event
+//!   simulator and the tokio runtime;
 //! - [`sync`] — poison-tolerant lock acquisition ([`sync::LockExt`]);
 //! - [`fs`] — crash-safe atomic file replacement ([`fs::write_atomic`]);
 //! - [`units`] — typed time units ([`units::Millis`]), the sanctioned

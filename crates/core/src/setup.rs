@@ -26,9 +26,10 @@ fn shifted_arrival(dist: Arc<dyn ContinuousDist>, wait_below: f64) -> Arc<dyn Co
 ///
 /// The contexts belong to the policy `kind` they were built for: the
 /// prior arrival chain embeds that policy's own initial waits. Every
-/// caller (the in-process engine and the mesh node, both through
-/// `run_pass`, the service, the simulator) runs the kind it prepared
-/// with.
+/// caller runs the kind it prepared with: the service, the in-process
+/// engine and the mesh node (through `run_pass`), and the simulator —
+/// each handing one context per aggregator to an
+/// [`AggregatorState`](crate::AggregatorState).
 #[derive(Debug, Clone)]
 pub struct PreparedContexts {
     contexts: Vec<PolicyContext>,

@@ -115,6 +115,15 @@ impl TreeSpec {
         self.stages[i..].iter().map(|s| s.fanout).product()
     }
 
+    /// Global origin id of the first node at stage `i` (0-indexed). Leaf
+    /// processes are origins `0..total_processes()`, then each aggregator
+    /// level follows in turn, so node `j` of stage `i` is origin
+    /// `origin_base(i) + j` — a numbering independent of scheduling, by
+    /// which receivers dedupe and the ledger books.
+    pub fn origin_base(&self, i: usize) -> usize {
+        (0..i).map(|s| self.nodes_at(s)).sum()
+    }
+
     /// Sum of stage mean durations — the denominator of the
     /// Proportional-split baseline.
     pub fn total_mean(&self) -> f64 {
@@ -163,6 +172,10 @@ mod tests {
         assert_eq!(t.nodes_at(0), 200); // processes
         assert_eq!(t.nodes_at(1), 20); // 5 * 4 level-1 aggregators
         assert_eq!(t.nodes_at(2), 4); // level-2 aggregators
+        assert_eq!(
+            (0..3).map(|i| t.origin_base(i)).collect::<Vec<_>>(),
+            vec![0, 200, 220]
+        );
     }
 
     #[test]

@@ -32,29 +32,32 @@ use tokio::time::Instant;
 /// through the identical aggregation path as a local one.
 use crate::pass::Arrival as PartialResult;
 
-/// Chaos state shared by every task of one query.
+/// Chaos state shared by every task of one query, and where their faults
+/// are booked: the query's ledger, and its trace when one is attached,
+/// at the same instant.
 struct ChaosShared {
     plan: Arc<FaultPlan>,
-    ledger: Arc<Ledger>,
-}
-
-/// Where a leaf's faults are booked: the query's ledger, and its trace
-/// when one is attached, at the same instant.
-struct LeafFaults {
     ledger: Arc<Ledger>,
     trace: Option<Arc<QueryTrace>>,
     start: Instant,
     scale: TimeScale,
 }
 
-impl LeafFaults {
-    fn book(&self, origin: usize, k: FaultKind) {
+impl ChaosShared {
+    /// The query's model time now.
+    fn now(&self) -> f64 {
+        self.scale.to_model(self.start.elapsed())
+    }
+
+    /// Books fault `k` striking task `origin`, attributed in the trace to
+    /// task `index` of `level` at model time `at`.
+    fn book(&self, at: f64, level: usize, index: usize, origin: usize, k: FaultKind) {
         self.ledger.injected(k);
         if let Some(t) = &self.trace {
             t.record(
-                self.scale.to_model(self.start.elapsed()),
-                0,
-                origin,
+                at,
+                level,
+                index,
                 TraceEventKind::FaultInjected {
                     fault: k.class(),
                     origin,
@@ -94,7 +97,7 @@ pub async fn ship_leaves<T, F>(
 
 /// An aggregator's own fate at its upstream send boundary.
 struct AggChaos {
-    ledger: Arc<Ledger>,
+    shared: Arc<ChaosShared>,
     /// The fault striking this aggregator's own send, if any.
     fault: Option<FaultKind>,
     hang_until: Instant,
@@ -353,9 +356,14 @@ pub async fn run_query_prepared(
 
     // Chaos wiring (None on clean runs; the clean path below is
     // byte-identical to the fault-free engine).
-    let chaos = cfg.faults.as_ref().map(|plan| ChaosShared {
-        plan: plan.clone(),
-        ledger: Arc::new(Ledger::new(n)),
+    let chaos = cfg.faults.as_ref().map(|plan| {
+        Arc::new(ChaosShared {
+            plan: plan.clone(),
+            ledger: Arc::new(Ledger::new(n)),
+            trace: cfg.trace.clone(),
+            start,
+            scale: cfg.scale,
+        })
     });
     // When a task that will never send releases its channel end: past
     // the deadline, so its silence can never close a channel before the
@@ -365,15 +373,6 @@ pub async fn run_query_prepared(
         .faults
         .as_ref()
         .and_then(|plan| plan.watchdog_at(&*cfg.priors.stage(0).dist, cfg.deadline));
-    // Global task-origin numbering: workers 0..W, then each aggregator
-    // level in order. Scheduling-independent, so dedup and the ledger
-    // are deterministic.
-    let mut origin_base = vec![0usize; n];
-    let mut acc = total_processes;
-    for (level, slot) in origin_base.iter_mut().enumerate().skip(1) {
-        *slot = acc;
-        acc += cfg.tree.nodes_at(level);
-    }
 
     // Root channel.
     let top_fanout = cfg.tree.stage(agg_levels - 1).fanout.max(1);
@@ -401,9 +400,7 @@ pub async fn run_query_prepared(
             } else {
                 upper_txs[agg / parent_fanout.max(1)].clone()
             };
-            // Workers are origins `0..W`, so level 1's children start
-            // at `origin_base[0] == 0`.
-            let child_base = origin_base[level - 1] + agg * fan_in;
+            let child_base = cfg.tree.origin_base(level - 1) + agg * fan_in;
             // Only bottom-level aggregators watch for dead workers.
             let watchdog = watchdog.filter(|_| level == 1);
             let pass = PassConfig {
@@ -427,7 +424,7 @@ pub async fn run_query_prepared(
                 self_tx: tx.clone(),
             });
             let agg_chaos = chaos.as_ref().map(|c| AggChaos {
-                ledger: c.ledger.clone(),
+                shared: c.clone(),
                 fault: c.plan.fault_for(level, agg),
                 hang_until: hold_until,
             });
@@ -437,7 +434,7 @@ pub async fn run_query_prepared(
                 rx,
                 parent_tx,
                 own_durations[level - 1][agg],
-                origin_base[level] + agg,
+                cfg.tree.origin_base(level) + agg,
                 agg_chaos,
                 retries,
             ));
@@ -489,17 +486,11 @@ pub async fn run_query_prepared(
             };
             leaves.push((at, origin, (msg, fault)));
         }
-        let faults = chaos.as_ref().map(|c| LeafFaults {
-            ledger: c.ledger.clone(),
-            trace: cfg.trace.clone(),
-            start,
-            scale: cfg.scale,
-        });
         // cedar-lint: allow(L10): one task per bottom aggregator of a tree already validated against MAX_STAGES at decode; the loop bound is the tree shape, not raw client input
         tokio::spawn(bottom_leaves(
             tx,
             leaves,
-            faults,
+            chaos.clone(),
             at_start,
             held_back.then_some(hold_until),
         ));
@@ -508,7 +499,8 @@ pub async fn run_query_prepared(
     drop(upper_txs);
 
     // Root: gather the top level's results until the deadline.
-    let top = origin_base[agg_levels]..origin_base[agg_levels] + cfg.tree.nodes_at(agg_levels);
+    let top_base = cfg.tree.origin_base(agg_levels);
+    let top = top_base..top_base + cfg.tree.nodes_at(agg_levels);
     let gathered = gather(
         root_rx,
         deadline_instant,
@@ -570,15 +562,15 @@ pub async fn run_query_prepared(
 async fn bottom_leaves(
     tx: mpsc::Sender<PartialResult>,
     leaves: Vec<(Instant, usize, BottomLeaf)>,
-    faults: Option<LeafFaults>,
+    chaos: Option<Arc<ChaosShared>>,
     at_start: Vec<(usize, FaultKind)>,
     hold_until: Option<Instant>,
 ) {
-    // A fault only exists with its chaos wiring, so `faults` is there
+    // A fault only exists with its chaos wiring, so `chaos` is there
     // whenever one needs booking.
     let book = |origin, k| {
-        if let Some(f) = &faults {
-            f.book(origin, k);
+        if let Some(c) = &chaos {
+            c.book(c.now(), 0, origin, origin, k);
         }
     };
     for &(origin, k) in &at_start {
@@ -622,13 +614,8 @@ async fn aggregator_task(
     chaos: Option<AggChaos>,
     mut watchdog: Option<Watchdog>,
 ) {
-    let (start, scale) = (pass.start, pass.scale);
-    let (trace, level, index) = (pass.trace.clone(), pass.ctx.level, pass.index);
-    let record = |at: f64, kind: TraceEventKind| {
-        if let Some(t) = &trace {
-            t.record(at, level, index, kind);
-        }
-    };
+    let scale = pass.scale;
+    let (level, index) = (pass.ctx.level, pass.index);
     let out = run_pass(pass, rx, move |missing| {
         // Taking the watchdog releases `self_tx` with this one firing,
         // so the channel can close once workers and retries are done.
@@ -662,59 +649,32 @@ async fn aggregator_task(
         // Pair the fault with its chaos wiring so each arm gets both
         // without re-asserting the implication.
         let own_fault = chaos.as_ref().and_then(|c| c.fault.map(|k| (k, c)));
+        let book = |at: f64, (k, c): (FaultKind, &AggChaos)| {
+            c.shared.book(at, level, index, origin, k);
+        };
         match own_fault {
-            Some((k @ FaultKind::CrashBeforeSend, c)) => {
-                // Died at departure: no aggregation work, no send.
-                c.ledger.injected(k);
-                record(
-                    out.departed_at,
-                    TraceEventKind::FaultInjected {
-                        fault: k.class(),
-                        origin,
-                    },
-                );
-            }
-            Some((k @ FaultKind::Hang, c)) => {
-                c.ledger.injected(k);
-                record(
-                    out.departed_at,
-                    TraceEventKind::FaultInjected {
-                        fault: k.class(),
-                        origin,
-                    },
-                );
+            // Died at departure: no aggregation work, no send.
+            Some(f @ (FaultKind::CrashBeforeSend, _)) => book(out.departed_at, f),
+            Some(f @ (FaultKind::Hang, c)) => {
+                book(out.departed_at, f);
                 tokio::time::sleep_until(c.hang_until).await;
             }
             own_fault => {
                 let own_duration = match own_fault {
-                    Some((k @ FaultKind::Straggle { factor }, c)) => {
-                        c.ledger.injected(k);
-                        record(
-                            out.departed_at,
-                            TraceEventKind::FaultInjected {
-                                fault: k.class(),
-                                origin,
-                            },
-                        );
+                    Some(f @ (FaultKind::Straggle { factor }, _)) => {
+                        book(out.departed_at, f);
                         own_duration * factor
                     }
                     _ => own_duration,
                 };
                 tokio::time::sleep(scale.to_wall(own_duration)).await;
-                if let Some((k @ FaultKind::DropMessage, c)) = own_fault {
+                if let Some(f @ (FaultKind::DropMessage, c)) = own_fault {
                     // Aggregation completed but the result is lost.
-                    c.ledger.injected(k);
-                    record(
-                        scale.to_model(start.elapsed()),
-                        TraceEventKind::FaultInjected {
-                            fault: k.class(),
-                            origin,
-                        },
-                    );
+                    book(c.shared.now(), f);
                     return;
                 }
                 if let Some(c) = &chaos {
-                    c.ledger.delivered(level, origin, own_duration);
+                    c.shared.ledger.delivered(level, origin, own_duration);
                 }
                 let msg = PartialResult {
                     payload: out.payload,
@@ -723,15 +683,8 @@ async fn aggregator_task(
                     duration: own_duration,
                     retry: false,
                 };
-                if let Some((k @ FaultKind::DuplicateMessage, c)) = own_fault {
-                    c.ledger.injected(k);
-                    record(
-                        scale.to_model(start.elapsed()),
-                        TraceEventKind::FaultInjected {
-                            fault: k.class(),
-                            origin,
-                        },
-                    );
+                if let Some(f @ (FaultKind::DuplicateMessage, c)) = own_fault {
+                    book(c.shared.now(), f);
                     let _ = parent_tx.send(msg).await;
                 }
                 let _ = parent_tx.send(msg).await;

@@ -1,8 +1,13 @@
-//! Pseudocode 1, once: the aggregation pass every aggregator runs.
+//! Pseudocode 1 in real time: the aggregation pass every deployed
+//! aggregator runs.
 //!
-//! An aggregator needs a timer, a channel of arrivals and the
-//! per-arrival re-optimization; [`run_pass`] is that loop, and the only
-//! driver of [`AggregatorState`] outside the simulator. The in-process
+//! The pass itself — dedupe, accumulation, the policy's timer, the
+//! watchdog, what is missing at departure — is [`AggregatorState`], the
+//! same machine the simulator drives. [`run_pass`] is the thin real-time
+//! adapter around it: a `select!` over a channel of arrivals and one
+//! re-armed timer that feeds the machine, then books what it reports
+//! into the decision trace, the [`Ledger`] and the wait-scan histogram
+//! (the simulator books nothing, so booking stays here). The in-process
 //! engine feeds it from leaf shipper tasks over a bounded channel; a mesh
 //! node's network reader threads push each decoded partial-result frame
 //! into the same kind of channel as an [`Arrival`]. A dead or straggling
@@ -16,11 +21,12 @@
 //!
 //! Both roots — the engine's and a mesh root's — run the terminal loop
 //! beside it, [`gather`]: the same channel-first order and the same
-//! dedupe, over the top level's origins.
+//! dedupe ([`Seen`]), over the top level's origins.
 
 use crate::faults::Ledger;
 use crate::metrics::RuntimeMetrics;
 use crate::scale::TimeScale;
+use cedar_core::aggregator::Seen;
 use cedar_core::policy::DecisionDetail;
 use cedar_core::{AggregatorAction, AggregatorState, PolicyContext, WaitPolicyKind};
 use cedar_estimate::Model;
@@ -101,54 +107,11 @@ pub struct PassOutcome {
     pub departed_at: f64,
 }
 
-/// Which of the `expected` children have been counted: one bit per
-/// child, so a second arrival from the same origin and an origin that
-/// is nobody's child are refused by the same test. Both loops that
-/// count arrivals dedupe through it.
-#[derive(Debug)]
-struct Seen {
-    expected: Range<usize>,
-    words: Vec<u64>,
-}
-
-impl Seen {
-    /// Nothing counted yet out of `expected`.
-    fn new(expected: Range<usize>) -> Self {
-        let words = vec![0; expected.len().div_ceil(64)];
-        Self { expected, words }
-    }
-
-    /// Word index and mask of an expected origin's bit.
-    fn bit(&self, origin: usize) -> (usize, u64) {
-        let bit = origin - self.expected.start;
-        (bit / 64, 1 << (bit % 64))
-    }
-
-    /// Marks `origin`; `false` when it was already marked or is not an
-    /// expected child.
-    fn insert(&mut self, origin: usize) -> bool {
-        if !self.expected.contains(&origin) {
-            return false;
-        }
-        let (word, mask) = self.bit(origin);
-        let fresh = self.words[word] & mask == 0;
-        self.words[word] |= mask;
-        fresh
-    }
-
-    /// The expected origins not yet marked, ascending.
-    fn missing(&self) -> Vec<usize> {
-        let unmarked = |&origin: &usize| {
-            let (word, mask) = self.bit(origin);
-            self.words[word] & mask == 0
-        };
-        self.expected.clone().filter(unmarked).collect()
-    }
-}
-
-/// Runs Pseudocode 1 over a channel of arrivals: collect, let the
-/// policy revise the timer, depart on timer expiry, full collection or
-/// a closed channel. Children missing when the watchdog fires are
+/// Runs Pseudocode 1 over a channel of arrivals: feed each arrival and
+/// each due wake to the aggregator's [`AggregatorState`], and book what
+/// it reports. The machine collects, lets the policy revise the timer
+/// and departs on timer expiry or full collection; a closed channel
+/// ends the pass too. Children missing when the watchdog fires are
 /// handed to `on_watchdog`, which re-executes them however the caller
 /// can and returns the origins it did launch; children missing at
 /// departure are right-censored in the ledger.
@@ -180,29 +143,22 @@ pub async fn run_pass(
     // is absorbed by the stage above, not re-learned, and a delivered
     // one books its own duration when it ships.
     let refit_log = ledger.as_deref().filter(|_| level == 1);
-    let mut state = AggregatorState::new(kind.instantiate(ctx.fanout, model), ctx);
+    let policy = kind.instantiate(ctx.fanout, model);
+    let mut state = AggregatorState::for_children(policy, ctx, expected, watchdog);
     state.set_explain(trace.is_some());
     let w0 = state.start();
     record(0.0, TraceEventKind::InitialWait { wait: w0 });
-    let mut timer = start + scale.to_wall(w0);
-    let mut watchdog_at = watchdog.map(|w| start + scale.to_wall(w));
-    let mut payload = 0usize;
-    let mut value = 0.0f64;
-    let mut seen = Seen::new(expected);
     let mut prev_detail: Option<DecisionDetail> = None;
     // One timer for the whole pass, re-armed in place each turn: building
     // a fresh `sleep_until` per arrival would pay a registration and a
     // cancel every time.
-    let mut sleep = std::pin::pin!(tokio::time::sleep_until(timer));
+    let mut sleep = std::pin::pin!(tokio::time::sleep_until(start + scale.to_wall(w0)));
     loop {
         // The vendored select! has exactly two arms, so the watchdog
-        // shares the timer arm: sleep until whichever is earlier and
-        // dispatch on which one is due.
-        let wake = match watchdog_at {
-            Some(w) if w < timer => w,
-            _ => timer,
-        };
-        sleep.as_mut().reset(wake);
+        // shares the timer arm: the machine's next wake is whichever is
+        // earlier, and it tells the two apart when the wake comes.
+        let wake = state.next_wake();
+        sleep.as_mut().reset(start + scale.to_wall(wake));
         tokio::select! {
             // The channel arm goes first: a result already sitting in
             // the queue beat the timer in wall time, so it must not be
@@ -214,114 +170,102 @@ pub async fn run_pass(
             // poll. It also spares the timer registration whenever the
             // next arrival is already queued.
             biased;
-            msg = rx.recv() => match msg {
-                Some(m) => {
-                    let now_model = scale.to_model(start.elapsed());
-                    if !seen.insert(m.origin) {
-                        // Injected duplicate, a retry racing its own
-                        // original, or somebody else's child — counted
-                        // at most once, and only if ours.
-                        if let Some(l) = &ledger {
-                            l.duplicate_suppressed();
-                        }
-                        record(
-                            now_model,
-                            TraceEventKind::DuplicateSuppressed { origin: m.origin },
-                        );
-                        continue;
-                    }
-                    if let Some(l) = refit_log {
-                        l.delivered(0, m.origin, m.duration);
-                    }
-                    if m.retry {
-                        if let Some(l) = &ledger {
-                            l.retry_delivered();
-                        }
-                        record(now_model, TraceEventKind::RetryDelivered { origin: m.origin });
-                    }
-                    payload += m.payload;
-                    value += m.value;
-                    record(
-                        now_model,
-                        TraceEventKind::Arrival {
-                            arrival: state.received() + 1,
-                            origin: m.origin,
-                            retry: m.retry,
-                        },
-                    );
-                    // Time the whole arrival handler (estimate + ε-scan)
-                    // only when metrics are attached; under a paused test
-                    // clock the measurement is zero, which is harmless.
-                    let scan_begun = metrics.as_ref().map(|_| Instant::now());
-                    let action = state.on_output(now_model);
-                    if let (Some(met), Some(t0)) = (&metrics, scan_begun) {
-                        met.wait_scan_seconds.record(t0.elapsed().as_secs_f64());
-                    }
-                    if trace.is_some() {
-                        // One Estimate + Rearm pair per *new* decision;
-                        // straw-man policies never revise, so they only
-                        // ever log their initial wait.
-                        let detail = state.last_detail();
-                        if detail != prev_detail {
-                            if let Some(d) = detail {
-                                record(
-                                    now_model,
-                                    TraceEventKind::Estimate {
-                                        mu: d.mu,
-                                        sigma: d.sigma,
-                                        samples: d.samples,
-                                    },
-                                );
-                                record(
-                                    now_model,
-                                    TraceEventKind::Rearm {
-                                        wait: d.wait,
-                                        expected_quality: d.expected_quality,
-                                        gain: d.gain,
-                                        loss: d.loss,
-                                    },
-                                );
-                            }
-                            prev_detail = detail;
-                        }
-                    }
-                    match action {
-                        AggregatorAction::Depart => break,
-                        AggregatorAction::SetTimer(w) => {
-                            timer = start + scale.to_wall(w);
-                        }
-                    }
-                }
+            msg = rx.recv() => {
                 // All senders gone: nothing more can arrive.
-                None => break,
-            },
-            () = sleep.as_mut() => {
+                let Some(m) = msg else { break };
                 let now_model = scale.to_model(start.elapsed());
-                if wake < timer {
-                    // Watchdog, not the policy timer: hand the caller
-                    // every child still missing, exactly once.
-                    watchdog_at = None;
-                    let missing = seen.missing();
+                // Time the whole arrival handler (estimate + ε-scan)
+                // only when metrics are attached; under a paused test
+                // clock the measurement is zero, which is harmless.
+                let scan_begun = metrics.as_ref().map(|_| Instant::now());
+                let action = state.on_arrival(m.origin, m.payload, m.value, now_model);
+                if action == AggregatorAction::Ignored {
+                    // Injected duplicate, a retry racing its own
+                    // original, or somebody else's child — counted at
+                    // most once, and only if ours.
+                    if let Some(l) = &ledger {
+                        l.duplicate_suppressed();
+                    }
                     record(
                         now_model,
-                        TraceEventKind::WatchdogFired {
-                            expected: state.ctx().fanout,
-                            received: state.received(),
-                        },
+                        TraceEventKind::DuplicateSuppressed { origin: m.origin },
                     );
-                    for origin in on_watchdog(&missing) {
-                        if let Some(l) = &ledger {
-                            l.retry_launched();
-                        }
-                        record(now_model, TraceEventKind::RetryLaunched { origin });
-                    }
                     continue;
                 }
-                // The armed instant always mirrors the state machine's
-                // current wait, so this firing is never stale.
-                let _ = state.on_timer(state.timer());
-                record(now_model, TraceEventKind::TimerFired);
-                break;
+                if let (Some(met), Some(t0)) = (&metrics, scan_begun) {
+                    met.wait_scan_seconds.record(t0.elapsed().as_secs_f64());
+                }
+                if let Some(l) = refit_log {
+                    l.delivered(0, m.origin, m.duration);
+                }
+                if m.retry {
+                    if let Some(l) = &ledger {
+                        l.retry_delivered();
+                    }
+                    record(now_model, TraceEventKind::RetryDelivered { origin: m.origin });
+                }
+                record(
+                    now_model,
+                    TraceEventKind::Arrival {
+                        arrival: state.received(),
+                        origin: m.origin,
+                        retry: m.retry,
+                    },
+                );
+                if trace.is_some() {
+                    // One Estimate + Rearm pair per *new* decision;
+                    // straw-man policies never revise, so they only
+                    // ever log their initial wait.
+                    let detail = state.last_detail();
+                    if detail != prev_detail {
+                        if let Some(d) = detail {
+                            record(
+                                now_model,
+                                TraceEventKind::Estimate {
+                                    mu: d.mu,
+                                    sigma: d.sigma,
+                                    samples: d.samples,
+                                },
+                            );
+                            record(
+                                now_model,
+                                TraceEventKind::Rearm {
+                                    wait: d.wait,
+                                    expected_quality: d.expected_quality,
+                                    gain: d.gain,
+                                    loss: d.loss,
+                                },
+                            );
+                        }
+                        prev_detail = detail;
+                    }
+                }
+                if action == AggregatorAction::Depart {
+                    break;
+                }
+            }
+            () = sleep.as_mut() => {
+                let now_model = scale.to_model(start.elapsed());
+                // The sleep ended at exactly the wake the machine asked
+                // for, so that instant, not the clock's rounding of it,
+                // is what it is told.
+                let AggregatorAction::Watchdog(missing) = state.on_timer(wake) else {
+                    record(now_model, TraceEventKind::TimerFired);
+                    break;
+                };
+                record(
+                    now_model,
+                    TraceEventKind::WatchdogFired {
+                        expected: state.ctx().fanout,
+                        received: state.received(),
+                    },
+                );
+                for origin in on_watchdog(&missing) {
+                    if let Some(l) = &ledger {
+                        l.retry_launched();
+                    }
+                    record(now_model, TraceEventKind::RetryLaunched { origin });
+                }
             }
         }
     }
@@ -329,7 +273,7 @@ pub async fn run_pass(
     // Children missing at departure are right-censored at the departure
     // time: all we know is their duration exceeds it.
     if let Some(l) = refit_log {
-        for origin in seen.missing() {
+        for origin in state.missing() {
             l.censored(0, origin, departed_at);
             record(departed_at, TraceEventKind::Censored { origin });
         }
@@ -341,7 +285,7 @@ pub async fn run_pass(
             // Short of a full collection the pass left on a timer: the
             // policy's, a revised wait already in the past, or — with
             // every sender gone — one it no longer had to wait out.
-            reason: if received >= state.ctx().fanout {
+            reason: if state.collected_all() {
                 ShipReason::AllArrived
             } else {
                 ShipReason::TimerExpired
@@ -351,8 +295,8 @@ pub async fn run_pass(
         },
     );
     PassOutcome {
-        payload,
-        value,
+        payload: state.payload(),
+        value: state.value(),
         received,
         departed_at,
     }

@@ -1,6 +1,8 @@
 //! Per-query execution: samples every duration, builds per-level policy
 //! contexts, and drives the Pseudocode-1 state machines through the event
-//! queue.
+//! queue. The machines do the pass — dedupe, accumulation, timers,
+//! departure; the event loop only routes each arrival and timer to its
+//! aggregator and turns what comes back into events.
 //!
 //! ## Levels
 //!
@@ -22,64 +24,38 @@
 use crate::events::{EventKind, EventQueue};
 use crate::metrics::QueryOutcome;
 use crate::runner::SimConfig;
-use cedar_core::policy::{PolicyContext, WaitPolicyKind};
-use cedar_core::{AggregatorAction, AggregatorState};
+use cedar_core::policy::WaitPolicyKind;
+use cedar_core::{AggregatorAction, AggregatorState, PreparedContexts};
 use cedar_distrib::ContinuousDist;
 use rand::rngs::StdRng;
 
 /// One aggregator level's runtime state.
 struct Level {
+    /// One Pseudocode-1 machine per aggregator: what it collected, its
+    /// armed timer and its departure.
     states: Vec<AggregatorState>,
-    /// Process outputs accumulated behind each aggregator (payload of the
-    /// result it will ship): `(count, total weight)`.
-    payloads: Vec<(usize, f64)>,
-    /// Last armed timer per aggregator, to avoid flooding the queue with
-    /// duplicate timer events.
-    armed: Vec<f64>,
     /// Own (aggregate-and-ship) durations, pre-sampled for determinism.
     own_durations: Vec<f64>,
-    /// Departure times (`NaN` until departed) for diagnostics.
-    departures: Vec<f64>,
-}
-
-/// Policy contexts built from the prior tree, reusable across every query
-/// of a workload (the expensive part — quality-profile tabulation — only
-/// depends on the priors, deadline, and policy). Thin wrapper over
-/// [`cedar_core::setup::PreparedContexts`].
-#[derive(Debug, Clone)]
-pub struct Prepared {
-    inner: cedar_core::setup::PreparedContexts,
-}
-
-impl Prepared {
-    /// Builds the per-level policy contexts from `cfg.priors`.
-    pub fn new(cfg: &SimConfig, kind: WaitPolicyKind) -> Self {
-        Self {
-            inner: cedar_core::setup::PreparedContexts::new(
-                &cfg.priors,
-                cfg.deadline,
-                kind,
-                cfg.model,
-                cfg.scan_steps,
-                &cfg.profile,
-            ),
-        }
-    }
-
-    /// Contexts for one query, with the true distributions filled in.
-    fn for_query(&self, cfg: &SimConfig) -> Vec<PolicyContext> {
-        self.inner.for_query(&cfg.tree)
-    }
 }
 
 /// Executes one query and returns its outcome; builds the prior contexts
 /// fresh (use [`execute_prepared`] to amortize them over many queries).
 pub fn execute(cfg: &SimConfig, kind: WaitPolicyKind, rng: &mut StdRng) -> QueryOutcome {
-    let prepared = Prepared::new(cfg, kind);
+    let prepared = PreparedContexts::new(
+        &cfg.priors,
+        cfg.deadline,
+        kind,
+        cfg.model,
+        cfg.scan_steps,
+        &cfg.profile,
+    );
     execute_prepared(cfg, kind, rng, &prepared)
 }
 
-/// Executes one query using pre-built prior contexts.
+/// Executes one query using prior contexts built for `kind` from
+/// `cfg.priors` (the expensive part — quality-profile tabulation — only
+/// depends on the priors, deadline, and policy, so one build serves
+/// every query of a workload).
 ///
 /// Sampling order is fixed (processes bottom-up, then per-level own
 /// durations), so a given `rng` state always produces the same query.
@@ -87,7 +63,7 @@ pub fn execute_prepared(
     cfg: &SimConfig,
     kind: WaitPolicyKind,
     rng: &mut StdRng,
-    prepared: &Prepared,
+    prepared: &PreparedContexts,
 ) -> QueryOutcome {
     let n = cfg.tree.levels();
     let total_processes = cfg.tree.total_processes();
@@ -148,26 +124,25 @@ pub fn execute_prepared(
     }
 
     let agg_levels = n - 1;
-    let contexts = prepared.for_query(cfg);
+    let contexts = prepared.for_query(&cfg.tree);
 
     let mut levels: Vec<Level> = (1..=agg_levels)
         .map(|level| {
             let count = cfg.tree.nodes_at(level);
             let own_durations = cfg.tree.stage(level).dist.sample_vec(rng, count);
+            let ctx = &contexts[level - 1];
+            let first_child = cfg.tree.origin_base(level - 1);
             let states = (0..count)
-                .map(|_| {
-                    AggregatorState::new(
-                        kind.instantiate(contexts[level - 1].fanout, cfg.model),
-                        contexts[level - 1].clone(),
-                    )
+                .map(|agg| {
+                    let first = first_child + agg * ctx.fanout;
+                    let policy = kind.instantiate(ctx.fanout, cfg.model);
+                    let children = first..first + ctx.fanout;
+                    AggregatorState::for_children(policy, ctx.clone(), children, None)
                 })
                 .collect();
             Level {
                 states,
-                payloads: vec![(0, 0.0); count],
-                armed: vec![f64::NAN; count],
                 own_durations,
-                departures: vec![f64::NAN; count],
             }
         })
         .collect();
@@ -177,10 +152,8 @@ pub fn execute_prepared(
     // Initial timers.
     for (li, level) in levels.iter_mut().enumerate() {
         for (ai, st) in level.states.iter_mut().enumerate() {
-            let w = st.start();
-            level.armed[ai] = w;
             queue.push(
-                w,
+                st.start(),
                 EventKind::Timer {
                     level: li + 1,
                     agg: ai,
@@ -189,14 +162,18 @@ pub fn execute_prepared(
         }
     }
 
-    // Process outputs.
+    // Process outputs: each leaf is a payload-1 result from its own
+    // origin, addressed to its level-1 aggregator.
     let k1 = cfg.tree.stage(0).fanout;
     for (pi, &d) in process_durations.iter().enumerate() {
         if d <= cfg.deadline {
             queue.push(
                 d,
-                EventKind::ProcessOutput {
+                EventKind::AggregatorResult {
+                    level: 1,
                     agg: pi / k1,
+                    origin: pi,
+                    payload: 1,
                     weight: weight_of(pi),
                 },
             );
@@ -212,44 +189,68 @@ pub fn execute_prepared(
             // Nothing after the deadline can affect the response.
             break;
         }
-        match ev.kind {
-            EventKind::ProcessOutput { agg, weight } => {
-                handle_arrival(&mut levels, &mut queue, cfg, 1, agg, 1, weight, ev.time);
+        let (level, agg, action) = match ev.kind {
+            EventKind::AggregatorResult {
+                level,
+                payload,
+                weight,
+                ..
+            } if level > agg_levels => {
+                // Root: level-L aggregator results arriving by D.
+                root_payload += payload;
+                root_weight += weight;
+                root_arrivals += 1;
+                continue;
             }
             EventKind::AggregatorResult {
                 level,
                 agg,
+                origin,
                 payload,
                 weight,
             } => {
-                if level > agg_levels {
-                    // Root: level-L aggregator results arriving by D.
-                    root_payload += payload;
-                    root_weight += weight;
-                    root_arrivals += 1;
-                } else {
-                    handle_arrival(
-                        &mut levels,
-                        &mut queue,
-                        cfg,
-                        level,
-                        agg,
-                        payload,
-                        weight,
-                        ev.time,
+                let state = &mut levels[level - 1].states[agg];
+                (
+                    level,
+                    agg,
+                    state.on_arrival(origin, payload, weight, ev.time),
+                )
+            }
+            EventKind::Timer { level, agg } => {
+                (level, agg, levels[level - 1].states[agg].on_timer(ev.time))
+            }
+        };
+        match action {
+            AggregatorAction::SetTimer(w) => queue.push(w, EventKind::Timer { level, agg }),
+            AggregatorAction::Depart => {
+                let lv = &levels[level - 1];
+                let (state, arrive) = (&lv.states[agg], ev.time + lv.own_durations[agg]);
+                // An empty result adds nothing to quality (production
+                // systems still send headers, but they carry no process
+                // outputs), and one arriving after the deadline cannot
+                // influence the response: neither takes the upstream hop.
+                if state.payload() > 0 && arrive <= cfg.deadline {
+                    queue.push(
+                        arrive,
+                        EventKind::AggregatorResult {
+                            level: level + 1,
+                            agg: agg / cfg.tree.stage(level).fanout,
+                            origin: cfg.tree.origin_base(level) + agg,
+                            payload: state.payload(),
+                            weight: state.value(),
+                        },
                     );
                 }
             }
-            EventKind::Timer { level, agg } => {
-                let lv = &mut levels[level - 1];
-                if lv.states[agg].on_timer(ev.time) {
-                    depart(&mut levels, &mut queue, cfg, level, agg, ev.time);
-                }
-            }
+            _ => {}
         }
     }
 
-    let level1_departures = levels[0].departures.clone();
+    let level1_departures = levels[0]
+        .states
+        .iter()
+        .map(|st| st.departed_at().unwrap_or(f64::NAN))
+        .collect();
     QueryOutcome {
         quality: root_payload as f64 / total_processes.max(1) as f64,
         included_outputs: root_payload,
@@ -259,87 +260,6 @@ pub fn execute_prepared(
         total_weight,
         level1_departures,
     }
-}
-
-/// Feeds one input arrival (a process output or a child aggregator's
-/// result) to the receiving aggregator.
-#[allow(clippy::too_many_arguments)]
-fn handle_arrival(
-    levels: &mut [Level],
-    queue: &mut EventQueue,
-    cfg: &SimConfig,
-    level: usize,
-    agg: usize,
-    payload: usize,
-    weight: f64,
-    now: f64,
-) {
-    let (depart_now, new_timer) = {
-        let lv = &mut levels[level - 1];
-        if lv.states[agg].departed() {
-            // Shipped already; the late input is lost upstream.
-            return;
-        }
-        lv.payloads[agg].0 += payload;
-        lv.payloads[agg].1 += weight;
-        match lv.states[agg].on_output(now) {
-            AggregatorAction::Depart => (true, None),
-            AggregatorAction::SetTimer(w) => (false, Some(w)),
-        }
-    };
-    if depart_now {
-        depart(levels, queue, cfg, level, agg, now);
-    } else if let Some(w) = new_timer {
-        let lv = &mut levels[level - 1];
-        if (w - lv.armed[agg]).abs() > 1e-12 {
-            lv.armed[agg] = w;
-            queue.push(w, EventKind::Timer { level, agg });
-        }
-    }
-}
-
-/// Ships aggregator (`level`, `agg`)'s collected payload upstream at time
-/// `now`. The result is enqueued as an [`EventKind::AggregatorResult`]
-/// addressed to `level + 1`; the event loop routes `level > agg_levels`
-/// to the root.
-fn depart(
-    levels: &mut [Level],
-    queue: &mut EventQueue,
-    cfg: &SimConfig,
-    level: usize,
-    agg: usize,
-    now: f64,
-) {
-    let agg_levels = levels.len();
-    let (arrive, (payload, weight)) = {
-        let lv = &mut levels[level - 1];
-        lv.departures[agg] = now;
-        (now + lv.own_durations[agg], lv.payloads[agg])
-    };
-    if payload == 0 {
-        // An empty result adds nothing to quality; skip the upstream hop
-        // (production systems still send headers, but they carry no
-        // process outputs).
-        return;
-    }
-    if arrive > cfg.deadline {
-        // The shipment cannot influence the response; prune it.
-        return;
-    }
-    let receiver = if level == agg_levels {
-        0
-    } else {
-        agg / cfg.tree.stage(level).fanout
-    };
-    queue.push(
-        arrive,
-        EventKind::AggregatorResult {
-            level: level + 1,
-            agg: receiver,
-            payload,
-            weight,
-        },
-    );
 }
 
 #[cfg(test)]

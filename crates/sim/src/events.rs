@@ -8,21 +8,17 @@ use std::collections::BinaryHeap;
 /// What happened at a point in simulated time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
-    /// A leaf process finished; its output reaches aggregator `agg` (a
-    /// level-1 aggregator index) at the event time.
-    ProcessOutput {
-        /// Receiving level-1 aggregator.
-        agg: usize,
-        /// The output's weight (1.0 unless Appendix-A weighting is on).
-        weight: f64,
-    },
-    /// An aggregator's shipped result arrives at its parent.
+    /// A result arrives at its receiver: a leaf process's output (payload
+    /// 1, from the leaf's own origin) or an aggregator's shipped result.
     AggregatorResult {
-        /// Receiving aggregator level (2-based receiving level; `level ==
-        /// levels` means the root).
+        /// Receiving level: `1..=L` for the aggregator levels, `L + 1`
+        /// for the root.
         level: usize,
         /// Receiving aggregator index within that level (0 for the root).
         agg: usize,
+        /// Global origin id of the sender (see
+        /// [`TreeSpec::origin_base`](cedar_core::TreeSpec::origin_base)).
+        origin: usize,
         /// Process outputs carried by this result.
         payload: usize,
         /// Total weight carried by this result.
@@ -130,30 +126,23 @@ impl EventQueue {
 mod tests {
     use super::*;
 
+    /// A leaf's output for level-1 aggregator `agg`.
+    fn leaf(agg: usize) -> EventKind {
+        EventKind::AggregatorResult {
+            level: 1,
+            agg,
+            origin: agg,
+            payload: 1,
+            weight: 1.0,
+        }
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(
-            3.0,
-            EventKind::ProcessOutput {
-                agg: 0,
-                weight: 1.0,
-            },
-        );
-        q.push(
-            1.0,
-            EventKind::ProcessOutput {
-                agg: 1,
-                weight: 1.0,
-            },
-        );
-        q.push(
-            2.0,
-            EventKind::ProcessOutput {
-                agg: 2,
-                weight: 1.0,
-            },
-        );
+        q.push(3.0, leaf(0));
+        q.push(1.0, leaf(1));
+        q.push(2.0, leaf(2));
         let order: Vec<f64> = std::iter::from_fn(|| q.pop()).map(|e| e.time).collect();
         assert_eq!(order, vec![1.0, 2.0, 3.0]);
     }
@@ -162,12 +151,12 @@ mod tests {
     fn ties_break_by_insertion_order() {
         let mut q = EventQueue::new();
         for agg in 0..5 {
-            q.push(7.0, EventKind::ProcessOutput { agg, weight: 1.0 });
+            q.push(7.0, leaf(agg));
         }
         let aggs: Vec<usize> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
-                EventKind::ProcessOutput { agg, .. } => agg,
-                _ => unreachable!(),
+                EventKind::AggregatorResult { agg, .. } => agg,
+                EventKind::Timer { .. } => unreachable!(),
             })
             .collect();
         assert_eq!(aggs, vec![0, 1, 2, 3, 4]);

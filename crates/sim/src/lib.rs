@@ -21,8 +21,11 @@
 //! number), which the regression tests rely on.
 //!
 //! Module map: [`events`] (the event queue), [`engine`] (per-query
-//! execution), [`metrics`] (outcomes and comparisons), [`runner`]
-//! (configuration and batch helpers).
+//! execution: the event loop that feeds each aggregator's
+//! [`cedar_core::AggregatorState`] — the pass the deployed runtime's
+//! aggregators run too — and carries out what it returns), [`metrics`]
+//! (outcomes and comparisons), [`runner`] (configuration and batch
+//! helpers).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -32,7 +35,6 @@ pub mod events;
 pub mod metrics;
 pub mod runner;
 
-pub use engine::Prepared;
 pub use metrics::{improvement_pct, mean_quality, PolicyComparison, QueryOutcome};
 pub use runner::{
     compare_on_workload, compare_policies, run_trials, run_workload, simulate_query, SimConfig,

@@ -4,7 +4,7 @@ use crate::engine;
 use crate::metrics::{PolicyComparison, QueryOutcome};
 use cedar_core::policy::WaitPolicyKind;
 use cedar_core::profile::ProfileConfig;
-use cedar_core::TreeSpec;
+use cedar_core::{PreparedContexts, TreeSpec};
 use cedar_estimate::Model;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -175,7 +175,14 @@ pub fn run_workload(
     trials: usize,
 ) -> Vec<QueryOutcome> {
     let base = cfg.clone().with_priors(workload.priors.clone());
-    let prepared = crate::engine::Prepared::new(&base, kind);
+    let prepared = PreparedContexts::new(
+        &base.priors,
+        base.deadline,
+        kind,
+        base.model,
+        base.scan_steps,
+        &base.profile,
+    );
     (0..trials)
         .map(|i| {
             let mut rng = StdRng::seed_from_u64(base.seed.wrapping_add(i as u64));

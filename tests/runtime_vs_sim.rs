@@ -12,6 +12,8 @@ use cedar::core::{StageSpec, TreeSpec};
 use cedar::distrib::LogNormal;
 use cedar::runtime::{run_query, RuntimeConfig};
 use cedar::sim::{mean_quality, run_trials, simulate_query, SimConfig};
+use cedar_telemetry::{QueryTrace, TraceEventKind};
+use std::sync::Arc;
 
 fn tree() -> TreeSpec {
     TreeSpec::two_level(
@@ -86,7 +88,11 @@ async fn backends_agree_seed_for_seed() {
     // `StdRng::seed_from_u64(seed)` in the same order and drive the same
     // `AggregatorState`, so with wall-time effects paused away the one
     // runtime pass loop and the simulator's event loop are one algorithm:
-    // not close in the mean, identical per query.
+    // not close in the mean, identical per query — the same outputs, the
+    // same top-level results, and every bottom aggregator leaving at the
+    // same instant. The runtime's instants pass through
+    // `TimeScale::to_wall`, which rounds to the nanosecond: 1e-6 model
+    // units at this test's 1 ms scale.
     for kind in [
         WaitPolicyKind::Cedar,
         WaitPolicyKind::ProportionalSplit,
@@ -95,12 +101,29 @@ async fn backends_agree_seed_for_seed() {
     ] {
         for d in [25.0, 50.0, 400.0] {
             for seed in 0..60 {
-                let rt = run_query(&RuntimeConfig::new(tree(), d).with_seed(seed), kind).await;
+                let trace = Arc::new(QueryTrace::new());
+                let cfg = RuntimeConfig::new(tree(), d)
+                    .with_seed(seed)
+                    .with_trace(trace.clone());
+                let rt = run_query(&cfg, kind).await;
                 let sim = simulate_query(&SimConfig::new(tree(), d).with_seed(seed), kind);
-                assert_eq!(
-                    rt.included_outputs, sim.included_outputs,
-                    "{kind:?} at D={d}, seed {seed}"
-                );
+                let case = format!("{kind:?} at D={d}, seed {seed}");
+                assert_eq!(rt.included_outputs, sim.included_outputs, "{case}");
+                assert_eq!(rt.root_arrivals, sim.root_arrivals, "{case}");
+                let mut departed = vec![f64::NAN; sim.level1_departures.len()];
+                for e in trace.events() {
+                    if e.level == 1 && matches!(e.kind, TraceEventKind::Departed { .. }) {
+                        departed[e.index] = e.at;
+                    }
+                }
+                for (agg, (rt_at, sim_at)) in
+                    departed.iter().zip(&sim.level1_departures).enumerate()
+                {
+                    assert!(
+                        (rt_at - sim_at).abs() <= 1e-6,
+                        "{case}, aggregator {agg}: runtime {rt_at} vs sim {sim_at}"
+                    );
+                }
             }
         }
     }

@@ -58,7 +58,7 @@ fn checkpoints_are_atomic_monotone_and_never_ahead() {
 
             // Checkpoint writer: snapshot under ONE read guard, then
             // persist. (Write order to disk is serialized by the log's
-            // own lock, like the single refit task in production.)
+            // own lock, like the learner's one lock in production.)
             for _ in 0..2 {
                 let snap = *priors.read();
                 let published = priors.read().epoch;
@@ -130,7 +130,7 @@ fn field_at_a_time_checkpoint_is_caught_as_torn() {
 #[test]
 fn two_uncoordinated_checkpoint_writers_can_regress_the_log() {
     // Why the production code funnels all checkpoint writes through the
-    // single refit task: two writers snapshotting and persisting
+    // learner's one lock: two writers snapshotting and persisting
     // without a shared order can write epoch 1 *after* epoch 2, and a
     // warm restart picking "the newest file" would resurrect stale
     // priors. The checker must find the inversion.

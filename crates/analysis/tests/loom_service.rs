@@ -1,9 +1,11 @@
 //! Model check of the aggregation service's shared-state protocol
 //! (crates/runtime/src/service.rs): epoch-versioned priors behind a
-//! `RwLock`, refitted by a single background writer (the refit task,
-//! publishing each refit its learner — learner.rs — accepts),
-//! snapshotted by concurrent request handlers; plus the bounded
-//! refit-record channel feeding the writer.
+//! `RwLock`, snapshotted by concurrent request handlers and replaced by
+//! whichever submission completes a refit. Each submission records its
+//! own query into the learner (learner.rs), whose one mutex is held
+//! both while the next epoch is taken and while it is published — so
+//! two submitters finishing together publish one at a time, in epoch
+//! order.
 //!
 //! Invariants checked across every interleaving:
 //!
@@ -14,13 +16,14 @@
 //!    model encodes the pairing as `epoch == stamp` and a "torn" test
 //!    proves the checker catches the field-at-a-time variant the code
 //!    must never regress to.
-//! 2. **Epoch monotonicity** — two successive reads by the same
-//!    handler never observe the epoch going backwards.
-//! 3. **Bounded handoff** — the refit channel stand-in never exceeds
-//!    its capacity, and every record the workers enqueue is applied by
-//!    the refit loop exactly once.
+//! 2. **Epoch monotonicity** — no publish replaces newer priors with
+//!    older ones, and two successive reads by the same handler never
+//!    observe the epoch going backwards. The guarded regression takes
+//!    the epoch under the learner's lock but publishes after releasing
+//!    it; the checker must find the submitter whose stale epoch lands
+//!    over a newer one.
 
-use cedar_analysis::sched::{self, Builder, Failure, Mutex, RwLock};
+use cedar_analysis::sched::{self, Builder, Failure, Mutex, RwLock, Summary};
 use std::sync::Arc;
 
 /// Stand-in for `PriorsSnapshot { epoch, tree }`: `stamp` plays the
@@ -104,48 +107,83 @@ fn field_at_a_time_refit_is_caught_as_torn() {
     }
 }
 
-#[test]
-fn bounded_refit_handoff_loses_nothing_and_respects_capacity() {
-    const CAP: usize = 2;
-    let s = Builder::new()
+/// One submission's refit as `Learner::record` runs it: take the next
+/// epoch under the learner's lock, then publish it — still under that
+/// lock unless `publish_under_lock` is false.
+fn refit(learner: &Mutex<u64>, priors: &RwLock<Priors>, publish_under_lock: bool) {
+    let mut taken = learner.lock();
+    *taken += 1;
+    let next = *taken;
+    if !publish_under_lock {
+        drop(taken);
+    }
+    let mut g = priors.write();
+    assert!(
+        next > g.epoch,
+        "epoch went backwards: {next} published over {}",
+        g.epoch
+    );
+    *g = Priors {
+        epoch: next,
+        stamp: next,
+    };
+}
+
+/// Two submitters each completing a refit while a request handler
+/// snapshots the priors twice.
+fn two_submitters(publish_under_lock: bool) -> Summary {
+    Builder::new()
         .max_runs(100_000)
         .preemption_bound(3)
-        .explore(|| {
-            // The channel stand-in: a capacity-bounded vec of realized
-            // duration records.
-            let chan = Arc::new(Mutex::new(Vec::<u64>::new()));
+        .explore(move || {
+            let learner = Arc::new(Mutex::new(0u64));
             let priors = Arc::new(RwLock::new(Priors { epoch: 0, stamp: 0 }));
-            let c2 = Arc::clone(&chan);
-            let producer = sched::spawn(move || {
-                for rec in [10u64, 20] {
-                    let mut q = c2.lock();
-                    assert!(q.len() < CAP, "refit channel exceeded its bound");
-                    q.push(rec);
-                }
-            });
-            // Observer side (request path): the queue must never be
-            // seen above capacity while the producer runs.
-            {
-                let q = chan.lock();
-                assert!(q.len() <= CAP, "capacity violated");
+            let submitters: Vec<_> = (0..2)
+                .map(|_| {
+                    let (l, p) = (Arc::clone(&learner), Arc::clone(&priors));
+                    sched::spawn(move || refit(&l, &p, publish_under_lock))
+                })
+                .collect();
+            let mut last = 0;
+            for _ in 0..2 {
+                let snap = *priors.read();
+                assert_eq!(snap.epoch, snap.stamp, "torn priors snapshot");
+                assert!(
+                    snap.epoch >= last,
+                    "epoch went backwards: read {last}, then {}",
+                    snap.epoch
+                );
+                last = snap.epoch;
             }
-            producer.join();
-            // Refit loop: drain and apply, one epoch bump per record.
-            let drained = {
-                let mut q = chan.lock();
-                std::mem::take(&mut *q)
-            };
-            assert_eq!(drained, vec![10, 20], "records lost or reordered");
-            for _ in &drained {
-                let mut g = priors.write();
-                let next = g.epoch + 1;
-                *g = Priors {
-                    epoch: next,
-                    stamp: next,
-                };
+            for s in submitters {
+                s.join();
             }
-            assert_eq!(priors.read().epoch, drained.len() as u64);
-        });
+            let fin = *priors.read();
+            assert_eq!((fin.epoch, fin.stamp), (2, 2), "a refit was lost");
+        })
+}
+
+#[test]
+fn submitters_publish_in_epoch_order_under_the_learners_lock() {
+    let s = two_submitters(true);
     assert!(s.failure.is_none(), "{:?}", s.failure);
     assert!(!s.truncated, "space should be exhaustible: {} runs", s.runs);
+}
+
+#[test]
+fn publishing_after_the_lock_is_caught_going_backwards() {
+    // The regression: with the epoch taken under the learner's lock but
+    // published after it is released, submitter A can take epoch 1,
+    // submitter B take and publish epoch 2, and A then publish 1 over
+    // it. The checker must find that schedule.
+    let s = two_submitters(false);
+    match s.failure {
+        Some(Failure::Panic { ref message }) => {
+            assert!(message.contains("epoch went backwards"), "{message}");
+        }
+        other => panic!(
+            "a stale publish must be found, got {other:?} after {} runs",
+            s.runs
+        ),
+    }
 }

@@ -1,10 +1,10 @@
-//! Query throughput of the concurrent aggregation service with the
-//! prepared-context cache on vs off.
+//! Query throughput of the concurrent aggregation service, plain and
+//! with runtime metrics attached.
 //!
-//! The cache skips the expensive query-independent setup (quality
-//! profiles + offline wait chain, §5.2 reports tens of ms per profile)
-//! for queries sharing a (priors epoch, deadline bucket); this bench
-//! measures how much of the per-query cost that setup is.
+//! Refits are off, so after the warmup query every submission hits the
+//! prepared-context cache (the query-independent setup that §5.2
+//! reports at tens of ms per profile); the telemetry twin measures what
+//! attaching `RuntimeMetrics` costs on top.
 
 use cedar_core::{StageSpec, TreeSpec};
 use cedar_distrib::LogNormal;
@@ -23,14 +23,12 @@ fn tree() -> TreeSpec {
     )
 }
 
-fn service(cache: bool, telemetry: bool) -> AggregationService {
+fn service(telemetry: bool) -> AggregationService {
     let mut cfg = ServiceConfig::new(tree(), 40.0);
-    // Refits off: steady-state priors, so the cache (when on) stays hot
-    // and the comparison isolates the context-build cost.
+    // Refits off: steady-state priors, so the cache stays hot.
     cfg.refit_interval = 0;
-    cfg.profile_cache = cache;
     // 5 us of wall clock per model unit: sleeps are near-instant and
-    // the setup cost dominates.
+    // the service's own cost dominates.
     cfg.scale = TimeScale::new(Duration::from_micros(5));
     if telemetry {
         // Metrics attached but never scraped: the enabled-but-idle
@@ -49,15 +47,14 @@ fn bench_service_throughput(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("service_throughput");
     group.sample_size(10);
-    for &(cache, telemetry) in &[(true, false), (true, true), (false, false)] {
-        let name = match (cache, telemetry) {
-            (true, false) => "batch8/cache_on",
-            (true, true) => "batch8/cache_on_telemetry",
-            _ => "batch8/cache_off",
+    for telemetry in [false, true] {
+        let name = if telemetry {
+            "batch8/cache_on_telemetry"
+        } else {
+            "batch8/cache_on"
         };
-        let svc = service(cache, telemetry);
-        // Warm up: first submission spawns the refit task and (cache on)
-        // populates the profile cache.
+        let svc = service(telemetry);
+        // Warm up: the first submission populates the profile cache.
         rt.block_on(svc.submit(tree()));
         group.bench_function(name, |b| {
             b.iter(|| {

@@ -13,17 +13,13 @@
 //!   first frame);
 //! - the interned all-ones partial-value vector (`pool::ones` is a map
 //!   probe returning an `Arc` clone after the first call per length);
-//! - the refit task's `SlidingWindow`: once constructed (the block ring
-//!   is sized there), fault-free ingest and refits never allocate, through
+//! - the learner's `SlidingWindow`: once constructed (the block ring is
+//!   sized there), fault-free ingest and refits never allocate, through
 //!   any number of window turnovers.
 //!
 //! Binary *decoding* is deliberately not asserted to zero: it builds an
 //! owned message (strings, stage vectors), which is its documented
-//! contract — "allocating only the owned message itself". Likewise the
-//! pooled refit shells are covered by `cedar-runtime`'s pool unit tests
-//! rather than here: exercising them end-to-end needs a tokio runtime,
-//! whose worker threads allocate on their own schedule and would make a
-//! global counter flaky.
+//! contract — "allocating only the owned message itself".
 //!
 //! Everything lives in ONE `#[test]` so no sibling test can allocate
 //! concurrently and poison the counter — and the counter only bumps

@@ -1,7 +1,7 @@
 //! The one cross-query learner: the loop the paper's deployments run
 //! "from completed queries" (§3.1, §4.1), for every caller.
 //!
-//! The service's refit task feeds a [`Learner`] each query's realized
+//! Every service submission feeds a [`Learner`] its query's realized
 //! stage durations; a mesh aggregator started with a checkpoint
 //! directory feeds one its leaf stage, one pass at a time. Either way
 //! the learner

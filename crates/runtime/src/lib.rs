@@ -52,6 +52,6 @@ pub use faults::{FailureReport, FaultKind, FaultPlan, FaultSpec, Ledger, Recover
 pub use learner::Learner;
 pub use metrics::RuntimeMetrics;
 pub use pass::{gather, run_pass, Arrival, Gathered, PassConfig, PassOutcome};
-pub use pool::{ones, VecPool};
+pub use pool::ones;
 pub use scale::TimeScale;
 pub use service::{AggregationService, QueryOptions, ServiceConfig, WarmRestart};

@@ -1,21 +1,13 @@
-//! Pooled per-query state: interned constant vectors and recycled
-//! buffers.
+//! Interned constant vectors for the per-query path.
 //!
-//! The steady-state service path should not allocate per query. Two
-//! allocation sources remain after the prepared-context cache removes
-//! the setup cost:
-//!
-//! - the all-ones partial-value vector (`vec![1.0; n]`) built for every
-//!   query that does not supply explicit values — identical for every
-//!   query against the same tree shape;
-//! - the realized/censored duration buffers cloned into each
-//!   [`RefitRecord`](crate::service) — same shape every query, dropped
-//!   by the refit task moments later.
-//!
-//! [`ones`] interns the former by length; [`VecPool`] recycles the
-//! latter (`clone_from` into a pooled shell reuses its capacity). Both
-//! are process-wide and lock-cheap: one uncontended mutex probe per
-//! query, keyed by machine words through FxHash.
+//! The steady-state service path should not allocate per query. Once
+//! the prepared-context cache removes the setup cost, the one remaining
+//! per-query allocation would be the all-ones partial-value vector
+//! (`vec![1.0; n]`) built for every query that does not supply explicit
+//! values — identical for every query against the same tree shape.
+//! [`ones`] interns it by length: process-wide and lock-cheap, one
+//! uncontended mutex probe per query, keyed by a machine word through
+//! FxHash.
 
 use cedar_core::LockExt;
 use cedar_mathx::fxhash::FxHashMap;
@@ -47,62 +39,6 @@ pub fn ones(n: usize) -> Arc<Vec<f64>> {
     fresh
 }
 
-/// Vectors a [`VecPool`] retains; beyond this, returned buffers are
-/// simply dropped so a burst cannot pin memory forever.
-const POOL_MAX: usize = 64;
-
-/// A recycling pool of vectors: [`take`](VecPool::take) hands out a
-/// previously returned buffer, [`put`](VecPool::put) shelves it again.
-/// `const`-constructible so it can back a `static`.
-///
-/// Buffers are returned **as-is**, stale contents and all: the intended
-/// use is `take` + [`Vec::clone_from`], which overwrites the old
-/// elements while reusing the outer buffer *and, for nested vectors,
-/// every inner buffer too* — clearing on return would drop the inner
-/// vectors and forfeit exactly the allocations worth recycling. After
-/// a few warmup rounds the capacities fit the workload and the steady
-/// state allocates nothing.
-pub struct VecPool<T> {
-    shelf: Mutex<Vec<Vec<T>>>,
-}
-
-impl<T> VecPool<T> {
-    /// An empty pool.
-    pub const fn new() -> Self {
-        Self {
-            shelf: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Hands out a shelved buffer (contents unspecified — overwrite it
-    /// with [`Vec::clone_from`] or clear it), or a fresh empty one when
-    /// the shelf is bare.
-    #[must_use = "taking without using leaks the buffer from the pool"]
-    pub fn take(&self) -> Vec<T> {
-        self.shelf.lock().unpoisoned().pop().unwrap_or_default()
-    }
-
-    /// Shelves a buffer for reuse, contents intact. Buffers beyond the
-    /// shelf cap are dropped so a burst cannot pin memory forever.
-    pub fn put(&self, buf: Vec<T>) {
-        let mut shelf = self.shelf.lock().unpoisoned();
-        if shelf.len() < POOL_MAX {
-            shelf.push(buf);
-        }
-    }
-
-    /// Number of buffers currently shelved (test observability).
-    pub fn shelved(&self) -> usize {
-        self.shelf.lock().unpoisoned().len()
-    }
-}
-
-impl<T> Default for VecPool<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,51 +61,6 @@ mod tests {
             let v = ones(n);
             assert_eq!(v.len(), n);
             assert!(v.iter().all(|&x| x == 1.0));
-        }
-    }
-
-    #[test]
-    fn pool_recycles_capacity() {
-        let pool: VecPool<f64> = VecPool::new();
-        let mut v = pool.take();
-        v.extend_from_slice(&[1.0; 100]);
-        let cap = v.capacity();
-        let ptr = v.as_ptr();
-        pool.put(v);
-        assert_eq!(pool.shelved(), 1);
-        let v2 = pool.take();
-        assert_eq!(v2.capacity(), cap);
-        assert_eq!(v2.as_ptr(), ptr, "the same buffer must come back");
-        assert_eq!(pool.shelved(), 0);
-    }
-
-    #[test]
-    fn pool_caps_its_shelf() {
-        let pool: VecPool<u8> = VecPool::new();
-        for _ in 0..(POOL_MAX + 10) {
-            pool.put(Vec::with_capacity(8));
-        }
-        assert_eq!(pool.shelved(), POOL_MAX);
-    }
-
-    #[test]
-    fn nested_clone_from_reuses_inner_buffers() {
-        let pool: VecPool<Vec<f64>> = VecPool::new();
-        let source = vec![vec![1.0; 50], vec![2.0; 30]];
-        let mut shell = pool.take();
-        shell.clone_from(&source);
-        assert_eq!(shell, source);
-        let inner_ptrs: Vec<*const f64> = shell.iter().map(Vec::as_ptr).collect();
-        pool.put(shell);
-
-        // A smaller same-shape payload lands in the very same inner
-        // buffers: `clone_from` reuses them instead of reallocating.
-        let next = vec![vec![3.0; 40], vec![4.0; 20]];
-        let mut shell = pool.take();
-        shell.clone_from(&next);
-        assert_eq!(shell, next);
-        for (v, &ptr) in shell.iter().zip(&inner_ptrs) {
-            assert_eq!(v.as_ptr(), ptr, "inner buffer was reallocated");
         }
     }
 }

@@ -10,12 +10,12 @@
 //! 1. queries are submitted with their *true* (per-query) tree;
 //! 2. each runs on the tokio engine under the configured policy, using a
 //!    snapshot of the service's current priors;
-//! 3. the engine's realized stage durations are streamed to a background
-//!    refit task, which feeds them to the service's [`Learner`]: one
-//!    bounded sliding window of sufficient statistics per stage, re-fit
-//!    by log-normal MLE every `refit_interval` completed queries at a
-//!    cost independent of how much history it holds, and published here
-//!    as the new population priors.
+//! 3. each submission then hands the engine's realized stage durations
+//!    to the service's [`Learner`] itself: one bounded sliding window of
+//!    sufficient statistics per stage, re-fit by log-normal MLE every
+//!    `refit_interval` completed queries at a cost independent of how
+//!    much history it holds, and published here as the new population
+//!    priors.
 //!
 //! The service therefore adapts to slow drift the way a deployment
 //! would, while Cedar's per-query learning handles fast variation.
@@ -23,21 +23,27 @@
 //! ## Concurrency model
 //!
 //! The service is a cheap-to-clone handle over shared state, safe to use
-//! from any number of tasks at once:
+//! from any number of tasks — on any number of runtimes — at once. It
+//! spawns no task and holds no channel:
 //!
 //! - **Priors** live behind an epoch-versioned `RwLock`: submissions
-//!   take a consistent `(epoch, tree)` snapshot, and the refit task is
-//!   the only writer, bumping the epoch with each accepted refit — so a
-//!   query never sees a half-updated tree.
-//! - **Realized durations** flow over an mpsc channel to a single
-//!   background refit task, the learner's only feeder, instead of
-//!   through a lock on the submission path. `submit` awaits the task's
-//!   per-query ack, so `completed()` / `refits()` / `epoch()` are
-//!   deterministic immediately after a submission resolves.
+//!   take a consistent `(epoch, tree)` snapshot, and an accepted refit
+//!   replaces the whole snapshot under one write guard — so a query
+//!   never sees a half-updated tree.
+//! - **Learning** happens in the submitting call, after its query ran:
+//!   `submit_with` records the realized durations into the learner,
+//!   whose one mutex serializes record → publish → checkpoint. Two
+//!   submitters finishing together therefore publish one at a time, in
+//!   epoch order, and `completed()` / `refits()` / `epoch()` already
+//!   count a submission when it resolves.
 //! - **Prepared policy contexts** ([`PreparedContexts`]) — the expensive
 //!   query-independent setup (§5.2 reports tens of ms per profile) — are
 //!   cached per `(priors epoch, deadline bucket)`, so concurrent queries
 //!   with the same deadline don't redundantly recompute profiles.
+//!
+//! Lock order: learner → priors → cache. A publish takes the priors
+//! lock, then the cache lock, while holding the learner's; every other
+//! path holds one lock at a time, and none is held across an `.await`.
 
 use crate::checkpoint::CheckpointConfig;
 use crate::engine::{run_query_prepared, RuntimeConfig, RuntimeOutcome};
@@ -55,14 +61,13 @@ use cedar_distrib::LogNormal;
 use cedar_estimate::Model;
 use cedar_mathx::fxhash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, Weak};
-use tokio::sync::{mpsc, oneshot};
+use std::sync::{Arc, Mutex, RwLock};
 
-/// Capacity of the refit-record channel. Submitters wait for a per-record
-/// ack before returning, so each in-flight query contributes at most one
-/// queued record; the bound exists to turn any future fire-and-forget
-/// misuse into backpressure instead of unbounded heap growth (lint L2).
-const REFIT_QUEUE_CAP: usize = 64;
+/// Cedar's estimator family, as the learner fits it and the mesh runs it.
+const MODEL: Model = Model::LogNormal;
+
+/// ε-scan resolution of every query.
+const SCAN_STEPS: usize = 300;
 
 /// Configuration of the service.
 #[derive(Debug, Clone)]
@@ -76,19 +81,9 @@ pub struct ServiceConfig {
     pub policy: WaitPolicyKind,
     /// Model-to-wall time mapping.
     pub scale: TimeScale,
-    /// Cedar's estimator family.
-    pub model: Model,
     /// Re-fit priors after this many completed queries (0 disables
     /// refitting).
     pub refit_interval: usize,
-    /// ε-scan resolution.
-    pub scan_steps: usize,
-    /// Profile resolution.
-    pub profile: ProfileConfig,
-    /// Whether to cache [`PreparedContexts`] per (epoch, deadline
-    /// bucket). Caching never changes results — context construction is
-    /// deterministic in (priors, deadline) — it only skips recomputation.
-    pub profile_cache: bool,
     /// Width of the deadline bucket used both for cache keying and for
     /// quantizing submitted deadlines (model units). Queries whose
     /// deadlines fall in the same bucket share prepared contexts.
@@ -97,8 +92,8 @@ pub struct ServiceConfig {
     /// deployment); per-query [`QueryOptions::faults`] takes precedence.
     /// `None` (the default) runs every query clean.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Shared runtime metrics recorded by every query and by the refit
-    /// task (see [`RuntimeMetrics`]). `None` disables recording.
+    /// Shared runtime metrics recorded by every query and every refit
+    /// (see [`RuntimeMetrics`]). `None` disables recording.
     pub metrics: Option<Arc<RuntimeMetrics>>,
     /// Durable learned state: when set, the service warm-restarts from
     /// the newest valid checkpoint in the directory at construction and
@@ -116,11 +111,7 @@ impl ServiceConfig {
             deadline,
             policy: WaitPolicyKind::Cedar,
             scale: TimeScale::millis(),
-            model: Model::LogNormal,
             refit_interval: 20,
-            scan_steps: 300,
-            profile: ProfileConfig::default(),
-            profile_cache: true,
             deadline_bucket: 1e-3,
             faults: None,
             metrics: None,
@@ -156,21 +147,6 @@ struct PriorsSnapshot {
     tree: Arc<TreeSpec>,
 }
 
-/// Shells recycled between [`RefitRecord`]s: taken (and refilled with
-/// `clone_from`) on submission, returned by the refit task once the
-/// samples are folded into the windows.
-static REFIT_BUFFERS: crate::pool::VecPool<Vec<f64>> = crate::pool::VecPool::new();
-
-/// One completed query's realized durations, acked once recorded.
-struct RefitRecord {
-    durations: Vec<Vec<f64>>,
-    /// Right-censoring thresholds for tasks that never arrived (empty on
-    /// clean runs); kept alongside `durations` so refits can correct for
-    /// the missing slow tail instead of learning only from survivors.
-    censored: Vec<Vec<f64>>,
-    ack: oneshot::Sender<()>,
-}
-
 /// Shared state behind every [`AggregationService`] handle.
 struct ServiceState {
     cfg: ServiceConfig,
@@ -181,11 +157,6 @@ struct ServiceState {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     submit_counter: AtomicU64,
-    refit_tx: mpsc::Sender<RefitRecord>,
-    /// Receiver parked here until the first submission spawns the refit
-    /// task (spawning needs a runtime; `new` must stay callable outside
-    /// one).
-    refit_rx: Mutex<Option<mpsc::Receiver<RefitRecord>>>,
     /// Counters, refits, checkpoints and the durability readouts.
     learner: Learner,
 }
@@ -210,27 +181,25 @@ impl std::fmt::Debug for AggregationService {
 }
 
 impl AggregationService {
-    /// Creates the service with its initial priors. The background refit
-    /// task is spawned lazily by the first submission (which is the
-    /// first point a runtime is guaranteed to exist).
+    /// Creates the service with its initial priors; no runtime is needed
+    /// until the first submission.
     ///
     /// With [`ServiceConfig::checkpoint`] set, construction scans the
     /// checkpoint directory and warm-restarts from the newest valid
-    /// generation: priors, epoch, counters and the refit task's lifetime
+    /// generation: priors, epoch, counters and the learner's lifetime
     /// sufficient statistics all resume where the previous process left
     /// off. Any decode failure — truncation, garbage, checksum or
     /// version flip, tree-shape mismatch — degrades to a cold start with
     /// the reason in [`cold_start_reason`](Self::cold_start_reason),
     /// never an error or panic.
     pub fn new(cfg: ServiceConfig) -> Self {
-        let (refit_tx, refit_rx) = mpsc::channel(REFIT_QUEUE_CAP);
         let learner = Learner::open(
             cfg.initial_priors
                 .stages()
                 .iter()
                 .map(|s| s.fanout)
                 .collect(),
-            cfg.model,
+            MODEL,
             cfg.refit_interval,
             cfg.checkpoint.as_ref(),
             cfg.metrics.clone(),
@@ -246,8 +215,6 @@ impl AggregationService {
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             submit_counter: AtomicU64::new(0),
-            refit_tx,
-            refit_rx: Mutex::new(Some(refit_rx)),
             learner,
         });
         Self { state }
@@ -264,8 +231,7 @@ impl AggregationService {
         self.state.priors.read().unpoisoned().epoch
     }
 
-    /// Completed query count (recorded by the refit task; deterministic
-    /// once a submission resolves).
+    /// Completed query count (a submission counts once it resolves).
     pub fn completed(&self) -> usize {
         self.state.learner.completed() as usize
     }
@@ -320,10 +286,9 @@ impl AggregationService {
     }
 
     /// Writes a checkpoint now (the graceful-shutdown hook; refit epochs
-    /// already checkpoint on their own). Resolves once the file is
+    /// already checkpoint on their own). Returns once the file is
     /// durable: `Ok(true)` written, `Ok(false)` checkpointing disabled.
-    #[allow(clippy::unused_async)] // kept async: callers await it, and the signature is public API
-    pub async fn checkpoint_now(&self) -> Result<bool, String> {
+    pub fn checkpoint_now(&self) -> Result<bool, String> {
         self.state.learner.checkpoint_now()
     }
 
@@ -334,69 +299,44 @@ impl AggregationService {
     }
 
     /// Runs one query with per-query overrides: executes on the engine
-    /// against the current priors snapshot, streams the realized
-    /// durations to the refit task, and resolves once they are recorded
-    /// (and any due refit has been applied).
+    /// against the current priors snapshot, then records the realized
+    /// durations into the learner (applying any refit that is due)
+    /// before it returns.
     pub async fn submit_with(&self, true_tree: TreeSpec, opts: QueryOptions) -> RuntimeOutcome {
         let state = &self.state;
-        self.ensure_refit_task();
-
         let seed = opts.seed.unwrap_or_else(|| {
             let i = state.submit_counter.fetch_add(1, Ordering::AcqRel);
             0x5EED ^ (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         });
-        let deadline = self.quantize_deadline(opts.deadline.unwrap_or(state.cfg.deadline));
         let snapshot = state.priors.read().unpoisoned().clone();
-        let prepared = self.prepared_contexts(&snapshot, deadline);
-
         let n = true_tree.total_processes();
         let values = opts.values.unwrap_or_else(|| crate::pool::ones(n));
         let cfg = RuntimeConfig {
             tree: true_tree,
             priors: (*snapshot.tree).clone(),
-            deadline,
+            deadline: self.quantize_deadline(opts.deadline.unwrap_or(state.cfg.deadline)),
             scale: state.cfg.scale,
-            model: state.cfg.model,
-            scan_steps: state.cfg.scan_steps,
-            profile: state.cfg.profile,
+            model: MODEL,
+            scan_steps: SCAN_STEPS,
+            profile: ProfileConfig::default(),
             seed,
             faults: opts.faults.or_else(|| state.cfg.faults.clone()),
             trace: opts.trace,
             metrics: state.cfg.metrics.clone(),
             priors_epoch: snapshot.epoch,
         };
+        let prepared = self.prepared_contexts(&cfg);
         let outcome = run_query_prepared(&cfg, state.cfg.policy, values, &prepared).await;
 
-        // Stream the durations the engine actually ran with to the refit
-        // task and wait for the record (plus any due refit) to land. The
-        // copies ride in pooled shells: `clone_from` into a recycled
-        // buffer reuses its outer and inner capacities, so after warmup
-        // the hand-off allocates nothing.
-        let (ack_tx, ack_rx) = oneshot::channel();
-        let mut durations = REFIT_BUFFERS.take();
-        durations.clone_from(&outcome.realized_durations);
-        let mut censored = REFIT_BUFFERS.take();
-        censored.clone_from(&outcome.censored_durations);
-        let record = RefitRecord {
-            durations,
-            censored,
-            ack: ack_tx,
-        };
-        if state.refit_tx.send(record).await.is_ok() {
-            let _ = ack_rx.await;
-        }
+        // Learn from the durations the engine actually ran with. The
+        // learner's lock orders concurrent submitters, so refits publish
+        // one at a time and in epoch order.
+        state.learner.record(
+            &outcome.realized_durations,
+            &outcome.censored_durations,
+            |epoch, fitted| publish(state, epoch, fitted),
+        );
         outcome
-    }
-
-    /// Spawns the background refit task on first use.
-    fn ensure_refit_task(&self) {
-        let rx = self.state.refit_rx.lock().unpoisoned().take();
-        if let Some(rx) = rx {
-            // The task holds only a weak reference so the state (and the
-            // task itself, once the channel drains) can be reclaimed
-            // after the last handle drops.
-            tokio::spawn(refit_loop(Arc::downgrade(&self.state), rx));
-        }
     }
 
     /// Snaps a deadline to its bucket's representative value, so every
@@ -410,26 +350,15 @@ impl AggregationService {
         }
     }
 
-    /// Fetches (or builds) the prepared contexts for a priors snapshot
-    /// and bucketed deadline.
-    fn prepared_contexts(&self, snapshot: &PriorsSnapshot, deadline: f64) -> Arc<PreparedContexts> {
+    /// Fetches (or builds) the prepared contexts for a query's priors
+    /// epoch and bucketed deadline. Caching never changes results —
+    /// context construction is deterministic in (priors, deadline) — it
+    /// only skips recomputation.
+    fn prepared_contexts(&self, cfg: &RuntimeConfig) -> Arc<PreparedContexts> {
         let state = &self.state;
-        let build = || {
-            Arc::new(PreparedContexts::new(
-                &snapshot.tree,
-                deadline,
-                state.cfg.policy,
-                state.cfg.model,
-                state.cfg.scan_steps,
-                &state.cfg.profile,
-            ))
-        };
-        if !state.cfg.profile_cache {
-            return build();
-        }
         let w = state.cfg.deadline_bucket.max(f64::MIN_POSITIVE);
-        let bucket = (deadline / w).round() as u64;
-        let key = (snapshot.epoch, bucket);
+        let bucket = (cfg.deadline / w).round() as u64;
+        let key = (cfg.priors_epoch, bucket);
         if let Some(hit) = state.cache.lock().unpoisoned().get(&key).cloned() {
             state.cache_hits.fetch_add(1, Ordering::AcqRel);
             return hit;
@@ -437,41 +366,21 @@ impl AggregationService {
         state.cache_misses.fetch_add(1, Ordering::AcqRel);
         // Built outside the lock: construction is the expensive part,
         // and a racing duplicate build is benign (identical contents).
-        let fresh = build();
+        let fresh = Arc::new(PreparedContexts::new(
+            &cfg.priors,
+            cfg.deadline,
+            state.cfg.policy,
+            cfg.model,
+            cfg.scan_steps,
+            &cfg.profile,
+        ));
         state.cache.lock().unpoisoned().insert(key, fresh.clone());
         fresh
     }
 }
 
-/// The background refit task: the learner's single feeder and the
-/// single writer of the priors.
-async fn refit_loop(state: Weak<ServiceState>, mut rx: mpsc::Receiver<RefitRecord>) {
-    while let Some(record) = rx.recv().await {
-        let Some(state) = state.upgrade() else {
-            return;
-        };
-        let RefitRecord {
-            durations,
-            censored,
-            ack,
-        } = record;
-        state
-            .learner
-            .record(&durations, &censored, |epoch, fitted| {
-                publish(&state, epoch, fitted);
-            });
-        // The shells (and their inner buffers) go back on the shelf for
-        // the next submission.
-        REFIT_BUFFERS.put(durations);
-        REFIT_BUFFERS.put(censored);
-        // Ack after all bookkeeping so observers see a consistent state
-        // as soon as their submission resolves.
-        let _ = ack.send(());
-    }
-}
-
 /// Publishes an accepted refit as the priors of `epoch` and drops the
-/// cache entries of older epochs.
+/// cache entries of older epochs. Runs under the learner's lock.
 fn publish(state: &ServiceState, epoch: u64, fitted: &[Option<LogNormal>]) {
     let tree = Arc::new(priors_tree(&state.cfg.initial_priors, fitted));
     // Whole-struct assignment keeps the snapshot panic-atomic: no reader
@@ -592,33 +501,9 @@ mod tests {
     }
 
     #[tokio::test(start_paused = true)]
-    async fn cache_off_matches_cache_on() {
-        let mk = |cache: bool| {
-            let mut cfg = ServiceConfig::new(tree(1.0), 40.0);
-            cfg.refit_interval = 0;
-            cfg.profile_cache = cache;
-            AggregationService::new(cfg)
-        };
-        let on = mk(true);
-        let off = mk(false);
-        for seed in 1..=4u64 {
-            let opts = QueryOptions {
-                seed: Some(seed),
-                ..QueryOptions::default()
-            };
-            let a = on.submit_with(tree(1.0), opts.clone()).await;
-            let b = off.submit_with(tree(1.0), opts).await;
-            assert_eq!(a.included_outputs, b.included_outputs);
-            assert_eq!(a.quality, b.quality);
-        }
-        assert_eq!(on.cache_stats().0, 3);
-        assert_eq!(off.cache_stats(), (0, 0));
-    }
-
-    #[tokio::test(start_paused = true)]
     async fn unusable_durations_do_not_freeze_priors() {
         // A client-supplied tree whose bottom stage straddles zero puts
-        // non-positive durations into the refit record. They are skipped
+        // non-positive durations into the learner. They are skipped
         // at ingest; held in a raw history they failed every refit, for
         // every stage, until they slid out 50 000 samples later.
         let mut cfg = ServiceConfig::new(tree(1.0), 40.0);
@@ -701,7 +586,7 @@ mod tests {
             svc.submit(tree(1.0)).await;
         }
         assert_eq!(svc.checkpoints_written(), 0);
-        assert!(svc.checkpoint_now().await.unwrap());
+        assert!(svc.checkpoint_now().unwrap());
         assert_eq!(svc.checkpoints_written(), 1);
         let loaded = checkpoint::load(&dir);
         let ckpt = loaded.checkpoint.unwrap();
@@ -712,7 +597,7 @@ mod tests {
 
         // Without checkpointing the flush is a clean no-op.
         let plain = AggregationService::new(ServiceConfig::new(tree(1.0), 40.0));
-        assert!(!plain.checkpoint_now().await.unwrap());
+        assert!(!plain.checkpoint_now().unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -743,7 +628,7 @@ mod tests {
             cfg.checkpoint = Some(CheckpointConfig::new(&dir));
             let svc = AggregationService::new(cfg);
             svc.submit(tree(1.0)).await;
-            assert!(svc.checkpoint_now().await.unwrap());
+            assert!(svc.checkpoint_now().unwrap());
         }
         // Same directory, different tree shape: warm restart must refuse.
         let other = TreeSpec::two_level(

@@ -1,12 +1,14 @@
 //! Concurrency tests for the shared aggregation service: priors epochs
 //! stay consistent under parallel submissions, the prepared-context
-//! cache is shared across tasks, and concurrent execution preserves the
-//! serial service's per-seed determinism.
+//! cache is shared across tasks, concurrent execution preserves the
+//! serial service's per-seed determinism, and a service outlives the
+//! runtime it first ran on.
 
 use cedar_core::{StageSpec, TreeSpec};
 use cedar_distrib::LogNormal;
 use cedar_runtime::{AggregationService, QueryOptions, ServiceConfig};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn tree(mu: f64) -> TreeSpec {
     TreeSpec::two_level(
@@ -157,4 +159,40 @@ async fn explicit_values_flow_through_concurrent_submits() {
     let want: f64 = (0..n).map(|i| i as f64).sum();
     assert_eq!(out.quality, 1.0);
     assert!((out.value_sum - want).abs() < 1e-9);
+}
+
+#[test]
+fn a_service_keeps_learning_after_its_first_runtime_is_dropped() {
+    // A service handle outlives any one runtime: a process may serve
+    // from one runtime, tear it down and build another. Nothing of the
+    // service's may stay behind on the first.
+    let runtime = || {
+        tokio::runtime::Builder::new_multi_thread()
+            .worker_threads(1)
+            .enable_all()
+            .build()
+            .expect("runtime")
+    };
+    let mut cfg = ServiceConfig::new(tree(1.0), 40.0);
+    cfg.refit_interval = 5;
+    let svc = AggregationService::new(cfg);
+
+    let first = runtime();
+    first.block_on(svc.submit(tree(1.0)));
+    drop(first);
+
+    let second = runtime();
+    let finished = second.block_on(tokio::time::timeout(Duration::from_secs(3), async {
+        for _ in 0..10 {
+            svc.submit(tree(1.0)).await;
+        }
+    }));
+    assert!(
+        finished.is_ok(),
+        "submissions on the second runtime hung: completed {}, refits {}",
+        svc.completed(),
+        svc.refits()
+    );
+    assert_eq!(svc.completed(), 11);
+    assert!(svc.refits() >= 1);
 }

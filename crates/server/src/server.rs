@@ -38,7 +38,7 @@ pub struct ServerConfig {
     /// Bind address (`"127.0.0.1:0"` picks a free port).
     pub addr: String,
     /// The aggregation service configuration (priors, deadline, policy,
-    /// time scale, refit interval, profile cache).
+    /// time scale, refit interval).
     pub service: ServiceConfig,
     /// Admission limits.
     pub admission: AdmissionConfig,
@@ -327,7 +327,7 @@ impl Server {
         }
         let runtime = builder.enable_all().build()?;
 
-        // Every query (and the refit task) records into the server's
+        // Every query and every refit records into the server's
         // registry; the connection layer adds its own counters on top.
         let metrics = ServerMetrics::new();
         cfg.service.metrics = Some(metrics.runtime.clone());
@@ -434,25 +434,10 @@ impl ServerHandle {
             }
             return result;
         }
-        // One final durable checkpoint of the learned state, while the
-        // runtime is still alive to run the refit task. A service
+        // One final durable checkpoint of the learned state. A service
         // without a checkpoint directory returns immediately.
-        if let Some(rt) = &self.runtime {
-            let service = &self.shared.service;
-            match rt.block_on(async {
-                tokio::time::timeout(Duration::from_secs(5), service.checkpoint_now()).await
-            }) {
-                Ok(Ok(_)) => {}
-                Ok(Err(e)) => {
-                    result = Err(io::Error::other(format!("final checkpoint failed: {e}")));
-                }
-                Err(_) => {
-                    result = Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "final checkpoint timed out",
-                    ));
-                }
-            }
+        if let Err(e) = self.shared.service.checkpoint_now() {
+            result = Err(io::Error::other(format!("final checkpoint failed: {e}")));
         }
         // All users of the runtime are joined; tear it down last.
         drop(self.runtime.take());

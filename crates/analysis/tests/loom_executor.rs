@@ -21,24 +21,35 @@
 //!
 //! ## Parking
 //!
-//! A worker with nothing runnable reads the run queue and the earliest
-//! deadline under the lock, counts itself idle there, and parks on a
-//! condvar until that deadline. `enqueue`, and a timer registration that
-//! becomes the new earliest deadline, decide under the same lock whether
-//! a worker is counted idle and notify one only then, after unlocking.
-//! The checker has no `Condvar`, so the park is a gate, closed from the
-//! start, that the worker blocks on and `notify_one` opens — once opened
-//! it stays open, as a condvar's wait has already begun once the worker
-//! has released the lock. The worker's own timeout is abstracted: a park
-//! until a deadline already known is on time by construction, while one
-//! out to a later deadline must be cut short by a notify, or the checker
-//! reports the worker blocked for good. Property, over every
-//! interleaving: no worker stays parked past a queued task or an earlier
-//! deadline. The guarded regression reads the idle count outside the
-//! lock, and the checker must find the worker it strands.
+//! A worker with nothing runnable reads the run queue, the earliest
+//! deadline and the owner slot under the lock. The first to find a timer
+//! armed and no owner parks as the **timer owner**, on its own condvar,
+//! until the earliest deadline; every other idle worker is a **work
+//! waiter**, parked only until work arrives. Producers decide under the
+//! same lock whom to wake and notify after unlocking:
+//! - `enqueue` wakes a waiter, else the owner — except that a worker
+//!   queueing the only ready task wakes nobody and runs it next turn;
+//! - a timer that becomes the new earliest deadline wakes the owner, else
+//!   a waiter, which then parks as the owner — even when a worker arms it.
+//!
+//! The checker has no `Condvar`, so a wait is a gate, closed from the
+//! start, that the worker blocks on and a notify opens; a worker
+//! registers its gate with the condvar before it unlocks. The timeouts
+//! are abstracted: a park until a deadline already known is on time by
+//! construction, while one out to a later deadline must be cut short by a
+//! notify, and a waiter's backstop is never relied on — or the checker
+//! reports the worker blocked for good. The model runs two workers, one
+//! of them inside a task that wakes another, a foreign task, and an
+//! earlier timer armed by the foreign thread or by that task. Property,
+//! over every schedule with up to two preemptions: no task waits while
+//! every worker is parked, and the owner never sleeps past an earlier
+//! deadline. Three guarded regressions must each strand a worker: an
+//! earlier timer that wakes a waiter instead of the owner, a worker that
+//! arms an earlier timer and skips the wake (it then parks as a waiter
+//! while the owner sleeps on), and whom to wake read outside the lock.
 
-use cedar_analysis::sched::{self, AtomicUsize, Builder, Failure, Mutex, MutexGuard};
-use std::collections::BTreeMap;
+use cedar_analysis::sched::{self, Builder, Failure, Mutex, MutexGuard};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Weak};
 
 struct Timers {
@@ -189,135 +200,367 @@ fn concurrent_register_and_cancel_stay_deadlock_free() {
     assert!(s.failure.is_none(), "{:?}", s.failure);
 }
 
-/// The deadline the worker parks until, and one well before it.
+/// The deadline the timer owner first parks until, and one well before
+/// it that a task or a foreign thread arms.
 const LATE: u64 = 100;
 const EARLY: u64 = 10;
 
-/// What a worker reads before it parks.
+/// Tasks that must be taken: one a worker's running task wakes, one a
+/// foreign thread queues.
+const TASKS: usize = 2;
+
+/// Parks per worker the model provides; more is a livelock.
+const PARKS: usize = 6;
+
+/// What a worker reads before it parks, plus what the checks count.
 struct Core {
     tasks: usize,
     timers: Vec<u64>,
+    /// Model time, moved only by the owner's on-time park.
+    now: u64,
+    /// Workers parked waiting only for work.
+    waiters: usize,
+    /// Whether the timer owner is parked until the earliest deadline.
+    owner_parked: bool,
+    taken: usize,
+    fired_early: bool,
+    shutdown: bool,
+}
+
+/// The parked worker a change calls for, woken after the unlock.
+#[derive(Clone, Copy)]
+enum Rouse {
+    Nobody,
+    Waiter,
+    Owner,
 }
 
 impl Core {
-    fn earliest(&self) -> u64 {
-        self.timers.iter().copied().min().unwrap_or(u64::MAX)
+    fn earliest(&self) -> Option<u64> {
+        self.timers.iter().copied().min()
     }
+
+    fn wake_for_work(&self) -> Rouse {
+        if self.waiters > 0 {
+            Rouse::Waiter
+        } else if self.owner_parked {
+            Rouse::Owner
+        } else {
+            Rouse::Nobody
+        }
+    }
+
+    fn wake_for_timer(&self) -> Rouse {
+        if self.owner_parked {
+            Rouse::Owner
+        } else if self.waiters > 0 {
+            Rouse::Waiter
+        } else {
+            Rouse::Nobody
+        }
+    }
+}
+
+/// One park of one worker: a gate, closed by the thread that builds the
+/// model, that the worker blocks on and a notify opens for good.
+struct Park {
+    gate: &'static Mutex<()>,
+    closed: Mutex<Option<MutexGuard<'static, ()>>>,
+}
+
+impl Park {
+    fn new() -> Arc<Park> {
+        let gate: &'static Mutex<()> = Box::leak(Box::new(Mutex::new(())));
+        Arc::new(Park {
+            gate,
+            closed: Mutex::new(Some(gate.lock())),
+        })
+    }
+
+    fn block(&self) {
+        drop(self.gate.lock());
+    }
+}
+
+/// A condvar: the parks waiting on it, oldest first. A worker registers
+/// its park while it still holds the core lock — a condvar wait releases
+/// the lock and starts waiting in one step — so a notify made after the
+/// unlock finds it.
+struct Condvar {
+    waiting: Mutex<VecDeque<Arc<Park>>>,
+}
+
+impl Condvar {
+    fn new() -> Self {
+        Condvar {
+            waiting: Mutex::new(VecDeque::new()),
+        }
+    }
+
+    fn register(&self, park: &Arc<Park>) {
+        self.waiting.lock().push_back(Arc::clone(park));
+    }
+
+    fn notify_one(&self) {
+        let park = self.waiting.lock().pop_front();
+        if let Some(park) = park {
+            drop(park.closed.lock().take());
+        }
+    }
+
+    fn notify_all(&self) {
+        let parks = std::mem::take(&mut *self.waiting.lock());
+        for park in parks {
+            drop(park.closed.lock().take());
+        }
+    }
+}
+
+/// How producers pick whom to wake.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Protocol {
+    /// The executor's: new work wakes a waiter, else the owner; a new
+    /// earliest deadline wakes the owner, else a waiter to become it; a
+    /// worker that queues the only ready task wakes nobody.
+    Current,
+    /// Regression: a new earliest deadline wakes a work waiter first.
+    TimerWakesWaiters,
+    /// Regression: a worker that arms an earlier timer skips the wake
+    /// too, as it does for its only ready task.
+    WorkerArmSkipsWake,
+    /// Regression: whom to wake is read in an earlier critical section
+    /// than the one that queues the task or arms the timer.
+    ParkedReadOutsideTheLock,
+}
+
+/// Who arms the early timer.
+#[derive(Clone, Copy, Debug)]
+enum Armer {
+    Foreign,
+    Worker,
 }
 
 struct Executor {
     core: Mutex<Core>,
-    /// Workers counted parked; written only under `core`.
-    idle: AtomicUsize,
-    /// Where the worker parks.
-    gate: &'static Mutex<()>,
-    /// Holds the gate closed until `notify_one` drops it.
-    closed: Mutex<Option<MutexGuard<'static, ()>>>,
+    work_available: Condvar,
+    timer_owner: Condvar,
+    protocol: Protocol,
 }
 
 impl Executor {
-    fn new() -> Self {
-        let gate: &'static Mutex<()> = Box::leak(Box::new(Mutex::new(())));
-        Executor {
-            core: Mutex::new(Core {
-                tasks: 0,
-                timers: vec![LATE],
-            }),
-            idle: AtomicUsize::new(0),
-            gate,
-            closed: Mutex::new(Some(gate.lock())),
+    fn wake(&self, target: Rouse) {
+        match target {
+            Rouse::Nobody => {}
+            Rouse::Waiter => self.work_available.notify_one(),
+            Rouse::Owner => self.timer_owner.notify_one(),
         }
     }
 
-    fn notify_one(&self) {
-        drop(self.closed.lock().take());
+    fn peek(&self, pick: fn(&Core) -> Rouse) -> Option<Rouse> {
+        (self.protocol == Protocol::ParkedReadOutsideTheLock).then(|| pick(&self.core.lock()))
+    }
+
+    /// `enqueue`.
+    fn enqueue(&self, by_worker: bool) {
+        let peeked = self.peek(Core::wake_for_work);
+        let mut core = self.core.lock();
+        let only = core.tasks == 0;
+        core.tasks += 1;
+        let target = if by_worker && only {
+            Rouse::Nobody
+        } else {
+            peeked.unwrap_or_else(|| core.wake_for_work())
+        };
+        drop(core);
+        self.wake(target);
+    }
+
+    /// `arm`, for the early timer.
+    fn arm_early(&self, by_worker: bool) {
+        let peeked = self.peek(Core::wake_for_timer);
+        let mut core = self.core.lock();
+        let earliest = core.earliest().is_none_or(|t| EARLY < t);
+        core.timers.push(EARLY);
+        let target = match self.protocol {
+            Protocol::TimerWakesWaiters => core.wake_for_work(),
+            Protocol::WorkerArmSkipsWake if by_worker => Rouse::Nobody,
+            _ => peeked.unwrap_or_else(|| core.wake_for_timer()),
+        };
+        drop(core);
+        if earliest {
+            self.wake(target);
+        }
     }
 }
 
-/// The worker loop: run a queued task, or let a timer due by `EARLY` be
-/// fired by its own timeout, or park out to a later deadline.
-fn worker(ex: &Executor) {
-    for _ in 0..2 {
-        let core = ex.core.lock();
-        if core.tasks > 0 || core.earliest() <= EARLY {
+/// `worker_loop`. With `running` set, the worker starts inside a task
+/// that wakes another task of the runtime and, for `Armer::Worker`, arms
+/// the early timer. A deadline already known when the owner parks ends
+/// the park on time by the park's own timeout; one out to a later
+/// deadline must be cut short by a notify, and a waiter's backstop
+/// timeout is not relied on, or the checker finds the worker blocked
+/// for good. Once both tasks are taken and the early timer has fired,
+/// the worker that sees it shuts the executor down as `Runtime::drop`
+/// does: flag under the lock, then every park opened.
+fn worker(ex: &Executor, parks: &[Arc<Park>], running: Option<Armer>) {
+    let mut parks = parks.iter();
+    if let Some(armer) = running {
+        ex.enqueue(true);
+        if let Armer::Worker = armer {
+            ex.arm_early(true);
+        }
+    }
+    let mut core = ex.core.lock();
+    loop {
+        if core.shutdown {
             return;
         }
-        ex.idle.fetch_add(1);
-        drop(core);
-        drop(ex.gate.lock());
-        let _core = ex.core.lock();
-        ex.idle.store(ex.idle.load() - 1);
-    }
-    panic!("woken twice with nothing to do");
-}
-
-#[derive(Clone, Copy)]
-enum Event {
-    Task,
-    EarlierTimer,
-}
-
-/// `enqueue` or `register_timer`: change the state under the lock, then
-/// notify after unlocking if the change can cut a park short and a
-/// worker is counted idle. `idle_outside_lock` is the broken variant
-/// that reads the count before taking the lock.
-fn produce(ex: &Executor, event: Event, idle_outside_lock: bool) {
-    let peeked = idle_outside_lock.then(|| ex.idle.load() > 0);
-    let mut core = ex.core.lock();
-    let cuts_park_short = match event {
-        Event::Task => {
-            core.tasks += 1;
-            true
+        let now = core.now;
+        let armed = core.timers.len();
+        core.timers.retain(|&t| t > now);
+        let fired = core.timers.len() < armed;
+        core.fired_early |= fired;
+        let task = core.tasks > 0;
+        if task {
+            core.tasks -= 1;
+            core.taken += 1;
         }
-        Event::EarlierTimer => {
-            let earliest = EARLY < core.earliest();
-            core.timers.push(EARLY);
-            earliest
+        if core.taken == TASKS && core.fired_early {
+            core.shutdown = true;
+            drop(core);
+            ex.work_available.notify_all();
+            ex.timer_owner.notify_all();
+            return;
         }
-    };
-    let idle = peeked.unwrap_or_else(|| ex.idle.load() > 0);
-    drop(core);
-    if cuts_park_short && idle {
-        ex.notify_one();
+        if fired || task {
+            // Wake the timer's task or run the task, outside the lock.
+            drop(core);
+            core = ex.core.lock();
+            continue;
+        }
+        let mut next_park = || {
+            parks
+                .next()
+                .expect("a worker parked more often than the model allows")
+        };
+        core = match core.earliest() {
+            Some(t) if !core.owner_parked && t <= EARLY => {
+                core.owner_parked = true;
+                drop(core);
+                let mut core = ex.core.lock();
+                core.now = core.now.max(t);
+                core.owner_parked = false;
+                core
+            }
+            Some(_) if !core.owner_parked => {
+                core.owner_parked = true;
+                let park = next_park();
+                ex.timer_owner.register(park);
+                drop(core);
+                park.block();
+                let mut core = ex.core.lock();
+                core.owner_parked = false;
+                core
+            }
+            _ => {
+                core.waiters += 1;
+                let park = next_park();
+                ex.work_available.register(park);
+                drop(core);
+                park.block();
+                let mut core = ex.core.lock();
+                core.waiters -= 1;
+                core
+            }
+        };
     }
 }
 
-/// A worker racing one producer; the join strands if the worker does.
-fn park_model(event: Event, idle_outside_lock: bool) {
-    let ex = Arc::new(Executor::new());
-    let w = {
-        let ex = Arc::clone(&ex);
-        sched::spawn(move || worker(&ex))
-    };
-    produce(&ex, event, idle_outside_lock);
-    w.join();
+/// Two workers, one armed `LATE` timer, a worker's running task that
+/// wakes another, a foreign task, and the early timer armed by `armer`.
+fn park_model(armer: Armer, protocol: Protocol) {
+    let ex = Arc::new(Executor {
+        core: Mutex::new(Core {
+            tasks: 0,
+            timers: vec![LATE],
+            now: 0,
+            waiters: 0,
+            owner_parked: false,
+            taken: 0,
+            fired_early: false,
+            shutdown: false,
+        }),
+        work_available: Condvar::new(),
+        timer_owner: Condvar::new(),
+        protocol,
+    });
+    let workers: Vec<_> = [None, Some(armer)]
+        .into_iter()
+        .map(|running| {
+            let parks: Vec<_> = (0..PARKS).map(|_| Park::new()).collect();
+            let ex = Arc::clone(&ex);
+            sched::spawn(move || worker(&ex, &parks, running))
+        })
+        .collect();
+    ex.enqueue(false);
+    if let Armer::Foreign = armer {
+        ex.arm_early(false);
+    }
+    for w in workers {
+        w.join();
+    }
+}
+
+/// Every schedule with at most two preemptions: the space the unbounded
+/// search cannot exhaust, and where the lost wakes below are found.
+fn explore(armer: Armer, protocol: Protocol) -> sched::Summary {
+    Builder::new()
+        .max_runs(200_000)
+        .preemption_bound(2)
+        .explore(move || park_model(armer, protocol))
 }
 
 #[test]
 fn no_worker_stays_parked_past_a_task_or_an_earlier_deadline() {
-    for event in [Event::Task, Event::EarlierTimer] {
-        let s = Builder::new()
-            .max_runs(100_000)
-            .explore(move || park_model(event, false));
+    for armer in [Armer::Foreign, Armer::Worker] {
+        let s = explore(armer, Protocol::Current);
+        println!("{} schedules", s.runs);
         assert!(s.failure.is_none(), "{:?}", s.failure);
         assert!(!s.truncated, "space should be exhaustible: {} runs", s.runs);
     }
 }
 
-#[test]
-fn reading_the_idle_count_outside_the_lock_strands_a_worker() {
-    for event in [Event::Task, Event::EarlierTimer] {
-        let s = Builder::new()
-            .max_runs(100_000)
-            .explore(move || park_model(event, true));
-        match s.failure {
-            Some(Failure::Deadlock { ref detail }) => {
-                assert!(detail.contains("blocked"), "{detail}");
-            }
-            other => panic!(
-                "the lost wake must be found as a worker parked for good, got {other:?} after {} runs",
+/// The lost wake must be found as workers parked for good.
+fn assert_stranded(armer: Armer, protocol: Protocol) {
+    let s = explore(armer, protocol);
+    match s.failure {
+        Some(Failure::Deadlock { ref detail }) => {
+            println!(
+                "{protocol:?}/{armer:?} found after {} schedules: {detail}",
                 s.runs
-            ),
+            );
+            assert!(detail.contains("blocked"), "{detail}");
         }
+        other => panic!(
+            "the lost wake must be found as a worker parked for good, got {other:?} after {} runs",
+            s.runs
+        ),
+    }
+}
+
+#[test]
+fn an_earlier_timer_that_wakes_a_waiter_leaves_the_owner_asleep() {
+    assert_stranded(Armer::Foreign, Protocol::TimerWakesWaiters);
+}
+
+#[test]
+fn a_worker_that_arms_an_earlier_timer_must_still_wake_the_owner() {
+    assert_stranded(Armer::Worker, Protocol::WorkerArmSkipsWake);
+}
+
+#[test]
+fn reading_who_is_parked_outside_the_lock_strands_a_worker() {
+    for armer in [Armer::Foreign, Armer::Worker] {
+        assert_stranded(armer, Protocol::ParkedReadOutsideTheLock);
     }
 }

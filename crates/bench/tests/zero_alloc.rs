@@ -6,6 +6,8 @@
 //!
 //! - the per-arrival wait scan (`calculate_wait_with_grid` driven by a
 //!   memoized `QupGrid`, batch CDF through thread-local scratch);
+//! - a Cedar aggregator's whole arrival step (`AggregatorState::on_output`:
+//!   estimator update, the fitted log-normal built on the stack, re-scan);
 //! - batched CDF evaluation itself, including the `Mixture` override
 //!   (fixed-size stack chunks, no per-call scratch vector);
 //! - binary wire encoding into a reused frame buffer
@@ -30,9 +32,12 @@
 //! either.
 
 use cedar_core::wait::{calculate_wait_with_grid, QupGrid};
+use cedar_core::{
+    AggregatorAction, AggregatorState, PolicyContext, QualityProfile, WaitPolicyKind,
+};
 use cedar_distrib::spec::DistSpec;
 use cedar_distrib::{ContinuousDist, LogNormal, Mixture, Pareto};
-use cedar_estimate::SlidingWindow;
+use cedar_estimate::{Model, SlidingWindow};
 use cedar_server::proto::Request;
 use cedar_server::wire2::encode_frame_into;
 use cedar_workloads::treedef::{StageDef, TreeDef};
@@ -40,6 +45,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Heap allocation events (alloc + realloc + alloc_zeroed) observed
 /// while [`ARMED`] was set on the allocating thread.
@@ -138,6 +144,35 @@ fn steady_state_hot_paths_do_not_allocate() {
     assert_eq!(
         scan_events, 0,
         "calculate_wait_with_grid allocated in steady state"
+    );
+
+    // --- A Cedar aggregator's per-arrival step: re-estimate, re-scan. ---
+    let fanout = 2500;
+    let ctx = PolicyContext {
+        deadline: 2000.0,
+        fanout,
+        upper: Arc::new(QualityProfile::single(&upper, 2000.0, 64)),
+        prior_lower: Arc::new(lower),
+        true_lower: None,
+        mean_below: lower.mean(),
+        mean_total: lower.mean() + upper.mean(),
+        level: 1,
+        levels_total: 2,
+        scan_steps: 300,
+        qup_grid: OnceLock::new(),
+    };
+    let policy = WaitPolicyKind::Cedar.instantiate(fanout, Model::LogNormal);
+    let mut agg = AggregatorState::new(policy, ctx);
+    agg.start();
+    let mut now = 50.0;
+    let arrival_events = measure("aggregator_on_output", WARMUP, ROUNDS, || {
+        now += 1.0;
+        let action = agg.on_output(black_box(now));
+        assert!(matches!(action, AggregatorAction::SetTimer(_)));
+    });
+    assert_eq!(
+        arrival_events, 0,
+        "a Cedar aggregator allocated re-scanning on an arrival"
     );
 
     // --- Batched CDF with the Mixture override (stack-chunk scratch). ---

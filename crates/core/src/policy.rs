@@ -323,21 +323,23 @@ impl WaitPolicy for CedarPolicy {
             return None;
         }
         let est = self.estimator.estimate()?;
-        let dist = est.to_dist().ok()?;
-        let dec = ctx.scan(&dist);
-        if self.explain {
-            let (gain, loss) = ctx.gain_loss(&dist, dec.wait);
-            self.detail = Some(DecisionDetail {
-                mu: est.mu,
-                sigma: est.sigma,
-                samples: self.arrivals_seen,
-                wait: dec.wait,
-                expected_quality: dec.quality,
-                gain,
-                loss,
-            });
-        }
-        Some(dec.wait)
+        est.with_dist(|dist| {
+            let dec = ctx.scan(dist);
+            if self.explain {
+                let (gain, loss) = ctx.gain_loss(dist, dec.wait);
+                self.detail = Some(DecisionDetail {
+                    mu: est.mu,
+                    sigma: est.sigma,
+                    samples: self.arrivals_seen,
+                    wait: dec.wait,
+                    expected_quality: dec.quality,
+                    gain,
+                    loss,
+                });
+            }
+            dec.wait
+        })
+        .ok()
     }
 
     fn set_explain(&mut self, on: bool) {

@@ -70,7 +70,10 @@ fn fill_grid(ts: &mut Vec<f64>, deadline: f64, epsilon: f64, steps: usize) {
 /// The grid stores `q_up(deadline - t_next)` for each step's departure
 /// candidate `t_next`, plus the initial value `q_up(deadline)`, all
 /// clamped to `[0, 1]` exactly as the scalar scan does — so a grid-driven
-/// scan is *bit-identical* to the closure-driven scan it replaces.
+/// scan is *bit-identical* to the closure-driven scan it replaces. It
+/// also keeps the candidates `t_next` themselves and their logarithms,
+/// fixed for the grid's life, so a scan fills no grid and a log-normal
+/// lower stage takes no `ln` per step ([`ContinuousDist::cdf_batch_ln`]).
 #[derive(Debug, Clone)]
 pub struct QupGrid {
     deadline: f64,
@@ -79,6 +82,10 @@ pub struct QupGrid {
     q0: f64,
     /// `q_up(deadline - t_next_i)` for step `i`.
     values: Vec<f64>,
+    /// `t_next_i`, step `i`'s departure candidate.
+    ts: Vec<f64>,
+    /// `ln(t_next_i)`.
+    ln_ts: Vec<f64>,
 }
 
 impl QupGrid {
@@ -93,18 +100,19 @@ impl QupGrid {
     {
         assert!(epsilon > 0.0, "epsilon must be positive");
         assert!(deadline > 0.0, "deadline must be positive");
-        let steps = scan_steps(deadline, epsilon);
-        let values = (0..steps)
-            .map(|i| {
-                let t_next = (i as f64 * epsilon + epsilon).min(deadline);
-                q_up(deadline - t_next).clamp(0.0, 1.0)
-            })
+        let mut ts = Vec::new();
+        fill_grid(&mut ts, deadline, epsilon, scan_steps(deadline, epsilon));
+        let values = ts
+            .iter()
+            .map(|&t_next| q_up(deadline - t_next).clamp(0.0, 1.0))
             .collect();
         Self {
             deadline,
             epsilon,
             q0: q_up(deadline).clamp(0.0, 1.0),
             values,
+            ln_ts: ts.iter().map(|t| t.ln()).collect(),
+            ts,
         }
     }
 
@@ -216,10 +224,10 @@ where
 /// Scans wait durations against a pre-built upstream quality grid.
 ///
 /// The per-arrival fast path: the lower-stage CDF is evaluated over the
-/// whole ε-grid in one [`ContinuousDist::cdf_batch`] call, and the
-/// upstream quality comes from the memoized [`QupGrid`]. The result is
-/// bit-identical to [`calculate_wait`] with the closure the grid was
-/// built from.
+/// grid's stored ε-steps in one [`ContinuousDist::cdf_batch_ln`] call,
+/// and the upstream quality comes from the memoized [`QupGrid`]. The
+/// result is bit-identical to [`calculate_wait`] with the closure the
+/// grid was built from.
 ///
 /// # Panics
 ///
@@ -230,20 +238,17 @@ pub fn calculate_wait_with_grid(
     grid: &QupGrid,
 ) -> WaitDecision {
     assert!(fanout >= 1, "fanout must be at least 1");
-    let deadline = grid.deadline;
-    if deadline <= 0.0 {
+    if grid.deadline <= 0.0 {
         return WaitDecision {
             wait: 0.0,
             quality: 0.0,
         };
     }
-    let steps = grid.steps();
     with_scratch(|scratch| {
-        fill_grid(&mut scratch.ts, deadline, grid.epsilon, steps);
-        scratch.fs.resize(steps, 0.0);
-        lower.cdf_batch(&scratch.ts, &mut scratch.fs);
-        let Scratch { ts, fs, nets, .. } = scratch;
-        accumulate_scan(lower, fanout, ts, fs, grid.q0, &grid.values, nets)
+        scratch.fs.resize(grid.steps(), 0.0);
+        lower.cdf_batch_ln(&grid.ts, &grid.ln_ts, &mut scratch.fs);
+        let Scratch { fs, nets, .. } = scratch;
+        accumulate_scan(lower, fanout, &grid.ts, fs, grid.q0, &grid.values, nets)
     })
 }
 

@@ -6,6 +6,9 @@ use crate::traits::{ContinuousDist, DistError};
 use cedar_mathx::special::{norm_cdf_fast, norm_quantile, SQRT_2PI};
 use serde::{Deserialize, Serialize};
 
+/// Points per stack chunk of the batched CDF.
+const CHUNK: usize = 64;
+
 /// Log-normal distribution: `ln X ~ Normal(mu, sigma^2)`.
 ///
 /// The paper's published fits, reused throughout the workload library:
@@ -101,15 +104,30 @@ impl ContinuousDist for LogNormal {
         norm_cdf_fast((x.ln() - self.mu) / self.sigma)
     }
 
+    /// Takes the logs a chunk at a time, then runs
+    /// [`ContinuousDist::cdf_batch_ln`]'s kernel on them.
     fn cdf_batch(&self, ts: &[f64], out: &mut [f64]) {
         assert_eq!(ts.len(), out.len(), "cdf_batch slice length mismatch");
+        let mut ln = [0.0_f64; CHUNK];
+        for (ts_chunk, out_chunk) in ts.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
+            let ln_ts = &mut ln[..ts_chunk.len()];
+            for (slot, &t) in ln_ts.iter_mut().zip(ts_chunk) {
+                *slot = t.ln();
+            }
+            self.cdf_batch_ln(ts_chunk, ln_ts, out_chunk);
+        }
+    }
+
+    fn cdf_batch_ln(&self, ts: &[f64], ln_ts: &[f64], out: &mut [f64]) {
+        assert_eq!(ts.len(), out.len(), "cdf_batch slice length mismatch");
+        assert_eq!(ts.len(), ln_ts.len(), "cdf_batch_ln slice length mismatch");
         let mu = self.mu;
         let inv_sigma = 1.0 / self.sigma;
-        const CHUNK: usize = 64;
         let mut z = [0.0_f64; CHUNK];
-        for (ts_chunk, out_chunk) in ts.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
+        let chunks = ts.chunks(CHUNK).zip(ln_ts.chunks(CHUNK));
+        for ((ts_chunk, ln_chunk), out_chunk) in chunks.zip(out.chunks_mut(CHUNK)) {
             let zs = &mut z[..ts_chunk.len()];
-            for (slot, &t) in zs.iter_mut().zip(ts_chunk) {
+            for ((slot, &t), &ln_t) in zs.iter_mut().zip(ts_chunk).zip(ln_chunk) {
                 // Out-of-support points map to -inf, which the CDF
                 // kernel takes to exactly +0.0 — the same value the
                 // scalar guard returns — so one lane path serves the
@@ -117,7 +135,7 @@ impl ContinuousDist for LogNormal {
                 *slot = if t <= 0.0 {
                     f64::NEG_INFINITY
                 } else {
-                    (t.ln() - mu) * inv_sigma
+                    (ln_t - mu) * inv_sigma
                 };
             }
             cedar_mathx::simd::norm_cdf_fast_slice(zs, out_chunk);
@@ -237,6 +255,30 @@ mod tests {
         let d3 = d.with_mu(3.0).unwrap();
         assert_eq!(d3.mu(), 3.0);
         assert_eq!(d3.sigma(), 0.5);
+    }
+
+    #[test]
+    fn cdf_batch_ln_is_bit_identical_to_cdf_batch() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(29);
+        for _ in 0..if cfg!(miri) { 4 } else { 400 } {
+            let d = LogNormal::new(rng.gen_range(-2.0..9.0), rng.gen_range(0.05..2.5)).unwrap();
+            let deadline: f64 = rng.gen_range(0.5..5000.0);
+            let steps: usize = rng.gen_range(1..700);
+            let eps = deadline / steps as f64;
+            // A wait scan's ε-grid, plus the points off the support.
+            let mut ts: Vec<f64> = (0..steps)
+                .map(|i| (i as f64 * eps + eps).min(deadline))
+                .collect();
+            ts.extend_from_slice(&[0.0, -0.0, -1.0, f64::NAN, f64::INFINITY]);
+            let ln_ts: Vec<f64> = ts.iter().map(|t| t.ln()).collect();
+            let (mut want, mut got) = (vec![0.0; ts.len()], vec![0.0; ts.len()]);
+            d.cdf_batch(&ts, &mut want);
+            d.cdf_batch_ln(&ts, &ln_ts, &mut got);
+            for ((t, w), g) in ts.iter().zip(&want).zip(&got) {
+                assert_eq!(g.to_bits(), w.to_bits(), "{d:?} at {t}");
+            }
+        }
     }
 
     #[test]

@@ -62,6 +62,20 @@ pub trait ContinuousDist: Send + Sync + core::fmt::Debug {
         }
     }
 
+    /// [`ContinuousDist::cdf_batch`] for a caller that already holds
+    /// `ln_ts[i] == ts[i].ln()`, as a wait scan does for the fixed points
+    /// of its ε-grid. Writes exactly what `cdf_batch(ts, out)` writes; the
+    /// default ignores `ln_ts` and calls it. Families whose CDF is a
+    /// function of `ln t` (the log-normal) skip their per-point `ln`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three slices have different lengths.
+    fn cdf_batch_ln(&self, ts: &[f64], ln_ts: &[f64], out: &mut [f64]) {
+        assert_eq!(ts.len(), ln_ts.len(), "cdf_batch_ln slice length mismatch");
+        self.cdf_batch(ts, out);
+    }
+
     /// Quantile function (inverse CDF) for `p in [0, 1]`.
     ///
     /// Implementations return the infimum of the support for `p = 0` and
@@ -119,6 +133,9 @@ impl ContinuousDist for Box<dyn ContinuousDist> {
     fn cdf_batch(&self, ts: &[f64], out: &mut [f64]) {
         self.as_ref().cdf_batch(ts, out);
     }
+    fn cdf_batch_ln(&self, ts: &[f64], ln_ts: &[f64], out: &mut [f64]) {
+        self.as_ref().cdf_batch_ln(ts, ln_ts, out);
+    }
     fn quantile(&self, p: f64) -> f64 {
         self.as_ref().quantile(p)
     }
@@ -145,6 +162,9 @@ impl<D: ContinuousDist + ?Sized> ContinuousDist for std::sync::Arc<D> {
     }
     fn cdf_batch(&self, ts: &[f64], out: &mut [f64]) {
         self.as_ref().cdf_batch(ts, out);
+    }
+    fn cdf_batch_ln(&self, ts: &[f64], ln_ts: &[f64], out: &mut [f64]) {
+        self.as_ref().cdf_batch_ln(ts, ln_ts, out);
     }
     fn quantile(&self, p: f64) -> f64 {
         self.as_ref().quantile(p)

@@ -62,11 +62,15 @@ pub struct ParamEstimate {
 }
 
 impl ParamEstimate {
-    /// Materializes the estimate as a distribution.
-    pub fn to_dist(&self) -> Result<Box<dyn ContinuousDist>, DistError> {
+    /// Runs `f` on the estimate as a distribution, built on the stack: a
+    /// Cedar aggregator does this on every re-scan, so nothing is boxed.
+    pub fn with_dist<R>(
+        &self,
+        f: impl FnOnce(&dyn ContinuousDist) -> R,
+    ) -> Result<R, DistError> {
         Ok(match self.model {
-            Model::LogNormal => Box::new(LogNormal::new(self.mu, self.sigma)?),
-            Model::Normal => Box::new(Normal::new(self.mu, self.sigma)?),
+            Model::LogNormal => f(&LogNormal::new(self.mu, self.sigma)?),
+            Model::Normal => f(&Normal::new(self.mu, self.sigma)?),
         })
     }
 }
@@ -662,21 +666,23 @@ mod tests {
     }
 
     #[test]
-    fn estimate_to_dist_round_trip() {
+    fn estimate_with_dist_round_trip() {
         let p = ParamEstimate {
             model: Model::LogNormal,
             mu: 1.0,
             sigma: 0.5,
         };
-        let d = p.to_dist().unwrap();
-        assert!((d.quantile(0.5) - 1.0f64.exp()).abs() < 1e-9);
+        let median = p.with_dist(|d| d.quantile(0.5)).unwrap();
+        assert!((median - 1.0f64.exp()).abs() < 1e-9);
         let p = ParamEstimate {
             model: Model::Normal,
             mu: 40.0,
             sigma: 10.0,
         };
-        let d = p.to_dist().unwrap();
-        assert!((d.quantile(0.5) - 40.0).abs() < 1e-9);
+        let median = p.with_dist(|d| d.quantile(0.5)).unwrap();
+        assert!((median - 40.0).abs() < 1e-9);
+        let bad = ParamEstimate { sigma: 0.0, ..p };
+        assert!(bad.with_dist(|_| ()).is_err());
     }
 
     #[test]

@@ -119,15 +119,15 @@ fn erf_small_lanes(x: &Block) -> Block {
 
 /// Lane form of the split-argument `exp(-y^2)` from `erfc_tail`.
 ///
-/// The two `exp` calls stay scalar per lane (libm has no vector entry
-/// point), but the splitting arithmetic around them vectorizes.
+/// The head factor is a table read and the correction's `exp` stays
+/// scalar per lane (libm has no vector entry point), but the splitting
+/// arithmetic around them vectorizes.
 #[inline]
 fn split_exp_lanes(y: &Block) -> Block {
+    let heads = special::exp_heads();
     let mut expv = [0.0; LANES];
     for l in 0..LANES {
-        let ysq = (y[l] * 16.0).trunc() / 16.0;
-        let del = (y[l] - ysq) * (y[l] + ysq);
-        expv[l] = (-ysq * ysq).exp() * (-del).exp();
+        expv[l] = special::split_exp(y[l], heads);
     }
     expv
 }
@@ -330,35 +330,7 @@ pub fn norm_cdf_fast_slice(zs: &[f64], out: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A pile of inputs that crosses every region boundary, mixes
-    /// signs inside blocks, and includes every special value.
-    fn gauntlet() -> Vec<f64> {
-        let mut xs = Vec::new();
-        // Dense sweep crossing 0.46875, 4.0 and 26.543 with mixed signs.
-        let mut x = -30.0;
-        while x <= 30.0 {
-            xs.push(x);
-            xs.push(-x * 0.7);
-            x += 0.193;
-        }
-        xs.extend_from_slice(&[
-            0.0,
-            -0.0,
-            ERF_THRESHOLD,
-            -ERF_THRESHOLD,
-            4.0,
-            -4.0,
-            ERFC_XBIG,
-            -ERFC_XBIG,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-            f64::MIN_POSITIVE,
-            -f64::MIN_POSITIVE,
-        ]);
-        xs
-    }
+    use crate::special::reference::gauntlet;
 
     #[test]
     fn erf_slice_is_bit_identical_to_scalar() {

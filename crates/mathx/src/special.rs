@@ -7,6 +7,7 @@
 //! tail where naive `1 - erf(x)` would cancel catastrophically.
 
 use core::f64::consts::{FRAC_1_SQRT_2, PI};
+use std::sync::OnceLock;
 
 /// `1 / sqrt(2*pi)`, the normalizing constant of the standard normal pdf.
 pub const FRAC_1_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
@@ -147,6 +148,34 @@ fn erf_small(x: f64) -> f64 {
 /// trick below would otherwise produce `inf - inf = NaN`.
 pub(crate) const ERFC_XBIG: f64 = 26.543;
 
+/// Heads the split below can take: `y < ERFC_XBIG` puts the head index
+/// `trunc(16 y)` in `0..=424`.
+const EXP_HEADS: usize = 425;
+
+/// `exp(-h^2)` for every head `h = k/16`, filled once by the same
+/// `(-h * h).exp()` call the split used to make per point.
+pub(crate) fn exp_heads() -> &'static [f64; EXP_HEADS] {
+    static HEADS: OnceLock<[f64; EXP_HEADS]> = OnceLock::new();
+    HEADS.get_or_init(|| {
+        std::array::from_fn(|k| {
+            let h = k as f64 / 16.0;
+            (-h * h).exp()
+        })
+    })
+}
+
+/// CALERF's split-argument `exp(-y^2)` for `0 <= y < ERFC_XBIG`, which
+/// keeps relative accuracy where `y*y` rounds: `y^2` splits into an
+/// exactly representable head `h^2` (`h` a multiple of 1/16) plus a
+/// correction, and `exp(-h^2)` comes from `heads`.
+#[inline(always)]
+pub(crate) fn split_exp(y: f64, heads: &[f64; EXP_HEADS]) -> f64 {
+    let k = (y * 16.0).trunc();
+    let h = k / 16.0;
+    let del = (y - h) * (y + h);
+    heads[k as usize] * (-del).exp()
+}
+
 /// `erfc(y)` for `y > 0.46875`, with the split-argument `exp(-y^2)`
 /// evaluation from CALERF that preserves relative accuracy in the tail.
 #[inline]
@@ -154,11 +183,12 @@ fn erfc_tail(y: f64) -> f64 {
     if y >= ERFC_XBIG {
         return 0.0;
     }
-    // exp(-y^2) loses relative precision when y*y rounds; split y^2 into
-    // an exactly-representable head (multiple of 1/16) plus a correction.
-    let ysq = (y * 16.0).trunc() / 16.0;
-    let del = (y - ysq) * (y + ysq);
-    let expv = (-ysq * ysq).exp() * (-del).exp();
+    erfc_tail_rational(y, split_exp(y, exp_heads()))
+}
+
+/// The rational part of `erfc_tail`, given `expv = exp(-y^2)`.
+#[inline(always)]
+fn erfc_tail_rational(y: f64, expv: f64) -> f64 {
     if y <= 4.0 {
         let mut num = ERF_C[8] * y;
         let mut den = y;
@@ -530,9 +560,140 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
     h
 }
 
+/// The fast kernels as they were before the head table, with both `exp`
+/// factors of the split from libm per point, and the input gauntlet the
+/// bit-identity tests sweep.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    fn split_exp(y: f64) -> f64 {
+        let ysq = (y * 16.0).trunc() / 16.0;
+        let del = (y - ysq) * (y + ysq);
+        (-ysq * ysq).exp() * (-del).exp()
+    }
+
+    fn erfc_tail(y: f64) -> f64 {
+        if y >= ERFC_XBIG {
+            return 0.0;
+        }
+        erfc_tail_rational(y, split_exp(y))
+    }
+
+    pub(crate) fn erf_fast(x: f64) -> f64 {
+        if x.is_nan() {
+            return f64::NAN;
+        }
+        let y = x.abs();
+        if y <= ERF_THRESHOLD {
+            erf_small(x)
+        } else {
+            let r = 1.0 - erfc_tail(y);
+            if x >= 0.0 {
+                r
+            } else {
+                -r
+            }
+        }
+    }
+
+    pub(crate) fn erfc_fast(x: f64) -> f64 {
+        if x.is_nan() {
+            return f64::NAN;
+        }
+        let y = x.abs();
+        let r = if y <= ERF_THRESHOLD {
+            1.0 - erf_small(x.abs())
+        } else {
+            erfc_tail(y)
+        };
+        if x >= 0.0 {
+            r
+        } else {
+            2.0 - r
+        }
+    }
+
+    pub(crate) fn norm_cdf_fast(x: f64) -> f64 {
+        0.5 * erfc_fast(-x * FRAC_1_SQRT_2)
+    }
+
+    /// A pile of inputs that crosses every region boundary, mixes
+    /// signs inside lane blocks, and includes every special value.
+    pub(crate) fn gauntlet() -> Vec<f64> {
+        let mut xs = Vec::new();
+        // Dense sweep crossing 0.46875, 4.0 and 26.543 with mixed signs.
+        let mut x = -30.0;
+        while x <= 30.0 {
+            xs.push(x);
+            xs.push(-x * 0.7);
+            x += 0.193;
+        }
+        xs.extend_from_slice(&[
+            0.0,
+            -0.0,
+            ERF_THRESHOLD,
+            -ERF_THRESHOLD,
+            4.0,
+            -4.0,
+            ERFC_XBIG,
+            -ERFC_XBIG,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+        ]);
+        xs
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Proptest iterations, shrunk under Miri's interpreter.
+    const CASES: u32 = if cfg!(miri) { 32 } else { 4096 };
+
+    fn assert_matches_reference(x: f64) {
+        for (name, fast, before) in [
+            ("erf_fast", erf_fast(x), reference::erf_fast(x)),
+            ("erfc_fast", erfc_fast(x), reference::erfc_fast(x)),
+            (
+                "norm_cdf_fast",
+                norm_cdf_fast(x),
+                reference::norm_cdf_fast(x),
+            ),
+        ] {
+            assert_eq!(fast.to_bits(), before.to_bits(), "{name}({x})");
+        }
+    }
+
+    #[test]
+    fn head_table_is_bit_identical_to_the_libm_split() {
+        for x in reference::gauntlet() {
+            assert_matches_reference(x);
+        }
+        // Every head, at its start, inside it, and just below the next.
+        for k in 0..EXP_HEADS {
+            let h = k as f64 / 16.0;
+            for y in [h, h + 0.03, (h + 1.0 / 16.0).next_down()] {
+                assert_matches_reference(y);
+                assert_matches_reference(-y);
+                assert_matches_reference(y * core::f64::consts::SQRT_2);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+        #[test]
+        fn head_table_matches_the_libm_split_anywhere(x in -37.0f64..37.0) {
+            assert_matches_reference(x);
+        }
+    }
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!(

@@ -153,7 +153,7 @@ pub fn cmd_chaos(args: &Args) -> Result<(), String> {
                 };
                 let out = svc.submit_with(tree(), opts).await;
                 point.qualities.push(out.quality);
-                accumulate(&mut point.failures, out.failures);
+                point.failures.absorb(&out.failures);
                 // Tolerance for timer-wheel granularity at the boundary.
                 if out.wall_elapsed > scaled_deadline + Duration::from_millis(5) {
                     point.deadline_violations += 1;
@@ -589,19 +589,6 @@ fn rel(now: f64, then: f64) -> f64 {
         return 0.0;
     }
     100.0 * (now - then) / then
-}
-
-/// Sums one query's counters into the running per-rate total.
-fn accumulate(total: &mut FailureReport, one: FailureReport) {
-    total.crashed += one.crashed;
-    total.hung += one.hung;
-    total.straggled += one.straggled;
-    total.dropped += one.dropped;
-    total.duplicated += one.duplicated;
-    total.retries_launched += one.retries_launched;
-    total.retries_delivered += one.retries_delivered;
-    total.duplicates_suppressed += one.duplicates_suppressed;
-    total.censored_observations += one.censored_observations;
 }
 
 #[cfg(test)]

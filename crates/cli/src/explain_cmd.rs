@@ -90,7 +90,7 @@ pub fn cmd_explain(args: &Args) -> Result<(), String> {
             out.quality, out.included_outputs
         ));
     }
-    if !out.failures.matches_trace(&report.summary) {
+    if out.failures != report.summary.failures {
         return Err(format!(
             "trace counters {:?} disagree with the failure report {:?}",
             report.summary, out.failures

@@ -64,10 +64,7 @@ pub struct ParamEstimate {
 impl ParamEstimate {
     /// Runs `f` on the estimate as a distribution, built on the stack: a
     /// Cedar aggregator does this on every re-scan, so nothing is boxed.
-    pub fn with_dist<R>(
-        &self,
-        f: impl FnOnce(&dyn ContinuousDist) -> R,
-    ) -> Result<R, DistError> {
+    pub fn with_dist<R>(&self, f: impl FnOnce(&dyn ContinuousDist) -> R) -> Result<R, DistError> {
         Ok(match self.model {
             Model::LogNormal => f(&LogNormal::new(self.mu, self.sigma)?),
             Model::Normal => f(&Normal::new(self.mu, self.sigma)?),

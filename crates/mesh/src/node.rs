@@ -544,10 +544,6 @@ impl Handler for NodeInner {
             proto::OP_PING | proto::OP_SHUTDOWN => Response::ok(),
             proto::OP_METRICS => Response::with_metrics(self.metrics.registry.render()),
             OP_METRICS_FEDERATED => self.metrics_federated(),
-            proto::OP_FLIGHT_DUMP => {
-                let dump = self.front.flight_dump("operator");
-                Response::with_metrics(serde_json::to_string(&dump).unwrap_or_default())
-            }
             proto::OP_STATS => {
                 let learner = self.learner.as_ref();
                 Response::with_stats(ServerStats {
@@ -1000,9 +996,14 @@ impl NodeInner {
             included,
             expected: k1 * k2,
             shed: false,
-            summary: qtrace
-                .as_ref()
-                .map_or_else(|| report.trace_summary(arrivals), |qt| qt.summary()),
+            summary: qtrace.as_ref().map_or(
+                TraceSummary {
+                    arrivals,
+                    rearms: 0,
+                    failures: report,
+                },
+                |qt| qt.summary(),
+            ),
         });
 
         Response::with_result(QueryResult {
@@ -1208,8 +1209,12 @@ impl NodeInner {
             included: outcome.payload,
             expected: k1,
             shed: false,
-            summary: qtrace.as_ref().map_or_else(
-                || local_report.trace_summary(outcome.received),
+            summary: qtrace.as_ref().map_or(
+                TraceSummary {
+                    arrivals: outcome.received,
+                    rearms: 0,
+                    failures: local_report,
+                },
                 |qt| qt.summary(),
             ),
         });

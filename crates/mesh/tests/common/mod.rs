@@ -109,15 +109,7 @@ impl Gen {
         TraceSummary {
             arrivals: self.usize(0, 500),
             rearms: self.usize(0, 50),
-            crashed: self.usize(0, 50),
-            hung: self.usize(0, 50),
-            straggled: self.usize(0, 50),
-            dropped_messages: self.usize(0, 50),
-            duplicated: self.usize(0, 50),
-            retries_launched: self.usize(0, 50),
-            retries_delivered: self.usize(0, 50),
-            duplicates_suppressed: self.usize(0, 50),
-            censored_observations: self.usize(0, 50),
+            failures: self.report(),
         }
     }
 

@@ -718,7 +718,7 @@ fn explain_queries_stitch_a_cross_process_trace() {
     // The merged counters are the failure report, seen from the trace.
     assert!(report.is_clean(), "clean run reported failures: {report:?}");
     assert!(
-        report.matches_trace(&mesh.root.merged_summary()),
+        report == mesh.root.merged_summary().failures,
         "trace counters diverge: {:?} vs {report:?}",
         mesh.root.merged_summary()
     );

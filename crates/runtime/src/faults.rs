@@ -30,8 +30,9 @@ use cedar_distrib::ContinuousDist;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+
+pub use cedar_telemetry::FailureReport;
 
 /// What a fault does to the task it strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -290,15 +291,8 @@ impl FaultPlan {
         indices: std::ops::Range<usize>,
         report: &mut FailureReport,
     ) {
-        for index in indices {
-            match self.fault_for(level, index) {
-                Some(FaultKind::CrashBeforeSend) => report.crashed += 1,
-                Some(FaultKind::Hang) => report.hung += 1,
-                Some(FaultKind::Straggle { .. }) => report.straggled += 1,
-                Some(FaultKind::DropMessage) => report.dropped += 1,
-                Some(FaultKind::DuplicateMessage) => report.duplicated += 1,
-                None => {}
-            }
+        for kind in indices.filter_map(|index| self.fault_for(level, index)) {
+            report.count(kind.class());
         }
     }
 
@@ -314,122 +308,32 @@ impl FaultPlan {
     }
 }
 
-/// Per-query failure summary: what was injected, what the engine did
-/// about it, and what was censored for the refit path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FailureReport {
-    /// Tasks that crashed before sending.
-    pub crashed: usize,
-    /// Tasks that hung past the deadline.
-    pub hung: usize,
-    /// Tasks whose duration was inflated.
-    pub straggled: usize,
-    /// Messages lost at the channel boundary.
-    pub dropped: usize,
-    /// Messages delivered twice by the injector.
-    pub duplicated: usize,
-    /// Speculative retries launched by watchdogs.
-    pub retries_launched: usize,
-    /// Retries whose result was actually counted (arrived first and in
-    /// time).
-    pub retries_delivered: usize,
-    /// Arrivals suppressed as duplicates (injected dupes and
-    /// original-vs-retry races).
-    pub duplicates_suppressed: usize,
-    /// Right-censored observations recorded for the refit path (workers
-    /// that never arrived at a departed aggregator).
-    pub censored_observations: usize,
-}
-
-impl FailureReport {
-    /// Total faults injected into this query.
-    pub fn total_injected(&self) -> usize {
-        self.crashed + self.hung + self.straggled + self.dropped + self.duplicated
-    }
-
-    /// `true` when nothing abnormal happened (the clean-run report).
-    pub fn is_clean(&self) -> bool {
-        *self == Self::default()
-    }
-
-    /// Folds another report into this one, field by field. Mesh roots
-    /// use this to merge the per-subtree reports carried by partial
-    /// result frames into one end-to-end account, so a distributed
-    /// query reconciles exactly like a single-process one.
-    pub fn absorb(&mut self, other: &Self) {
-        self.crashed += other.crashed;
-        self.hung += other.hung;
-        self.straggled += other.straggled;
-        self.dropped += other.dropped;
-        self.duplicated += other.duplicated;
-        self.retries_launched += other.retries_launched;
-        self.retries_delivered += other.retries_delivered;
-        self.duplicates_suppressed += other.duplicates_suppressed;
-        self.censored_observations += other.censored_observations;
-    }
-
-    /// These counters in the flight-recorder summary shape, for queries
-    /// that ran without an explain trace attached. `rearms` is
-    /// unknowable without a trace and stays 0.
-    pub fn trace_summary(&self, arrivals: usize) -> cedar_telemetry::TraceSummary {
-        cedar_telemetry::TraceSummary {
-            arrivals,
-            rearms: 0,
-            crashed: self.crashed,
-            hung: self.hung,
-            straggled: self.straggled,
-            dropped_messages: self.dropped,
-            duplicated: self.duplicated,
-            retries_launched: self.retries_launched,
-            retries_delivered: self.retries_delivered,
-            duplicates_suppressed: self.duplicates_suppressed,
-            censored_observations: self.censored_observations,
-        }
-    }
-
-    /// `true` when a decision trace's aggregate counters agree with this
-    /// report on every failure-related count. The trace counters are
-    /// bumped at record time (independent of ring-buffer eviction), so
-    /// on a correctly instrumented engine this holds exactly.
-    pub fn matches_trace(&self, summary: &cedar_telemetry::TraceSummary) -> bool {
-        self.crashed == summary.crashed
-            && self.hung == summary.hung
-            && self.straggled == summary.straggled
-            && self.dropped == summary.dropped_messages
-            && self.duplicated == summary.duplicated
-            && self.retries_launched == summary.retries_launched
-            && self.retries_delivered == summary.retries_delivered
-            && self.duplicates_suppressed == summary.duplicates_suppressed
-            && self.censored_observations == summary.censored_observations
-    }
-}
-
 /// The failure ledger of one query (in-process engine) or one
-/// aggregation pass (mesh aggregator): everything a [`FailureReport`]
-/// counts, plus the delivered and right-censored durations the refit
-/// path learns from. Every task books into it as things happen, at the
-/// same sites that record the decision trace — which is why
-/// [`FailureReport::matches_trace`] holds exactly.
+/// aggregation pass (mesh aggregator): the [`FailureReport`] itself,
+/// plus the delivered and right-censored durations the refit path
+/// learns from. Every task books into it as things happen, at the same
+/// sites that record the decision trace — which is why the report it
+/// finishes with equals the trace summary's `failures` exactly.
 ///
-/// Counters are atomics; the duration logs are keyed by task origin and
-/// sorted before being reported, so the output is deterministic even if
-/// tasks append in different orders across runs.
+/// One lock covers the report and both logs, and no method holds it
+/// past its own return. The logs are keyed by task origin and sorted
+/// before being reported, so the output is deterministic even if tasks
+/// append in different orders across runs.
 #[derive(Debug, Default)]
 pub struct Ledger {
-    crashed: AtomicUsize,
-    hung: AtomicUsize,
-    straggled: AtomicUsize,
-    dropped: AtomicUsize,
-    duplicated: AtomicUsize,
-    retries_launched: AtomicUsize,
-    retries_delivered: AtomicUsize,
-    duplicates_suppressed: AtomicUsize,
+    book: Mutex<Book>,
+}
+
+/// What a [`Ledger`] guards.
+#[derive(Debug, Default)]
+struct Book {
+    report: FailureReport,
     /// Per stage: `(origin, duration)` of every output actually counted
     /// by its aggregator (stage 0) or shipped upstream (stages >= 1).
-    delivered: Mutex<StageLog>,
+    delivered: StageLog,
     /// Per stage: `(origin, threshold)` for inputs right-censored at
     /// their aggregator's departure.
-    censored: Mutex<StageLog>,
+    censored: StageLog,
 }
 
 /// What a [`Ledger`] logs per stage: `(origin, model-time)` pairs, one
@@ -440,39 +344,38 @@ impl Ledger {
     /// An empty ledger for a tree of `stages` stages.
     pub fn new(stages: usize) -> Self {
         Self {
-            delivered: Mutex::new(vec![Vec::new(); stages]),
-            censored: Mutex::new(vec![Vec::new(); stages]),
-            ..Self::default()
+            book: Mutex::new(Book {
+                report: FailureReport::default(),
+                delivered: vec![Vec::new(); stages],
+                censored: vec![Vec::new(); stages],
+            }),
         }
+    }
+
+    fn book(&self) -> MutexGuard<'_, Book> {
+        self.book.lock().unpoisoned()
     }
 
     /// Books one injected fault — or a real failure charged as one (a
     /// dead mesh worker is a crash per hosted leaf).
     pub fn injected(&self, kind: FaultKind) {
-        let counter = match kind {
-            FaultKind::CrashBeforeSend => &self.crashed,
-            FaultKind::Hang => &self.hung,
-            FaultKind::Straggle { .. } => &self.straggled,
-            FaultKind::DropMessage => &self.dropped,
-            FaultKind::DuplicateMessage => &self.duplicated,
-        };
-        counter.fetch_add(1, Ordering::AcqRel);
+        self.book().report.count(kind.class());
     }
 
     /// Books one speculative retry launched by a watchdog.
     pub fn retry_launched(&self) {
-        self.retries_launched.fetch_add(1, Ordering::AcqRel);
+        self.book().report.retries_launched += 1;
     }
 
     /// Books one retry whose result was counted.
     pub fn retry_delivered(&self) {
-        self.retries_delivered.fetch_add(1, Ordering::AcqRel);
+        self.book().report.retries_delivered += 1;
     }
 
     /// Books one arrival refused because its origin had already been
     /// counted or is not a child of the receiver.
     pub fn duplicate_suppressed(&self) {
-        self.duplicates_suppressed.fetch_add(1, Ordering::AcqRel);
+        self.book().report.duplicates_suppressed += 1;
     }
 
     /// Books the realized `duration` of task `origin` of `stage`, whose
@@ -481,7 +384,7 @@ impl Ledger {
     /// that has nobody left to report to, so a record for a stage that
     /// is no longer there is dropped.
     pub fn delivered(&self, stage: usize, origin: usize, duration: f64) {
-        if let Some(log) = self.delivered.lock().unpoisoned().get_mut(stage) {
+        if let Some(log) = self.book().delivered.get_mut(stage) {
             log.push((origin, duration));
         }
     }
@@ -489,34 +392,30 @@ impl Ledger {
     /// Books task `origin` of `stage` as right-censored at `threshold`:
     /// still missing when its aggregator departed.
     pub fn censored(&self, stage: usize, origin: usize, threshold: f64) {
-        if let Some(log) = self.censored.lock().unpoisoned().get_mut(stage) {
+        if let Some(log) = self.book().censored.get_mut(stage) {
             log.push((origin, threshold));
         }
     }
 
     /// Drains the ledger into `(report, delivered, censored)`, both logs
     /// as per-stage `(origin, model-time)` pairs sorted by origin
-    /// (deterministic regardless of append order).
+    /// (deterministic regardless of append order). The report's
+    /// `censored_observations` is the number of censored entries.
     pub fn finish(&self) -> (FailureReport, StageLog, StageLog) {
-        let sort_take = |m: &Mutex<StageLog>| {
-            let mut stages = std::mem::take(&mut *m.lock().unpoisoned());
-            for s in &mut stages {
-                s.sort_by_key(|&(origin, _)| origin);
-            }
-            stages
+        let (report, mut delivered, mut censored) = {
+            let mut book = self.book();
+            (
+                book.report,
+                std::mem::take(&mut book.delivered),
+                std::mem::take(&mut book.censored),
+            )
         };
-        let delivered = sort_take(&self.delivered);
-        let censored = sort_take(&self.censored);
+        for stage in delivered.iter_mut().chain(&mut censored) {
+            stage.sort_by_key(|&(origin, _)| origin);
+        }
         let report = FailureReport {
-            crashed: self.crashed.load(Ordering::Acquire),
-            hung: self.hung.load(Ordering::Acquire),
-            straggled: self.straggled.load(Ordering::Acquire),
-            dropped: self.dropped.load(Ordering::Acquire),
-            duplicated: self.duplicated.load(Ordering::Acquire),
-            retries_launched: self.retries_launched.load(Ordering::Acquire),
-            retries_delivered: self.retries_delivered.load(Ordering::Acquire),
-            duplicates_suppressed: self.duplicates_suppressed.load(Ordering::Acquire),
             censored_observations: censored.iter().map(Vec::len).sum(),
+            ..report
         };
         (report, delivered, censored)
     }
@@ -631,41 +530,6 @@ mod tests {
         let (report, realized, censored) = log.finish();
         assert!(realized.is_empty() && censored.is_empty());
         assert_eq!(report.censored_observations, 0);
-    }
-
-    #[test]
-    fn absorb_merges_field_by_field() {
-        let mut a = FailureReport {
-            crashed: 1,
-            retries_launched: 2,
-            censored_observations: 3,
-            ..FailureReport::default()
-        };
-        let b = FailureReport {
-            crashed: 2,
-            hung: 1,
-            straggled: 4,
-            dropped: 1,
-            duplicated: 1,
-            retries_launched: 1,
-            retries_delivered: 1,
-            duplicates_suppressed: 1,
-            censored_observations: 2,
-        };
-        a.absorb(&b);
-        assert_eq!(a.crashed, 3);
-        assert_eq!(a.hung, 1);
-        assert_eq!(a.straggled, 4);
-        assert_eq!(a.dropped, 1);
-        assert_eq!(a.duplicated, 1);
-        assert_eq!(a.retries_launched, 3);
-        assert_eq!(a.retries_delivered, 1);
-        assert_eq!(a.duplicates_suppressed, 1);
-        assert_eq!(a.censored_observations, 5);
-        // Absorbing a clean report is the identity.
-        let before = a;
-        a.absorb(&FailureReport::default());
-        assert_eq!(a, before);
     }
 
     #[test]

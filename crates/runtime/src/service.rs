@@ -225,6 +225,11 @@ impl AggregationService {
         self.state.priors.read().unpoisoned().tree.clone()
     }
 
+    /// The deadline a query runs under when it sends none (model units).
+    pub fn default_deadline(&self) -> f64 {
+        self.state.cfg.deadline
+    }
+
     /// The priors version: bumped by every accepted refit. Monotonically
     /// non-decreasing across any sequence of observations.
     pub fn epoch(&self) -> u64 {

@@ -47,7 +47,7 @@ async fn chaos_trace_counts_match_failure_report_exactly() {
         let (out, trace) = traced_run(40.0, seed, Some(plan)).await;
         let summary = trace.summary();
         assert!(
-            out.failures.matches_trace(&summary),
+            out.failures == summary.failures,
             "seed {seed}: trace {summary:?} != report {:?}",
             out.failures
         );
@@ -234,7 +234,7 @@ async fn service_threads_trace_and_metrics_through() {
             },
         )
         .await;
-    assert!(out.failures.matches_trace(&trace.summary()));
+    assert_eq!(out.failures, trace.summary().failures);
     // Second query trips the refit; the epoch gauge must follow.
     svc.submit_with(
         tree(),

@@ -3,7 +3,8 @@
 //! [`Handler`]s — sets of ops — and this module owns everything between
 //! the socket and their `match req.op`: the accept loop and its cap,
 //! per-frame idle deadlines, binary replies and typed refusals, the HTTP
-//! scrape endpoint, the flight-recorder latch, and stop and drain.
+//! scrape endpoint, the flight recorder (its ring, its latch and the
+//! `flight_dump` op), and stop and drain.
 //!
 //! Nothing polls. The idle deadline is the socket's read timeout; stop
 //! shuts the *read* half of every registered connection, which wakes a
@@ -402,6 +403,11 @@ fn serve_connection<H: Handler>(handler: &Arc<H>, stream: &TcpStream) {
                     Ok(_) if front.is_stopped() => {
                         Response::err_code(proto::ERR_UNAVAILABLE, "shutting down")
                     }
+                    // The layer owns the flight ring, so it answers the
+                    // operator's dump for every handler.
+                    Ok(req) if req.op == proto::OP_FLIGHT_DUMP => Response::with_metrics(
+                        serde_json::to_string(&front.flight_dump("operator")).unwrap_or_default(),
+                    ),
                     Ok(req) => handler.request(&req, received),
                     Err(e) => bad_request(e),
                 };

@@ -297,9 +297,6 @@ impl Handler for ServerShared {
             proto::OP_STATS => Response::with_stats(collect_stats(self)),
             proto::OP_METRICS => Response::with_metrics(self.metrics.render(self)),
             proto::OP_HEALTH => Response::with_health(collect_health(self)),
-            proto::OP_FLIGHT_DUMP => Response::with_metrics(
-                serde_json::to_string(&self.front.flight_dump("operator")).unwrap_or_default(),
-            ),
             proto::OP_QUERY => serve_query(self, req),
             other => Response::err_code(proto::ERR_UNKNOWN_OP, format!("unknown op {other:?}")),
         }
@@ -589,7 +586,8 @@ fn serve_query(shared: &ServerShared, req: &Request) -> Response {
 
     let query_id = shared.query_seq.fetch_add(1, Ordering::AcqRel);
     let started_unix_us = clock::unix_us();
-    let deadline = req.deadline.unwrap_or(0.0);
+    // What the service runs the query under: its default unless sent.
+    let deadline = req.deadline.unwrap_or(shared.service.default_deadline());
     let expected = tree.total_processes();
     // Shed queries still leave a flight-ring entry: a dump taken after
     // an overload incident must show what was turned away, not only
@@ -719,8 +717,12 @@ fn serve_query(shared: &ServerShared, req: &Request) -> Response {
         included: outcome.included_outputs,
         expected,
         shed: false,
-        summary: trace.as_ref().map_or_else(
-            || outcome.failures.trace_summary(outcome.root_arrivals),
+        summary: trace.as_ref().map_or(
+            TraceSummary {
+                arrivals: outcome.root_arrivals,
+                rearms: 0,
+                failures: outcome.failures,
+            },
             |t| t.summary(),
         ),
     });

@@ -185,3 +185,18 @@ fn shed_queries_are_recorded_as_shed_not_dropped() {
     }
     handle.shutdown().unwrap();
 }
+
+#[test]
+fn a_query_without_a_deadline_records_the_service_default() {
+    let handle = Server::start(ServerConfig::new("127.0.0.1:0", service(60.0))).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let resp = client
+        .query(&matching_tree(), None, Some(3))
+        .expect("query");
+    assert!(resp.ok, "query failed: {:?}", resp.error);
+
+    let dump = dump_op(&mut client);
+    assert_eq!(dump.entries.len(), 1);
+    assert_eq!(dump.entries[0].deadline, 60.0, "the deadline it ran under");
+    handle.shutdown().unwrap();
+}

@@ -151,7 +151,7 @@ fn explain_trace_matches_result_and_failures() {
     // Its aggregate counters agree exactly with the failure report.
     let failures = result.failures.expect("chaos run must report failures");
     assert!(
-        failures.matches_trace(&report.summary),
+        failures == report.summary.failures,
         "trace {:?} != report {failures:?}",
         report.summary
     );

@@ -19,6 +19,11 @@
 //! other byte surface in the workspace, the decoder is registered with
 //! the totality prober.
 //!
+//! Version 2 nests each entry's failure counters, a
+//! [`FailureReport`](crate::FailureReport), under `summary.failures`.
+//! A dump of any other version is refused with
+//! [`FlightDecodeError::BadVersion`]: its body has another shape.
+//!
 //! This module never reads a clock: every timestamp in an entry or dump
 //! is supplied by the caller.
 
@@ -31,7 +36,7 @@ use std::sync::Mutex;
 pub const FLIGHT_MAGIC: &[u8; 8] = b"CEDARFDR";
 
 /// Current dump format version.
-pub const FLIGHT_FORMAT_VERSION: u8 = 1;
+pub const FLIGHT_FORMAT_VERSION: u8 = 2;
 
 /// Default ring capacity: enough recent history to explain an incident
 /// without the ring itself becoming a memory concern.
@@ -89,8 +94,8 @@ pub enum FlightDecodeError {
     Truncated,
     /// Magic bytes are not `CEDARFDR`.
     BadMagic,
-    /// Version byte is newer than this build understands.
-    UnsupportedVersion(u8),
+    /// Version byte is not the one this build writes.
+    BadVersion(u8),
     /// Trailing CRC-32 does not match the preceding bytes.
     CrcMismatch,
     /// The JSON body failed to parse.
@@ -102,7 +107,7 @@ impl std::fmt::Display for FlightDecodeError {
         match self {
             Self::Truncated => write!(f, "flight dump truncated"),
             Self::BadMagic => write!(f, "not a flight dump (bad magic)"),
-            Self::UnsupportedVersion(v) => write!(f, "unsupported flight dump version {v}"),
+            Self::BadVersion(v) => write!(f, "unsupported flight dump version {v}"),
             Self::CrcMismatch => write!(f, "flight dump CRC mismatch"),
             Self::BadBody => write!(f, "flight dump body is not valid JSON"),
         }
@@ -143,7 +148,7 @@ impl FlightDump {
         }
         let version = bytes[FLIGHT_MAGIC.len()];
         if version != FLIGHT_FORMAT_VERSION {
-            return Err(FlightDecodeError::UnsupportedVersion(version));
+            return Err(FlightDecodeError::BadVersion(version));
         }
         let crc_at = bytes.len() - 4;
         let mut crc_bytes = [0_u8; 4];
@@ -175,7 +180,7 @@ impl FlightDump {
             "query", "latency", "deadline", "qual", "incl",
         );
         for e in &self.entries {
-            let s = &e.summary;
+            let s = &e.summary.failures;
             let _ = writeln!(
                 out,
                 "{:>8}  {:>8.3}ms  {:>8.0}  {:>5.3}  {:>3}/{:<3}  {:>17}  {:>7}  {:>8}  {}",
@@ -188,7 +193,7 @@ impl FlightDump {
                 e.expected,
                 format!(
                     "{}/{}/{}/{}/{}",
-                    s.crashed, s.hung, s.straggled, s.dropped_messages, s.duplicated
+                    s.crashed, s.hung, s.straggled, s.dropped, s.duplicated
                 ),
                 format!("{}/{}", s.retries_delivered, s.retries_launched),
                 s.censored_observations,
@@ -289,6 +294,7 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::FailureReport;
 
     fn entry(id: u64) -> FlightEntry {
         FlightEntry {
@@ -302,7 +308,10 @@ mod tests {
             shed: false,
             summary: TraceSummary {
                 arrivals: 24,
-                censored_observations: 8,
+                failures: FailureReport {
+                    censored_observations: 8,
+                    ..FailureReport::default()
+                },
                 ..TraceSummary::default()
             },
         }
@@ -355,6 +364,23 @@ mod tests {
         assert_eq!(
             FlightDump::decode(b"NOTMAGIC\x01xxxx"),
             Err(FlightDecodeError::BadMagic)
+        );
+    }
+
+    #[test]
+    fn version_1_dumps_are_refused_by_version() {
+        // A well-formed v1 file: right magic, valid CRC, only the
+        // version byte (and so the body shape) is from the old format.
+        let mut bytes = FlightRecorder::new(2)
+            .dump("n", "server", "operator", 0)
+            .encode();
+        bytes[FLIGHT_MAGIC.len()] = 1;
+        let crc_at = bytes.len() - 4;
+        let crc = cedar_wire::crc32(&bytes[..crc_at]);
+        bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            FlightDump::decode(&bytes),
+            Err(FlightDecodeError::BadVersion(1))
         );
     }
 

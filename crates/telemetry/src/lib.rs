@@ -14,7 +14,9 @@
 //!   reason). The ring keeps the first and last events of a query
 //!   even under overflow, and aggregate counters are maintained at
 //!   record time so fault totals never depend on what the ring
-//!   retained.
+//!   retained. It also defines [`FailureReport`], the one per-query
+//!   failure record the engine, the trace, the flight ring and the
+//!   query response all count in.
 //! * [`stitch`] — cross-process trace stitching: the per-node
 //!   [`TraceSegment`] a mesh node ships inside its partial, the
 //!   [`HopRecord`] spans a parent stamps around each child edge, and
@@ -43,5 +45,6 @@ pub use flight::{FlightDump, FlightEntry, FlightRecorder};
 pub use metrics::{labeled, Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use stitch::{HopRecord, MeshTrace, TraceSegment};
 pub use trace::{
-    FaultClass, QueryTrace, ShipReason, TraceEvent, TraceEventKind, TraceReport, TraceSummary,
+    FailureReport, FaultClass, QueryTrace, ShipReason, TraceEvent, TraceEventKind, TraceReport,
+    TraceSummary,
 };

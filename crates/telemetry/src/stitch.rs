@@ -190,15 +190,7 @@ impl TraceSegment {
             let sub = child.merged_summary();
             total.arrivals += sub.arrivals;
             total.rearms += sub.rearms;
-            total.crashed += sub.crashed;
-            total.hung += sub.hung;
-            total.straggled += sub.straggled;
-            total.dropped_messages += sub.dropped_messages;
-            total.duplicated += sub.duplicated;
-            total.retries_launched += sub.retries_launched;
-            total.retries_delivered += sub.retries_delivered;
-            total.duplicates_suppressed += sub.duplicates_suppressed;
-            total.censored_observations += sub.censored_observations;
+            total.failures.absorb(&sub.failures);
         }
         total
     }
@@ -271,7 +263,7 @@ fn rel(stamp: u64, cumulative_offset: i64, t0: i64) -> String {
 }
 
 fn render_segment(out: &mut String, seg: &TraceSegment, prefix: &str, t0: i64, offset: i64) {
-    let s = &seg.summary;
+    let (s, f) = (&seg.summary, &seg.summary.failures);
     let _ = writeln!(
         out,
         "{prefix}{} [{} L{}#{}] exec recv {} (decode {}, queue {}), partial sent {} | \
@@ -285,14 +277,14 @@ fn render_segment(out: &mut String, seg: &TraceSegment, prefix: &str, t0: i64, o
         fmt_us(seg.exec_queue_us as i64),
         rel(seg.partial_sent_unix_us, offset, t0),
         s.arrivals,
-        s.retries_delivered,
-        s.retries_launched,
-        s.censored_observations,
-        s.crashed,
-        s.hung,
-        s.straggled,
-        s.dropped_messages,
-        s.duplicated,
+        f.retries_delivered,
+        f.retries_launched,
+        f.censored_observations,
+        f.crashed,
+        f.hung,
+        f.straggled,
+        f.dropped,
+        f.duplicated,
     );
     for (i, hop) in seg.hops.iter().enumerate() {
         let last = i + 1 == seg.hops.len();
@@ -392,7 +384,7 @@ mod tests {
         root.partial_sent_unix_us = 0;
         let mut agg = segment("agg0", "agg", 1);
         agg.summary.arrivals = 4;
-        agg.summary.censored_observations = 1;
+        agg.summary.failures.censored_observations = 1;
         let worker = segment("w0", "worker", 0);
         agg.hops.push(hop("w0", 0));
         agg.hops.push(HopRecord::censored("w1", 1_001_000, 0));

@@ -6,9 +6,9 @@
 //! `tail_cap` events of a query; overflow drops from the middle and is
 //! reported via `dropped`, so the query start and the final ship
 //! decision are always retained. Aggregate fault counters are bumped at
-//! record time — independent of what the ring retained — so a trace
-//! summary can be compared *exactly* against a `FailureReport` even
-//! when events were dropped.
+//! record time — independent of what the ring retained — into the
+//! summary's [`FailureReport`], so it can be compared *exactly* against
+//! the report the engine's ledger kept, even when events were dropped.
 //!
 //! Timestamps are model-time `f64`s supplied by the caller (the engine
 //! derives them from its `TimeScale` seam); this module never reads a
@@ -205,6 +205,80 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
+/// Per-query failure summary: what was injected, what the engine did
+/// about it, and what was censored for the refit path.
+///
+/// This is the one failure record. The engine's ledger books into it,
+/// the decision trace's [`TraceSummary`] counts into it, and the flight
+/// ring and the query response carry it, so two of them agree exactly
+/// when they saw the same query.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FailureReport {
+    /// Tasks that crashed before sending.
+    pub crashed: usize,
+    /// Tasks that hung past the deadline.
+    pub hung: usize,
+    /// Tasks whose duration was inflated.
+    pub straggled: usize,
+    /// Messages lost at the channel boundary.
+    pub dropped: usize,
+    /// Messages delivered twice by the injector.
+    pub duplicated: usize,
+    /// Speculative retries launched by watchdogs.
+    pub retries_launched: usize,
+    /// Retries whose result was actually counted (arrived first and in
+    /// time).
+    pub retries_delivered: usize,
+    /// Arrivals suppressed as duplicates (injected dupes and
+    /// original-vs-retry races).
+    pub duplicates_suppressed: usize,
+    /// Right-censored observations recorded for the refit path (workers
+    /// that never arrived at a departed aggregator).
+    pub censored_observations: usize,
+}
+
+impl FailureReport {
+    /// Counts one fault of `class`: the one mapping from a fault class
+    /// to its counter.
+    pub fn count(&mut self, class: FaultClass) {
+        *match class {
+            FaultClass::Crash => &mut self.crashed,
+            FaultClass::Hang => &mut self.hung,
+            FaultClass::Straggle => &mut self.straggled,
+            FaultClass::Drop => &mut self.dropped,
+            FaultClass::Duplicate => &mut self.duplicated,
+        } += 1;
+    }
+
+    /// Total faults injected into this query.
+    #[must_use]
+    pub fn total_injected(&self) -> usize {
+        self.crashed + self.hung + self.straggled + self.dropped + self.duplicated
+    }
+
+    /// `true` when nothing abnormal happened (the clean-run report).
+    #[must_use]
+    pub fn is_clean(&self) -> bool {
+        *self == Self::default()
+    }
+
+    /// Folds another report into this one, field by field. Mesh roots
+    /// use this to merge the per-subtree reports carried by partial
+    /// result frames into one end-to-end account, so a distributed
+    /// query reconciles exactly like a single-process one.
+    pub fn absorb(&mut self, other: &Self) {
+        self.crashed += other.crashed;
+        self.hung += other.hung;
+        self.straggled += other.straggled;
+        self.dropped += other.dropped;
+        self.duplicated += other.duplicated;
+        self.retries_launched += other.retries_launched;
+        self.retries_delivered += other.retries_delivered;
+        self.duplicates_suppressed += other.duplicates_suppressed;
+        self.censored_observations += other.censored_observations;
+    }
+}
+
 /// Aggregate counters maintained at record time, so they stay exact
 /// even when the bounded ring drops mid-query events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -213,24 +287,9 @@ pub struct TraceSummary {
     pub arrivals: usize,
     /// Wait re-arm decisions recorded.
     pub rearms: usize,
-    /// Crash faults injected.
-    pub crashed: usize,
-    /// Hang faults injected.
-    pub hung: usize,
-    /// Straggle faults injected.
-    pub straggled: usize,
-    /// Drop faults injected.
-    pub dropped_messages: usize,
-    /// Duplicate faults injected.
-    pub duplicated: usize,
-    /// Speculative retries launched.
-    pub retries_launched: usize,
-    /// Speculative retries that delivered.
-    pub retries_delivered: usize,
-    /// Duplicate outputs suppressed.
-    pub duplicates_suppressed: usize,
-    /// Duration observations right-censored.
-    pub censored_observations: usize,
+    /// Faults, retries, suppressed duplicates and censored observations
+    /// recorded.
+    pub failures: FailureReport,
 }
 
 #[derive(Debug)]
@@ -290,22 +349,17 @@ impl QueryTrace {
     /// Records one event at model time `at` from node `(level, index)`.
     pub fn record(&self, at: f64, level: usize, index: usize, kind: TraceEventKind) {
         let mut inner = lock_unpoisoned(&self.inner);
+        let summary = &mut inner.summary;
         match &kind {
-            TraceEventKind::Arrival { .. } => inner.summary.arrivals += 1,
-            TraceEventKind::Rearm { .. } => inner.summary.rearms += 1,
-            TraceEventKind::FaultInjected { fault, .. } => match fault {
-                FaultClass::Crash => inner.summary.crashed += 1,
-                FaultClass::Hang => inner.summary.hung += 1,
-                FaultClass::Straggle => inner.summary.straggled += 1,
-                FaultClass::Drop => inner.summary.dropped_messages += 1,
-                FaultClass::Duplicate => inner.summary.duplicated += 1,
-            },
-            TraceEventKind::RetryLaunched { .. } => inner.summary.retries_launched += 1,
-            TraceEventKind::RetryDelivered { .. } => inner.summary.retries_delivered += 1,
+            TraceEventKind::Arrival { .. } => summary.arrivals += 1,
+            TraceEventKind::Rearm { .. } => summary.rearms += 1,
+            TraceEventKind::FaultInjected { fault, .. } => summary.failures.count(*fault),
+            TraceEventKind::RetryLaunched { .. } => summary.failures.retries_launched += 1,
+            TraceEventKind::RetryDelivered { .. } => summary.failures.retries_delivered += 1,
             TraceEventKind::DuplicateSuppressed { .. } => {
-                inner.summary.duplicates_suppressed += 1;
+                summary.failures.duplicates_suppressed += 1;
             }
-            TraceEventKind::Censored { .. } => inner.summary.censored_observations += 1,
+            TraceEventKind::Censored { .. } => summary.failures.censored_observations += 1,
             _ => {}
         }
         let seq = inner.next_seq;
@@ -535,8 +589,70 @@ mod tests {
                 },
             );
         }
-        assert_eq!(t.summary().crashed, 10);
+        assert_eq!(t.summary().failures.crashed, 10);
         assert_eq!(t.events().len(), 2);
+    }
+
+    #[test]
+    fn count_maps_each_class_to_its_counter() {
+        let mut r = FailureReport::default();
+        for (class, times) in [
+            (FaultClass::Crash, 1),
+            (FaultClass::Hang, 2),
+            (FaultClass::Straggle, 3),
+            (FaultClass::Drop, 4),
+            (FaultClass::Duplicate, 5),
+        ] {
+            for _ in 0..times {
+                r.count(class);
+            }
+        }
+        let expected = FailureReport {
+            crashed: 1,
+            hung: 2,
+            straggled: 3,
+            dropped: 4,
+            duplicated: 5,
+            ..FailureReport::default()
+        };
+        assert_eq!(r, expected);
+        assert_eq!(r.total_injected(), 15);
+    }
+
+    #[test]
+    fn absorb_merges_field_by_field() {
+        let mut a = FailureReport {
+            crashed: 1,
+            retries_launched: 2,
+            censored_observations: 3,
+            ..FailureReport::default()
+        };
+        let b = FailureReport {
+            crashed: 2,
+            hung: 1,
+            straggled: 4,
+            dropped: 1,
+            duplicated: 1,
+            retries_launched: 1,
+            retries_delivered: 1,
+            duplicates_suppressed: 1,
+            censored_observations: 2,
+        };
+        a.absorb(&b);
+        assert_eq!(a.crashed, 3);
+        assert_eq!(a.hung, 1);
+        assert_eq!(a.straggled, 4);
+        assert_eq!(a.dropped, 1);
+        assert_eq!(a.duplicated, 1);
+        assert_eq!(a.retries_launched, 3);
+        assert_eq!(a.retries_delivered, 1);
+        assert_eq!(a.duplicates_suppressed, 1);
+        assert_eq!(a.censored_observations, 5);
+        // Absorbing a clean report is the identity.
+        let before = a;
+        a.absorb(&FailureReport::default());
+        assert_eq!(a, before);
+        assert!(FailureReport::default().is_clean() && !a.is_clean());
     }
 
     #[test]

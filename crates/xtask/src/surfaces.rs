@@ -122,7 +122,10 @@ fn small_segment() -> TraceSegment {
         report: None,
         summary: TraceSummary {
             arrivals: 4,
-            censored_observations: 1,
+            failures: FailureReport {
+                censored_observations: 1,
+                ..FailureReport::default()
+            },
             ..TraceSummary::default()
         },
     }
@@ -424,8 +427,11 @@ fn flight_dump_surface() -> Surface<'static> {
                 shed: false,
                 summary: TraceSummary {
                     arrivals: 48,
-                    crashed: 1,
-                    censored_observations: 2,
+                    failures: FailureReport {
+                        crashed: 1,
+                        censored_observations: 2,
+                        ..FailureReport::default()
+                    },
                     ..TraceSummary::default()
                 },
             },

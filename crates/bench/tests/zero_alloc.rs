@@ -5,9 +5,13 @@
 //! **zero** heap allocations —
 //!
 //! - the per-arrival wait scan (`calculate_wait_with_grid` driven by a
-//!   memoized `QupGrid`, batch CDF through thread-local scratch);
+//!   memoized `QupGrid`, batch CDF through thread-local scratch), also
+//!   under a loose deadline where the scan stops once the CDF is 1;
 //! - a Cedar aggregator's whole arrival step (`AggregatorState::on_output`:
-//!   estimator update, the fitted log-normal built on the stack, re-scan);
+//!   estimator update, the fitted log-normal built on the stack, re-scan),
+//!   under a binding and a loose deadline;
+//! - a Cedar aggregator's start on a clone of a prepared context, which
+//!   reads the memoized prior decision;
 //! - batched CDF evaluation itself, including the `Mixture` override
 //!   (fixed-size stack chunks, no per-call scratch vector);
 //! - binary wire encoding into a reused frame buffer
@@ -31,9 +35,11 @@
 //! own threads (output capture, progress events) can't poison a window
 //! either.
 
+use cedar_core::profile::ProfileConfig;
 use cedar_core::wait::{calculate_wait_with_grid, QupGrid};
 use cedar_core::{
-    AggregatorAction, AggregatorState, PolicyContext, QualityProfile, WaitPolicyKind,
+    AggregatorAction, AggregatorState, PolicyContext, PreparedContexts, QualityProfile, StageSpec,
+    TreeSpec, WaitPolicyKind,
 };
 use cedar_distrib::spec::DistSpec;
 use cedar_distrib::{ContinuousDist, LogNormal, Mixture, Pareto};
@@ -125,54 +131,88 @@ const ROUNDS: usize = 200;
 
 #[test]
 fn steady_state_hot_paths_do_not_allocate() {
-    // --- Per-arrival wait scan against a memoized upstream grid. ---
+    // --- Per-arrival wait scan against a memoized upstream grid: a
+    // binding deadline, and a loose one (the rpc_small regime) whose
+    // scan stops where the lower CDF reaches 1. ---
     let lower = LogNormal::new(6.5, 0.84).unwrap();
     let upper = LogNormal::new(4.0, 1.2).unwrap();
-    let deadline = 1000.0;
-    let epsilon = deadline / 500.0;
-    let grid = QupGrid::build(deadline, epsilon, |rem| {
-        if rem <= 0.0 {
-            0.0
-        } else {
-            upper.cdf(rem)
-        }
-    });
-    let scan_events = measure("wait_scan", WARMUP, ROUNDS, || {
-        let d = calculate_wait_with_grid(black_box(&lower), 50, &grid);
-        black_box(d.wait);
-    });
-    assert_eq!(
-        scan_events, 0,
-        "calculate_wait_with_grid allocated in steady state"
-    );
+    let q_up = |rem: f64| if rem <= 0.0 { 0.0 } else { upper.cdf(rem) };
+    for (label, deadline, steps) in [
+        ("wait_scan", 1000.0, 500.0),
+        ("wait_scan_saturating", 1e7, 300.0),
+    ] {
+        let grid = QupGrid::build(deadline, deadline / steps, q_up);
+        let scan_events = measure(label, WARMUP, ROUNDS, || {
+            let d = calculate_wait_with_grid(black_box(&lower), 50, &grid);
+            black_box(d.wait);
+        });
+        assert_eq!(
+            scan_events, 0,
+            "calculate_wait_with_grid allocated in steady state (D = {deadline})"
+        );
+    }
 
     // --- A Cedar aggregator's per-arrival step: re-estimate, re-scan. ---
     let fanout = 2500;
-    let ctx = PolicyContext {
-        deadline: 2000.0,
-        fanout,
-        upper: Arc::new(QualityProfile::single(&upper, 2000.0, 64)),
-        prior_lower: Arc::new(lower),
-        true_lower: None,
-        mean_below: lower.mean(),
-        mean_total: lower.mean() + upper.mean(),
-        level: 1,
-        levels_total: 2,
-        scan_steps: 300,
-        qup_grid: OnceLock::new(),
-    };
-    let policy = WaitPolicyKind::Cedar.instantiate(fanout, Model::LogNormal);
-    let mut agg = AggregatorState::new(policy, ctx);
-    agg.start();
-    let mut now = 50.0;
-    let arrival_events = measure("aggregator_on_output", WARMUP, ROUNDS, || {
-        now += 1.0;
-        let action = agg.on_output(black_box(now));
-        assert!(matches!(action, AggregatorAction::SetTimer(_)));
+    for (label, deadline) in [
+        ("aggregator_on_output", 2000.0),
+        ("aggregator_on_output_saturating", 1e7),
+    ] {
+        let ctx = PolicyContext {
+            deadline,
+            fanout,
+            upper: Arc::new(QualityProfile::single(&upper, deadline, 64)),
+            prior_lower: Arc::new(lower),
+            true_lower: None,
+            mean_below: lower.mean(),
+            mean_total: lower.mean() + upper.mean(),
+            level: 1,
+            levels_total: 2,
+            scan_steps: 300,
+            qup_grid: OnceLock::new(),
+            prior_decision: OnceLock::new(),
+        };
+        let policy = WaitPolicyKind::Cedar.instantiate(fanout, Model::LogNormal);
+        let mut agg = AggregatorState::new(policy, ctx);
+        agg.start();
+        let mut now = 50.0;
+        let arrival_events = measure(label, WARMUP, ROUNDS, || {
+            now += 1.0;
+            let action = agg.on_output(black_box(now));
+            assert!(matches!(action, AggregatorAction::SetTimer(_)));
+        });
+        assert_eq!(
+            arrival_events, 0,
+            "a Cedar aggregator allocated re-scanning on an arrival (D = {deadline})"
+        );
+    }
+
+    // --- A Cedar aggregator's start on a clone of a prepared context:
+    // the prior decision is read from the context's memo. ---
+    let priors = TreeSpec::two_level(StageSpec::new(lower, 4), StageSpec::new(upper, 4));
+    let prepared = PreparedContexts::new(
+        &priors,
+        1e7,
+        WaitPolicyKind::Cedar,
+        Model::LogNormal,
+        300,
+        &ProfileConfig::default(),
+    );
+    let mut states: Vec<AggregatorState> = (0..WARMUP + ROUNDS)
+        .map(|_| {
+            let ctx = prepared.contexts()[0].clone();
+            let policy = WaitPolicyKind::Cedar.instantiate(ctx.fanout, Model::LogNormal);
+            AggregatorState::new(policy, ctx)
+        })
+        .collect();
+    let mut next = states.iter_mut();
+    let start_events = measure("aggregator_start", WARMUP, ROUNDS, || {
+        let w = next.next().unwrap().start();
+        black_box(w);
     });
     assert_eq!(
-        arrival_events, 0,
-        "a Cedar aggregator allocated re-scanning on an arrival"
+        start_events, 0,
+        "a Cedar aggregator allocated starting on a prepared context"
     );
 
     // --- Batched CDF with the Mixture override (stack-chunk scratch). ---

@@ -315,6 +315,7 @@ mod tests {
             levels_total: 2,
             scan_steps: 100,
             qup_grid: std::sync::OnceLock::new(),
+            prior_decision: std::sync::OnceLock::new(),
         }
     }
 

@@ -60,6 +60,13 @@ pub struct PolicyContext {
     /// arrival of every query on the same (priors epoch, deadline) reuses
     /// one table. Construct with [`OnceLock::new`].
     pub qup_grid: OnceLock<Arc<QupGrid>>,
+    /// Lazily computed memo of the scan against `prior_lower`, the
+    /// decision every aggregator of every query makes before its first
+    /// arrival ([`PolicyContext::prior_scan`]). Like `qup_grid` it is
+    /// filled once — by the probe in
+    /// [`PreparedContexts::new`](crate::PreparedContexts::new) — and
+    /// carried by every clone. Construct with [`OnceLock::new`].
+    pub prior_decision: OnceLock<WaitDecision>,
 }
 
 impl PolicyContext {
@@ -82,6 +89,14 @@ impl PolicyContext {
             }))
         });
         calculate_wait_with_grid(lower, self.fanout, grid)
+    }
+
+    /// [`PolicyContext::scan`] against `prior_lower`, computed on first
+    /// use and then read from `prior_decision`.
+    pub fn prior_scan(&self) -> WaitDecision {
+        *self
+            .prior_decision
+            .get_or_init(|| self.scan(&self.prior_lower))
     }
 
     /// Marginal quality gain/loss of the ε-step ending at `wait`, using
@@ -311,7 +326,7 @@ impl CedarPolicy {
 
 impl WaitPolicy for CedarPolicy {
     fn initial_wait(&mut self, ctx: &PolicyContext) -> f64 {
-        ctx.scan(&ctx.prior_lower).wait
+        ctx.prior_scan().wait
     }
 
     fn on_arrival(&mut self, ctx: &PolicyContext, arrival: f64) -> Option<f64> {
@@ -375,7 +390,7 @@ pub struct CedarOfflinePolicy;
 
 impl WaitPolicy for CedarOfflinePolicy {
     fn initial_wait(&mut self, ctx: &PolicyContext) -> f64 {
-        ctx.scan(&ctx.prior_lower).wait
+        ctx.prior_scan().wait
     }
 
     fn on_arrival(&mut self, _ctx: &PolicyContext, _arrival: f64) -> Option<f64> {
@@ -480,6 +495,7 @@ mod tests {
             levels_total: 2,
             scan_steps: 300,
             qup_grid: OnceLock::new(),
+            prior_decision: OnceLock::new(),
         }
     }
 
@@ -545,6 +561,7 @@ mod tests {
             levels_total: 2,
             scan_steps: 800,
             qup_grid: OnceLock::new(),
+            prior_decision: OnceLock::new(),
         }
     }
 

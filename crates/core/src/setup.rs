@@ -84,13 +84,15 @@ impl PreparedContexts {
                 levels_total: n,
                 scan_steps,
                 qup_grid: std::sync::OnceLock::new(),
+                prior_decision: std::sync::OnceLock::new(),
             };
 
             // Chain the expected wait for the next level's arrival-time
             // distribution: what this policy picks before any arrivals.
-            // The probe's scan also populates the context's memoized
-            // upstream-quality grid, so every query cloned from this
-            // context shares one pre-built table.
+            // A scanning policy's probe also fills the context's memoized
+            // upstream-quality grid and its prior decision, so every query
+            // cloned from this context shares one pre-built table and
+            // starts every aggregator without a scan.
             let mut probe = kind.instantiate(ctx.fanout, model);
             prior_wait_below = probe.initial_wait(&ctx);
 
@@ -206,6 +208,34 @@ mod tests {
         let ctxs = p.for_query(&truth);
         let tl = ctxs[0].true_lower.as_ref().unwrap();
         assert!((tl.mean() - LogNormal::new(2.5, 0.7).unwrap().mean()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn cloned_contexts_start_from_the_memoized_prior_scan() {
+        // The probe fills each context's prior decision; a clone carries
+        // it, and starting a policy on the clone returns exactly what a
+        // fresh scan of the prior would.
+        for (tree, deadline) in [(tree(), 25.0), (three_levels(), 60.0), (tree(), 1e7)] {
+            let p = PreparedContexts::new(
+                &tree,
+                deadline,
+                WaitPolicyKind::Cedar,
+                Model::LogNormal,
+                300,
+                &ProfileConfig::default(),
+            );
+            for ctx in p.for_query(&tree) {
+                assert!(ctx.prior_decision.get().is_some(), "level {}", ctx.level);
+                let fresh = ctx.scan(&ctx.prior_lower);
+                for kind in [WaitPolicyKind::Cedar, WaitPolicyKind::CedarOffline] {
+                    let wait = kind
+                        .instantiate(ctx.fanout, Model::LogNormal)
+                        .initial_wait(&ctx);
+                    assert_eq!(wait.to_bits(), fresh.wait.to_bits(), "{kind:?}");
+                }
+                assert_eq!(ctx.prior_scan(), fresh);
+            }
+        }
     }
 
     fn three_levels() -> TreeSpec {

@@ -5,6 +5,22 @@
 //! accumulating the net quality change (gain − loss) and keeping the
 //! argmax. The accumulated value at the optimum *is* the maximum expected
 //! quality `q_n(D)`, which is what makes the recursion of §4.3.2 work.
+//!
+//! Both scans evaluate the lower-stage CDF [`SATURATION_CHUNK`] steps at a
+//! time and stop after the first chunk whose last value is exactly `1.0`:
+//! under a loose deadline that is a few dozen of several hundred steps.
+//! The steps they skip cannot change the decision:
+//!
+//! - past that chunk every value is `1.0` too (the property
+//!   [`ContinuousDist::cdf_batch_ln`] documents), so every step's gain
+//!   `(1 − 1)·q` and loss `(1 − 1^k)·Δq` are exactly `+0.0`;
+//! - Neumaier's `add(+0.0)` leaves the running `value()` unchanged;
+//! - the strict `q > best_q` keeps the first maximizer.
+//!
+//! So the [`WaitDecision`] is bit-identical to a scan of the whole grid.
+//! By the same property a CDF that is not `1.0` at the last step is `1.0`
+//! at no step, so the scans look at the last step first and then evaluate
+//! an unsaturated grid in one call, not chunk by chunk.
 
 use crate::quality::{quality_gain, quality_loss, quality_loss_lanes};
 use cedar_distrib::ContinuousDist;
@@ -206,28 +222,30 @@ where
     let steps = scan_steps(deadline, epsilon);
     with_scratch(|scratch| {
         fill_grid(&mut scratch.ts, deadline, epsilon, steps);
-        scratch.qs.clear();
-        scratch.qs.extend(
-            scratch
-                .ts
-                .iter()
+        scratch.fs.resize(steps, 0.0);
+        let Scratch { ts, fs, qs, nets } = scratch;
+        let steps = lower_cdf_until_saturated(fs, |start, out| {
+            lower.cdf_batch(&ts[start..start + out.len()], out);
+        });
+        let ts = &ts[..steps];
+        qs.clear();
+        qs.extend(
+            ts.iter()
                 .map(|&t_next| q_up(deadline - t_next).clamp(0.0, 1.0)),
         );
-        scratch.fs.resize(steps, 0.0);
-        lower.cdf_batch(&scratch.ts, &mut scratch.fs);
         let q0 = q_up(deadline).clamp(0.0, 1.0);
-        let Scratch { ts, fs, qs, nets } = scratch;
-        accumulate_scan(lower, fanout, ts, fs, q0, qs, nets)
+        accumulate_scan(lower, fanout, ts, &fs[..steps], q0, qs, nets)
     })
 }
 
 /// Scans wait durations against a pre-built upstream quality grid.
 ///
 /// The per-arrival fast path: the lower-stage CDF is evaluated over the
-/// grid's stored ε-steps in one [`ContinuousDist::cdf_batch_ln`] call,
-/// and the upstream quality comes from the memoized [`QupGrid`]. The
-/// result is bit-identical to [`calculate_wait`] with the closure the
-/// grid was built from.
+/// grid's stored ε-steps by [`ContinuousDist::cdf_batch_ln`], a chunk at
+/// a time up to the first chunk that ends in exactly `1.0`, and the
+/// upstream quality comes from the memoized [`QupGrid`]. The result is
+/// bit-identical to [`calculate_wait`] with the closure the grid was
+/// built from.
 ///
 /// # Panics
 ///
@@ -246,10 +264,48 @@ pub fn calculate_wait_with_grid(
     }
     with_scratch(|scratch| {
         scratch.fs.resize(grid.steps(), 0.0);
-        lower.cdf_batch_ln(&grid.ts, &grid.ln_ts, &mut scratch.fs);
         let Scratch { fs, nets, .. } = scratch;
-        accumulate_scan(lower, fanout, &grid.ts, fs, grid.q0, &grid.values, nets)
+        let steps = lower_cdf_until_saturated(fs, |start, out| {
+            let end = start + out.len();
+            lower.cdf_batch_ln(&grid.ts[start..end], &grid.ln_ts[start..end], out);
+        });
+        let (ts, qs) = (&grid.ts[..steps], &grid.values[..steps]);
+        accumulate_scan(lower, fanout, ts, &fs[..steps], grid.q0, qs, nets)
     })
+}
+
+/// Steps of lower-stage CDF a scan evaluates at a time: small enough that
+/// a CDF which saturates early costs little past its saturation point,
+/// and a multiple of the [`LANES`]-step block, so every chunk splits into
+/// the same 4-point blocks as one call over the whole grid would.
+const SATURATION_CHUNK: usize = 32;
+const _: () = assert!(SATURATION_CHUNK.is_multiple_of(LANES));
+
+/// Fills `fs` one [`SATURATION_CHUNK`] at a time, `cdf(start, out)`
+/// writing the lower-stage CDF at steps `start..start + out.len()`, and
+/// stops after the first chunk whose last value is exactly `1.0`.
+/// Returns how many steps it filled; the module doc says why the scan
+/// may drop the rest.
+///
+/// A CDF that is not `1.0` at the last step is `1.0` at no step, by the
+/// same property, so no chunk would stop it: then it fills the grid in
+/// one call and spares an unsaturated scan the per-chunk calls.
+fn lower_cdf_until_saturated(fs: &mut [f64], mut cdf: impl FnMut(usize, &mut [f64])) -> usize {
+    let last = fs.len() - 1;
+    cdf(last, &mut fs[last..]);
+    if fs[last] != 1.0 {
+        cdf(0, &mut fs[..last]);
+        return fs.len();
+    }
+    let mut filled = 0;
+    for chunk in fs.chunks_mut(SATURATION_CHUNK) {
+        cdf(filled, chunk);
+        filled += chunk.len();
+        if chunk[chunk.len() - 1] == 1.0 {
+            break;
+        }
+    }
+    filled
 }
 
 /// The shared accumulation kernel: given departure candidates `ts`, the
@@ -516,7 +572,7 @@ mod tests {
     use super::reference::{calculate_wait_scalar, calculate_wait_with_grid_fused};
     use super::*;
     use crate::quality::departure_quality;
-    use cedar_distrib::{Exponential, LogNormal, Normal};
+    use cedar_distrib::{Exponential, LogNormal, Normal, Pareto};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -554,6 +610,68 @@ mod tests {
                 );
             }
         }
+        // The saturating regimes: the two-pass scan stops after the first
+        // chunk that ends in exactly 1.0, the fused reference walks every
+        // step, and the decisions still agree to the last bit.
+        let (mut cut, mut scans) = (0, 0);
+        for (deadline, lowers) in saturating_regimes(&mut rng) {
+            for steps in [300usize, 301, 500] {
+                let grid = QupGrid::build(deadline, deadline / steps as f64, two_level_qup(&upper));
+                for lower in &lowers {
+                    let fanout = rng.gen_range(1..101usize);
+                    scans += 1;
+                    cut += usize::from(saturates_before_the_last_chunk(&**lower, &grid));
+                    assert_eq!(
+                        calculate_wait_with_grid(&**lower, fanout, &grid),
+                        calculate_wait_with_grid_fused(&**lower, fanout, &grid),
+                        "{lower:?}, D = {deadline}, fan-out {fanout}, {steps} steps"
+                    );
+                }
+            }
+        }
+        assert!(2 * cut > scans, "only {cut} of {scans} scans were cut");
+    }
+
+    /// Lower stages whose CDF reaches exactly 1.0 inside `[0, D]` in most
+    /// draws, with the `D` they are scanned against: log-normals of the
+    /// `rpc_small` / `rpc_churn` regime (`D = 1e7`) and of the
+    /// `mesh_small` regime (`D = 20 000`), then Gaussian, exponential and
+    /// Pareto stages at `D = 1000`.
+    fn saturating_regimes(rng: &mut StdRng) -> Vec<(f64, Vec<Box<dyn ContinuousDist>>)> {
+        let mut lognormals = |mu: std::ops::Range<f64>| -> Vec<Box<dyn ContinuousDist>> {
+            (0..120)
+                .map(|_| {
+                    let (mu, sigma) = (rng.gen_range(mu.clone()), rng.gen_range(0.2..3.0));
+                    Box::new(LogNormal::new(mu, sigma).unwrap()) as _
+                })
+                .collect()
+        };
+        let rpc = lognormals(6.0..7.0);
+        let mesh = lognormals(2.0..3.0);
+        let others = (0..180)
+            .map(|i| -> Box<dyn ContinuousDist> {
+                match i % 3 {
+                    0 => {
+                        let (mean, sd) = (rng.gen_range(50.0..400.0), rng.gen_range(2.0..60.0));
+                        Box::new(Normal::new(mean, sd).unwrap())
+                    }
+                    1 => Box::new(Exponential::from_mean(rng.gen_range(2.0..30.0)).unwrap()),
+                    _ => {
+                        let (scale, shape) = (rng.gen_range(5.0..60.0), rng.gen_range(8.0..40.0));
+                        Box::new(Pareto::new(scale, shape).unwrap())
+                    }
+                }
+            })
+            .collect();
+        vec![(1e7, rpc), (20_000.0, mesh), (1000.0, others)]
+    }
+
+    /// Whether a scan of `lower` on `grid` stops short of the whole grid:
+    /// the lower CDF is exactly 1.0 at the end of some chunk before the
+    /// last one.
+    fn saturates_before_the_last_chunk(lower: &dyn ContinuousDist, grid: &QupGrid) -> bool {
+        let last_chunk = (grid.steps() - 1) / SATURATION_CHUNK * SATURATION_CHUNK;
+        last_chunk > 0 && lower.cdf(grid.ts[last_chunk - 1]) == 1.0
     }
 
     /// Two-level helper: upstream quality is just the upper-stage CDF.
@@ -737,6 +855,28 @@ mod tests {
             // Same kernel, same inputs: exactly equal, not just close.
             assert_eq!(via_closure, via_grid);
         }
+        // The saturating regimes, where both scans stop early.
+        let mut rng = StdRng::seed_from_u64(31);
+        let upper = LogNormal::new(4.0, 1.2).unwrap();
+        let q_up = two_level_qup(&upper);
+        let (mut cut, mut scans) = (0, 0);
+        for (deadline, lowers) in saturating_regimes(&mut rng) {
+            for steps in [300usize, 301, 500] {
+                let eps = deadline / steps as f64;
+                let grid = QupGrid::build(deadline, eps, &q_up);
+                for lower in &lowers {
+                    let fanout = rng.gen_range(1..101usize);
+                    scans += 1;
+                    cut += usize::from(saturates_before_the_last_chunk(&**lower, &grid));
+                    assert_eq!(
+                        calculate_wait(deadline, &**lower, fanout, &q_up, eps),
+                        calculate_wait_with_grid(&**lower, fanout, &grid),
+                        "{lower:?}, D = {deadline}, fan-out {fanout}, {steps} steps"
+                    );
+                }
+            }
+        }
+        assert!(2 * cut > scans, "only {cut} of {scans} scans were cut");
     }
 
     #[test]

@@ -14,6 +14,10 @@ use rand::RngCore;
 #[derive(Debug)]
 pub struct Mixture {
     components: Vec<(f64, Box<dyn ContinuousDist>)>,
+    /// The weighted sum with every component CDF at 1.0, added in the
+    /// order the CDF adds: the normalized weights' sum, within an ulp of
+    /// 1 but not always exactly 1.
+    top: f64,
 }
 
 impl Mixture {
@@ -33,11 +37,24 @@ impl Mixture {
             ));
         }
         let total: f64 = components.iter().map(|(w, _)| w).sum();
-        let components = components
+        let components: Vec<_> = components
             .into_iter()
             .map(|(w, d)| (w / total, d))
             .collect();
-        Ok(Self { components })
+        let top = components.iter().fold(0.0, |sum, (w, _)| sum + w);
+        Ok(Self { components, top })
+    }
+
+    /// A weighted sum of the component CDFs as the mixture's CDF: exactly
+    /// 1.0 once it reaches `top` (every component saturated) or passes
+    /// 1.0, so it never exceeds 1 and, along increasing points, stays at
+    /// 1.0 once it is there. NaN stays NaN.
+    fn saturate(&self, sum: f64) -> f64 {
+        if sum >= self.top || sum > 1.0 {
+            1.0
+        } else {
+            sum
+        }
     }
 
     /// Number of components.
@@ -62,7 +79,7 @@ impl ContinuousDist for Mixture {
     }
 
     fn cdf(&self, x: f64) -> f64 {
-        self.components.iter().map(|(w, d)| w * d.cdf(x)).sum()
+        self.saturate(self.components.iter().map(|(w, d)| w * d.cdf(x)).sum())
     }
 
     fn cdf_batch(&self, ts: &[f64], out: &mut [f64]) {
@@ -82,6 +99,9 @@ impl ContinuousDist for Mixture {
                 for (slot, &f) in out_chunk.iter_mut().zip(s.iter()) {
                     *slot += w * f;
                 }
+            }
+            for slot in out_chunk {
+                *slot = self.saturate(*slot);
             }
         }
     }

@@ -68,6 +68,19 @@ pub trait ContinuousDist: Send + Sync + core::fmt::Debug {
     /// default ignores `ln_ts` and calls it. Families whose CDF is a
     /// function of `ln t` (the log-normal) skip their per-point `ln`.
     ///
+    /// The wait scan evaluates its grid with this a chunk at a time and
+    /// stops after the first chunk that ends in exactly 1.0, so every
+    /// implementation (and [`ContinuousDist::cdf_batch`] with it) must
+    /// keep two properties:
+    ///
+    /// - along an increasing grid, once a value is exactly `1.0`, every
+    ///   later value is `1.0`;
+    /// - each value depends only on its own point, so a grid evaluated in
+    ///   pieces gets the bits of one call.
+    ///
+    /// Every family and wrapper in this crate keeps both, as the
+    /// `cdf_batch_properties` tests pin.
+    ///
     /// # Panics
     ///
     /// Panics if the three slices have different lengths.

@@ -11,12 +11,18 @@
 //! invent finite answers for poisoned grids. Families without an override
 //! (Gamma, Pareto, Weibull) exercise the trait-default fallback, which must
 //! be exactly the scalar path.
+//!
+//! The wait scan stops at the first chunk of its grid that ends in exactly
+//! 1.0, so every family and wrapper is also held to the property
+//! `ContinuousDist::cdf_batch_ln` documents: along an increasing grid, once
+//! a value is exactly 1.0, every later value is 1.0.
 
 use cedar_distrib::{
-    ContinuousDist, Exponential, Gamma, LogNormal, Mixture, Normal, Pareto, Rectified, Scaled,
-    Shifted, Uniform, Weibull,
+    ContinuousDist, Empirical, Exponential, Gamma, LogNormal, Mixture, Normal, Pareto, Rectified,
+    Scaled, Shifted, Uniform, Weibull,
 };
 use proptest::prelude::*;
+use rand::SeedableRng;
 
 const TOL: f64 = 1e-12;
 
@@ -162,6 +168,137 @@ proptest! {
         let arced: std::sync::Arc<dyn ContinuousDist> =
             std::sync::Arc::new(Normal::new(mu, sigma).unwrap());
         assert_batch_matches(&arced, &ts);
+    }
+}
+
+/// An increasing grid `t(z)` for `z` every 0.05 over `[-10, 100]` and every
+/// 1e-4 within 0.5 of `z1`, the first `z` at which the scalar CDF of `t(z)`
+/// is exactly 1.0 (found by bisection), plus the points within a few ulps
+/// of `t(z1)`. For the families built on `norm_cdf_fast`, `z` is the
+/// standard score and `z1 ≈ 8.3`.
+fn saturation_grid<D: ContinuousDist + ?Sized>(dist: &D, t: impl Fn(f64) -> f64) -> Vec<f64> {
+    let (mut below, mut at_one) = (-10.0f64, 100.0f64);
+    assert!(
+        dist.cdf(t(below)) < 1.0 && dist.cdf(t(at_one)) == 1.0,
+        "{dist:?} does not cross 1.0 over the grid"
+    );
+    loop {
+        let mid = 0.5 * (below + at_one);
+        if mid <= below || mid >= at_one {
+            break;
+        }
+        if dist.cdf(t(mid)) == 1.0 {
+            at_one = mid;
+        } else {
+            below = mid;
+        }
+    }
+    let coarse = (0..=2200).map(|i| -10.0 + 0.05 * f64::from(i));
+    let dense = (-5000..=5000).map(|i| at_one + 1e-4 * f64::from(i));
+    let t1 = t(at_one);
+    let half_ulp = 0.5 * f64::EPSILON * t1.abs();
+    let ulps = (-64..=64).map(|i| t1 + half_ulp * f64::from(i));
+    let mut ts: Vec<f64> = coarse.chain(dense).map(&t).chain(ulps).collect();
+    ts.sort_by(f64::total_cmp);
+    ts.dedup();
+    ts
+}
+
+/// Along the increasing grid `ts`, `cdf_batch_ln` and `cdf_batch` reach
+/// exactly 1.0 and, once they do, write 1.0 at every later point; and a
+/// grid evaluated 32 points at a time gets the bits of one call.
+fn assert_stays_at_one<D: ContinuousDist + ?Sized>(dist: &D, ts: &[f64]) {
+    let ln_ts: Vec<f64> = ts.iter().map(|t| t.ln()).collect();
+    let mut via_ln = vec![f64::NAN; ts.len()];
+    dist.cdf_batch_ln(ts, &ln_ts, &mut via_ln);
+    let mut plain = vec![f64::NAN; ts.len()];
+    dist.cdf_batch(ts, &mut plain);
+    for (name, out) in [("cdf_batch_ln", &via_ln), ("cdf_batch", &plain)] {
+        let first = out.iter().position(|&f| f == 1.0);
+        let first = first.unwrap_or_else(|| panic!("{dist:?}: {name} never reaches 1.0"));
+        if let Some(i) = out[first..].iter().position(|&f| f != 1.0) {
+            let i = first + i;
+            panic!(
+                "{dist:?}: {name} is 1.0 at {} but {:?} at {}",
+                ts[first], out[i], ts[i]
+            );
+        }
+    }
+    let mut chunked = vec![f64::NAN; ts.len()];
+    let chunks = ts.chunks(32).zip(ln_ts.chunks(32));
+    for ((t, ln_t), out) in chunks.zip(chunked.chunks_mut(32)) {
+        dist.cdf_batch_ln(t, ln_t, out);
+    }
+    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&chunked),
+        bits(&via_ln),
+        "{dist:?}: chunked batch differs"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The property the wait scan's saturation cut rests on, for every
+    /// family and wrapper.
+    #[test]
+    fn cdf_batch_ln_stays_at_one_once_it_reaches_one(
+        mu in -3.0..8.0f64,
+        sigma in 0.05..3.0f64,
+        rate in 0.01..20.0f64,
+        shape in 0.5..10.0f64,
+        factor in 0.05..25.0f64,
+        offset in -40.0..40.0f64,
+        w in 0.05..0.95f64,
+        seed in 0u64..1000,
+    ) {
+        let ln = LogNormal::new(mu, sigma).unwrap();
+        let normal = Normal::new(mu, sigma).unwrap();
+        let lognormal_t = |z: f64| (mu + sigma * z).exp();
+        let normal_t = |z: f64| mu + sigma * z;
+        assert_stays_at_one(&ln, &saturation_grid(&ln, lognormal_t));
+        assert_stays_at_one(&normal, &saturation_grid(&normal, normal_t));
+        let exponential = Exponential::new(rate).unwrap();
+        assert_stays_at_one(&exponential, &saturation_grid(&exponential, |z| z / rate));
+        let pareto = Pareto::new(factor, shape).unwrap();
+        let pareto_t = |z: f64| factor * (z / shape).exp();
+        assert_stays_at_one(&pareto, &saturation_grid(&pareto, pareto_t));
+        let gamma = Gamma::new(shape, factor).unwrap();
+        assert_stays_at_one(&gamma, &saturation_grid(&gamma, |z| factor * z));
+        let weibull = Weibull::new(shape, factor).unwrap();
+        let weibull_t = |z: f64| factor * z.max(0.0).powf(1.0 / shape);
+        assert_stays_at_one(&weibull, &saturation_grid(&weibull, weibull_t));
+        let uniform = Uniform::new(offset, offset + factor).unwrap();
+        let uniform_t = |z: f64| offset + factor * z / 50.0;
+        assert_stays_at_one(&uniform, &saturation_grid(&uniform, uniform_t));
+        let samples = ln.sample_vec(&mut rand::rngs::StdRng::seed_from_u64(seed), 50);
+        let empirical = Empirical::from_samples(samples).unwrap();
+        let (lo, hi) = (empirical.min(), empirical.max());
+        let empirical_t = |z: f64| lo + (hi - lo) * z / 50.0;
+        assert_stays_at_one(&empirical, &saturation_grid(&empirical, empirical_t));
+
+        // Three weights, normalized, need not sum to exactly 1.
+        let mixture = Mixture::new(vec![
+            (w, Box::new(ln) as Box<dyn ContinuousDist>),
+            (1.0 - w, Box::new(Normal::new(mu, 1.3).unwrap())),
+            (w * sigma, Box::new(Exponential::new(1.0).unwrap())),
+        ])
+        .unwrap();
+        // Follow whichever component saturates last.
+        let ln_last = lognormal_t(8.5) > (mu + 1.3 * 8.5).max(38.0);
+        let mixture_t = |z: f64| if ln_last { lognormal_t(z) } else { mu + 1.3 * z };
+        assert_stays_at_one(&mixture, &saturation_grid(&mixture, mixture_t));
+        let shifted = Shifted::new(ln, offset).unwrap();
+        assert_stays_at_one(&shifted, &saturation_grid(&shifted, |z| offset + lognormal_t(z)));
+        let scaled = Scaled::new(ln, factor).unwrap();
+        assert_stays_at_one(&scaled, &saturation_grid(&scaled, |z| factor * lognormal_t(z)));
+        let rectified = Rectified::new(normal);
+        assert_stays_at_one(&rectified, &saturation_grid(&rectified, normal_t));
+        let boxed: Box<dyn ContinuousDist> = Box::new(normal);
+        assert_stays_at_one(&boxed, &saturation_grid(&boxed, normal_t));
+        let arced: std::sync::Arc<dyn ContinuousDist> = std::sync::Arc::new(ln);
+        assert_stays_at_one(&arced, &saturation_grid(&arced, lognormal_t));
     }
 }
 

@@ -420,7 +420,30 @@ pub fn gamma_p(a: f64, x: f64) -> f64 {
     if x < a + 1.0 {
         gamma_p_series(a, x)
     } else {
-        1.0 - gamma_q_cf(a, x)
+        one_minus_gamma_q(a, x)
+    }
+}
+
+/// `1 − Q(a, x)` for `x >= a + 1`, exactly 1.0 from one point on.
+///
+/// `1 − q` rounds to 1.0 exactly when `q <= 2^-54`, and the continued
+/// fraction's few-ulp noise could put one `x` under that line and a
+/// larger one over it. So the test is made on `x` cut to 20 significant
+/// bits, where neighbouring points lie `x·2^-20` apart and `Q` falls by
+/// far more than the noise from one to the next: 1.0 iff `Q` there is at
+/// most `2^-54`, and `1 − 2^-53` at most otherwise.
+fn one_minus_gamma_q(a: f64, x: f64) -> f64 {
+    const SATURATED: f64 = 5.551115123125783e-17; // 2^-54
+    const BELOW_ONE: f64 = 1.0 - f64::EPSILON / 2.0;
+    let q = gamma_q_cf(a, x);
+    if q.is_nan() || q > 4.0 * SATURATED {
+        return 1.0 - q;
+    }
+    let coarse = f64::from_bits(x.to_bits() & !((1 << 32) - 1));
+    if gamma_q_cf(a, coarse) <= SATURATED {
+        1.0
+    } else {
+        (1.0 - q).min(BELOW_ONE)
     }
 }
 
@@ -913,6 +936,37 @@ mod tests {
         // Right-tail relative accuracy: Q(1, x) = exp(-x).
         let q = gamma_q(1.0, 40.0);
         assert!((q / (-40.0_f64).exp() - 1.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn gamma_p_stays_at_one_once_it_reaches_one() {
+        for &a in &[0.5, 1.0, 2.5, 9.5, 30.0] {
+            // The first x at which P is exactly 1, by bisection.
+            let (mut below, mut at_one) = (a + 1.0, a + 200.0);
+            assert_eq!(gamma_p(a, at_one), 1.0);
+            while at_one - below > at_one * f64::EPSILON {
+                let mid = 0.5 * (below + at_one);
+                if gamma_p(a, mid) == 1.0 {
+                    at_one = mid;
+                } else {
+                    below = mid;
+                }
+            }
+            // Every ulp around it, then a dense band on either side.
+            let ulps = (-2000..=2000).map(|i| at_one * (1.0 + f64::from(i) * f64::EPSILON / 2.0));
+            let band = (-20_000..=20_000).map(|i| at_one * (1.0 + f64::from(i) * 1e-6));
+            let mut xs: Vec<f64> = ulps.chain(band).collect();
+            xs.sort_by(f64::total_cmp);
+            let first = xs.iter().position(|&x| gamma_p(a, x) == 1.0).unwrap();
+            for &x in &xs[first..] {
+                assert_eq!(
+                    gamma_p(a, x),
+                    1.0,
+                    "a = {a}: P(a, {x}) after 1.0 at {}",
+                    xs[first]
+                );
+            }
+        }
     }
 
     #[test]

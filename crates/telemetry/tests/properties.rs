@@ -5,7 +5,7 @@
 use cedar_telemetry::{Histogram, HistogramSnapshot, QueryTrace, ShipReason, TraceEventKind};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 /// Maps a uniform `[0, 1)` draw onto a positive value spanning the
@@ -155,11 +155,16 @@ fn snapshot_under_concurrent_record_is_torn_free() {
     let stop = Arc::new(AtomicBool::new(false));
     const WRITERS: usize = 4;
     const PER_WRITER: u64 = 20_000;
+    // The writers start only once the reader has taken its first
+    // snapshot, so they cannot all finish before it runs.
+    let start = Arc::new(Barrier::new(WRITERS + 1));
 
     let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
             let hist = Arc::clone(&hist);
+            let start = Arc::clone(&start);
             thread::spawn(move || {
+                start.wait();
                 for i in 0..PER_WRITER {
                     // Spread across buckets; all values are exactly
                     // representable so the final sum check is exact-ish.
@@ -175,7 +180,7 @@ fn snapshot_under_concurrent_record_is_torn_free() {
         thread::spawn(move || {
             let mut last_count = 0u64;
             let mut snaps = 0u64;
-            while !stop.load(Ordering::Acquire) {
+            loop {
                 let snap = hist.snapshot();
                 let bucket_total: u64 = snap.buckets.iter().sum();
                 assert_eq!(snap.count, bucket_total, "torn snapshot");
@@ -186,6 +191,12 @@ fn snapshot_under_concurrent_record_is_torn_free() {
                 }
                 last_count = snap.count;
                 snaps += 1;
+                if snaps == 1 {
+                    start.wait();
+                }
+                if stop.load(Ordering::Acquire) {
+                    break;
+                }
             }
             snaps
         })

@@ -37,6 +37,7 @@ fn main() {
         levels_total: 2,
         scan_steps: 400,
         qup_grid: std::sync::OnceLock::new(),
+        prior_decision: std::sync::OnceLock::new(),
     };
 
     let mut policy = CedarPolicy::new(k, Model::LogNormal, EstimatorKind::OrderStats);

@@ -463,6 +463,20 @@ pub fn gamma_q(a: f64, x: f64) -> f64 {
     }
 }
 
+/// `ln_gamma(0.5)` bit for bit as the Lanczos sum computes it. The exact
+/// `erfc`, `norm_cdf` and `norm_sf` always evaluate the incomplete gamma
+/// at `a = 0.5`, so the sum is not re-run for them.
+const LN_GAMMA_HALF: f64 = 0.572_364_942_924_699_5;
+
+/// [`ln_gamma`], read from [`LN_GAMMA_HALF`] at `a = 0.5`.
+fn ln_gamma_of(a: f64) -> f64 {
+    if a == 0.5 {
+        LN_GAMMA_HALF
+    } else {
+        ln_gamma(a)
+    }
+}
+
 /// Series representation of `P(a, x)`; converges fast for `x < a + 1`.
 fn gamma_p_series(a: f64, x: f64) -> f64 {
     let mut ap = a;
@@ -476,7 +490,7 @@ fn gamma_p_series(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    sum * (-x + a * x.ln() - ln_gamma(a)).exp()
+    sum * (-x + a * x.ln() - ln_gamma_of(a)).exp()
 }
 
 /// Continued-fraction representation of `Q(a, x)` (modified Lentz);
@@ -505,7 +519,7 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    (-x + a * x.ln() - ln_gamma(a)).exp() * h
+    (-x + a * x.ln() - ln_gamma_of(a)).exp() * h
 }
 
 /// Regularized incomplete beta function `I_x(a, b)` for `a, b > 0` and
@@ -869,6 +883,13 @@ mod tests {
         assert_close(ln_gamma(10.5), 13.940625219403763, 1e-10);
         // Small-argument reflection branch.
         assert_close(ln_gamma(0.1), 2.252712651734206, 1e-10);
+    }
+
+    #[test]
+    fn ln_gamma_half_is_the_lanczos_value() {
+        assert_eq!(LN_GAMMA_HALF.to_bits(), ln_gamma(0.5).to_bits());
+        assert_eq!(ln_gamma_of(0.5).to_bits(), ln_gamma(0.5).to_bits());
+        assert_eq!(ln_gamma_of(2.5).to_bits(), ln_gamma(2.5).to_bits());
     }
 
     #[test]

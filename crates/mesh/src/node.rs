@@ -85,7 +85,7 @@ use cedar_telemetry::{
     FlightEntry, FlightRecorder, HopRecord, MeshTrace, QueryTrace, TraceEventKind, TraceSegment,
     TraceSummary,
 };
-use cedar_workloads::treedef::TreeDef;
+use cedar_workloads::treedef::{StageDef, TreeDef};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io;
@@ -106,6 +106,28 @@ const PREPARED_CACHE_MAX: usize = 16;
 /// Aggregation passes between refits of a checkpointing aggregator's
 /// learner.
 const REFIT_INTERVAL: usize = 8;
+
+/// A cached level-1 policy context, keyed on all it depends on beyond
+/// the leaf stage: the deadline's bits, the leaf fan-out and the stages
+/// above the leaves, which alone shape the upper quality profile and its
+/// ε-grid. Trees that differ only in their leaf stage share one entry;
+/// [`bottom_context`] patches each query's own leaf stage in.
+type PreparedEntry = (u64, usize, Vec<StageDef>, PolicyContext);
+
+/// `cached` — a level-1 context built for a tree that matches `tree`
+/// above the leaves — made `tree`'s own: its leaf stage as the prior,
+/// with the means Proportional-split reads, and the prior's scan left
+/// to be made. Bit for bit the context a fresh build for `tree` gives.
+fn bottom_context(cached: &PolicyContext, tree: &cedar_core::TreeSpec) -> PolicyContext {
+    let leaf = &tree.stage(0).dist;
+    PolicyContext {
+        prior_lower: Arc::clone(leaf),
+        mean_below: leaf.mean(),
+        mean_total: tree.total_mean(),
+        prior_decision: std::sync::OnceLock::new(),
+        ..cached.clone()
+    }
+}
 
 /// Client op served by roots only: every node's Prometheus page merged
 /// under `node=` labels (plus a synthetic `cedar_mesh_federated_up`).
@@ -275,9 +297,9 @@ struct NodeInner {
     completed: AtomicU64,
     served: AtomicU64,
     in_flight: AtomicUsize,
-    /// Policy contexts by `(deadline bits, tree)`; at most
+    /// Level-1 policy contexts by what they depend on; at most
     /// [`PREPARED_CACHE_MAX`] entries, scanned in order.
-    prepared: Mutex<Vec<(u64, TreeDef, Arc<PreparedContexts>)>>,
+    prepared: Mutex<Vec<PreparedEntry>>,
     recent: Mutex<Vec<RecentExec>>,
     /// Durable learned priors (aggregators with a checkpoint dir):
     /// bookkeeping only, the declared tree still plans.
@@ -1280,8 +1302,8 @@ impl NodeInner {
         }
     }
 
-    /// The per-(deadline, tree) policy-context cache; returns the
-    /// bottom-level context for one query.
+    /// The policy-context cache; returns the bottom-level context for
+    /// one query.
     fn prepared_ctx(
         &self,
         tree: &TreeDef,
@@ -1289,27 +1311,30 @@ impl NodeInner {
         deadline: f64,
     ) -> Option<PolicyContext> {
         let bits = deadline.to_bits();
-        let prepared = {
-            let mut cache = self.prepared.lock().unpoisoned();
-            if let Some((_, _, p)) = cache.iter().find(|(b, t, _)| *b == bits && t == tree) {
-                Arc::clone(p)
-            } else {
-                let p = Arc::new(PreparedContexts::new(
-                    spec_tree,
-                    deadline,
-                    WaitPolicyKind::Cedar,
-                    Model::LogNormal,
-                    SCAN_STEPS,
-                    &ProfileConfig::default(),
-                ));
-                if cache.len() >= PREPARED_CACHE_MAX {
-                    cache.clear();
-                }
-                cache.push((bits, tree.clone(), Arc::clone(&p)));
-                p
-            }
-        };
-        prepared.for_query(spec_tree).into_iter().next()
+        let (leaf, upper) = tree.stages.split_first()?;
+        let mut cache = self.prepared.lock().unpoisoned();
+        let hit = cache
+            .iter()
+            .find(|(b, k, u, _)| *b == bits && *k == leaf.fanout && u[..] == *upper);
+        if let Some((.., cached)) = hit {
+            return Some(bottom_context(cached, spec_tree));
+        }
+        let ctx = PreparedContexts::new(
+            spec_tree,
+            deadline,
+            WaitPolicyKind::Cedar,
+            Model::LogNormal,
+            SCAN_STEPS,
+            &ProfileConfig::default(),
+        )
+        .for_query(spec_tree)
+        .into_iter()
+        .next()?;
+        if cache.len() >= PREPARED_CACHE_MAX {
+            cache.clear();
+        }
+        cache.push((bits, leaf.fanout, upper.to_vec(), ctx.clone()));
+        Some(ctx)
     }
 
     // ---- worker ----
@@ -1463,28 +1488,91 @@ impl NodeInner {
                 (start + scale.to_wall(duration), origin, (duration, copies))
             })
             .collect();
-        cedar_runtime::ship_leaves(leaves, |origin, (duration, copies)| {
-            let msg = MeshMsg::Partial {
-                query_id,
-                from: self.me.name.clone(),
-                origin,
-                payload: 1,
-                value: 1.0,
-                duration,
-                retry,
-                timings: Vec::new(),
-                censored: Vec::new(),
-                failures: FailureReport::default(),
-                segment: segment.clone().map(|mut s| {
-                    s.partial_sent_unix_us = clock::unix_us();
-                    Box::new(s)
-                }),
-            };
-            for _ in 0..copies {
-                self.ship_partial(&msg);
-            }
-            std::future::ready(())
-        })
+        cedar_runtime::ship_leaves(
+            leaves,
+            |origin, (duration, copies)| {
+                let msg = MeshMsg::Partial {
+                    query_id,
+                    from: self.me.name.clone(),
+                    origin,
+                    payload: 1,
+                    value: 1.0,
+                    duration,
+                    retry,
+                    timings: Vec::new(),
+                    censored: Vec::new(),
+                    failures: FailureReport::default(),
+                    segment: segment.clone().map(|mut s| {
+                        s.partial_sent_unix_us = clock::unix_us();
+                        Box::new(s)
+                    }),
+                };
+                for _ in 0..copies {
+                    self.ship_partial(&msg);
+                }
+                // A remote aggregator's departure cannot be seen from here,
+                // so every leaf is shipped.
+                std::future::ready(true)
+            },
+            |_| true,
+        )
         .await;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cedar_core::{StageSpec, TreeSpec};
+    use cedar_distrib::{Gamma, LogNormal};
+
+    fn level1(tree: &TreeSpec, deadline: f64) -> PolicyContext {
+        PreparedContexts::new(
+            tree,
+            deadline,
+            WaitPolicyKind::Cedar,
+            Model::LogNormal,
+            SCAN_STEPS,
+            &ProfileConfig::default(),
+        )
+        .for_query(tree)
+        .remove(0)
+    }
+
+    #[test]
+    fn a_cached_context_patched_to_a_new_leaf_stage_is_a_fresh_build() {
+        let with_leaves = |mu| {
+            TreeSpec::two_level(
+                StageSpec::new(LogNormal::new(mu, 0.8).unwrap(), 8),
+                StageSpec::new(LogNormal::new(2.0, 0.4).unwrap(), 2),
+            )
+        };
+        let (cached_tree, query_tree) = (with_leaves(3.0), with_leaves(3.6));
+        let deadline = 120.0;
+        let patched = bottom_context(&level1(&cached_tree, deadline), &query_tree);
+        let fresh = level1(&query_tree, deadline);
+        let lowers: [Arc<dyn ContinuousDist>; 3] = [
+            Arc::new(LogNormal::new(3.3, 0.5).unwrap()),
+            Arc::new(LogNormal::new(4.2, 1.1).unwrap()),
+            Arc::new(Gamma::new(2.0, 10.0).unwrap()),
+        ];
+        for lower in &lowers {
+            let (a, b) = (patched.scan(&**lower), fresh.scan(&**lower));
+            assert_eq!(a.wait.to_bits(), b.wait.to_bits());
+            assert_eq!(a.quality.to_bits(), b.quality.to_bits());
+        }
+        let (a, b) = (patched.prior_scan(), fresh.prior_scan());
+        assert_eq!(a.wait.to_bits(), b.wait.to_bits());
+        assert_eq!(a.quality.to_bits(), b.quality.to_bits());
+        assert_eq!(patched.mean_below.to_bits(), fresh.mean_below.to_bits());
+        assert_eq!(patched.mean_total.to_bits(), fresh.mean_total.to_bits());
+        // The leaf stage moved the decision: the patch is not a no-op.
+        assert_ne!(
+            a.quality.to_bits(),
+            level1(&cached_tree, deadline)
+                .prior_scan()
+                .quality
+                .to_bits()
+        );
     }
 }

@@ -77,22 +77,35 @@ type BottomLeaf = (PartialResult, Option<FaultKind>);
 /// timer, re-armed in place, so a bottom aggregator's leaves (or a mesh
 /// worker's) cost one task and one timer registration at a time rather
 /// than one each.
+///
+/// `ship` resolves to whether its receiver still listens. Once it
+/// resolves to `false`, the leaves still to come are woken only if
+/// `still_due` keeps them — a leaf whose wake does something besides the
+/// send — and the rest are dropped unslept. Returns whether the receiver
+/// was found gone.
 pub async fn ship_leaves<T, F>(
     mut leaves: Vec<(Instant, usize, T)>,
     mut ship: impl FnMut(usize, T) -> F,
-) where
-    F: Future<Output = ()>,
+    still_due: impl Fn(&T) -> bool,
+) -> bool
+where
+    F: Future<Output = bool>,
 {
     leaves.sort_by_key(|&(at, origin, _)| (at, origin));
     let Some(&(first, _, _)) = leaves.first() else {
-        return;
+        return false;
     };
     let mut timer = std::pin::pin!(tokio::time::sleep_until(first));
+    let mut heard = true;
     for (at, origin, item) in leaves {
+        if !heard && !still_due(&item) {
+            continue;
+        }
         timer.as_mut().reset(at);
         timer.as_mut().await;
-        ship(origin, item).await;
+        heard &= ship(origin, item).await;
     }
+    !heard
 }
 
 /// An aggregator's own fate at its upstream send boundary.
@@ -237,8 +250,9 @@ pub struct RuntimeOutcome {
     /// Sum of the included workers' partial values (the "answer" of the
     /// aggregation query).
     pub value_sum: f64,
-    /// Wall-clock time the query took, overrun past the scaled deadline
-    /// included.
+    /// Wall-clock time from the engine's call to the outcome: the set-up
+    /// (duration sampling, task spawning) and any overrun past the scaled
+    /// deadline included.
     pub wall_elapsed: Duration,
     /// The per-stage durations the engine actually ran with (model
     /// units): `realized_durations[0]` is one entry per leaf process,
@@ -302,6 +316,11 @@ pub async fn run_query_with_values(
 /// notably the aggregation service's profile cache — should build it once
 /// and pass it here.
 ///
+/// The deadline clock starts when this is called. Sampling every
+/// duration and spawning the tree's tasks are spent inside `D`, and every
+/// instant of the query — each leaf's completion, each aggregator's
+/// timer, the root's deadline — is anchored on that one start.
+///
 /// # Panics
 ///
 /// Panics if `values.len()` differs from the tree's process count, the
@@ -322,6 +341,11 @@ pub async fn run_query_prepared(
         "one value per leaf process required"
     );
 
+    // The deadline runs from the call: the set-up below is spent inside
+    // it, not added on top.
+    let start = Instant::now();
+    let deadline_instant = start + cfg.scale.to_wall(cfg.deadline);
+
     // Sample all durations up front (same order as the simulator).
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let process_durations = cfg.tree.stage(0).dist.sample_vec(&mut rng, total_processes);
@@ -334,9 +358,6 @@ pub async fn run_query_prepared(
         .collect();
 
     let contexts = prepared.for_query(&cfg.tree);
-
-    let start = Instant::now();
-    let deadline_instant = start + cfg.scale.to_wall(cfg.deadline);
 
     // The root collector sits above the top aggregator stage, so it
     // reports as level `n`.
@@ -559,6 +580,11 @@ pub async fn run_query_prepared(
 /// ship the leaves due by the deadline, then — if any leaf was held
 /// back — keep the channel open until `hold_until`, as that leaf would
 /// have, so the aggregator still leaves on its own timer.
+///
+/// A failed send means the aggregator has departed, and nobody can see
+/// a send after that. From then on only the leaves whose wake books a
+/// fault (a crash before the send, a drop, a duplicate) are woken, each
+/// at its own instant, and the channel is not held open.
 async fn bottom_leaves(
     tx: mpsc::Sender<PartialResult>,
     leaves: Vec<(Instant, usize, BottomLeaf)>,
@@ -577,23 +603,39 @@ async fn bottom_leaves(
         book(origin, k);
     }
     let (tx, book) = (&tx, &book);
-    ship_leaves(leaves, move |origin, (msg, fault)| async move {
-        match fault {
-            // The work happened; the result never leaves the host.
-            Some(k @ (FaultKind::CrashBeforeSend | FaultKind::DropMessage)) => book(origin, k),
-            fault => {
-                if let Some(k @ FaultKind::DuplicateMessage) = fault {
+    let departed = ship_leaves(
+        leaves,
+        move |origin, (msg, fault)| async move {
+            match fault {
+                // The work happened; the result never leaves the host.
+                Some(k @ (FaultKind::CrashBeforeSend | FaultKind::DropMessage)) => {
                     book(origin, k);
-                    let _ = tx.send(msg).await;
+                    true
                 }
-                // The aggregator may already have departed; a send error
-                // is exactly the "output ignored upstream" case.
-                let _ = tx.send(msg).await;
+                fault => {
+                    if let Some(k @ FaultKind::DuplicateMessage) = fault {
+                        book(origin, k);
+                        let _ = tx.send(msg).await;
+                    }
+                    // A send error is exactly the "output ignored
+                    // upstream" case: the aggregator has departed.
+                    tx.send(msg).await.is_ok()
+                }
             }
-        }
-    })
+        },
+        |(_, fault)| {
+            matches!(
+                fault,
+                Some(
+                    FaultKind::CrashBeforeSend
+                        | FaultKind::DropMessage
+                        | FaultKind::DuplicateMessage
+                )
+            )
+        },
+    )
     .await;
-    if let Some(at) = hold_until {
+    if let Some(at) = hold_until.filter(|_| !departed) {
         tokio::time::sleep_until(at).await;
     }
 }
@@ -920,11 +962,16 @@ mod tests {
             (at(1), 4, 'd'),
         ];
         let shipped = std::sync::Mutex::new(Vec::new());
-        ship_leaves(leaves, |origin, item| {
-            shipped.lock().unwrap().push((t0.elapsed(), origin, item));
-            std::future::ready(())
-        })
+        let departed = ship_leaves(
+            leaves,
+            |origin, item| {
+                shipped.lock().unwrap().push((t0.elapsed(), origin, item));
+                std::future::ready(true)
+            },
+            |_| true,
+        )
         .await;
+        assert!(!departed);
         let ms = Duration::from_millis;
         assert_eq!(
             shipped.into_inner().unwrap(),
@@ -934,6 +981,72 @@ mod tests {
                 (ms(2), 3, 'c'),
                 (ms(2), 7, 'a')
             ]
+        );
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn shipper_stops_waking_leaves_once_its_aggregator_has_left() {
+        // Leaves at 1, 2, 3 and 4 ms; the receiver takes the first and
+        // leaves. The send at 2 ms fails, so the plain leaf at 4 ms is
+        // never slept to and the channel is not held to `hold_until`;
+        // a crash-before-send leaf at 3 ms, when there is one, is still
+        // woken and booked at its own instant.
+        async fn run(crash_at_3: bool) -> (Duration, FailureReport, Vec<(f64, TraceEventKind)>) {
+            let t0 = Instant::now();
+            let at = |ms| t0 + Duration::from_millis(ms);
+            let trace = Arc::new(QueryTrace::new());
+            let chaos = Arc::new(ChaosShared {
+                plan: Arc::new(FaultPlan::new(1, crate::faults::FaultSpec::none())),
+                ledger: Arc::new(Ledger::new(2)),
+                trace: Some(trace.clone()),
+                start: t0,
+                scale: TimeScale::millis(),
+            });
+            let leaf = |ms: u64, fault| {
+                let origin = ms as usize - 1;
+                let msg = PartialResult {
+                    payload: 1,
+                    value: 1.0,
+                    origin,
+                    duration: ms as f64,
+                    retry: false,
+                };
+                (at(ms), origin, (msg, fault))
+            };
+            let crash = crash_at_3.then_some(FaultKind::CrashBeforeSend);
+            let leaves = vec![leaf(1, None), leaf(2, None), leaf(3, crash), leaf(4, None)];
+            let (tx, mut rx) = mpsc::channel(4);
+            let shipper = tokio::spawn(bottom_leaves(
+                tx,
+                leaves,
+                Some(chaos.clone()),
+                Vec::new(),
+                Some(at(10)),
+            ));
+            assert_eq!(rx.recv().await.map(|m| m.origin), Some(0));
+            drop(rx);
+            shipper.await.unwrap();
+            let events = trace.events().into_iter().map(|e| (e.at, e.kind));
+            (t0.elapsed(), chaos.ledger.finish().0, events.collect())
+        }
+
+        let (took, report, events) = run(false).await;
+        assert_eq!(took, Duration::from_millis(2));
+        assert!(report.is_clean(), "{report:?}");
+        assert!(events.is_empty(), "{events:?}");
+
+        let (took, report, events) = run(true).await;
+        assert_eq!(took, Duration::from_millis(3));
+        assert_eq!(report.crashed, 1, "{report:?}");
+        assert_eq!(
+            events,
+            vec![(
+                3.0,
+                TraceEventKind::FaultInjected {
+                    fault: FaultKind::CrashBeforeSend.class(),
+                    origin: 2,
+                }
+            )]
         );
     }
 

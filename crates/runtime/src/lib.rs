@@ -12,8 +12,9 @@
 //!   duration at the configured time scale) and produces a partial
 //!   value; one task per bottom aggregator sleeps to each of its leaves'
 //!   completion instants in turn and ships them, through
-//!   [`ship_leaves`] (which mesh workers run too), and a leaf that would
-//!   complete after the deadline is never slept to;
+//!   [`ship_leaves`] (which mesh workers run too). A leaf that would
+//!   complete after the deadline is never slept to, nor is one whose
+//!   aggregator has already left, unless its wake books a fault;
 //! - every **aggregator** is a task running Pseudocode 1 off the one
 //!   `tokio::select!` loop in [`pass`] (which mesh aggregators run too):
 //!   partial aggregation on arrival, online re-estimation, timer re-arm,

@@ -312,9 +312,9 @@ pub struct Gathered {
     /// Their aggregated value.
     pub value_sum: f64,
     /// `DeadlineExpired` when the deadline ended the gather (or was due
-    /// by the time the queue behind the last counted origin was empty),
-    /// `AllArrived` when every expected origin was counted or every
-    /// sender was gone first.
+    /// by the time the queue behind the last counted origin was empty, or
+    /// every sender was found gone), `AllArrived` when every expected
+    /// origin was counted or every sender was gone first.
     pub reason: ShipReason,
     /// The expected origins not counted, ascending.
     pub missing: Vec<usize>,
@@ -370,6 +370,10 @@ pub async fn gather(
                 }
                 record(TraceEventKind::DuplicateSuppressed { origin: m.origin });
             }
+            // Every sender is gone. Found so once the deadline is due,
+            // they may have gone after it: the gather ends on the
+            // deadline, as with an empty queue behind the last origin.
+            None if Instant::now() >= deadline => break ShipReason::DeadlineExpired,
             None => break ShipReason::AllArrived,
         }
     };
@@ -574,6 +578,13 @@ mod tests {
         assert!((got.value_sum - 2.0).abs() < 1e-12);
         assert_eq!(got.reason, ShipReason::DeadlineExpired);
         assert_eq!(ledger.finish().0.duplicates_suppressed, 2);
+
+        // Every sender found gone once the deadline is due: they may
+        // have gone after it, so the deadline ended the gather.
+        let (tx, rx) = queued(&[4]);
+        drop(tx);
+        let got = gather(rx, Instant::now(), 4..6, None, |_| {}).await;
+        assert_eq!((got.arrivals, got.reason), (1, ShipReason::DeadlineExpired));
 
         // Every sender gone before the deadline: a full gather.
         let (tx, rx) = queued(&[4]);

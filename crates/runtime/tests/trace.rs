@@ -82,12 +82,22 @@ async fn trace_query_end_matches_outcome() {
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
 async fn a_deadline_bound_query_reports_its_overrun() {
-    // Real clock. Every aggregator waits past the deadline, so the root
-    // leaves on its deadline timer — which never fires exactly on time.
-    // The outcome and the trace's last event both carry the overrun.
+    // Real clock. Every aggregator waits until the deadline, but every
+    // leaf is done within a unit, so each aggregator has all its children
+    // and leaves long before it. Aggregating then takes some 33 units:
+    // no result reaches the root by the deadline, and the root leaves on
+    // its deadline timer — which never fires exactly on time. The
+    // outcome and the trace's last event both carry the overrun. (With
+    // slower leaves, an aggregator still waiting at the deadline leaves
+    // on one worker while the root records `QueryEnd` on the other, and
+    // either may record first.)
     let deadline = 4.0;
+    let tree = TreeSpec::two_level(
+        StageSpec::new(LogNormal::new(-1.0, 0.3).unwrap(), K1),
+        StageSpec::new(LogNormal::new(3.5, 0.1).unwrap(), K2),
+    );
     let trace = Arc::new(QueryTrace::new());
-    let cfg = RuntimeConfig::new(tree(), deadline)
+    let cfg = RuntimeConfig::new(tree, deadline)
         .with_seed(1)
         .with_trace(trace.clone());
     let out = run_query(&cfg, WaitPolicyKind::FixedWait(5.0)).await;

@@ -24,6 +24,7 @@
 
 use crate::quality::{quality_gain, quality_loss, quality_loss_lanes};
 use cedar_distrib::ContinuousDist;
+use cedar_mathx::simd::{self, Kernel};
 use cedar_mathx::KahanSum;
 use std::cell::RefCell;
 
@@ -313,12 +314,13 @@ fn lower_cdf_until_saturated(fs: &mut [f64], mut cdf: impl FnMut(usize, &mut [f6
 /// accumulates gain − loss with Kahan summation and keeps the first
 /// maximizer.
 ///
-/// Two passes over the grid. The first writes every step's gain − loss
-/// into `nets`, [`LANES`] steps at a time: the terms are independent of
-/// one another, so their `F^k` chains run side by side in vector lanes
-/// instead of queueing behind the Kahan sum. The second runs the Kahan
-/// sum and the argmax serially, in the same order over the same terms
-/// as one fused walk would, so the decision is bit-identical to it.
+/// Two passes over the grid. The first, [`NetsPass`], writes every
+/// step's gain − loss into `nets`, [`LANES`] steps at a time: the terms
+/// are independent of one another, so their `F^k` chains run side by
+/// side in vector lanes instead of queueing behind the Kahan sum. The
+/// second runs the Kahan sum and the argmax serially, in the same order
+/// over the same terms as one fused walk would, so the decision is
+/// bit-identical to it.
 fn accumulate_scan(
     lower: &dyn ContinuousDist,
     fanout: usize,
@@ -331,28 +333,14 @@ fn accumulate_scan(
     let steps = ts.len().min(fs.len()).min(qs.len());
     nets.clear();
     if steps > 0 {
-        // Step 0 leaves from F(0) and q_up(D); step i from step i − 1's end.
-        nets.extend(step_nets::<1>(fanout, &[lower.cdf(0.0)], fs, &[q0], qs));
-        let (f_prev, f_next) = (&fs[..steps - 1], &fs[1..steps]);
-        let (q_prev, q_next) = (&qs[..steps - 1], &qs[1..steps]);
-        let blocks = |s| <[f64]>::chunks_exact(s, LANES);
-        let lanes = blocks(f_prev)
-            .zip(blocks(f_next))
-            .zip(blocks(q_prev))
-            .zip(blocks(q_next));
-        for (((fp, fnx), qp), qn) in lanes {
-            nets.extend(step_nets::<LANES>(fanout, fp, fnx, qp, qn));
-        }
-        // The last steps that do not fill a block.
-        for i in nets.len() - 1..steps - 1 {
-            nets.extend(step_nets::<1>(
-                fanout,
-                &f_prev[i..],
-                &f_next[i..],
-                &q_prev[i..],
-                &q_next[i..],
-            ));
-        }
+        simd::widest(NetsPass {
+            fanout,
+            fs: &fs[..steps],
+            qs: &qs[..steps],
+            f0: lower.cdf(0.0),
+            q0,
+            nets,
+        });
     }
 
     let mut running = KahanSum::new();
@@ -373,6 +361,57 @@ fn accumulate_scan(
     WaitDecision {
         wait: best_wait,
         quality: best_q.clamp(0.0, 1.0),
+    }
+}
+
+/// The scan's first pass, a [`Kernel`] so that [`simd::widest`]
+/// compiles it for AVX2 when the CPU has it: every step's gain −
+/// loss into `nets`, step 0 leaving from `F(0) = f0` and `q_up(D) = q0`,
+/// step `i` from step `i − 1`'s end.
+struct NetsPass<'a> {
+    fanout: usize,
+    fs: &'a [f64],
+    qs: &'a [f64],
+    f0: f64,
+    q0: f64,
+    nets: &'a mut Vec<f64>,
+}
+
+impl Kernel for NetsPass<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let Self {
+            fanout,
+            fs,
+            qs,
+            f0,
+            q0,
+            nets,
+        } = self;
+        let steps = fs.len();
+        nets.extend(step_nets::<1>(fanout, &[f0], fs, &[q0], qs));
+        let (f_prev, f_next) = (&fs[..steps - 1], &fs[1..steps]);
+        let (q_prev, q_next) = (&qs[..steps - 1], &qs[1..steps]);
+        let blocks = |s| <[f64]>::chunks_exact(s, LANES);
+        let lanes = blocks(f_prev)
+            .zip(blocks(f_next))
+            .zip(blocks(q_prev))
+            .zip(blocks(q_next));
+        for (((fp, fnx), qp), qn) in lanes {
+            nets.extend(step_nets::<LANES>(fanout, fp, fnx, qp, qn));
+        }
+        // The last steps that do not fill a block.
+        for i in nets.len() - 1..steps - 1 {
+            nets.extend(step_nets::<1>(
+                fanout,
+                &f_prev[i..],
+                &f_next[i..],
+                &q_prev[i..],
+                &q_next[i..],
+            ));
+        }
     }
 }
 
@@ -573,8 +612,15 @@ mod tests {
     use super::*;
     use crate::quality::departure_quality;
     use cedar_distrib::{Exponential, LogNormal, Normal, Pareto};
+    use cedar_mathx::simd::{with_level, Level};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Runs `f` at the baseline level: the reference side of the
+    /// bit-identity tests, which run the production side at every level.
+    fn baseline<R>(f: impl FnOnce() -> R) -> R {
+        with_level(Level::Baseline, f)
+    }
 
     #[test]
     fn two_pass_kernel_is_bit_identical_to_the_fused_one() {
@@ -582,54 +628,58 @@ mod tests {
         // Gaussian ones, against a log-normal upper stage, at the
         // runtime's and the default ε-resolutions (and one whose steps
         // fill the vector blocks exactly): the same decision to the last
-        // bit.
-        let mut rng = StdRng::seed_from_u64(26);
-        let upper = LogNormal::new(4.0, 1.2).unwrap();
-        let deadline = 1000.0;
-        for steps in [300usize, 301, 500] {
-            let grid = QupGrid::build(deadline, deadline / steps as f64, |rem| {
-                if rem <= 0.0 {
-                    0.0
-                } else {
-                    upper.cdf(rem)
-                }
-            });
-            for i in 0..400 {
-                let fanout = rng.gen_range(1..101usize);
-                let lower: Box<dyn ContinuousDist> = if i % 2 == 0 {
-                    let (mu, sigma) = (rng.gen_range(4.0..7.5), rng.gen_range(0.2..1.5));
-                    Box::new(LogNormal::new(mu, sigma).unwrap())
-                } else {
-                    let (mean, sd) = (rng.gen_range(50.0..900.0), rng.gen_range(5.0..400.0));
-                    Box::new(Normal::new(mean, sd).unwrap())
-                };
-                assert_eq!(
-                    calculate_wait_with_grid(&*lower, fanout, &grid),
-                    calculate_wait_with_grid_fused(&*lower, fanout, &grid),
-                    "{lower:?}, fan-out {fanout}, {steps} steps"
-                );
-            }
-        }
-        // The saturating regimes: the two-pass scan stops after the first
-        // chunk that ends in exactly 1.0, the fused reference walks every
-        // step, and the decisions still agree to the last bit.
-        let (mut cut, mut scans) = (0, 0);
-        for (deadline, lowers) in saturating_regimes(&mut rng) {
+        // bit, at every instruction-set level against the baseline.
+        for level in Level::supported() {
+            let mut rng = StdRng::seed_from_u64(26);
+            let upper = LogNormal::new(4.0, 1.2).unwrap();
+            let deadline = 1000.0;
             for steps in [300usize, 301, 500] {
-                let grid = QupGrid::build(deadline, deadline / steps as f64, two_level_qup(&upper));
-                for lower in &lowers {
+                let grid = QupGrid::build(deadline, deadline / steps as f64, |rem| {
+                    if rem <= 0.0 {
+                        0.0
+                    } else {
+                        upper.cdf(rem)
+                    }
+                });
+                for i in 0..400 {
                     let fanout = rng.gen_range(1..101usize);
-                    scans += 1;
-                    cut += usize::from(saturates_before_the_last_chunk(&**lower, &grid));
+                    let lower: Box<dyn ContinuousDist> = if i % 2 == 0 {
+                        let (mu, sigma) = (rng.gen_range(4.0..7.5), rng.gen_range(0.2..1.5));
+                        Box::new(LogNormal::new(mu, sigma).unwrap())
+                    } else {
+                        let (mean, sd) = (rng.gen_range(50.0..900.0), rng.gen_range(5.0..400.0));
+                        Box::new(Normal::new(mean, sd).unwrap())
+                    };
                     assert_eq!(
-                        calculate_wait_with_grid(&**lower, fanout, &grid),
-                        calculate_wait_with_grid_fused(&**lower, fanout, &grid),
-                        "{lower:?}, D = {deadline}, fan-out {fanout}, {steps} steps"
+                        with_level(level, || calculate_wait_with_grid(&*lower, fanout, &grid)),
+                        baseline(|| calculate_wait_with_grid_fused(&*lower, fanout, &grid)),
+                        "{lower:?}, fan-out {fanout}, {steps} steps at {level:?}"
                     );
                 }
             }
+            // The saturating regimes: the two-pass scan stops after the
+            // first chunk that ends in exactly 1.0, the fused reference
+            // walks every step, and the decisions still agree to the
+            // last bit.
+            let (mut cut, mut scans) = (0, 0);
+            for (deadline, lowers) in saturating_regimes(&mut rng) {
+                for steps in [300usize, 301, 500] {
+                    let grid =
+                        QupGrid::build(deadline, deadline / steps as f64, two_level_qup(&upper));
+                    for lower in &lowers {
+                        let fanout = rng.gen_range(1..101usize);
+                        scans += 1;
+                        cut += usize::from(saturates_before_the_last_chunk(&**lower, &grid));
+                        assert_eq!(
+                            with_level(level, || calculate_wait_with_grid(&**lower, fanout, &grid)),
+                            baseline(|| calculate_wait_with_grid_fused(&**lower, fanout, &grid)),
+                            "{lower:?}, D = {deadline}, fan-out {fanout}, {steps} steps at {level:?}"
+                        );
+                    }
+                }
+            }
+            assert!(2 * cut > scans, "only {cut} of {scans} scans were cut");
         }
-        assert!(2 * cut > scans, "only {cut} of {scans} scans were cut");
     }
 
     /// Lower stages whose CDF reaches exactly 1.0 inside `[0, D]` in most
@@ -841,42 +891,46 @@ mod tests {
 
     #[test]
     fn grid_scan_is_bit_identical_to_closure_scan() {
-        let x1 = LogNormal::new(2.77, 0.84).unwrap();
-        let x2 = LogNormal::new(2.94, 0.55).unwrap();
-        for &deadline in &[40.0, 100.0, 750.0] {
-            let eps = deadline / DEFAULT_STEPS as f64;
-            let q_up = two_level_qup(&x2);
-            let grid = QupGrid::build(deadline, eps, &q_up);
-            assert_eq!(grid.steps(), DEFAULT_STEPS);
-            assert_eq!(grid.deadline(), deadline);
-            assert_eq!(grid.epsilon(), eps);
-            let via_closure = calculate_wait(deadline, &x1, 50, &q_up, eps);
-            let via_grid = calculate_wait_with_grid(&x1, 50, &grid);
-            // Same kernel, same inputs: exactly equal, not just close.
-            assert_eq!(via_closure, via_grid);
-        }
-        // The saturating regimes, where both scans stop early.
-        let mut rng = StdRng::seed_from_u64(31);
-        let upper = LogNormal::new(4.0, 1.2).unwrap();
-        let q_up = two_level_qup(&upper);
-        let (mut cut, mut scans) = (0, 0);
-        for (deadline, lowers) in saturating_regimes(&mut rng) {
-            for steps in [300usize, 301, 500] {
-                let eps = deadline / steps as f64;
+        // At every instruction-set level, against the closure scan at the
+        // baseline.
+        for level in Level::supported() {
+            let x1 = LogNormal::new(2.77, 0.84).unwrap();
+            let x2 = LogNormal::new(2.94, 0.55).unwrap();
+            for &deadline in &[40.0, 100.0, 750.0] {
+                let eps = deadline / DEFAULT_STEPS as f64;
+                let q_up = two_level_qup(&x2);
                 let grid = QupGrid::build(deadline, eps, &q_up);
-                for lower in &lowers {
-                    let fanout = rng.gen_range(1..101usize);
-                    scans += 1;
-                    cut += usize::from(saturates_before_the_last_chunk(&**lower, &grid));
-                    assert_eq!(
-                        calculate_wait(deadline, &**lower, fanout, &q_up, eps),
-                        calculate_wait_with_grid(&**lower, fanout, &grid),
-                        "{lower:?}, D = {deadline}, fan-out {fanout}, {steps} steps"
-                    );
+                assert_eq!(grid.steps(), DEFAULT_STEPS);
+                assert_eq!(grid.deadline(), deadline);
+                assert_eq!(grid.epsilon(), eps);
+                let via_closure = baseline(|| calculate_wait(deadline, &x1, 50, &q_up, eps));
+                let via_grid = with_level(level, || calculate_wait_with_grid(&x1, 50, &grid));
+                // Same kernel, same inputs: exactly equal, not just close.
+                assert_eq!(via_closure, via_grid, "at {level:?}");
+            }
+            // The saturating regimes, where both scans stop early.
+            let mut rng = StdRng::seed_from_u64(31);
+            let upper = LogNormal::new(4.0, 1.2).unwrap();
+            let q_up = two_level_qup(&upper);
+            let (mut cut, mut scans) = (0, 0);
+            for (deadline, lowers) in saturating_regimes(&mut rng) {
+                for steps in [300usize, 301, 500] {
+                    let eps = deadline / steps as f64;
+                    let grid = QupGrid::build(deadline, eps, &q_up);
+                    for lower in &lowers {
+                        let fanout = rng.gen_range(1..101usize);
+                        scans += 1;
+                        cut += usize::from(saturates_before_the_last_chunk(&**lower, &grid));
+                        assert_eq!(
+                            baseline(|| calculate_wait(deadline, &**lower, fanout, &q_up, eps)),
+                            with_level(level, || calculate_wait_with_grid(&**lower, fanout, &grid)),
+                            "{lower:?}, D = {deadline}, fan-out {fanout}, {steps} steps at {level:?}"
+                        );
+                    }
                 }
             }
+            assert!(2 * cut > scans, "only {cut} of {scans} scans were cut");
         }
-        assert!(2 * cut > scans, "only {cut} of {scans} scans were cut");
     }
 
     #[test]

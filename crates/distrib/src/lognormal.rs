@@ -259,24 +259,29 @@ mod tests {
 
     #[test]
     fn cdf_batch_ln_is_bit_identical_to_cdf_batch() {
+        // At every instruction-set level, against `cdf_batch` at the
+        // baseline.
+        use cedar_mathx::simd::{with_level, Level};
         use rand::Rng;
-        let mut rng = StdRng::seed_from_u64(29);
-        for _ in 0..if cfg!(miri) { 4 } else { 400 } {
-            let d = LogNormal::new(rng.gen_range(-2.0..9.0), rng.gen_range(0.05..2.5)).unwrap();
-            let deadline: f64 = rng.gen_range(0.5..5000.0);
-            let steps: usize = rng.gen_range(1..700);
-            let eps = deadline / steps as f64;
-            // A wait scan's ε-grid, plus the points off the support.
-            let mut ts: Vec<f64> = (0..steps)
-                .map(|i| (i as f64 * eps + eps).min(deadline))
-                .collect();
-            ts.extend_from_slice(&[0.0, -0.0, -1.0, f64::NAN, f64::INFINITY]);
-            let ln_ts: Vec<f64> = ts.iter().map(|t| t.ln()).collect();
-            let (mut want, mut got) = (vec![0.0; ts.len()], vec![0.0; ts.len()]);
-            d.cdf_batch(&ts, &mut want);
-            d.cdf_batch_ln(&ts, &ln_ts, &mut got);
-            for ((t, w), g) in ts.iter().zip(&want).zip(&got) {
-                assert_eq!(g.to_bits(), w.to_bits(), "{d:?} at {t}");
+        for level in Level::supported() {
+            let mut rng = StdRng::seed_from_u64(29);
+            for _ in 0..if cfg!(miri) { 4 } else { 400 } {
+                let d = LogNormal::new(rng.gen_range(-2.0..9.0), rng.gen_range(0.05..2.5)).unwrap();
+                let deadline: f64 = rng.gen_range(0.5..5000.0);
+                let steps: usize = rng.gen_range(1..700);
+                let eps = deadline / steps as f64;
+                // A wait scan's ε-grid, plus the points off the support.
+                let mut ts: Vec<f64> = (0..steps)
+                    .map(|i| (i as f64 * eps + eps).min(deadline))
+                    .collect();
+                ts.extend_from_slice(&[0.0, -0.0, -1.0, f64::NAN, f64::INFINITY]);
+                let ln_ts: Vec<f64> = ts.iter().map(|t| t.ln()).collect();
+                let (mut want, mut got) = (vec![0.0; ts.len()], vec![0.0; ts.len()]);
+                with_level(Level::Baseline, || d.cdf_batch(&ts, &mut want));
+                with_level(level, || d.cdf_batch_ln(&ts, &ln_ts, &mut got));
+                for ((t, w), g) in ts.iter().zip(&want).zip(&got) {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{d:?} at {t} at {level:?}");
+                }
             }
         }
     }

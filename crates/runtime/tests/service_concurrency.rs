@@ -7,6 +7,7 @@
 use cedar_core::{StageSpec, TreeSpec};
 use cedar_distrib::LogNormal;
 use cedar_runtime::{AggregationService, QueryOptions, ServiceConfig};
+use cedar_telemetry::{QueryTrace, TraceEventKind};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -138,27 +139,91 @@ async fn concurrent_qualities_match_serial_on_same_seeds() {
     assert_eq!(concurrent.completed(), seeds.len());
 }
 
-#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+// On the paused clock every leaf arrives at its sampled instant. On the
+// wall clock a busy machine delays leaves by milliseconds, the estimator
+// fits those late arrivals, and an aggregator can leave before its last
+// leaves: `shortfall` says which and by how much.
+#[tokio::test(start_paused = true)]
 async fn explicit_values_flow_through_concurrent_submits() {
     let mut cfg = ServiceConfig::new(tree(1.0), 400.0);
     cfg.refit_interval = 0;
     let svc = AggregationService::new(cfg);
     let n = tree(1.0).total_processes();
     let values = Arc::new((0..n).map(|i| i as f64).collect::<Vec<_>>());
+    let trace = Arc::new(QueryTrace::new());
     let out = svc
         .submit_with(
             tree(1.0),
             QueryOptions {
                 values: Some(values),
                 seed: Some(7),
+                trace: Some(trace.clone()),
                 ..QueryOptions::default()
             },
         )
         .await;
     // Full quality under the generous deadline: the sum is exact.
     let want: f64 = (0..n).map(|i| i as f64).sum();
-    assert_eq!(out.quality, 1.0);
-    assert!((out.value_sum - want).abs() < 1e-9);
+    let why = || shortfall(&trace, &out.realized_durations[0]);
+    assert_eq!(out.quality, 1.0, "{}", why());
+    assert!((out.value_sum - want).abs() < 1e-9, "{}", why());
+}
+
+/// Which bottom aggregators left short, and how late in wall time (one
+/// model unit being 1 ms) each one heard its last leaf and missed the
+/// others: a leaf due before its aggregator left, yet not heard, was
+/// delayed at least the difference.
+fn shortfall(trace: &QueryTrace, leaf_durations: &[f64]) -> String {
+    let events = trace.events();
+    let mut lines = Vec::new();
+    for e in events.iter().filter(|e| e.level == 1) {
+        let TraceEventKind::Departed {
+            reason,
+            received,
+            expected,
+        } = e.kind
+        else {
+            continue;
+        };
+        if received == expected {
+            continue;
+        }
+        let heard: Vec<(f64, usize)> = events
+            .iter()
+            .filter(|a| a.level == 1 && a.index == e.index)
+            .filter_map(|a| match a.kind {
+                TraceEventKind::Arrival { origin, .. } => Some((a.at, origin)),
+                _ => None,
+            })
+            .collect();
+        let last = heard
+            .last()
+            .map_or(String::from("heard no leaf"), |&(at, o)| {
+                let late = (at - leaf_durations[o]) * 1e3;
+                format!("heard its last leaf, origin {o}, {late:.0} µs after it was due")
+            });
+        let missed = (e.index * expected..(e.index + 1) * expected)
+            .filter(|o| heard.iter().all(|&(_, h)| h != *o))
+            .map(|o| {
+                let due = leaf_durations[o];
+                format!(
+                    "origin {o} due at {due:.3} ms, still unheard {:.0} µs later",
+                    (e.at - due) * 1e3
+                )
+            });
+        lines.push(format!(
+            "aggregator {} left at {:.3} ms ({reason:?}) with {received} of {expected}; {last}; {}",
+            e.index,
+            e.at,
+            missed.collect::<Vec<_>>().join("; ")
+        ));
+    }
+    if lines.is_empty() {
+        lines.push(format!(
+            "no bottom aggregator left short; trace: {events:?}"
+        ));
+    }
+    lines.join("\n")
 }
 
 #[test]

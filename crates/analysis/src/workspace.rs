@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 
 /// The library crates whose public behavior must never panic: `L4`
 /// (unwrap/expect/panic) is enforced here. Binary crates (`cli`,
-/// `experiments`, `bench`, `xtask`) report errors to a terminal and may
+/// `experiments`, `xtask`) report errors to a terminal and may
 /// exit; math/simulation crates assert mathematical contracts; the
 /// model checker in `analysis` is panic-driven by design (assertions
 /// *are* its failure channel, as in loom).

@@ -32,7 +32,7 @@ pub use censored::{fit_right_censored, CensoredMleEstimator};
 pub use window::SlidingWindow;
 
 use cedar_distrib::{ContinuousDist, DistError, LogNormal, Normal};
-use cedar_mathx::order_stats::{NormalOrderStats, OrderStatMethod};
+use cedar_mathx::order_stats::NormalOrderStats;
 use std::sync::Arc;
 
 /// Which parent family the estimator assumes.
@@ -150,7 +150,7 @@ impl CedarEstimator {
     /// Panics if `k < 2` — with fewer than two processes there are no
     /// pairs to estimate from.
     pub fn new(k: usize, model: Model) -> Self {
-        Self::with_order_stats(NormalOrderStats::shared(k, OrderStatMethod::Blom), model)
+        Self::with_order_stats(NormalOrderStats::shared(k), model)
     }
 
     /// Creates an estimator reusing a precomputed order-statistic table
@@ -293,7 +293,7 @@ impl PairwiseCedarEstimator {
         Self {
             k,
             model,
-            order_stats: NormalOrderStats::shared(k, OrderStatMethod::Blom),
+            order_stats: NormalOrderStats::shared(k),
             count: 0,
             prev_y: 0.0,
             prev_valid: false,

@@ -16,8 +16,9 @@
 //! - **Blom's approximation** — `Phi^{-1}((i - 0.375) / (k + 0.25))`,
 //!   accurate to a few times `1e-3` for moderate `k` and essentially free.
 //!
-//! The crate-level tests cross-check the two and verify the classic
-//! closed-form cases (`k = 2`: `±1/sqrt(pi)`; `k = 3`: `±1.5/sqrt(pi)`).
+//! [`NormalOrderStats`] tables hold Blom's values. The crate-level tests
+//! cross-check the two and verify the classic closed-form cases
+//! (`k = 2`: `±1/sqrt(pi)`; `k = 3`: `±1.5/sqrt(pi)`).
 
 use crate::fxhash::FxHashMap;
 use crate::integrate::gauss_legendre;
@@ -82,17 +83,8 @@ pub fn blom_order_stat_mean(i: usize, k: usize) -> f64 {
     norm_quantile((i as f64 - ALPHA) / (k as f64 - 2.0 * ALPHA + 1.0))
 }
 
-/// How to compute expected order statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum OrderStatMethod {
-    /// Numerical integration of the order-statistic density (slow, exact).
-    Exact,
-    /// Blom's quantile approximation (fast, ~1e-3 accurate).
-    #[default]
-    Blom,
-}
-
-/// Precomputed `E[Z_(i:k)]` for all `i in 1..=k` at a fixed sample size `k`.
+/// Precomputed `E[Z_(i:k)]` for all `i in 1..=k` at a fixed sample size `k`,
+/// by Blom's approximation ([`blom_order_stat_mean`]).
 ///
 /// The Cedar estimator queries these on every process arrival; computing
 /// them once per fan-out and sharing the vector keeps the per-arrival cost
@@ -101,9 +93,9 @@ pub enum OrderStatMethod {
 /// # Examples
 ///
 /// ```
-/// use cedar_mathx::order_stats::{NormalOrderStats, OrderStatMethod};
+/// use cedar_mathx::order_stats::NormalOrderStats;
 ///
-/// let os = NormalOrderStats::new(50, OrderStatMethod::Blom);
+/// let os = NormalOrderStats::new(50);
 /// assert_eq!(os.k(), 50);
 /// // Means are increasing in i and antisymmetric around the middle.
 /// assert!(os.mean(1) < os.mean(25));
@@ -113,79 +105,54 @@ pub enum OrderStatMethod {
 pub struct NormalOrderStats {
     k: usize,
     means: Vec<f64>,
-    method: OrderStatMethod,
 }
 
 impl NormalOrderStats {
-    /// Computes all `k` expected order statistics with the given method.
+    /// Computes all `k` expected order statistics.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
-    pub fn new(k: usize, method: OrderStatMethod) -> Self {
+    pub fn new(k: usize) -> Self {
         assert!(k >= 1, "sample size must be at least 1");
-        let means = match method {
-            OrderStatMethod::Exact => {
-                let mut v = vec![0.0; k];
-                // Compute the lower half exactly; mirror the upper half.
-                for i in 1..=k {
-                    if 2 * i <= k + 1 {
-                        v[i - 1] = normal_order_stat_mean(i, k);
-                    } else {
-                        v[i - 1] = -v[k - i];
-                    }
-                }
-                v
-            }
-            OrderStatMethod::Blom => (1..=k).map(|i| blom_order_stat_mean(i, k)).collect(),
-        };
-        Self { k, means, method }
+        let means = (1..=k).map(|i| blom_order_stat_mean(i, k)).collect();
+        Self { k, means }
     }
 
-    /// Returns the process-wide shared table for `(k, method)`, computing
-    /// it on first use.
+    /// Returns the process-wide shared table for `k`, computing it on
+    /// first use.
     ///
-    /// Building a table costs `k` quantile evaluations (Blom) or `k/2`
-    /// numerical integrations (Exact); queries with the same fan-out arrive
-    /// constantly in the service, so estimators should go through this
-    /// cache instead of calling [`NormalOrderStats::new`] per query. The
-    /// map only ever grows, but it is keyed by fan-out — a handful of
-    /// distinct values in any real deployment.
+    /// Building a table costs `k` quantile evaluations; queries with the
+    /// same fan-out arrive constantly in the service, so estimators
+    /// should go through this cache instead of calling
+    /// [`NormalOrderStats::new`] per query. The map only ever grows, but
+    /// it is keyed by fan-out — a handful of distinct values in any real
+    /// deployment.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
-    pub fn shared(k: usize, method: OrderStatMethod) -> Arc<Self> {
-        type TableCache = Mutex<FxHashMap<(usize, OrderStatMethod), Arc<NormalOrderStats>>>;
+    pub fn shared(k: usize) -> Arc<Self> {
+        type TableCache = Mutex<FxHashMap<usize, Arc<NormalOrderStats>>>;
         static CACHE: OnceLock<TableCache> = OnceLock::new();
         let cache = CACHE.get_or_init(|| Mutex::new(FxHashMap::default()));
-        if let Some(hit) = cache
-            .lock()
-            .expect("order-stat cache poisoned")
-            .get(&(k, method))
-        {
+        if let Some(hit) = cache.lock().expect("order-stat cache poisoned").get(&k) {
             return Arc::clone(hit);
         }
-        // Compute outside the lock: Exact tables take milliseconds and
-        // holding the mutex would stall every concurrent estimator build.
-        // A racing thread may compute the same table; last insert wins and
-        // both results are identical.
-        let table = Arc::new(Self::new(k, method));
+        // Compute outside the lock, so one fan-out's table does not stall
+        // every concurrent estimator build. A racing thread may compute
+        // the same table; last insert wins and both results are identical.
+        let table = Arc::new(Self::new(k));
         cache
             .lock()
             .expect("order-stat cache poisoned")
-            .insert((k, method), Arc::clone(&table));
+            .insert(k, Arc::clone(&table));
         table
     }
 
     /// The sample size these order statistics refer to.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// The method used to compute the means.
-    pub fn method(&self) -> OrderStatMethod {
-        self.method
     }
 
     /// `E[Z_(i:k)]` for 1-indexed `i`.
@@ -257,7 +224,7 @@ mod tests {
 
     #[test]
     fn means_are_increasing() {
-        let os = NormalOrderStats::new(20, OrderStatMethod::Exact);
+        let os = NormalOrderStats::new(20);
         for i in 1..20 {
             assert!(os.mean(i) < os.mean(i + 1));
         }
@@ -289,31 +256,28 @@ mod tests {
 
     #[test]
     fn cached_means_match_scalar_function() {
-        let os = NormalOrderStats::new(10, OrderStatMethod::Exact);
+        let os = NormalOrderStats::new(10);
         for i in 1..=10 {
-            assert!((os.mean(i) - normal_order_stat_mean(i, 10)).abs() < 1e-12);
+            assert!((os.mean(i) - blom_order_stat_mean(i, 10)).abs() < 1e-12);
         }
         assert_eq!(os.means().len(), 10);
         assert_eq!(os.k(), 10);
-        assert_eq!(os.method(), OrderStatMethod::Exact);
     }
 
     #[test]
     fn shared_cache_returns_same_table() {
-        let a = NormalOrderStats::shared(17, OrderStatMethod::Blom);
-        let b = NormalOrderStats::shared(17, OrderStatMethod::Blom);
-        assert!(Arc::ptr_eq(&a, &b), "same (k, method) must share one table");
-        let c = NormalOrderStats::shared(17, OrderStatMethod::Exact);
-        assert!(!Arc::ptr_eq(&a, &c), "different method must not alias");
+        let a = NormalOrderStats::shared(17);
+        let b = NormalOrderStats::shared(17);
+        assert!(Arc::ptr_eq(&a, &b), "same k must share one table");
         // Contents match a freshly built table.
-        let fresh = NormalOrderStats::new(17, OrderStatMethod::Blom);
+        let fresh = NormalOrderStats::new(17);
         assert_eq!(a.means(), fresh.means());
     }
 
     #[test]
     fn shared_cache_is_threadsafe() {
         let handles: Vec<_> = (0..8)
-            .map(|_| std::thread::spawn(|| NormalOrderStats::shared(33, OrderStatMethod::Blom)))
+            .map(|_| std::thread::spawn(|| NormalOrderStats::shared(33)))
             .collect();
         let tables: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         for t in &tables {

@@ -5,8 +5,8 @@
 //! The ring holds [`FlightEntry`] values — `Copy` structs built from the
 //! exact [`TraceSummary`] counters — in storage allocated once at
 //! construction, so recording a query in steady state performs **zero**
-//! heap allocations (the counting-allocator gate in cedar-bench covers
-//! the server's record path). Dumps are triggered by the embedding
+//! heap allocations (`record_is_allocation_free_once_full` pins the
+//! ring at its preallocated capacity). Dumps are triggered by the embedding
 //! process (panic hook, health degradation, an operator `flight_dump`
 //! op, graceful shutdown — the sanctioned substitutes for SIGUSR1,
 //! which the vendored runtime cannot deliver) and are written through

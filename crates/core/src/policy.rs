@@ -8,7 +8,7 @@
 //! state machine driving timers lives in [`crate::aggregator`].
 
 use crate::profile::QualityProfile;
-use crate::wait::{calculate_wait_with_grid, gain_loss_at, QupGrid, WaitDecision};
+use crate::wait::{calculate_wait_with_grid, coarsest_stride, gain_loss_at, QupGrid, WaitDecision};
 use cedar_distrib::ContinuousDist;
 use cedar_estimate::{
     CedarEstimator, DurationEstimator, EmpiricalEstimator, Model, PairwiseCedarEstimator,
@@ -49,12 +49,17 @@ pub struct PolicyContext {
     pub level: usize,
     /// Total number of stages `n`.
     pub levels_total: usize,
-    /// ε-scan resolution: `epsilon = deadline / scan_steps`.
+    /// ε-scan resolution: `epsilon = deadline / scan_steps`. A context
+    /// is built with the finest resolution allowed;
+    /// [`PolicyContext::choose_scan_steps`] replaces it with the coarsest
+    /// one its prior's loss bound allows.
     pub scan_steps: usize,
-    /// Lazily built memo of the upstream quality function on the ε-grid.
+    /// Memo of the upstream quality function on the ε-grid of
+    /// `scan_steps` steps: built on the first scan, or filled by
+    /// [`PolicyContext::choose_scan_steps`].
     ///
-    /// `upper`, `deadline` and `scan_steps` are fixed for the life of a
-    /// context, so the grid is computed once (on the first scan) and then
+    /// `upper` and `deadline` are fixed for the life of a context, and
+    /// `scan_steps` once chosen, so the grid is computed once and then
     /// shared: cloning the context — as the runtime's prepared-context
     /// cache does per query — clones the initialized cell, so every
     /// arrival of every query on the same (priors epoch, deadline) reuses
@@ -74,6 +79,15 @@ impl PolicyContext {
         (self.deadline / self.scan_steps as f64).max(f64::MIN_POSITIVE)
     }
 
+    /// The memoized upstream quality grid, built on first use.
+    fn grid(&self) -> &Arc<QupGrid> {
+        self.qup_grid.get_or_init(|| {
+            Arc::new(QupGrid::build(self.deadline, self.epsilon(), |rem| {
+                self.upper.eval(rem)
+            }))
+        })
+    }
+
     /// Runs the CALCULATEWAIT scan against an arbitrary lower
     /// distribution, memoizing the upstream quality grid on first use.
     pub fn scan(&self, lower: &dyn ContinuousDist) -> WaitDecision {
@@ -83,12 +97,36 @@ impl PolicyContext {
                 quality: 0.0,
             };
         }
-        let grid = self.qup_grid.get_or_init(|| {
-            Arc::new(QupGrid::build(self.deadline, self.epsilon(), |rem| {
-                self.upper.eval(rem)
-            }))
-        });
-        calculate_wait_with_grid(lower, self.fanout, grid)
+        calculate_wait_with_grid(lower, self.fanout, self.grid())
+    }
+
+    /// Sets `scan_steps` and the grid memo to the coarsest grid whose
+    /// loss bound on `prior_lower` is within
+    /// [`SCAN_TOLERANCE`](crate::wait::SCAN_TOLERANCE)
+    /// ([`coarsest_stride`]), and empties `prior_decision`.
+    ///
+    /// The choice is made against the reference grid: the one the memo's
+    /// grid was cut from, else the grid of `scan_steps` steps, built
+    /// here. So a context whose `prior_lower` is replaced after a choice
+    /// can choose again, and gets what a fresh build would; a memo that
+    /// is already the chosen cut is kept.
+    pub fn choose_scan_steps(&mut self) {
+        if self.deadline <= 0.0 {
+            return;
+        }
+        let current = Arc::clone(self.grid());
+        let reference = current.reference();
+        let stride = coarsest_stride(&*self.prior_lower, self.fanout, &reference);
+        let grid = if stride == 1 {
+            reference
+        } else if current.steps() * stride == reference.steps() {
+            current
+        } else {
+            Arc::new(reference.strided(stride))
+        };
+        self.scan_steps = grid.steps();
+        self.qup_grid = OnceLock::from(grid);
+        self.prior_decision = OnceLock::new();
     }
 
     /// [`PolicyContext::scan`] against `prior_lower`, computed on first
@@ -107,12 +145,7 @@ impl PolicyContext {
         if self.deadline <= 0.0 {
             return (0.0, 0.0);
         }
-        let grid = self.qup_grid.get_or_init(|| {
-            Arc::new(QupGrid::build(self.deadline, self.epsilon(), |rem| {
-                self.upper.eval(rem)
-            }))
-        });
-        gain_loss_at(lower, self.fanout, grid, wait)
+        gain_loss_at(lower, self.fanout, self.grid(), wait)
     }
 }
 

@@ -41,6 +41,13 @@ impl PreparedContexts {
     /// Builds the per-level policy contexts from the prior tree, chaining
     /// expected departure waits so that upper levels see arrival-time
     /// (not stage-duration) distributions.
+    ///
+    /// `scan_steps` is the finest ε-grid allowed
+    /// ([`REFERENCE_SCAN_STEPS`](crate::wait::REFERENCE_SCAN_STEPS) by
+    /// default): each level scans the coarsest grid nested in it whose
+    /// loss bound on that level's prior is within
+    /// [`SCAN_TOLERANCE`](crate::wait::SCAN_TOLERANCE)
+    /// ([`PolicyContext::choose_scan_steps`]).
     pub fn new(
         priors: &TreeSpec,
         deadline: f64,
@@ -72,7 +79,7 @@ impl PreparedContexts {
                 shifted_arrival(priors.stage(stage_idx).dist.clone(), prior_wait_below)
             };
 
-            let ctx = PolicyContext {
+            let mut ctx = PolicyContext {
                 deadline,
                 fanout: priors.stage(stage_idx).fanout,
                 upper,
@@ -86,13 +93,14 @@ impl PreparedContexts {
                 qup_grid: std::sync::OnceLock::new(),
                 prior_decision: std::sync::OnceLock::new(),
             };
+            ctx.choose_scan_steps();
 
             // Chain the expected wait for the next level's arrival-time
             // distribution: what this policy picks before any arrivals.
-            // A scanning policy's probe also fills the context's memoized
-            // upstream-quality grid and its prior decision, so every query
-            // cloned from this context shares one pre-built table and
-            // starts every aggregator without a scan.
+            // A scanning policy's probe also fills the context's prior
+            // decision on the grid just chosen, so every query cloned
+            // from this context shares one pre-built table and starts
+            // every aggregator without a scan.
             let mut probe = kind.instantiate(ctx.fanout, model);
             prior_wait_below = probe.initial_wait(&ctx);
 
@@ -169,6 +177,7 @@ impl PreparedContexts {
 mod tests {
     use super::*;
     use crate::tree::StageSpec;
+    use crate::wait::{MIN_SCAN_STEPS, REFERENCE_SCAN_STEPS};
     use cedar_distrib::LogNormal;
 
     fn tree() -> TreeSpec {
@@ -236,6 +245,54 @@ mod tests {
                 assert_eq!(ctx.prior_scan(), fresh);
             }
         }
+    }
+
+    /// Level 1's scan resolution, prepared for Cedar from `tree`.
+    fn chosen_steps(tree: &TreeSpec, deadline: f64, reference: usize) -> usize {
+        PreparedContexts::new(
+            tree,
+            deadline,
+            WaitPolicyKind::Cedar,
+            Model::LogNormal,
+            reference,
+            &ProfileConfig::default(),
+        )
+        .contexts()[0]
+            .scan_steps
+    }
+
+    #[test]
+    fn a_loose_deadline_gets_the_coarsest_rung() {
+        let coarsest = (MIN_SCAN_STEPS..=REFERENCE_SCAN_STEPS)
+            .find(|&c| REFERENCE_SCAN_STEPS.is_multiple_of(c))
+            .unwrap();
+        for deadline in [1e3, 1e7] {
+            assert_eq!(
+                chosen_steps(&tree(), deadline, REFERENCE_SCAN_STEPS),
+                coarsest,
+                "D = {deadline}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_binding_deadline_coarsens_less_and_never_refines() {
+        // The rpc_wide shape: a population prior twice as wide as the
+        // query stages, against a deadline that binds.
+        let wide = TreeSpec::two_level(
+            StageSpec::new(LogNormal::new(6.5, 1.73).unwrap(), 50),
+            StageSpec::new(LogNormal::new(4.0, 1.2).unwrap(), 50),
+        );
+        let binding = chosen_steps(&wide, 1000.0, REFERENCE_SCAN_STEPS);
+        let loose = chosen_steps(&wide, 1e7, REFERENCE_SCAN_STEPS);
+        assert!(
+            loose < binding && binding < REFERENCE_SCAN_STEPS,
+            "{loose} {binding}"
+        );
+        assert!(REFERENCE_SCAN_STEPS.is_multiple_of(binding));
+        // A reference with no divisor on the ladder is kept as it is.
+        assert_eq!(chosen_steps(&wide, 1000.0, 49), 49);
+        assert_eq!(chosen_steps(&wide, 1000.0, 97), 97);
     }
 
     fn three_levels() -> TreeSpec {

@@ -21,12 +21,41 @@
 //! By the same property a CDF that is not `1.0` at the last step is `1.0`
 //! at no step, so the scans look at the last step first and then evaluate
 //! an unsaturated grid in one call, not chunk by chunk.
+//!
+//! How fine a grid is fine enough is decided once per prepared context,
+//! not per scan: [`coarsest_stride`] scans the context's prior on the
+//! [`REFERENCE_SCAN_STEPS`]-step grid and keeps the coarsest grid nested
+//! in it whose loss bound stays within [`SCAN_TOLERANCE`]. DESIGN.md
+//! derives the bound.
 
 use crate::quality::{quality_gain, quality_loss, quality_loss_lanes};
 use cedar_distrib::ContinuousDist;
 use cedar_mathx::simd::{self, Kernel};
 use cedar_mathx::KahanSum;
 use std::cell::RefCell;
+use std::sync::Arc;
+
+/// The finest ε-grid a prepared context scans: the step count the
+/// service, the mesh node, the in-process engine and the simulator
+/// prepare their contexts with unless told otherwise.
+pub const REFERENCE_SCAN_STEPS: usize = 300;
+
+/// δ: the expected quality a context's grid may lose against its
+/// reference grid, by the bound [`coarsest_stride`] holds it to.
+pub const SCAN_TOLERANCE: f64 = 1e-3;
+
+/// What the bound multiplies the prior's losses by before holding them
+/// to [`SCAN_TOLERANCE`]: headroom for query-time estimates that are
+/// narrower than the prior, or shifted from it, whose losses the prior's
+/// curve does not show.
+const SCAN_HEADROOM: f64 = 16.0;
+
+/// The coarsest grid [`coarsest_stride`] considers. The bound reads the
+/// prior's curve, which a loose deadline leaves flat; this floor keeps a
+/// context that the prior finds loose from betting on that for queries
+/// whose tails reach further. Saturating scans stop within their first
+/// [`SATURATION_CHUNK`] steps either way, so it costs them nothing.
+pub(crate) const MIN_SCAN_STEPS: usize = 50;
 
 /// Reusable per-thread buffers for the batched scan: the ε-grid, the
 /// batched lower-stage CDF values, (for the closure-driven entry point)
@@ -63,8 +92,17 @@ fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
 
 /// Number of scan steps for a given deadline and step size; shared by
 /// every entry point so grids and scans always agree on the grid shape.
+/// `deadline / (deadline / n)` can round to just above `n`: that is `n`
+/// steps, not `n` and a sliver of one more.
 fn scan_steps(deadline: f64, epsilon: f64) -> usize {
-    ((deadline / epsilon).ceil() as usize).max(1)
+    let steps = deadline / epsilon;
+    let nearest = steps.round();
+    let steps = if (steps - nearest).abs() <= 1e-9 * nearest {
+        nearest
+    } else {
+        steps.ceil()
+    };
+    (steps as usize).max(1)
 }
 
 /// Fills `ts[i]` with the departure candidate of step `i`:
@@ -103,10 +141,16 @@ pub struct QupGrid {
     ts: Vec<f64>,
     /// `ln(t_next_i)`.
     ln_ts: Vec<f64>,
+    /// The grid this one keeps every few steps of, if it is a cut.
+    cut_from: Option<Arc<QupGrid>>,
 }
 
 impl QupGrid {
     /// Evaluates `q_up` over the scan grid for `(deadline, epsilon)`.
+    ///
+    /// A prepared context builds its grid at the finest resolution it
+    /// allows and keeps the coarsest grid nested in it that
+    /// [`coarsest_stride`] finds fine enough.
     ///
     /// # Panics
     ///
@@ -130,7 +174,30 @@ impl QupGrid {
             values,
             ln_ts: ts.iter().map(|t| t.ln()).collect(),
             ts,
+            cut_from: None,
         }
+    }
+
+    /// Every `stride`-th step of this grid, ending at its last step when
+    /// `stride` divides its step count: a coarser grid nested in this
+    /// one, whose values are copies of this one's.
+    pub(crate) fn strided(self: &Arc<Self>, stride: usize) -> Self {
+        let pick = |v: &[f64]| v.iter().skip(stride - 1).step_by(stride).copied().collect();
+        Self {
+            deadline: self.deadline,
+            epsilon: self.epsilon * stride as f64,
+            q0: self.q0,
+            values: pick(&self.values),
+            ts: pick(&self.ts),
+            ln_ts: pick(&self.ln_ts),
+            cut_from: Some(Arc::clone(self)),
+        }
+    }
+
+    /// The grid this one was cut from, or this grid itself if it was
+    /// built by [`QupGrid::build`].
+    pub(crate) fn reference(self: &Arc<Self>) -> Arc<Self> {
+        Arc::clone(self.cut_from.as_ref().unwrap_or(self))
     }
 
     /// The deadline this grid was built for.
@@ -159,9 +226,6 @@ pub struct WaitDecision {
     /// subtree rooted at this aggregator.
     pub quality: f64,
 }
-
-/// Number of ε-steps used when the caller does not specify a resolution.
-pub const DEFAULT_STEPS: usize = 500;
 
 /// Scans wait durations in `[0, deadline]` with step `epsilon` and returns
 /// the quality-maximizing wait (Pseudocode 2).
@@ -244,9 +308,11 @@ where
 /// The per-arrival fast path: the lower-stage CDF is evaluated over the
 /// grid's stored ε-steps by [`ContinuousDist::cdf_batch_ln`], a chunk at
 /// a time up to the first chunk that ends in exactly `1.0`, and the
-/// upstream quality comes from the memoized [`QupGrid`]. The result is
-/// bit-identical to [`calculate_wait`] with the closure the grid was
-/// built from.
+/// upstream quality comes from the memoized [`QupGrid`]. For a grid
+/// from [`QupGrid::build`] the result is bit-identical to
+/// [`calculate_wait`] with the closure the grid was built from. A
+/// prepared context's grid is the coarsest its loss bound allows
+/// ([`coarsest_stride`]).
 ///
 /// # Panics
 ///
@@ -263,15 +329,131 @@ pub fn calculate_wait_with_grid(
             quality: 0.0,
         };
     }
+    with_scratch(|scratch| scan_grid(lower, fanout, grid, scratch))
+}
+
+/// [`calculate_wait_with_grid`]'s scan, leaving each scanned step's net
+/// quality change in `scratch.nets`.
+fn scan_grid(
+    lower: &dyn ContinuousDist,
+    fanout: usize,
+    grid: &QupGrid,
+    scratch: &mut Scratch,
+) -> WaitDecision {
+    scratch.fs.resize(grid.steps(), 0.0);
+    let Scratch { fs, nets, .. } = scratch;
+    let steps = lower_cdf_until_saturated(fs, |start, out| {
+        let end = start + out.len();
+        lower.cdf_batch_ln(&grid.ts[start..end], &grid.ln_ts[start..end], out);
+    });
+    let (ts, qs) = (&grid.ts[..steps], &grid.values[..steps]);
+    accumulate_scan(lower, fanout, ts, &fs[..steps], grid.q0, qs, nets)
+}
+
+/// How close to 1 the prior's CDF comes, times `fanout + 1`, before
+/// [`coarsest_stride`]'s reference curve stops. Past a step where
+/// `1 − F ≤ η`, the steps left gain at most `1 − F` between them and lose
+/// at most `(F − F^k)·Σ Δq ≤ k·η`, so the curve stays within
+/// `(k + 1)·η` = this constant of its value there: far under
+/// `SCAN_TOLERANCE / SCAN_HEADROOM`. A log-normal prior gets there well
+/// before its CDF rounds to exactly `1.0`, which is where a scan stops.
+const NEAR_SATURATION: f64 = 1e-9;
+
+/// The grid a context with prior `prior` scans on, as a stride of
+/// `reference`: the coarsest grid on the ladder of divisors of
+/// `reference`'s step count, down to [`MIN_SCAN_STEPS`], whose loss
+/// bound is within [`SCAN_TOLERANCE`] — else stride 1, `reference`
+/// itself.
+///
+/// The bound reads the running quality `S_j` of `reference`'s scan of
+/// `prior` against its maximum `S*`. For a grid of every `s`-th step it
+/// is [`SCAN_HEADROOM`] times the larger of
+///
+/// - the worst, over the `s` ways such a grid can fall on the reference
+///   steps, of its best step's shortfall `S* − S_j`: about `κ ε² / 8`
+///   near an interior optimum of curvature `κ`, and nothing on a
+///   plateau;
+/// - the shortfall of the step the coarse grid's own scan of `prior`
+///   picks, which also carries the bias of its coarser sums.
+///
+/// The curve stops where the prior's CDF comes within
+/// [`NEAR_SATURATION`] of 1, and every later step reads as that step
+/// does; the coarse grid's scan reads the reference's CDF values at its
+/// own steps, and 1 past that point.
+pub fn coarsest_stride(prior: &dyn ContinuousDist, fanout: usize, reference: &QupGrid) -> usize {
+    let steps = reference.steps();
+    let flat = 1.0 - NEAR_SATURATION / (fanout as f64 + 1.0);
     with_scratch(|scratch| {
-        scratch.fs.resize(grid.steps(), 0.0);
-        let Scratch { fs, nets, .. } = scratch;
-        let steps = lower_cdf_until_saturated(fs, |start, out| {
+        scratch.fs.resize(steps, 0.0);
+        let Scratch { ts, fs, qs, nets } = scratch;
+        let scanned = lower_cdf_until(fs, flat, |start, out| {
             let end = start + out.len();
-            lower.cdf_batch_ln(&grid.ts[start..end], &grid.ln_ts[start..end], out);
+            prior.cdf_batch_ln(&reference.ts[start..end], &reference.ln_ts[start..end], out);
         });
-        let (ts, qs) = (&grid.ts[..steps], &grid.values[..steps]);
-        accumulate_scan(lower, fanout, ts, &fs[..steps], grid.q0, qs, nets)
+        let (ref_ts, ref_qs) = (&reference.ts[..scanned], &reference.values[..scanned]);
+        accumulate_scan(
+            prior,
+            fanout,
+            ref_ts,
+            &fs[..scanned],
+            reference.q0,
+            ref_qs,
+            nets,
+        );
+        let mut running = 0.0;
+        qs.clear();
+        qs.extend(nets.iter().map(|&net| {
+            running += net;
+            running
+        }));
+        let best = qs.iter().fold(0.0f64, |a, &q| a.max(q));
+        let flat_shortfall = best - qs.last().copied().unwrap_or(0.0);
+        let shortfall = |j: usize| qs.get(j).map_or(flat_shortfall, |q| best - q);
+        let within = |loss: f64| SCAN_HEADROOM * loss <= SCAN_TOLERANCE;
+
+        // Coarsest first: the largest stride whose grid keeps at least
+        // `MIN_SCAN_STEPS` steps, down to 2.
+        for stride in (2..=steps / MIN_SCAN_STEPS)
+            .rev()
+            .filter(|&s| steps.is_multiple_of(s))
+        {
+            let count = steps / stride;
+            let placement = (0..stride)
+                .map(|phase| {
+                    (phase..steps)
+                        .step_by(stride)
+                        .map(shortfall)
+                        .fold(f64::INFINITY, f64::min)
+                })
+                .fold(0.0f64, f64::max);
+            if !within(placement) {
+                continue;
+            }
+            let at = |i: usize| (i + 1) * stride - 1;
+            ts.clear();
+            ts.extend((0..count).map(|i| reference.ts[at(i)]));
+            let coarse_fs: Vec<f64> = (0..count)
+                .map(|i| if at(i) < scanned { fs[at(i)] } else { 1.0 })
+                .collect();
+            let coarse_qs: Vec<f64> = (0..count).map(|i| reference.values[at(i)]).collect();
+            let coarse = accumulate_scan(
+                prior,
+                fanout,
+                ts,
+                &coarse_fs,
+                reference.q0,
+                &coarse_qs,
+                nets,
+            );
+            let picked = ts
+                .iter()
+                .position(|&t| t == coarse.wait)
+                .map_or(best, |i| shortfall(at(i)));
+            if within(picked) {
+                return stride;
+            }
+        }
+        1
     })
 }
 
@@ -287,14 +469,20 @@ const _: () = assert!(SATURATION_CHUNK.is_multiple_of(LANES));
 /// stops after the first chunk whose last value is exactly `1.0`.
 /// Returns how many steps it filled; the module doc says why the scan
 /// may drop the rest.
+fn lower_cdf_until_saturated(fs: &mut [f64], cdf: impl FnMut(usize, &mut [f64])) -> usize {
+    lower_cdf_until(fs, 1.0, cdf)
+}
+
+/// [`lower_cdf_until_saturated`], stopping after the first chunk whose
+/// last value is at least `flat`.
 ///
-/// A CDF that is not `1.0` at the last step is `1.0` at no step, by the
-/// same property, so no chunk would stop it: then it fills the grid in
-/// one call and spares an unsaturated scan the per-chunk calls.
-fn lower_cdf_until_saturated(fs: &mut [f64], mut cdf: impl FnMut(usize, &mut [f64])) -> usize {
+/// A CDF that is under `flat` at the last step is under it at every
+/// step, so no chunk would stop it: then it fills the grid in one call
+/// and spares an unsaturated scan the per-chunk calls.
+fn lower_cdf_until(fs: &mut [f64], flat: f64, mut cdf: impl FnMut(usize, &mut [f64])) -> usize {
     let last = fs.len() - 1;
     cdf(last, &mut fs[last..]);
-    if fs[last] != 1.0 {
+    if fs[last] < flat {
         cdf(0, &mut fs[..last]);
         return fs.len();
     }
@@ -302,7 +490,7 @@ fn lower_cdf_until_saturated(fs: &mut [f64], mut cdf: impl FnMut(usize, &mut [f6
     for chunk in fs.chunks_mut(SATURATION_CHUNK) {
         cdf(filled, chunk);
         filled += chunk.len();
-        if chunk[chunk.len() - 1] == 1.0 {
+        if chunk[chunk.len() - 1] >= flat {
             break;
         }
     }
@@ -465,8 +653,8 @@ pub fn gain_loss_at(
     let i = ((wait / grid.epsilon).round() as usize)
         .saturating_sub(1)
         .min(grid.values.len() - 1);
-    let t_prev = i as f64 * grid.epsilon;
-    let t_next = (t_prev + grid.epsilon).min(grid.deadline);
+    let t_prev = if i == 0 { 0.0 } else { grid.ts[i - 1] };
+    let t_next = grid.ts[i];
     let f_prev = lower.cdf(t_prev);
     let f_next = lower.cdf(t_next);
     let q_up_prev = if i == 0 { grid.q0 } else { grid.values[i - 1] };
@@ -474,31 +662,6 @@ pub fn gain_loss_at(
     (
         quality_gain(f_prev, f_next, q_up_next),
         quality_loss(f_prev, fanout, q_up_prev, q_up_next),
-    )
-}
-
-/// Convenience wrapper choosing `epsilon = deadline / DEFAULT_STEPS`.
-pub fn calculate_wait_default<Q>(
-    deadline: f64,
-    lower: &dyn ContinuousDist,
-    fanout: usize,
-    q_up: Q,
-) -> WaitDecision
-where
-    Q: Fn(f64) -> f64,
-{
-    if deadline <= 0.0 {
-        return WaitDecision {
-            wait: 0.0,
-            quality: 0.0,
-        };
-    }
-    calculate_wait(
-        deadline,
-        lower,
-        fanout,
-        q_up,
-        deadline / DEFAULT_STEPS as f64,
     )
 }
 
@@ -734,7 +897,7 @@ mod tests {
     #[test]
     fn zero_deadline_waits_zero() {
         let x1 = LogNormal::new(0.0, 1.0).unwrap();
-        let d = calculate_wait_default(0.0, &x1, 50, |_| 1.0);
+        let d = calculate_wait(0.0, &x1, 50, |_| 1.0, 0.01);
         assert_eq!(d.wait, 0.0);
         assert_eq!(d.quality, 0.0);
     }
@@ -745,7 +908,7 @@ mod tests {
         // p99: nearly all outputs should be deliverable.
         let x1 = LogNormal::new(2.77, 0.84).unwrap();
         let x2 = LogNormal::new(2.94, 0.55).unwrap();
-        let d = calculate_wait_default(3000.0, &x1, 50, two_level_qup(&x2));
+        let d = calculate_wait(3000.0, &x1, 50, two_level_qup(&x2), 3000.0 / 500.0);
         assert!(d.quality > 0.95, "quality {}", d.quality);
         // The wait leaves room for the upper stage.
         assert!(d.wait < 3000.0);
@@ -756,8 +919,8 @@ mod tests {
     fn tight_deadline_waits_less_and_quality_drops() {
         let x1 = LogNormal::new(2.77, 0.84).unwrap();
         let x2 = LogNormal::new(2.94, 0.55).unwrap();
-        let tight = calculate_wait_default(60.0, &x1, 50, two_level_qup(&x2));
-        let loose = calculate_wait_default(1000.0, &x1, 50, two_level_qup(&x2));
+        let tight = calculate_wait(60.0, &x1, 50, two_level_qup(&x2), 60.0 / 500.0);
+        let loose = calculate_wait(1000.0, &x1, 50, two_level_qup(&x2), 1000.0 / 500.0);
         assert!(tight.wait < loose.wait);
         assert!(tight.quality < loose.quality);
     }
@@ -825,7 +988,7 @@ mod tests {
     fn gaussian_stages_work() {
         let x1 = Normal::new(40.0, 80.0).unwrap();
         let x2 = Normal::new(40.0, 10.0).unwrap();
-        let d = calculate_wait_default(200.0, &x1, 50, two_level_qup(&x2));
+        let d = calculate_wait(200.0, &x1, 50, two_level_qup(&x2), 200.0 / 500.0);
         assert!(d.quality > 0.5);
         assert!(d.wait > 0.0 && d.wait < 200.0);
     }
@@ -897,10 +1060,10 @@ mod tests {
             let x1 = LogNormal::new(2.77, 0.84).unwrap();
             let x2 = LogNormal::new(2.94, 0.55).unwrap();
             for &deadline in &[40.0, 100.0, 750.0] {
-                let eps = deadline / DEFAULT_STEPS as f64;
+                let eps = deadline / 500.0;
                 let q_up = two_level_qup(&x2);
                 let grid = QupGrid::build(deadline, eps, &q_up);
-                assert_eq!(grid.steps(), DEFAULT_STEPS);
+                assert_eq!(grid.steps(), 500);
                 assert_eq!(grid.deadline(), deadline);
                 assert_eq!(grid.epsilon(), eps);
                 let via_closure = baseline(|| calculate_wait(deadline, &x1, 50, &q_up, eps));
@@ -934,11 +1097,22 @@ mod tests {
     }
 
     #[test]
+    fn a_grid_built_for_n_steps_has_n_steps() {
+        // `D / (D / n)` rounds to just above `n` for some deadlines: the
+        // grid still has `n` steps, the last one at `D`.
+        for deadline in (1..2000).map(f64::from) {
+            let grid = QupGrid::build(deadline, deadline / 300.0, |_| 1.0);
+            assert_eq!(grid.steps(), 300, "D = {deadline}");
+            assert!((grid.ts[299] - deadline).abs() <= 1e-9 * deadline);
+        }
+    }
+
+    #[test]
     fn grid_reuse_across_lower_estimates() {
         // The per-arrival pattern: one grid, many lower-stage refits.
         let x2 = LogNormal::new(2.94, 0.55).unwrap();
         let deadline = 200.0;
-        let eps = deadline / DEFAULT_STEPS as f64;
+        let eps = deadline / 500.0;
         let grid = QupGrid::build(deadline, eps, two_level_qup(&x2));
         for &(mu, sigma) in &[(2.5, 0.9), (2.77, 0.84), (3.0, 0.7)] {
             let lower = LogNormal::new(mu, sigma).unwrap();
@@ -958,7 +1132,7 @@ mod tests {
         let x1 = LogNormal::new(2.77, 0.84).unwrap();
         let x2 = LogNormal::new(2.94, 0.55).unwrap();
         let deadline = 200.0;
-        let eps = deadline / DEFAULT_STEPS as f64;
+        let eps = deadline / 500.0;
         let q_up = two_level_qup(&x2);
         let grid = QupGrid::build(deadline, eps, &q_up);
         let dec = calculate_wait_with_grid(&x1, 50, &grid);
@@ -1015,7 +1189,7 @@ mod tests {
         // until the upstream window closes; quality stays well-defined.
         let x1 = LogNormal::new(1.0, 0.6).unwrap();
         let x2 = LogNormal::new(1.0, 0.4).unwrap();
-        let dec = calculate_wait_default(30.0, &x1, 1, two_level_qup(&x2));
+        let dec = calculate_wait(30.0, &x1, 1, two_level_qup(&x2), 30.0 / 500.0);
         assert!((0.0..=1.0).contains(&dec.quality));
         assert!(dec.wait > 0.0 && dec.wait <= 30.0);
     }

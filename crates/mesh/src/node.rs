@@ -66,6 +66,7 @@ use crate::ring::HashRing;
 use crate::topology::{NodeDef, Role, Topology};
 use crate::wire::{self, agg_seed, leaf_seed, ExecTrace, MeshMsg, StageTiming};
 use cedar_core::profile::ProfileConfig;
+use cedar_core::wait::REFERENCE_SCAN_STEPS;
 use cedar_core::{LockExt, Millis, PolicyContext, PreparedContexts, WaitPolicyKind};
 use cedar_distrib::ContinuousDist;
 use cedar_estimate::Model;
@@ -97,8 +98,6 @@ use std::time::Instant;
 
 /// Deadline applied when a query request omits one, in model units.
 const DEFAULT_DEADLINE: f64 = 1600.0;
-/// ε-scan resolution for policy contexts.
-const SCAN_STEPS: usize = 64;
 /// Recent `exec`s a worker remembers for `retry` handling.
 const RECENT_EXECS: usize = 64;
 /// Prepared-context cache entries kept before a wholesale reset.
@@ -110,23 +109,26 @@ const REFIT_INTERVAL: usize = 8;
 /// A cached level-1 policy context, keyed on all it depends on beyond
 /// the leaf stage: the deadline's bits, the leaf fan-out and the stages
 /// above the leaves, which alone shape the upper quality profile and its
-/// ε-grid. Trees that differ only in their leaf stage share one entry;
-/// [`bottom_context`] patches each query's own leaf stage in.
+/// reference ε-grid. Trees that differ only in their leaf stage share one
+/// entry; [`bottom_context`] patches each query's own leaf stage in.
 type PreparedEntry = (u64, usize, Vec<StageDef>, PolicyContext);
 
 /// `cached` — a level-1 context built for a tree that matches `tree`
 /// above the leaves — made `tree`'s own: its leaf stage as the prior,
-/// with the means Proportional-split reads, and the prior's scan left
-/// to be made. Bit for bit the context a fresh build for `tree` gives.
+/// with the means Proportional-split reads, and the scan resolution and
+/// prior decision chosen again for that prior, against the cached
+/// reference grid. Bit for bit the context a fresh build for `tree`
+/// gives.
 fn bottom_context(cached: &PolicyContext, tree: &cedar_core::TreeSpec) -> PolicyContext {
     let leaf = &tree.stage(0).dist;
-    PolicyContext {
+    let mut ctx = PolicyContext {
         prior_lower: Arc::clone(leaf),
         mean_below: leaf.mean(),
         mean_total: tree.total_mean(),
-        prior_decision: std::sync::OnceLock::new(),
         ..cached.clone()
-    }
+    };
+    ctx.choose_scan_steps();
+    ctx
 }
 
 /// Client op served by roots only: every node's Prometheus page merged
@@ -1324,7 +1326,7 @@ impl NodeInner {
             deadline,
             WaitPolicyKind::Cedar,
             Model::LogNormal,
-            SCAN_STEPS,
+            REFERENCE_SCAN_STEPS,
             &ProfileConfig::default(),
         )
         .for_query(spec_tree)
@@ -1526,13 +1528,42 @@ mod tests {
     use cedar_core::{StageSpec, TreeSpec};
     use cedar_distrib::{Gamma, LogNormal};
 
+    #[test]
+    fn the_service_and_the_mesh_choose_the_same_grid() {
+        // The mesh_small and rpc_wide shapes, under loose and binding
+        // deadlines: a mesh aggregator's fresh build, its cached-entry
+        // patch and the service's cached contexts scan the same grid.
+        let shaped = |mu, k1, k2| {
+            TreeSpec::two_level(
+                StageSpec::new(LogNormal::new(mu, 0.84).unwrap(), k1),
+                StageSpec::new(LogNormal::new(4.0, 1.2).unwrap(), k2),
+            )
+        };
+        for (k1, k2, deadline) in [(8, 2, 20_000.0), (8, 2, 200.0), (50, 50, 1000.0)] {
+            let tree = shaped(2.5, k1, k2);
+            let svc = cedar_runtime::AggregationService::new(cedar_runtime::ServiceConfig::new(
+                tree.clone(),
+                deadline,
+            ));
+            let contexts = svc.contexts(deadline);
+            let served = &contexts.contexts()[0];
+            let fresh = level1(&tree, deadline);
+            let patched = bottom_context(&level1(&shaped(2.0, k1, k2), deadline), &tree);
+            for mesh in [&fresh, &patched] {
+                assert_eq!(mesh.scan_steps, served.scan_steps, "D = {deadline}");
+                assert_eq!(mesh.prior_scan(), served.prior_scan(), "D = {deadline}");
+            }
+            assert!(served.scan_steps < REFERENCE_SCAN_STEPS, "D = {deadline}");
+        }
+    }
+
     fn level1(tree: &TreeSpec, deadline: f64) -> PolicyContext {
         PreparedContexts::new(
             tree,
             deadline,
             WaitPolicyKind::Cedar,
             Model::LogNormal,
-            SCAN_STEPS,
+            REFERENCE_SCAN_STEPS,
             &ProfileConfig::default(),
         )
         .for_query(tree)
@@ -1564,6 +1595,7 @@ mod tests {
         let (a, b) = (patched.prior_scan(), fresh.prior_scan());
         assert_eq!(a.wait.to_bits(), b.wait.to_bits());
         assert_eq!(a.quality.to_bits(), b.quality.to_bits());
+        assert_eq!(patched.scan_steps, fresh.scan_steps);
         assert_eq!(patched.mean_below.to_bits(), fresh.mean_below.to_bits());
         assert_eq!(patched.mean_total.to_bits(), fresh.mean_total.to_bits());
         // The leaf stage moved the decision: the patch is not a no-op.

@@ -15,6 +15,7 @@ use crate::scale::TimeScale;
 use cedar_core::policy::WaitPolicyKind;
 use cedar_core::profile::ProfileConfig;
 use cedar_core::setup::PreparedContexts;
+use cedar_core::wait::REFERENCE_SCAN_STEPS;
 use cedar_core::TreeSpec;
 use cedar_distrib::ContinuousDist;
 use cedar_estimate::Model;
@@ -144,7 +145,9 @@ pub struct RuntimeConfig {
     pub scale: TimeScale,
     /// Family assumed by Cedar's online estimator.
     pub model: Model,
-    /// ε-scan resolution.
+    /// The finest ε-scan resolution allowed: each prepared context scans
+    /// the coarsest grid nested in it that its loss bound allows
+    /// ([`PreparedContexts::new`]).
     pub scan_steps: usize,
     /// Quality-profile resolution.
     pub profile: ProfileConfig,
@@ -177,7 +180,7 @@ impl RuntimeConfig {
             deadline,
             scale: TimeScale::millis(),
             model: Model::LogNormal,
-            scan_steps: 300,
+            scan_steps: REFERENCE_SCAN_STEPS,
             profile: ProfileConfig::default(),
             seed: 0xCEDA2,
             faults: None,

@@ -55,6 +55,7 @@ use crate::scale::TimeScale;
 use cedar_core::policy::WaitPolicyKind;
 use cedar_core::profile::ProfileConfig;
 use cedar_core::setup::PreparedContexts;
+use cedar_core::wait::REFERENCE_SCAN_STEPS;
 use cedar_core::LockExt;
 use cedar_core::{StageSpec, TreeSpec};
 use cedar_distrib::LogNormal;
@@ -65,9 +66,6 @@ use std::sync::{Arc, Mutex, RwLock};
 
 /// Cedar's estimator family, as the learner fits it and the mesh runs it.
 const MODEL: Model = Model::LogNormal;
-
-/// ε-scan resolution of every query.
-const SCAN_STEPS: usize = 300;
 
 /// Configuration of the service.
 #[derive(Debug, Clone)]
@@ -297,6 +295,15 @@ impl AggregationService {
         self.state.learner.checkpoint_now()
     }
 
+    /// The per-level contexts a query with `deadline` runs on under the
+    /// current priors, from the cache [`submit_with`](Self::submit_with)
+    /// reads and fills.
+    pub fn contexts(&self, deadline: f64) -> Arc<PreparedContexts> {
+        let snapshot = self.state.priors.read().unpoisoned().clone();
+        let deadline = self.quantize_deadline(deadline);
+        self.prepared_contexts(snapshot.epoch, &snapshot.tree, deadline)
+    }
+
     /// Runs one query whose true stage distributions are `true_tree`
     /// under the service defaults. See [`submit_with`](Self::submit_with).
     pub async fn submit(&self, true_tree: TreeSpec) -> RuntimeOutcome {
@@ -322,7 +329,7 @@ impl AggregationService {
             deadline: self.quantize_deadline(opts.deadline.unwrap_or(state.cfg.deadline)),
             scale: state.cfg.scale,
             model: MODEL,
-            scan_steps: SCAN_STEPS,
+            scan_steps: REFERENCE_SCAN_STEPS,
             profile: ProfileConfig::default(),
             seed,
             faults: opts.faults.or_else(|| state.cfg.faults.clone()),
@@ -330,7 +337,7 @@ impl AggregationService {
             metrics: state.cfg.metrics.clone(),
             priors_epoch: snapshot.epoch,
         };
-        let prepared = self.prepared_contexts(&cfg);
+        let prepared = self.prepared_contexts(cfg.priors_epoch, &cfg.priors, cfg.deadline);
         let outcome = run_query_prepared(&cfg, state.cfg.policy, values, &prepared).await;
 
         // Learn from the durations the engine actually ran with. The
@@ -359,11 +366,16 @@ impl AggregationService {
     /// epoch and bucketed deadline. Caching never changes results —
     /// context construction is deterministic in (priors, deadline) — it
     /// only skips recomputation.
-    fn prepared_contexts(&self, cfg: &RuntimeConfig) -> Arc<PreparedContexts> {
+    fn prepared_contexts(
+        &self,
+        epoch: u64,
+        priors: &TreeSpec,
+        deadline: f64,
+    ) -> Arc<PreparedContexts> {
         let state = &self.state;
         let w = state.cfg.deadline_bucket.max(f64::MIN_POSITIVE);
-        let bucket = (cfg.deadline / w).round() as u64;
-        let key = (cfg.priors_epoch, bucket);
+        let bucket = (deadline / w).round() as u64;
+        let key = (epoch, bucket);
         if let Some(hit) = state.cache.lock().unpoisoned().get(&key).cloned() {
             state.cache_hits.fetch_add(1, Ordering::AcqRel);
             return hit;
@@ -372,12 +384,12 @@ impl AggregationService {
         // Built outside the lock: construction is the expensive part,
         // and a racing duplicate build is benign (identical contents).
         let fresh = Arc::new(PreparedContexts::new(
-            &cfg.priors,
-            cfg.deadline,
+            priors,
+            deadline,
             state.cfg.policy,
-            cfg.model,
-            cfg.scan_steps,
-            &cfg.profile,
+            MODEL,
+            REFERENCE_SCAN_STEPS,
+            &ProfileConfig::default(),
         ));
         state.cache.lock().unpoisoned().insert(key, fresh.clone());
         fresh

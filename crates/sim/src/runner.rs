@@ -4,6 +4,7 @@ use crate::engine;
 use crate::metrics::{PolicyComparison, QueryOutcome};
 use cedar_core::policy::WaitPolicyKind;
 use cedar_core::profile::ProfileConfig;
+use cedar_core::wait::REFERENCE_SCAN_STEPS;
 use cedar_core::{PreparedContexts, TreeSpec};
 use cedar_estimate::Model;
 use rand::rngs::StdRng;
@@ -51,7 +52,9 @@ pub struct SimConfig {
     pub deadline: f64,
     /// Family assumed by Cedar's online estimator.
     pub model: Model,
-    /// ε-scan resolution for wait optimization.
+    /// The finest ε-scan resolution allowed for wait optimization: each
+    /// prepared context scans the coarsest grid nested in it that its
+    /// loss bound allows ([`PreparedContexts::new`]).
     pub scan_steps: usize,
     /// Quality-profile tabulation resolution.
     pub profile: ProfileConfig,
@@ -74,7 +77,7 @@ impl SimConfig {
             tree,
             deadline,
             model: Model::LogNormal,
-            scan_steps: 300,
+            scan_steps: REFERENCE_SCAN_STEPS,
             profile: ProfileConfig::default(),
             seed: 0xCEDA2,
             weights: None,
@@ -100,7 +103,7 @@ impl SimConfig {
         self
     }
 
-    /// Sets the ε-scan resolution.
+    /// Sets the finest ε-scan resolution allowed (at least 10 steps).
     pub fn with_scan_steps(mut self, steps: usize) -> Self {
         self.scan_steps = steps.max(10);
         self

@@ -27,11 +27,10 @@
 //!    leaf durations and thresholds to the service's [`Learner`].
 //! 3. Each **worker** samples its leaves' durations from seeds that are
 //!    pure functions of `(query seed, global origin)`, applies the
-//!    fault plan at the send boundary exactly like the engine's
-//!    channel-send injection, and one task pushes one `partial` per
-//!    surviving leaf at its scheduled completion instant through the
-//!    engine's own leaf shipper ([`cedar_runtime::ship_leaves`]; a
-//!    `retry` likewise, one task per frame).
+//!    fault plan at the send boundary exactly like the engine's leaf
+//!    timeline, and one task pushes one `partial` per surviving leaf at
+//!    its scheduled completion instant through `ship_leaves`, on one
+//!    re-armed timer (a `retry` likewise, one task per frame).
 //!
 //! Failure accounting reconciles end-to-end without coordination:
 //! *injected* fault counts are computed at the root from the plan alone
@@ -253,10 +252,11 @@ impl NodeHandle {
         }
     }
 
-    /// Stops the node and waits for its threads to exit.
-    pub fn shutdown(self) {
+    /// Stops the node and waits for its threads to exit: an error if
+    /// one of them failed or panicked.
+    pub fn shutdown(mut self) -> io::Result<()> {
         self.stop();
-        self.join();
+        self.serving.take().map_or(Ok(()), Serving::join)
     }
 
     /// The bound Prometheus HTTP endpoint, when one was requested.
@@ -1473,8 +1473,8 @@ impl NodeInner {
         });
     }
 
-    /// Ships `leaves` through the engine's shipper, each at `start` plus
-    /// its duration, the segment (if any) re-stamped on every partial.
+    /// Ships `leaves` through [`ship_leaves`], each at `start` plus its
+    /// duration, the segment (if any) re-stamped on every partial.
     async fn ship_leaves(
         &self,
         query_id: u64,
@@ -1490,35 +1490,50 @@ impl NodeInner {
                 (start + scale.to_wall(duration), origin, (duration, copies))
             })
             .collect();
-        cedar_runtime::ship_leaves(
-            leaves,
-            |origin, (duration, copies)| {
-                let msg = MeshMsg::Partial {
-                    query_id,
-                    from: self.me.name.clone(),
-                    origin,
-                    payload: 1,
-                    value: 1.0,
-                    duration,
-                    retry,
-                    timings: Vec::new(),
-                    censored: Vec::new(),
-                    failures: FailureReport::default(),
-                    segment: segment.clone().map(|mut s| {
-                        s.partial_sent_unix_us = clock::unix_us();
-                        Box::new(s)
-                    }),
-                };
-                for _ in 0..copies {
-                    self.ship_partial(&msg);
-                }
-                // A remote aggregator's departure cannot be seen from here,
-                // so every leaf is shipped.
-                std::future::ready(true)
-            },
-            |_| true,
-        )
+        ship_leaves(leaves, |origin, (duration, copies)| {
+            let msg = MeshMsg::Partial {
+                query_id,
+                from: self.me.name.clone(),
+                origin,
+                payload: 1,
+                value: 1.0,
+                duration,
+                retry,
+                timings: Vec::new(),
+                censored: Vec::new(),
+                failures: FailureReport::default(),
+                segment: segment.clone().map(|mut s| {
+                    s.partial_sent_unix_us = clock::unix_us();
+                    Box::new(s)
+                }),
+            };
+            for _ in 0..copies {
+                self.ship_partial(&msg);
+            }
+        })
         .await;
+    }
+}
+
+/// Ships each `(instant, origin, item)` by handing `(origin, item)` to
+/// `ship` at its instant, in `(instant, origin)` order — the order in
+/// which one timer per leaf would fire. Every instant is awaited on one
+/// timer, re-armed in place, so a worker's leaves cost one task and one
+/// timer registration at a time rather than one each. A remote
+/// aggregator's departure cannot be seen from here, so every leaf ships.
+async fn ship_leaves<T>(
+    mut leaves: Vec<(tokio::time::Instant, usize, T)>,
+    mut ship: impl FnMut(usize, T),
+) {
+    leaves.sort_by_key(|&(at, origin, _)| (at, origin));
+    let Some(&(first, _, _)) = leaves.first() else {
+        return;
+    };
+    let mut timer = std::pin::pin!(tokio::time::sleep_until(first));
+    for (at, origin, item) in leaves {
+        timer.as_mut().reset(at);
+        timer.as_mut().await;
+        ship(origin, item);
     }
 }
 
@@ -1527,6 +1542,8 @@ mod tests {
     use super::*;
     use cedar_core::{StageSpec, TreeSpec};
     use cedar_distrib::{Gamma, LogNormal};
+    use std::time::Duration;
+    use tokio::time::Instant;
 
     #[test]
     fn the_service_and_the_mesh_choose_the_same_grid() {
@@ -1605,6 +1622,33 @@ mod tests {
                 .prior_scan()
                 .quality
                 .to_bits()
+        );
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn shipper_orders_by_instant_then_origin() {
+        let t0 = Instant::now();
+        let at = |ms| t0 + Duration::from_millis(ms);
+        let leaves = vec![
+            (at(2), 7, 'a'),
+            (at(1), 9, 'b'),
+            (at(2), 3, 'c'),
+            (at(1), 4, 'd'),
+        ];
+        let shipped = std::sync::Mutex::new(Vec::new());
+        ship_leaves(leaves, |origin, item| {
+            shipped.lock().unwrap().push((t0.elapsed(), origin, item));
+        })
+        .await;
+        let ms = Duration::from_millis;
+        assert_eq!(
+            shipped.into_inner().unwrap(),
+            vec![
+                (ms(1), 4, 'd'),
+                (ms(1), 9, 'b'),
+                (ms(2), 3, 'c'),
+                (ms(2), 7, 'a')
+            ]
         );
     }
 }

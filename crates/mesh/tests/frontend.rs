@@ -87,7 +87,7 @@ fn shutdown_joins_every_connection_and_answers_nothing_after() {
         .expect("a response, not EOF");
     assert!(pong.ok);
 
-    node.shutdown();
+    node.shutdown().expect("the node stops cleanly");
     let settle_by = Instant::now() + Duration::from_secs(1);
     while threads() > before {
         assert!(
@@ -151,7 +151,7 @@ fn connections_dropped_at_the_cap_are_counted_as_sheds() {
     );
 
     drop((silent, over));
-    node.shutdown();
+    node.shutdown().expect("the node stops cleanly");
 }
 
 #[test]
@@ -186,7 +186,7 @@ fn json_frames_get_one_refusal_then_binary_is_served() {
     // for the JSON frames, and the connection still serves.
     let pong = ping(&mut conn).expect("pong").expect("a response, not EOF");
     assert!(pong.ok, "{pong:?}");
-    node.shutdown();
+    node.shutdown().expect("the node stops cleanly");
 }
 
 /// Live threads a node started: its front end's (`cedar-*`) and its
@@ -234,7 +234,7 @@ fn shutdown_drops_a_workers_unshipped_leaves() {
     let pong = ping(&mut conn).expect("pong").expect("a response, not EOF");
     assert!(pong.ok);
 
-    node.shutdown();
+    node.shutdown().expect("the node stops cleanly");
     let settle_by = Instant::now() + Duration::from_secs(1);
     while node_threads() > idle {
         assert!(

@@ -387,7 +387,10 @@ fn a_dead_aggregator_degrades_quality_like_an_injected_crash() {
         .iter()
         .position(|h| h.name() == "agg0")
         .expect("agg0 handle");
-    handles.remove(idx).shutdown();
+    handles
+        .remove(idx)
+        .shutdown()
+        .expect("the node stops cleanly");
 
     // Wait for the root's failure detector (missed heartbeats) to see it.
     let root = handles.iter().find(|h| h.name() == "root").expect("root");
@@ -833,7 +836,7 @@ fn malformed_frames_get_a_typed_refusal_and_the_connection_keeps_serving() {
         .decode_auto()
         .expect("decode pong");
     assert!(pong.ok, "{pong:?}");
-    worker.shutdown();
+    worker.shutdown().expect("the node stops cleanly");
 }
 
 /// A scratch checkpoint root for one test, emptied first.
@@ -954,7 +957,7 @@ fn warm_restarted_aggregator_reports_the_checkpoints_age() {
         .checkpoint_age_ms
         .expect("a restored checkpoint has an age");
     assert!(age >= 60_000, "age {age} ms");
-    agg.shutdown();
+    agg.shutdown().expect("the node stops cleanly");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -973,12 +976,12 @@ fn fresh_aggregator_reports_no_checkpoint_age_until_it_writes_one() {
         .learner()
         .and_then(cedar_runtime::Learner::cold_start_reason)
         .is_some_and(|r| r.contains("no checkpoint")));
-    agg.shutdown();
+    agg.shutdown().expect("the node stops cleanly");
     let agg = boot_learning_agg(&topo, &dir);
     let stats = node_stats(agg.local_addr());
     assert_eq!(stats.warm_restart, Some(true));
     assert!(stats.checkpoint_age_ms.is_some());
-    agg.shutdown();
+    agg.shutdown().expect("the node stops cleanly");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -998,6 +1001,6 @@ fn aggregator_refuses_a_checkpoint_for_another_fanout() {
         .and_then(cedar_runtime::Learner::cold_start_reason)
         .expect("a cold-start reason");
     assert!(reason.contains("fan-out"), "{reason}");
-    agg.shutdown();
+    agg.shutdown().expect("the node stops cleanly");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -90,7 +90,7 @@ fn a_pass_outliving_its_node_does_not_panic_a_runtime_worker() {
     drop(client);
     drop(conn);
 
-    agg.shutdown();
+    agg.shutdown().expect("the node stops cleanly");
     // Long enough for the pass to have run out its deadline, had the
     // node's shutdown left it running.
     std::thread::sleep(Duration::from_millis(600));

@@ -1,16 +1,16 @@
-//! Query execution on the tokio runtime: leaves, aggregators and root
-//! wired by channels, timers driven by the wall clock.
+//! Query execution on the tokio runtime: aggregators and root wired by
+//! channels, timers driven by the wall clock.
 //!
-//! One task per aggregator runs the Pseudocode-1 pass; one more per
-//! bottom aggregator ships that aggregator's leaves, each at its sampled
-//! completion instant, through [`ship_leaves`] (the mesh worker's
-//! shipper too). A leaf that completes after the deadline cannot be
-//! counted by anybody, so it is never scheduled: its shipper only keeps
-//! the channel open past the deadline, as the leaf itself would have.
+//! One task per aggregator runs the Pseudocode-1 pass. A bottom
+//! aggregator walks its leaves' sorted [`Timeline`], sampled when the
+//! query starts, on its one timer; leaf faults and retries are entries
+//! on it. A leaf that completes after the deadline cannot be counted by
+//! anybody, so it never enters the timeline: its aggregator leaves on
+//! its own timer, as it would with that leaf on its way.
 
-use crate::faults::{FailureReport, FaultKind, FaultPlan, Ledger, StageLog};
+use crate::faults::{book_fault, FailureReport, FaultKind, FaultPlan, Ledger, StageLog};
 use crate::metrics::RuntimeMetrics;
-use crate::pass::{gather, run_pass, PassConfig};
+use crate::pass::{gather, walk, Children, Leaf, PassConfig, Retries, Timeline};
 use crate::scale::TimeScale;
 use cedar_core::policy::WaitPolicyKind;
 use cedar_core::profile::ProfileConfig;
@@ -22,7 +22,6 @@ use cedar_estimate::Model;
 use cedar_telemetry::{QueryTrace, TraceEventKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::future::Future;
 use std::sync::Arc;
 use std::time::Duration;
 use tokio::sync::mpsc;
@@ -33,103 +32,17 @@ use tokio::time::Instant;
 /// through the identical aggregation path as a local one.
 use crate::pass::Arrival as PartialResult;
 
-/// Chaos state shared by every task of one query, and where their faults
-/// are booked: the query's ledger, and its trace when one is attached,
-/// at the same instant.
-struct ChaosShared {
-    plan: Arc<FaultPlan>,
-    ledger: Arc<Ledger>,
-    trace: Option<Arc<QueryTrace>>,
-    start: Instant,
-    scale: TimeScale,
-}
-
-impl ChaosShared {
-    /// The query's model time now.
-    fn now(&self) -> f64 {
-        self.scale.to_model(self.start.elapsed())
-    }
-
-    /// Books fault `k` striking task `origin`, attributed in the trace to
-    /// task `index` of `level` at model time `at`.
-    fn book(&self, at: f64, level: usize, index: usize, origin: usize, k: FaultKind) {
-        self.ledger.injected(k);
-        if let Some(t) = &self.trace {
-            t.record(
-                at,
-                level,
-                index,
-                TraceEventKind::FaultInjected {
-                    fault: k.class(),
-                    origin,
-                },
-            );
-        }
-    }
-}
-
-/// A leaf in a bottom aggregator's shipper: its partial result and the
-/// fault that strikes it at the send, if any.
-type BottomLeaf = (PartialResult, Option<FaultKind>);
-
-/// Ships each `(instant, origin, item)` by handing `(origin, item)` to
-/// `ship` at its instant, in `(instant, origin)` order — the order in
-/// which one timer per leaf would fire. Every instant is awaited on one
-/// timer, re-armed in place, so a bottom aggregator's leaves (or a mesh
-/// worker's) cost one task and one timer registration at a time rather
-/// than one each.
-///
-/// `ship` resolves to whether its receiver still listens. Once it
-/// resolves to `false`, the leaves still to come are woken only if
-/// `still_due` keeps them — a leaf whose wake does something besides the
-/// send — and the rest are dropped unslept. Returns whether the receiver
-/// was found gone.
-pub async fn ship_leaves<T, F>(
-    mut leaves: Vec<(Instant, usize, T)>,
-    mut ship: impl FnMut(usize, T) -> F,
-    still_due: impl Fn(&T) -> bool,
-) -> bool
-where
-    F: Future<Output = bool>,
-{
-    leaves.sort_by_key(|&(at, origin, _)| (at, origin));
-    let Some(&(first, _, _)) = leaves.first() else {
-        return false;
-    };
-    let mut timer = std::pin::pin!(tokio::time::sleep_until(first));
-    let mut heard = true;
-    for (at, origin, item) in leaves {
-        if !heard && !still_due(&item) {
-            continue;
-        }
-        timer.as_mut().reset(at);
-        timer.as_mut().await;
-        heard &= ship(origin, item).await;
-    }
-    !heard
-}
-
-/// An aggregator's own fate at its upstream send boundary.
-struct AggChaos {
-    shared: Arc<ChaosShared>,
-    /// The fault striking this aggregator's own send, if any.
+/// An aggregator's own work once its pass has departed: whom it reports
+/// as upstream, how long aggregating takes, and the fault that strikes
+/// its send, if any.
+struct Own {
+    origin: usize,
+    duration: f64,
     fault: Option<FaultKind>,
+    /// When a hung aggregator releases its parent's channel: past the
+    /// deadline, so its silence can never close a channel before the
+    /// aggregator behind it has timed out.
     hang_until: Instant,
-}
-
-/// Armed by bottom-level aggregators when a fault plan is installed: if
-/// the learned-quantile timeout passes with children still missing, each
-/// missing worker is re-executed exactly once.
-struct Watchdog {
-    at: Instant,
-    plan: Arc<FaultPlan>,
-    /// True stage-0 distribution the re-executed work draws from.
-    dist: Arc<dyn ContinuousDist>,
-    values: Arc<Vec<f64>>,
-    /// Clone of this aggregator's own sender, handed to retry tasks.
-    /// Held until the watchdog resolves so the channel cannot close
-    /// while a retry might still be launched.
-    self_tx: mpsc::Sender<PartialResult>,
 }
 
 /// Configuration of one runtime query.
@@ -378,21 +291,17 @@ pub async fn run_query_prepared(
         },
     );
 
-    // Chaos wiring (None on clean runs; the clean path below is
-    // byte-identical to the fault-free engine).
-    let chaos = cfg.faults.as_ref().map(|plan| {
-        Arc::new(ChaosShared {
-            plan: plan.clone(),
-            ledger: Arc::new(Ledger::new(n)),
-            trace: cfg.trace.clone(),
-            start,
-            scale: cfg.scale,
-        })
-    });
-    // When a task that will never send releases its channel end: past
-    // the deadline, so its silence can never close a channel before the
-    // aggregator behind it has timed out.
-    let hold_until = deadline_instant + cfg.scale.to_wall(1.0);
+    // Fault wiring (none on clean runs; the clean path below is
+    // byte-identical to the fault-free engine): the query's ledger, where
+    // every task books its faults — into the trace too, when one is
+    // attached, at the same instant.
+    let ledger = cfg.faults.as_ref().map(|_| Arc::new(Ledger::new(n)));
+    let book_leaf = |origin, k| {
+        let at = cfg.scale.to_model(start.elapsed());
+        let trace = cfg.trace.as_deref();
+        book_fault(ledger.as_deref(), trace, at, (0, origin), origin, k);
+    };
+    let hang_until = deadline_instant + cfg.scale.to_wall(1.0);
     let watchdog = cfg
         .faults
         .as_ref()
@@ -404,9 +313,9 @@ pub async fn run_query_prepared(
         mpsc::channel::<PartialResult>(cfg.tree.nodes_at(agg_levels).max(top_fanout));
 
     // Build aggregator channels level by level, top-down, so each level
-    // knows its parent's senders.
+    // knows its parent's senders. The bottom level has none: it walks
+    // its leaves' timelines.
     let mut upper_txs: Vec<mpsc::Sender<PartialResult>> = vec![root_tx];
-    let mut level1_txs: Vec<mpsc::Sender<PartialResult>> = Vec::new();
     for level in (1..=agg_levels).rev() {
         let count = cfg.tree.nodes_at(level);
         let fan_in = cfg.tree.stage(level - 1).fanout;
@@ -416,9 +325,8 @@ pub async fn run_query_prepared(
         } else {
             cfg.tree.stage(level).fanout
         };
-        let mut txs = Vec::with_capacity(count);
+        let mut txs = Vec::new();
         for agg in 0..count {
-            let (tx, rx) = mpsc::channel::<PartialResult>(fan_in.max(1));
             let parent_tx = if level == agg_levels {
                 upper_txs[0].clone()
             } else {
@@ -427,6 +335,22 @@ pub async fn run_query_prepared(
             let child_base = cfg.tree.origin_base(level - 1) + agg * fan_in;
             // Only bottom-level aggregators watch for dead workers.
             let watchdog = watchdog.filter(|_| level == 1);
+            let children = if level == 1 {
+                let leaves = &process_durations[child_base..child_base + fan_in];
+                let retries = cfg.faults.as_ref().zip(watchdog).map(|(plan, _)| Retries {
+                    plan: plan.clone(),
+                    dist: cfg.tree.stage(0).dist.clone(),
+                    values: values.clone(),
+                });
+                let base = child_base;
+                let timeline = leaf_timeline(cfg, start, leaves, base, &values, retries, book_leaf);
+                Children::Timeline(timeline)
+            } else {
+                let (tx, rx) = mpsc::channel::<PartialResult>(fan_in.max(1));
+                txs.push(tx);
+                // Upper levels arm no watchdog.
+                Children::Channel(rx, |_: &[usize]| Vec::new())
+            };
             let pass = PassConfig {
                 ctx: contexts[level - 1].clone(),
                 kind,
@@ -438,86 +362,18 @@ pub async fn run_query_prepared(
                 watchdog,
                 trace: cfg.trace.clone(),
                 metrics: cfg.metrics.clone(),
-                ledger: chaos.as_ref().map(|c| c.ledger.clone()),
+                ledger: ledger.clone(),
             };
-            let retries = chaos.as_ref().zip(watchdog).map(|(c, w)| Watchdog {
-                at: start + cfg.scale.to_wall(w),
-                plan: c.plan.clone(),
-                dist: cfg.tree.stage(0).dist.clone(),
-                values: values.clone(),
-                self_tx: tx.clone(),
-            });
-            let agg_chaos = chaos.as_ref().map(|c| AggChaos {
-                shared: c.clone(),
-                fault: c.plan.fault_for(level, agg),
-                hang_until: hold_until,
-            });
+            let own = Own {
+                origin: cfg.tree.origin_base(level) + agg,
+                duration: own_durations[level - 1][agg],
+                fault: cfg.faults.as_ref().and_then(|p| p.fault_for(level, agg)),
+                hang_until,
+            };
             // cedar-lint: allow(L10): one task per aggregator of a tree already validated against MAX_STAGES at decode; the loop bound is the tree shape, not raw client input
-            tokio::spawn(aggregator_task(
-                pass,
-                rx,
-                parent_tx,
-                own_durations[level - 1][agg],
-                cfg.tree.origin_base(level) + agg,
-                agg_chaos,
-                retries,
-            ));
-            txs.push(tx);
+            tokio::spawn(aggregator_task(pass, children, parent_tx, own));
         }
-        if level == 1 {
-            level1_txs = txs;
-        } else {
-            upper_txs = txs;
-        }
-    }
-
-    // Leaves: one shipper per bottom aggregator. Faults strike at the
-    // channel-send boundary: the sampled duration is the work, the send
-    // is the one act a fault can deny.
-    let k1 = cfg.tree.stage(0).fanout;
-    for (agg, (durations, tx)) in process_durations.chunks(k1).zip(level1_txs).enumerate() {
-        let mut leaves = Vec::with_capacity(durations.len());
-        // Hangs and straggles are booked when the shipper starts, for
-        // every leaf they strike, whether it is ever sent or not.
-        let mut at_start = Vec::new();
-        let mut held_back = false;
-        for (origin, &dur) in (agg * k1..).zip(durations) {
-            let fault = chaos.as_ref().and_then(|c| c.plan.fault_for(0, origin));
-            let dur = match fault {
-                Some(k @ FaultKind::Straggle { factor }) => {
-                    at_start.push((origin, k));
-                    dur * factor
-                }
-                Some(FaultKind::Hang) => {
-                    at_start.push((origin, FaultKind::Hang));
-                    held_back = true;
-                    continue;
-                }
-                _ => dur,
-            };
-            let at = start + cfg.scale.to_wall(dur);
-            if at > deadline_instant {
-                // Nobody can count it, so nothing is slept to for it.
-                held_back = true;
-                continue;
-            }
-            let msg = PartialResult {
-                payload: 1,
-                value: values[origin],
-                origin,
-                duration: dur,
-                retry: false,
-            };
-            leaves.push((at, origin, (msg, fault)));
-        }
-        // cedar-lint: allow(L10): one task per bottom aggregator of a tree already validated against MAX_STAGES at decode; the loop bound is the tree shape, not raw client input
-        tokio::spawn(bottom_leaves(
-            tx,
-            leaves,
-            chaos.clone(),
-            at_start,
-            held_back.then_some(hold_until),
-        ));
+        upper_txs = txs;
     }
     // Drop our clones so channels close when tasks finish.
     drop(upper_txs);
@@ -525,19 +381,15 @@ pub async fn run_query_prepared(
     // Root: gather the top level's results until the deadline.
     let top_base = cfg.tree.origin_base(agg_levels);
     let top = top_base..top_base + cfg.tree.nodes_at(agg_levels);
-    let gathered = gather(
-        root_rx,
-        deadline_instant,
-        top,
-        chaos.as_ref().map(|c| &*c.ledger),
-        |kind| record_root(cfg.scale.to_model(start.elapsed()), kind),
-    )
+    let gathered = gather(root_rx, deadline_instant, top, ledger.as_deref(), |kind| {
+        record_root(cfg.scale.to_model(start.elapsed()), kind);
+    })
     .await;
 
-    let (failures, realized_durations, censored_durations) = match &chaos {
-        Some(c) => {
+    let (failures, realized_durations, censored_durations) = match &ledger {
+        Some(l) => {
             // Sorted by origin; the refit path wants only the durations.
-            let (failures, delivered, censored) = c.ledger.finish();
+            let (failures, delivered, censored) = l.finish();
             let durations = |stages: StageLog| -> Vec<Vec<f64>> {
                 stages
                     .iter()
@@ -579,163 +431,131 @@ pub async fn run_query_prepared(
     outcome
 }
 
-/// One bottom aggregator's leaves: book the faults struck at the start,
-/// ship the leaves due by the deadline, then — if any leaf was held
-/// back — keep the channel open until `hold_until`, as that leaf would
-/// have, so the aggregator still leaves on its own timer.
-///
-/// A failed send means the aggregator has departed, and nobody can see
-/// a send after that. From then on only the leaves whose wake books a
-/// fault (a crash before the send, a drop, a duplicate) are woken, each
-/// at its own instant, and the channel is not held open.
-async fn bottom_leaves(
-    tx: mpsc::Sender<PartialResult>,
-    leaves: Vec<(Instant, usize, BottomLeaf)>,
-    chaos: Option<Arc<ChaosShared>>,
-    at_start: Vec<(usize, FaultKind)>,
-    hold_until: Option<Instant>,
-) {
-    // A fault only exists with its chaos wiring, so `chaos` is there
-    // whenever one needs booking.
-    let book = |origin, k| {
-        if let Some(c) = &chaos {
-            c.book(c.now(), 0, origin, origin, k);
-        }
-    };
-    for &(origin, k) in &at_start {
-        book(origin, k);
-    }
-    let (tx, book) = (&tx, &book);
-    let departed = ship_leaves(
-        leaves,
-        move |origin, (msg, fault)| async move {
-            match fault {
-                // The work happened; the result never leaves the host.
-                Some(k @ (FaultKind::CrashBeforeSend | FaultKind::DropMessage)) => {
-                    book(origin, k);
-                    true
-                }
-                fault => {
-                    if let Some(k @ FaultKind::DuplicateMessage) = fault {
-                        book(origin, k);
-                        let _ = tx.send(msg).await;
-                    }
-                    // A send error is exactly the "output ignored
-                    // upstream" case: the aggregator has departed.
-                    tx.send(msg).await.is_ok()
-                }
+/// The timeline of the leaves `base..` of one bottom aggregator of a
+/// query started at `start`, whose sampled durations are `durations`.
+/// Faults strike at the send: the sampled duration is the work, the
+/// send is the one act a fault can deny. A straggle stretches its leaf's
+/// instant and a hang holds the leaf back; both are handed to `book`
+/// now, whether the leaf would ever be counted or not. A leaf due past
+/// the deadline is held back too: nobody can count it. The timeline
+/// carries `retries` for its watchdog, under a fault plan.
+fn leaf_timeline(
+    cfg: &RuntimeConfig,
+    start: Instant,
+    durations: &[f64],
+    base: usize,
+    values: &[f64],
+    retries: Option<Retries>,
+    book: impl Fn(usize, FaultKind),
+) -> Timeline {
+    let deadline = start + cfg.scale.to_wall(cfg.deadline);
+    let mut leaves = Vec::with_capacity(durations.len());
+    let mut held_back = false;
+    for (origin, &dur) in (base..).zip(durations) {
+        let mut fault = cfg.faults.as_ref().and_then(|p| p.fault_for(0, origin));
+        let dur = match fault {
+            Some(k @ FaultKind::Straggle { factor }) => {
+                book(origin, k);
+                fault = None;
+                dur * factor
             }
-        },
-        |(_, fault)| {
-            matches!(
-                fault,
-                Some(
-                    FaultKind::CrashBeforeSend
-                        | FaultKind::DropMessage
-                        | FaultKind::DuplicateMessage
-                )
-            )
-        },
-    )
-    .await;
-    if let Some(at) = hold_until.filter(|_| !departed) {
-        tokio::time::sleep_until(at).await;
+            Some(k @ FaultKind::Hang) => {
+                book(origin, k);
+                held_back = true;
+                continue;
+            }
+            _ => dur,
+        };
+        let at = start + cfg.scale.to_wall(dur);
+        if at > deadline {
+            held_back = true;
+            continue;
+        }
+        let arrival = PartialResult {
+            payload: 1,
+            value: values[origin],
+            origin,
+            duration: dur,
+            retry: false,
+        };
+        leaves.push(Leaf { at, arrival, fault });
     }
+    Timeline::new(leaves, held_back, retries)
 }
 
 /// One aggregator: run the shared Pseudocode-1 pass over this
-/// aggregator's channel, then aggregate (sleep the own duration) and
+/// aggregator's `children`, then aggregate (sleep the own duration) and
 /// ship upstream.
 ///
-/// With chaos wiring attached the pass's watchdog re-executes each
-/// worker still missing at the learned-quantile timeout exactly once,
-/// and the aggregator's own upstream send is subject to the fault plan.
+/// Under a fault plan the pass's watchdog re-executes each worker still
+/// missing at the learned-quantile timeout exactly once, and the
+/// aggregator's own send is subject to the plan. A leaf fault whose
+/// instant comes after departure is still booked at that instant, on
+/// the timer of the aggregator's own work; no other leaf is woken.
 async fn aggregator_task(
     pass: PassConfig,
-    rx: mpsc::Receiver<PartialResult>,
+    mut children: Children<impl FnMut(&[usize]) -> Vec<usize> + Send>,
     parent_tx: mpsc::Sender<PartialResult>,
-    own_duration: f64,
-    origin: usize,
-    chaos: Option<AggChaos>,
-    mut watchdog: Option<Watchdog>,
+    own: Own,
 ) {
-    let scale = pass.scale;
+    let (scale, start) = (pass.scale, pass.start);
     let (level, index) = (pass.ctx.level, pass.index);
-    let out = run_pass(pass, rx, move |missing| {
-        // Taking the watchdog releases `self_tx` with this one firing,
-        // so the channel can close once workers and retries are done.
-        let Some(w) = watchdog.take() else {
-            return Vec::new();
-        };
-        for &id in missing {
-            let mut rng = StdRng::seed_from_u64(w.plan.retry_seed(id));
-            let dur = w.dist.sample(&mut rng);
-            let fire_at = w.at + scale.to_wall(dur);
-            let retry_tx = w.self_tx.clone();
-            let retry_value = w.values[id];
-            // cedar-lint: allow(L10): at most one retry per missing child; `missing` is a subset of the fan-in range fixed by the validated tree
-            tokio::spawn(async move {
-                tokio::time::sleep_until(fire_at).await;
-                let _ = retry_tx
-                    .send(PartialResult {
-                        payload: 1,
-                        value: retry_value,
-                        origin: id,
-                        duration: dur,
-                        retry: true,
-                    })
-                    .await;
-            });
-        }
-        missing.to_vec()
-    })
-    .await;
+    let (ledger, trace) = (pass.ledger.clone(), pass.trace.clone());
+    let out = walk(pass, &mut children).await;
+    let mut timeline = match children {
+        Children::Timeline(timeline) => timeline,
+        // The pass's channel closes here; there are no leaves to book.
+        Children::Channel(..) => Timeline::default(),
+    };
+    let (ledger, trace) = (ledger.as_deref(), trace.as_deref());
+    let now = || scale.to_model(start.elapsed());
+    let book = |at, task, origin, k| book_fault(ledger, trace, at, task, origin, k);
+    let book_leaf = |leaf, k| book(now(), (0, leaf), leaf, k);
+    let book_own = |at, k| book(at, (level, index), own.origin, k);
     if out.payload > 0 {
-        // Pair the fault with its chaos wiring so each arm gets both
-        // without re-asserting the implication.
-        let own_fault = chaos.as_ref().and_then(|c| c.fault.map(|k| (k, c)));
-        let book = |at: f64, (k, c): (FaultKind, &AggChaos)| {
-            c.shared.book(at, level, index, origin, k);
-        };
-        match own_fault {
+        match own.fault {
             // Died at departure: no aggregation work, no send.
-            Some(f @ (FaultKind::CrashBeforeSend, _)) => book(out.departed_at, f),
-            Some(f @ (FaultKind::Hang, c)) => {
-                book(out.departed_at, f);
-                tokio::time::sleep_until(c.hang_until).await;
+            Some(k @ FaultKind::CrashBeforeSend) => book_own(out.departed_at, k),
+            Some(k @ FaultKind::Hang) => {
+                book_own(out.departed_at, k);
+                timeline.book_faults(Some(own.hang_until), book_leaf).await;
             }
-            own_fault => {
-                let own_duration = match own_fault {
-                    Some(f @ (FaultKind::Straggle { factor }, _)) => {
-                        book(out.departed_at, f);
-                        own_duration * factor
+            fault => {
+                let duration = match fault {
+                    Some(k @ FaultKind::Straggle { factor }) => {
+                        book_own(out.departed_at, k);
+                        own.duration * factor
                     }
-                    _ => own_duration,
+                    _ => own.duration,
                 };
-                tokio::time::sleep(scale.to_wall(own_duration)).await;
-                if let Some(f @ (FaultKind::DropMessage, c)) = own_fault {
+                let ship_at = Instant::now() + scale.to_wall(duration);
+                timeline.book_faults(Some(ship_at), book_leaf).await;
+                if let Some(k @ FaultKind::DropMessage) = fault {
                     // Aggregation completed but the result is lost.
-                    book(c.shared.now(), f);
-                    return;
-                }
-                if let Some(c) = &chaos {
-                    c.shared.ledger.delivered(level, origin, own_duration);
-                }
-                let msg = PartialResult {
-                    payload: out.payload,
-                    value: out.value,
-                    origin,
-                    duration: own_duration,
-                    retry: false,
-                };
-                if let Some(f @ (FaultKind::DuplicateMessage, c)) = own_fault {
-                    book(c.shared.now(), f);
+                    book_own(now(), k);
+                } else {
+                    if let Some(l) = ledger {
+                        l.delivered(level, own.origin, duration);
+                    }
+                    let msg = PartialResult {
+                        payload: out.payload,
+                        value: out.value,
+                        origin: own.origin,
+                        duration,
+                        retry: false,
+                    };
+                    if let Some(k @ FaultKind::DuplicateMessage) = fault {
+                        book_own(now(), k);
+                        let _ = parent_tx.send(msg).await;
+                    }
                     let _ = parent_tx.send(msg).await;
                 }
-                let _ = parent_tx.send(msg).await;
             }
         }
     }
+    // The parent hears nothing more from here.
+    drop(parent_tx);
+    timeline.book_faults(None, book_leaf).await;
 }
 
 #[cfg(test)]
@@ -955,87 +775,80 @@ mod tests {
     }
 
     #[tokio::test(start_paused = true)]
-    async fn shipper_orders_by_instant_then_origin() {
-        let t0 = Instant::now();
-        let at = |ms| t0 + Duration::from_millis(ms);
-        let leaves = vec![
-            (at(2), 7, 'a'),
-            (at(1), 9, 'b'),
-            (at(2), 3, 'c'),
-            (at(1), 4, 'd'),
-        ];
-        let shipped = std::sync::Mutex::new(Vec::new());
-        let departed = ship_leaves(
-            leaves,
-            |origin, item| {
-                shipped.lock().unwrap().push((t0.elapsed(), origin, item));
-                std::future::ready(true)
-            },
-            |_| true,
-        )
-        .await;
-        assert!(!departed);
-        let ms = Duration::from_millis;
-        assert_eq!(
-            shipped.into_inner().unwrap(),
-            vec![
-                (ms(1), 4, 'd'),
-                (ms(1), 9, 'b'),
-                (ms(2), 3, 'c'),
-                (ms(2), 7, 'a')
-            ]
-        );
-    }
-
-    #[tokio::test(start_paused = true)]
-    async fn shipper_stops_waking_leaves_once_its_aggregator_has_left() {
-        // Leaves at 1, 2, 3 and 4 ms; the receiver takes the first and
-        // leaves. The send at 2 ms fails, so the plain leaf at 4 ms is
-        // never slept to and the channel is not held to `hold_until`;
-        // a crash-before-send leaf at 3 ms, when there is one, is still
+    async fn a_departed_aggregator_wakes_only_for_its_leaf_faults() {
+        // Leaves at 1, 2, 3 and 4 ms; a fixed wait departs the aggregator
+        // at 1.5 ms with the first, and its own work ships at 2.5 ms.
+        // The plain leaves at 2 and 4 ms are never woken for; a
+        // crash-before-send leaf at 3 ms, when there is one, is still
         // woken and booked at its own instant.
         async fn run(crash_at_3: bool) -> (Duration, FailureReport, Vec<(f64, TraceEventKind)>) {
             let t0 = Instant::now();
             let at = |ms| t0 + Duration::from_millis(ms);
             let trace = Arc::new(QueryTrace::new());
-            let chaos = Arc::new(ChaosShared {
-                plan: Arc::new(FaultPlan::new(1, crate::faults::FaultSpec::none())),
-                ledger: Arc::new(Ledger::new(2)),
-                trace: Some(trace.clone()),
-                start: t0,
-                scale: TimeScale::millis(),
-            });
-            let leaf = |ms: u64, fault| {
-                let origin = ms as usize - 1;
-                let msg = PartialResult {
+            let ledger = Arc::new(Ledger::new(2));
+            let leaf = |ms: u64, fault| Leaf {
+                at: at(ms),
+                arrival: PartialResult {
                     payload: 1,
                     value: 1.0,
-                    origin,
+                    origin: ms as usize - 1,
                     duration: ms as f64,
                     retry: false,
-                };
-                (at(ms), origin, (msg, fault))
+                },
+                fault,
             };
             let crash = crash_at_3.then_some(FaultKind::CrashBeforeSend);
             let leaves = vec![leaf(1, None), leaf(2, None), leaf(3, crash), leaf(4, None)];
-            let (tx, mut rx) = mpsc::channel(4);
-            let shipper = tokio::spawn(bottom_leaves(
-                tx,
-                leaves,
-                Some(chaos.clone()),
-                Vec::new(),
-                Some(at(10)),
-            ));
-            assert_eq!(rx.recv().await.map(|m| m.origin), Some(0));
-            drop(rx);
-            shipper.await.unwrap();
-            let events = trace.events().into_iter().map(|e| (e.at, e.kind));
-            (t0.elapsed(), chaos.ledger.finish().0, events.collect())
+            let tree = TreeSpec::two_level(
+                StageSpec::new(Uniform::new(1.0, 5.0).unwrap(), 4),
+                StageSpec::new(Uniform::new(1.0, 2.0).unwrap(), 1),
+            );
+            let kind = WaitPolicyKind::FixedWait(1.5);
+            let prepared = PreparedContexts::new(
+                &tree,
+                100.0,
+                kind,
+                Model::LogNormal,
+                64,
+                &ProfileConfig::default(),
+            );
+            let pass = PassConfig {
+                ctx: prepared.for_query(&tree).remove(0),
+                kind,
+                model: Model::LogNormal,
+                scale: TimeScale::millis(),
+                start: t0,
+                index: 0,
+                expected: 0..4,
+                watchdog: None,
+                trace: Some(trace.clone()),
+                metrics: None,
+                ledger: Some(ledger.clone()),
+            };
+            let own = Own {
+                origin: 4,
+                duration: 1.0,
+                fault: None,
+                hang_until: at(100),
+            };
+            let (parent_tx, mut parent_rx) = mpsc::channel(1);
+            let timeline = Timeline::new(leaves, false, None);
+            let children: Children = Children::Timeline(timeline);
+            let task = tokio::spawn(aggregator_task(pass, children, parent_tx, own));
+            let shipped = parent_rx.recv().await.map(|m| (m.origin, m.payload));
+            assert_eq!(
+                (shipped, t0.elapsed()),
+                (Some((4, 1)), Duration::from_micros(2500))
+            );
+            task.await.unwrap();
+            let leaf_events = trace.events().into_iter().filter(|e| e.level == 0);
+            let leaf_events = leaf_events.map(|e| (e.at, e.kind));
+            (t0.elapsed(), ledger.finish().0, leaf_events.collect())
         }
 
         let (took, report, events) = run(false).await;
-        assert_eq!(took, Duration::from_millis(2));
-        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(took, Duration::from_micros(2500));
+        assert_eq!(report.crashed, 0, "{report:?}");
         assert!(events.is_empty(), "{events:?}");
 
         let (took, report, events) = run(true).await;

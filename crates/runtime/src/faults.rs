@@ -27,6 +27,7 @@
 
 use cedar_core::LockExt;
 use cedar_distrib::ContinuousDist;
+use cedar_telemetry::{QueryTrace, TraceEventKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -418,6 +419,33 @@ impl Ledger {
             ..report
         };
         (report, delivered, censored)
+    }
+}
+
+/// Books fault `k` striking task `origin` into `ledger`, and records it
+/// in `trace`, when one is attached, at model time `at` against task
+/// `index` of `level`.
+pub(crate) fn book_fault(
+    ledger: Option<&Ledger>,
+    trace: Option<&QueryTrace>,
+    at: f64,
+    (level, index): (usize, usize),
+    origin: usize,
+    k: FaultKind,
+) {
+    if let Some(l) = ledger {
+        l.injected(k);
+    }
+    if let Some(t) = trace {
+        t.record(
+            at,
+            level,
+            index,
+            TraceEventKind::FaultInjected {
+                fault: k.class(),
+                origin,
+            },
+        );
     }
 }
 

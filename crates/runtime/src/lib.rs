@@ -10,15 +10,14 @@
 //!
 //! - every leaf **worker** performs its share of work (a sampled
 //!   duration at the configured time scale) and produces a partial
-//!   value; one task per bottom aggregator sleeps to each of its leaves'
-//!   completion instants in turn and ships them, through
-//!   [`ship_leaves`] (which mesh workers run too). A leaf that would
-//!   complete after the deadline is never slept to, nor is one whose
-//!   aggregator has already left, unless its wake books a fault;
+//!   value at an instant known when the query starts, so its bottom
+//!   aggregator walks its leaves' timeline itself. A leaf that would
+//!   complete after the deadline never enters it, and once the
+//!   aggregator has left, no leaf is woken for unless it books a fault;
 //! - every **aggregator** is a task running Pseudocode 1 off the one
-//!   `tokio::select!` loop in [`pass`] (which mesh aggregators run too):
-//!   partial aggregation on arrival, online re-estimation, timer re-arm,
-//!   early departure when all inputs are in;
+//!   loop in [`pass`] (which mesh aggregators run too): partial
+//!   aggregation on arrival, online re-estimation, timer re-arm, early
+//!   departure when all inputs are in;
 //! - the **root** gathers whatever aggregated results arrive before the
 //!   wall-clock deadline, through [`gather`] (which mesh roots run too).
 //!
@@ -46,8 +45,7 @@ pub mod service;
 
 pub use checkpoint::{Checkpoint, CheckpointConfig, CheckpointError, StageCheckpoint};
 pub use engine::{
-    run_query, run_query_prepared, run_query_with_values, ship_leaves, RuntimeConfig,
-    RuntimeOutcome,
+    run_query, run_query_prepared, run_query_with_values, RuntimeConfig, RuntimeOutcome,
 };
 pub use faults::{FailureReport, FaultKind, FaultPlan, FaultSpec, Ledger, RecoveryPolicy};
 pub use learner::Learner;

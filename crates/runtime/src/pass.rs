@@ -4,33 +4,39 @@
 //! The pass itself — dedupe, accumulation, the policy's timer, the
 //! watchdog, what is missing at departure — is [`AggregatorState`], the
 //! same machine the simulator drives. [`run_pass`] is the thin real-time
-//! adapter around it: a `select!` over a channel of arrivals and one
-//! re-armed timer that feeds the machine, then books what it reports
-//! into the decision trace, the [`Ledger`] and the wait-scan histogram
-//! (the simulator books nothing, so booking stays here). The in-process
-//! engine feeds it from leaf shipper tasks over a bounded channel; a mesh
-//! node's network reader threads push each decoded partial-result frame
-//! into the same kind of channel as an [`Arrival`]. A dead or straggling
+//! adapter around it: one re-armed timer that feeds the machine its
+//! arrivals and wakes, then books what it reports into the decision
+//! trace, the [`Ledger`] and the wait-scan histogram (the simulator books
+//! nothing, so booking stays here). The in-process engine's bottom
+//! aggregator knows its leaves when the query starts, so it walks their
+//! timeline on that timer instead of a channel, as the simulator walks
+//! its event list; leaf faults and retries are entries on it. Upper
+//! levels hear their children over a bounded channel, and a mesh node's
+//! network reader threads push each decoded partial-result frame into
+//! the same kind of channel as an [`Arrival`]. A dead or straggling
 //! *real* peer therefore degrades quality through the same code path as
 //! an injected one: arrivals that are not a first from an expected child
 //! are refused, children missing at departure are right-censored, and a
-//! watchdog hook lets the caller launch speculative retries (as tasks,
-//! or across the wire). Whatever is refused, retried or censored is
-//! booked into the caller's [`Ledger`] at the site that records it in
-//! the decision trace.
+//! watchdog launches speculative retries (onto the timeline, or across
+//! the wire through the caller's hook). Whatever is refused, retried or
+//! censored is booked into the caller's [`Ledger`] at the site that
+//! records it in the decision trace.
 //!
 //! Both roots — the engine's and a mesh root's — run the terminal loop
 //! beside it, [`gather`]: the same channel-first order and the same
 //! dedupe ([`Seen`]), over the top level's origins.
 
-use crate::faults::Ledger;
+use crate::faults::{book_fault, FaultKind, FaultPlan, Ledger};
 use crate::metrics::RuntimeMetrics;
 use crate::scale::TimeScale;
 use cedar_core::aggregator::Seen;
 use cedar_core::policy::DecisionDetail;
 use cedar_core::{AggregatorAction, AggregatorState, PolicyContext, WaitPolicyKind};
+use cedar_distrib::ContinuousDist;
 use cedar_estimate::Model;
 use cedar_telemetry::{QueryTrace, ShipReason, TraceEventKind};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::ops::Range;
 use std::sync::Arc;
 use tokio::sync::mpsc;
@@ -42,9 +48,9 @@ use tokio::time::Instant;
 /// receivers can suppress duplicate arrivals; `duration` is the
 /// sender's realized model-time duration (what refit should learn
 /// from); `retry` marks a speculative re-execution launched by a
-/// watchdog. This is the engine's channel-send boundary type; mesh
-/// frames decode into it so remote children are indistinguishable from
-/// local ones past the socket.
+/// watchdog. This is what the engine's channels and timelines carry;
+/// mesh frames decode into it so remote children are indistinguishable
+/// from local ones past the socket.
 #[derive(Debug, Clone, Copy)]
 pub struct Arrival {
     /// Process outputs aggregated into this message.
@@ -57,6 +63,103 @@ pub struct Arrival {
     pub duration: f64,
     /// Whether this is a speculative re-execution's result.
     pub retry: bool,
+}
+
+/// One entry of a [`Timeline`]: a leaf's result, when it lands, and the
+/// fault that strikes its send, if any.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Leaf {
+    pub(crate) at: Instant,
+    pub(crate) arrival: Arrival,
+    /// A crash before the send or a dropped message is booked at `at`
+    /// and delivers nothing; a duplicate is booked and delivers twice.
+    pub(crate) fault: Option<FaultKind>,
+}
+
+/// How a timeline re-executes a leaf its watchdog finds missing: once,
+/// for a duration drawn from the fault plan's retry seed for that leaf.
+pub(crate) struct Retries {
+    pub(crate) plan: Arc<FaultPlan>,
+    /// True stage-0 distribution the re-executed work draws from.
+    pub(crate) dist: Arc<dyn ContinuousDist>,
+    pub(crate) values: Arc<Vec<f64>>,
+}
+
+/// A bottom aggregator's leaves, sampled when the query starts, in the
+/// order one timer per leaf would fire them: by instant, then origin.
+/// Above the bottom level an aggregator has none: `Default` is empty.
+#[derive(Default)]
+pub(crate) struct Timeline {
+    /// Entries still to come, latest first: the next pops off the end.
+    leaves: Vec<Leaf>,
+    /// Whether some leaf never enters the timeline (a hang, or a result
+    /// due past the deadline). Such a timeline is never spent: the
+    /// aggregator leaves on its own timer, as it would with that leaf
+    /// still on its way.
+    held_back: bool,
+    /// Under a fault plan, how the watchdog's retries run.
+    retries: Option<Retries>,
+}
+
+impl Timeline {
+    pub(crate) fn new(mut leaves: Vec<Leaf>, held_back: bool, retries: Option<Retries>) -> Self {
+        leaves.sort_by_key(|l| std::cmp::Reverse((l.at, l.arrival.origin)));
+        Self {
+            leaves,
+            held_back,
+            retries,
+        }
+    }
+
+    /// Re-executes each of the `missing` leaves once, as an entry that
+    /// lands its sampled duration after `at`, in order behind any entry
+    /// of its instant and origin. Returns the origins launched: none
+    /// without retries.
+    fn retry(&mut self, missing: &[usize], at: Instant, scale: TimeScale) -> Vec<usize> {
+        let Some(r) = &self.retries else {
+            return Vec::new();
+        };
+        for &id in missing {
+            let mut rng = StdRng::seed_from_u64(r.plan.retry_seed(id));
+            let duration = r.dist.sample(&mut rng);
+            let leaf = Leaf {
+                at: at + scale.to_wall(duration),
+                arrival: Arrival {
+                    payload: 1,
+                    value: r.values[id],
+                    origin: id,
+                    duration,
+                    retry: true,
+                },
+                fault: None,
+            };
+            let key = |l: &Leaf| (l.at, l.arrival.origin);
+            let i = self.leaves.partition_point(|l| key(l) > key(&leaf));
+            self.leaves.insert(i, leaf);
+        }
+        missing.to_vec()
+    }
+
+    /// After the pass: sleeps to `until`, if given, meanwhile waking for
+    /// each fault entry due by then (for every one, without `until`) to
+    /// hand it to `book` at its own instant. Nobody can see a leaf's send
+    /// once its aggregator has left, so the other entries are dropped.
+    pub(crate) async fn book_faults(
+        &mut self,
+        until: Option<Instant>,
+        mut book: impl FnMut(usize, FaultKind),
+    ) {
+        self.leaves.retain(|l| l.fault.is_some());
+        while let Some(leaf) = self.leaves.pop_if(|l| until.is_none_or(|u| l.at <= u)) {
+            tokio::time::sleep_until(leaf.at).await;
+            if let Some(k) = leaf.fault {
+                book(leaf.arrival.origin, k);
+            }
+        }
+        if let Some(u) = until {
+            tokio::time::sleep_until(u).await;
+        }
+    }
 }
 
 /// Configuration for one aggregation pass.
@@ -80,8 +183,8 @@ pub struct PassConfig {
     pub expected: Range<usize>,
     /// Watchdog timeout in model units, if speculative retries are on
     /// ([`FaultPlan::watchdog_at`](crate::FaultPlan::watchdog_at)):
-    /// when it fires with children still missing, the caller's hook
-    /// receives their origins (exactly once).
+    /// when it fires with children still missing, they are re-executed
+    /// (exactly once) by the caller's hook, or by a timeline's retries.
     pub watchdog: Option<f64>,
     /// Decision trace to record the pass's timeline into; attaching one
     /// runs the policy in explain mode.
@@ -107,6 +210,19 @@ pub struct PassOutcome {
     pub departed_at: f64,
 }
 
+/// Where a pass hears its children from. A timeline takes no hook, so
+/// by default its hook type is a plain function.
+pub(crate) enum Children<W = fn(&[usize]) -> Vec<usize>> {
+    /// A channel, with the hook that re-executes the children the
+    /// watchdog finds missing however the caller can and returns the
+    /// origins it launched. The pass ends once every sender is gone.
+    Channel(mpsc::Receiver<Arrival>, W),
+    /// A bottom aggregator's own leaves, which carry their retries. The
+    /// pass ends once they are spent and no watchdog is pending, where
+    /// the leaves' channel would have closed.
+    Timeline(Timeline),
+}
+
 /// Runs Pseudocode 1 over a channel of arrivals: feed each arrival and
 /// each due wake to the aggregator's [`AggregatorState`], and book what
 /// it reports. The machine collects, lets the policy revise the timer
@@ -117,9 +233,18 @@ pub struct PassOutcome {
 /// departure are right-censored in the ledger.
 pub async fn run_pass(
     cfg: PassConfig,
-    mut rx: mpsc::Receiver<Arrival>,
-    mut on_watchdog: impl FnMut(&[usize]) -> Vec<usize> + Send,
+    rx: mpsc::Receiver<Arrival>,
+    on_watchdog: impl FnMut(&[usize]) -> Vec<usize> + Send,
 ) -> PassOutcome {
+    walk(cfg, &mut Children::Channel(rx, on_watchdog)).await
+}
+
+/// [`run_pass`] over either kind of `children`. A due timeline entry,
+/// like a queued message, goes before a due wake.
+pub(crate) async fn walk<W>(cfg: PassConfig, children: &mut Children<W>) -> PassOutcome
+where
+    W: FnMut(&[usize]) -> Vec<usize> + Send,
+{
     let PassConfig {
         ctx,
         kind,
@@ -133,7 +258,7 @@ pub async fn run_pass(
         metrics,
         ledger,
     } = cfg;
-    let level = ctx.level;
+    let (level, ledger, trace) = (ctx.level, ledger.as_deref(), trace.as_deref());
     let record = |at: f64, event: TraceEventKind| {
         if let Some(t) = &trace {
             t.record(at, level, index, event);
@@ -142,131 +267,176 @@ pub async fn run_pass(
     // Only the bottom stage feeds the refit path — a missing aggregator
     // is absorbed by the stage above, not re-learned, and a delivered
     // one books its own duration when it ships.
-    let refit_log = ledger.as_deref().filter(|_| level == 1);
+    let refit_log = ledger.filter(|_| level == 1);
     let policy = kind.instantiate(ctx.fanout, model);
     let mut state = AggregatorState::for_children(policy, ctx, expected, watchdog);
     state.set_explain(trace.is_some());
     let w0 = state.start();
     record(0.0, TraceEventKind::InitialWait { wait: w0 });
     let mut prev_detail: Option<DecisionDetail> = None;
+    let mut watchdog_pending = watchdog.is_some();
     // One timer for the whole pass, re-armed in place each turn: building
     // a fresh `sleep_until` per arrival would pay a registration and a
     // cancel every time.
     let mut sleep = std::pin::pin!(tokio::time::sleep_until(start + scale.to_wall(w0)));
     loop {
-        // The vendored select! has exactly two arms, so the watchdog
-        // shares the timer arm: the machine's next wake is whichever is
-        // earlier, and it tells the two apart when the wake comes.
+        // The machine's next wake is whichever of its timer and watchdog
+        // is earlier; it tells the two apart when the wake comes.
         let wake = state.next_wake();
-        sleep.as_mut().reset(start + scale.to_wall(wake));
-        tokio::select! {
-            // The channel arm goes first: a result already sitting in
-            // the queue beat the timer in wall time, so it must not be
-            // censored by a concurrently-due timer — and the watchdog
-            // must not speculatively re-execute a child whose answer
-            // is a `recv` away. The race is real whenever this task is
-            // polled late (a cold-start wait scan, a busy host): the
-            // last sender's wake-up and this timer then land in one
-            // poll. It also spares the timer registration whenever the
-            // next arrival is already queued.
-            biased;
-            msg = rx.recv() => {
-                // All senders gone: nothing more can arrive.
-                let Some(m) = msg else { break };
-                let now_model = scale.to_model(start.elapsed());
-                // Time the whole arrival handler (estimate + ε-scan)
-                // only when metrics are attached; under a paused test
-                // clock the measurement is zero, which is harmless.
-                let scan_begun = metrics.as_ref().map(|_| Instant::now());
-                let action = state.on_arrival(m.origin, m.payload, m.value, now_model);
-                if action == AggregatorAction::Ignored {
-                    // Injected duplicate, a retry racing its own
-                    // original, or somebody else's child — counted at
-                    // most once, and only if ours.
-                    if let Some(l) = &ledger {
-                        l.duplicate_suppressed();
+        let due = start + scale.to_wall(wake);
+        let msg = match children {
+            Children::Channel(rx, _) => {
+                sleep.as_mut().reset(due);
+                // The vendored select! has exactly two arms, so the
+                // watchdog shares the timer arm.
+                tokio::select! {
+                    // The channel arm goes first: a result already
+                    // sitting in the queue beat the timer in wall time,
+                    // so it must not be censored by a concurrently-due
+                    // timer — and the watchdog must not speculatively
+                    // re-execute a child whose answer is a `recv` away.
+                    // The race is real whenever this task is polled late
+                    // (a cold-start wait scan, a busy host): the last
+                    // sender's wake-up and this timer then land in one
+                    // poll. It also spares the timer registration
+                    // whenever the next arrival is already queued.
+                    biased;
+                    msg = rx.recv() => {
+                        // All senders gone: nothing more can arrive.
+                        let Some(m) = msg else { break };
+                        Some(m)
                     }
+                    () = sleep.as_mut() => None,
+                }
+            }
+            Children::Timeline(timeline) => {
+                if timeline.leaves.is_empty() && !timeline.held_back && !watchdog_pending {
+                    // Nothing more can arrive.
+                    break;
+                }
+                let next = timeline.leaves.last().map(|l| l.at);
+                sleep.as_mut().reset(next.map_or(due, |at| at.min(due)));
+                sleep.as_mut().await;
+                let leaf = timeline.leaves.pop_if(|l| l.at <= Instant::now());
+                if let Some(leaf @ Leaf { fault: Some(k), .. }) = leaf {
+                    // A leaf's fault is booked against the leaf itself.
+                    let (at, origin) = (scale.to_model(start.elapsed()), leaf.arrival.origin);
+                    book_fault(ledger, trace, at, (0, origin), origin, k);
+                    // A crash or a drop: the work happened, but the
+                    // result never leaves the host.
+                    if k != FaultKind::DuplicateMessage {
+                        continue;
+                    }
+                    // A duplicate: its copy lands right behind it.
+                    timeline.leaves.push(Leaf {
+                        fault: None,
+                        ..leaf
+                    });
+                }
+                leaf.map(|l| l.arrival)
+            }
+        };
+        let Some(m) = msg else {
+            let now_model = scale.to_model(start.elapsed());
+            // The sleep ended at exactly the wake the machine asked for,
+            // so that instant, not the clock's rounding of it, is what it
+            // is told.
+            let AggregatorAction::Watchdog(missing) = state.on_timer(wake) else {
+                record(now_model, TraceEventKind::TimerFired);
+                break;
+            };
+            watchdog_pending = false;
+            record(
+                now_model,
+                TraceEventKind::WatchdogFired {
+                    expected: state.ctx().fanout,
+                    received: state.received(),
+                },
+            );
+            let launched = match children {
+                Children::Channel(_, on_watchdog) => on_watchdog(&missing),
+                Children::Timeline(timeline) => timeline.retry(&missing, due, scale),
+            };
+            for origin in launched {
+                if let Some(l) = &ledger {
+                    l.retry_launched();
+                }
+                record(now_model, TraceEventKind::RetryLaunched { origin });
+            }
+            continue;
+        };
+        let now_model = scale.to_model(start.elapsed());
+        // Time the whole arrival handler (estimate + ε-scan) only when
+        // metrics are attached; under a paused test clock the
+        // measurement is zero, which is harmless.
+        let scan_begun = metrics.as_ref().map(|_| Instant::now());
+        let action = state.on_arrival(m.origin, m.payload, m.value, now_model);
+        if action == AggregatorAction::Ignored {
+            // Injected duplicate, a retry racing its own original, or
+            // somebody else's child — counted at most once, and only if
+            // ours.
+            if let Some(l) = &ledger {
+                l.duplicate_suppressed();
+            }
+            record(
+                now_model,
+                TraceEventKind::DuplicateSuppressed { origin: m.origin },
+            );
+            continue;
+        }
+        if let (Some(met), Some(t0)) = (&metrics, scan_begun) {
+            met.wait_scan_seconds.record(t0.elapsed().as_secs_f64());
+        }
+        if let Some(l) = refit_log {
+            l.delivered(0, m.origin, m.duration);
+        }
+        if m.retry {
+            if let Some(l) = &ledger {
+                l.retry_delivered();
+            }
+            record(
+                now_model,
+                TraceEventKind::RetryDelivered { origin: m.origin },
+            );
+        }
+        record(
+            now_model,
+            TraceEventKind::Arrival {
+                arrival: state.received(),
+                origin: m.origin,
+                retry: m.retry,
+            },
+        );
+        if trace.is_some() {
+            // One Estimate + Rearm pair per *new* decision; straw-man
+            // policies never revise, so they only ever log their initial
+            // wait.
+            let detail = state.last_detail();
+            if detail != prev_detail {
+                if let Some(d) = detail {
                     record(
                         now_model,
-                        TraceEventKind::DuplicateSuppressed { origin: m.origin },
+                        TraceEventKind::Estimate {
+                            mu: d.mu,
+                            sigma: d.sigma,
+                            samples: d.samples,
+                        },
                     );
-                    continue;
+                    record(
+                        now_model,
+                        TraceEventKind::Rearm {
+                            wait: d.wait,
+                            expected_quality: d.expected_quality,
+                            gain: d.gain,
+                            loss: d.loss,
+                        },
+                    );
                 }
-                if let (Some(met), Some(t0)) = (&metrics, scan_begun) {
-                    met.wait_scan_seconds.record(t0.elapsed().as_secs_f64());
-                }
-                if let Some(l) = refit_log {
-                    l.delivered(0, m.origin, m.duration);
-                }
-                if m.retry {
-                    if let Some(l) = &ledger {
-                        l.retry_delivered();
-                    }
-                    record(now_model, TraceEventKind::RetryDelivered { origin: m.origin });
-                }
-                record(
-                    now_model,
-                    TraceEventKind::Arrival {
-                        arrival: state.received(),
-                        origin: m.origin,
-                        retry: m.retry,
-                    },
-                );
-                if trace.is_some() {
-                    // One Estimate + Rearm pair per *new* decision;
-                    // straw-man policies never revise, so they only
-                    // ever log their initial wait.
-                    let detail = state.last_detail();
-                    if detail != prev_detail {
-                        if let Some(d) = detail {
-                            record(
-                                now_model,
-                                TraceEventKind::Estimate {
-                                    mu: d.mu,
-                                    sigma: d.sigma,
-                                    samples: d.samples,
-                                },
-                            );
-                            record(
-                                now_model,
-                                TraceEventKind::Rearm {
-                                    wait: d.wait,
-                                    expected_quality: d.expected_quality,
-                                    gain: d.gain,
-                                    loss: d.loss,
-                                },
-                            );
-                        }
-                        prev_detail = detail;
-                    }
-                }
-                if action == AggregatorAction::Depart {
-                    break;
-                }
+                prev_detail = detail;
             }
-            () = sleep.as_mut() => {
-                let now_model = scale.to_model(start.elapsed());
-                // The sleep ended at exactly the wake the machine asked
-                // for, so that instant, not the clock's rounding of it,
-                // is what it is told.
-                let AggregatorAction::Watchdog(missing) = state.on_timer(wake) else {
-                    record(now_model, TraceEventKind::TimerFired);
-                    break;
-                };
-                record(
-                    now_model,
-                    TraceEventKind::WatchdogFired {
-                        expected: state.ctx().fanout,
-                        received: state.received(),
-                    },
-                );
-                for origin in on_watchdog(&missing) {
-                    if let Some(l) = &ledger {
-                        l.retry_launched();
-                    }
-                    record(now_model, TraceEventKind::RetryLaunched { origin });
-                }
-            }
+        }
+        if action == AggregatorAction::Depart {
+            break;
         }
     }
     let departed_at = scale.to_model(start.elapsed());
@@ -517,6 +687,18 @@ mod tests {
     }
 
     #[tokio::test(start_paused = true)]
+    async fn a_closed_channel_ends_the_pass_before_its_watchdog() {
+        // A mesh pass whose route is gone: nothing more can arrive, so
+        // the pass must not sleep on to its watchdog and launch retries.
+        let mut cfg = config(4, WaitPolicyKind::FixedWait(100.0), 400.0);
+        cfg.watchdog = Some(50.0);
+        let (tx, rx) = queued(&[4]);
+        drop(tx);
+        let outcome = run_pass(cfg, rx, |_| panic!("no retry once every sender is gone")).await;
+        assert_eq!((outcome.received, outcome.departed_at), (1, 0.0));
+    }
+
+    #[tokio::test(start_paused = true)]
     async fn refuses_arrivals_that_are_not_this_aggregators_children() {
         let cfg = config(4, WaitPolicyKind::Cedar, 400.0);
         let (ledger, trace) = (cfg.ledger.clone().unwrap(), cfg.trace.clone().unwrap());
@@ -564,6 +746,70 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// A timeline of `(ms after start, origin, fault)` leaves.
+    fn timeline(
+        start: Instant,
+        leaves: &[(u64, usize, Option<FaultKind>)],
+        held_back: bool,
+    ) -> Children {
+        let leaves = leaves.iter().map(|&(ms, origin, fault)| Leaf {
+            at: start + Duration::from_millis(ms),
+            arrival: arrival(origin),
+            fault,
+        });
+        Children::Timeline(Timeline::new(leaves.collect(), held_back, None))
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn due_timeline_entries_beat_a_timer_that_is_already_due() {
+        // FixedWait(0): the timer is due at the very first poll, and so
+        // is the one leaf on the timeline. The leaf got here first.
+        let cfg = config(1, WaitPolicyKind::FixedWait(0.0), 400.0);
+        let trace = cfg.trace.clone().unwrap();
+        let mut leaves = timeline(cfg.start, &[(0, 4, None)], true);
+        let outcome = walk(cfg, &mut leaves).await;
+        assert_eq!(outcome.payload, 1);
+        assert!(matches!(
+            trace.events().last().map(|e| &e.kind),
+            Some(TraceEventKind::Departed {
+                reason: ShipReason::AllArrived,
+                ..
+            })
+        ));
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn a_spent_timeline_ends_the_pass_unless_a_leaf_is_held_back() {
+        // A fixed wait of 100 units (5 ms). Child 4 lands at 1 ms, 5 at
+        // 2 ms twice, 6 crashes before its send at 3 ms; 7 never enters.
+        let leaves = [
+            (1, 4, None),
+            (2, 5, Some(FaultKind::DuplicateMessage)),
+            (3, 6, Some(FaultKind::CrashBeforeSend)),
+        ];
+        for held_back in [false, true] {
+            let cfg = config(4, WaitPolicyKind::FixedWait(100.0), 400.0);
+            let (ledger, trace) = (cfg.ledger.clone().unwrap(), cfg.trace.clone().unwrap());
+            let mut leaves = timeline(cfg.start, &leaves, held_back);
+            let outcome = walk(cfg, &mut leaves).await;
+            // Spent at 3 ms, as a channel would close behind its last
+            // sender; with 7 still on its way, on the timer at 5 ms.
+            let left = if held_back { 100.0 } else { 60.0 };
+            assert_eq!((outcome.received, outcome.departed_at), (2, left));
+            let (report, _, censored) = ledger.finish();
+            assert_eq!(
+                (
+                    report.duplicated,
+                    report.duplicates_suppressed,
+                    report.crashed
+                ),
+                (1, 1, 1)
+            );
+            assert_eq!(censored[0], vec![(6, left), (7, left)]);
+            assert_eq!(report, trace.summary().failures);
+        }
     }
 
     #[tokio::test(start_paused = true)]

@@ -3,8 +3,9 @@
 //! (never a panic, hang, or blown deadline), duplicates are suppressed
 //! exactly, speculative retries recover crashed workers, the
 //! censored-observation plumbing matches an explicitly-constructed
-//! right-censored sample, and a query leaves nothing behind: no leaf
-//! books a fault after its `QueryEnd`.
+//! right-censored sample, a query leaves nothing behind — no leaf
+//! books a fault after its `QueryEnd` — and mixed-fault queries on the
+//! 50×50 and 8×4 trees reproduce committed goldens exactly.
 //!
 //! Everything runs on the paused clock: model time advances instantly,
 //! so even the `#[ignore]`d sweep is wall-fast and fully deterministic.
@@ -296,6 +297,125 @@ async fn clean_runs_report_clean() {
     assert!(out.failures.is_clean());
     assert_eq!(out.failures, Default::default());
     assert!(out.censored_durations.iter().all(Vec::is_empty));
+}
+
+/// The 50×50 tree of the `rpc_wide` benchmark and its binding deadline.
+const WIDE: (usize, usize, f64) = (50, 50, 1000.0);
+/// This file's 8×4 tree and deadline.
+const SMALL: (usize, usize, f64) = (K1, K2, 40.0);
+
+/// What one faulted query reproduces: its shape, fault rate and seed;
+/// its `FailureReport` (crashed, hung, straggled, dropped, duplicated,
+/// retries launched and delivered, duplicates suppressed, censored);
+/// its root arrivals and included outputs; and each stage's realized and
+/// censored durations as their count and the FNV-1a digest of their
+/// bits.
+type Golden = (
+    (usize, usize, f64),
+    f64,
+    u64,
+    [usize; 9],
+    usize,
+    usize,
+    &'static [(usize, u64)],
+    &'static [(usize, u64)],
+);
+
+/// Outcomes of `FaultSpec::mixed` queries as the engine produced them
+/// when each bottom aggregator's leaves were shipped by a task of their
+/// own over a channel, and each retry by a task of its own.
+#[rustfmt::skip]
+const GOLDENS: [Golden; 32] = [
+    (WIDE, 0.1, 0, [69, 46, 46, 21, 23, 0, 0, 18, 1176], 40, 1065, &[(1324, 0x695ce427b0062a43), (40, 0x74e368da75c4e691)], &[(1176, 0x77ca6223ea862752), (0, 0xcbf29ce484222325)]),
+    (WIDE, 0.1, 1, [74, 49, 47, 24, 23, 0, 0, 18, 1185], 45, 1169, &[(1315, 0x9659191d61b6d9e0), (45, 0x0b50247ff823a933)], &[(1185, 0x9ffcaf60f2126e18), (0, 0xcbf29ce484222325)]),
+    (WIDE, 0.1, 2, [72, 49, 55, 17, 21, 0, 0, 18, 1175], 39, 1039, &[(1325, 0x53fba9861f2bf622), (39, 0x5827e4d208154289)], &[(1175, 0xeb24f06d654c0d2d), (0, 0xcbf29ce484222325)]),
+    (WIDE, 0.1, 3, [61, 66, 50, 13, 21, 0, 0, 16, 1153], 44, 1179, &[(1347, 0x6f1aed7c60c77ff9), (44, 0xef4e4a58fb6288fd)], &[(1153, 0x82751349125f237d), (0, 0xcbf29ce484222325)]),
+    (WIDE, 0.1, 4, [71, 54, 48, 14, 15, 0, 0, 15, 1136], 41, 1127, &[(1364, 0x009865ff21754034), (41, 0x90baddc147fb0632)], &[(1136, 0x4808181611232c99), (0, 0xcbf29ce484222325)]),
+    (WIDE, 0.1, 5, [62, 52, 64, 20, 16, 0, 0, 10, 1178], 38, 1013, &[(1322, 0x98766053f492bb1d), (38, 0x9968a461684c442d)], &[(1178, 0xebfe604390bd9610), (0, 0xcbf29ce484222325)]),
+    (WIDE, 0.1, 6, [55, 52, 59, 17, 21, 0, 0, 19, 1127], 40, 1101, &[(1373, 0xd8b6899de3f43319), (40, 0xf02befbe6b0aead9)], &[(1127, 0x709b620726f7f8d8), (0, 0xcbf29ce484222325)]),
+    (WIDE, 0.1, 7, [72, 54, 49, 12, 17, 0, 0, 15, 1157], 38, 998, &[(1343, 0xced9a3b83b8076eb), (38, 0x3ac1641d6059ff1e)], &[(1157, 0x742de270cab9dd64), (0, 0xcbf29ce484222325)]),
+    (WIDE, 0.3, 0, [218, 171, 174, 56, 54, 0, 0, 45, 1462], 38, 789, &[(1038, 0x2133592b152a086a), (38, 0x17fc5550aa3636b8)], &[(1462, 0x81149511bae941ba), (0, 0xcbf29ce484222325)]),
+    (WIDE, 0.3, 1, [231, 179, 154, 47, 47, 0, 0, 40, 1448], 45, 928, &[(1052, 0xdf92b3eabe2d012e), (45, 0x0b50247ff823a933)], &[(1448, 0x0daf828e8865f141), (0, 0xcbf29ce484222325)]),
+    (WIDE, 0.3, 2, [213, 160, 155, 53, 66, 0, 0, 54, 1420], 39, 853, &[(1080, 0xecf7e1fa1a72f07b), (39, 0x5827e4d208154289)], &[(1420, 0x91158d82b1099cd2), (0, 0xcbf29ce484222325)]),
+    (WIDE, 0.3, 3, [187, 144, 142, 55, 57, 0, 0, 48, 1408], 43, 930, &[(1092, 0xe8226a5982fbe22f), (43, 0x03d4e2c5c0c9855b)], &[(1408, 0xfb0c84a2cdec84c0), (0, 0xcbf29ce484222325)]),
+    (WIDE, 0.3, 4, [214, 157, 135, 55, 56, 0, 0, 46, 1391], 41, 914, &[(1109, 0x81a35f4aa9489e03), (41, 0x90baddc147fb0632)], &[(1391, 0x2c4dbe65139b3928), (0, 0xcbf29ce484222325)]),
+    (WIDE, 0.3, 5, [199, 169, 141, 38, 59, 0, 0, 49, 1406], 37, 817, &[(1094, 0x6ced1839b599ad91), (37, 0x93066a823996d93b)], &[(1406, 0x46e55f9b380bfd6b), (0, 0xcbf29ce484222325)]),
+    (WIDE, 0.3, 6, [205, 141, 157, 61, 54, 0, 0, 47, 1386], 40, 890, &[(1114, 0x7bd4e401ec081763), (40, 0xf02befbe6b0aead9)], &[(1386, 0x2802513ea07a9f24), (0, 0xcbf29ce484222325)]),
+    (WIDE, 0.3, 7, [217, 139, 154, 52, 45, 0, 0, 36, 1409], 38, 816, &[(1091, 0xce90fdfd1dfd2f47), (38, 0x3ac1641d6059ff1e)], &[(1409, 0xa9811b6267d97cfb), (0, 0xcbf29ce484222325)]),
+    (SMALL, 0.1, 0, [1, 0, 1, 2, 0, 5, 4, 0, 0], 4, 32, &[(32, 0x5805066a0b49e291), (4, 0xc2582fa980ae707d)], &[(0, 0xcbf29ce484222325), (0, 0xcbf29ce484222325)]),
+    (SMALL, 0.1, 1, [1, 1, 2, 0, 0, 4, 4, 0, 0], 4, 32, &[(32, 0xfaeb5401303824ba), (4, 0x05833d8c15340dad)], &[(0, 0xcbf29ce484222325), (0, 0xcbf29ce484222325)]),
+    (SMALL, 0.1, 2, [0, 0, 0, 0, 0, 1, 1, 0, 0], 4, 32, &[(32, 0x70e01434bc9d0e3c), (4, 0x58285cc2ea8fe7df)], &[(0, 0xcbf29ce484222325), (0, 0xcbf29ce484222325)]),
+    (SMALL, 0.1, 3, [2, 3, 2, 0, 1, 6, 5, 1, 0], 4, 32, &[(32, 0x0dc7410f27baae2e), (4, 0xd520365e3ea4a3e5)], &[(0, 0xcbf29ce484222325), (0, 0xcbf29ce484222325)]),
+    (SMALL, 0.1, 4, [1, 0, 1, 0, 0, 1, 1, 0, 0], 4, 32, &[(32, 0x199397d03b8594d4), (4, 0xae0fab816902912e)], &[(0, 0xcbf29ce484222325), (0, 0xcbf29ce484222325)]),
+    (SMALL, 0.1, 5, [0, 0, 1, 0, 1, 1, 0, 1, 0], 4, 32, &[(32, 0x0a6e8592bc5d545a), (4, 0x05d5d1a3c7be9546)], &[(0, 0xcbf29ce484222325), (0, 0xcbf29ce484222325)]),
+    (SMALL, 0.1, 6, [1, 0, 0, 1, 0, 2, 2, 0, 0], 4, 32, &[(32, 0xa45588a902e6f0e5), (4, 0x51c6b6e4a64efb67)], &[(0, 0xcbf29ce484222325), (0, 0xcbf29ce484222325)]),
+    (SMALL, 0.1, 7, [3, 0, 3, 0, 0, 4, 4, 0, 0], 4, 32, &[(32, 0x94b00cd0a47463a6), (4, 0x786c7848b68f9b33)], &[(0, 0xcbf29ce484222325), (0, 0xcbf29ce484222325)]),
+    (SMALL, 0.3, 0, [4, 4, 0, 1, 0, 10, 9, 1, 0], 4, 32, &[(32, 0x1e66b1d2118f2a77), (4, 0xc2582fa980ae707d)], &[(0, 0xcbf29ce484222325), (0, 0xcbf29ce484222325)]),
+    (SMALL, 0.3, 1, [5, 2, 1, 2, 2, 9, 9, 2, 0], 4, 32, &[(32, 0xce4d982dadded1f9), (4, 0x05833d8c15340dad)], &[(0, 0xcbf29ce484222325), (0, 0xcbf29ce484222325)]),
+    (SMALL, 0.3, 2, [0, 1, 0, 0, 2, 2, 2, 2, 0], 4, 32, &[(32, 0x53f4303232754a5e), (4, 0x58285cc2ea8fe7df)], &[(0, 0xcbf29ce484222325), (0, 0xcbf29ce484222325)]),
+    (SMALL, 0.3, 3, [8, 0, 2, 0, 2, 9, 9, 2, 0], 4, 32, &[(32, 0xf0b921edba87243d), (4, 0xd520365e3ea4a3e5)], &[(0, 0xcbf29ce484222325), (0, 0xcbf29ce484222325)]),
+    (SMALL, 0.3, 4, [5, 1, 1, 2, 1, 8, 8, 1, 0], 4, 32, &[(32, 0xcdcad6b816b7e8f0), (4, 0xae0fab816902912e)], &[(0, 0xcbf29ce484222325), (0, 0xcbf29ce484222325)]),
+    (SMALL, 0.3, 5, [2, 4, 0, 0, 2, 6, 6, 2, 0], 4, 32, &[(32, 0x03fd567f098789a8), (4, 0x05d5d1a3c7be9546)], &[(0, 0xcbf29ce484222325), (0, 0xcbf29ce484222325)]),
+    (SMALL, 0.3, 6, [2, 2, 2, 0, 3, 5, 4, 3, 0], 4, 32, &[(32, 0x33b5382f9d95b239), (4, 0x51c6b6e4a64efb67)], &[(0, 0xcbf29ce484222325), (0, 0xcbf29ce484222325)]),
+    (SMALL, 0.3, 7, [6, 2, 2, 0, 0, 9, 9, 0, 0], 4, 32, &[(32, 0x44cc23edf1963abd), (4, 0x786c7848b68f9b33)], &[(0, 0xcbf29ce484222325), (0, 0xcbf29ce484222325)]),
+];
+
+/// Per stage: how many durations, and the FNV-1a digest of their bits.
+fn digest(stages: &[Vec<f64>]) -> Vec<(usize, u64)> {
+    let fnv = |h: u64, d: &f64| {
+        (d.to_bits().to_le_bytes().iter())
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    };
+    stages
+        .iter()
+        .map(|s| (s.len(), s.iter().fold(0xcbf2_9ce4_8422_2325, fnv)))
+        .collect()
+}
+
+#[tokio::test(start_paused = true)]
+async fn faulted_outcomes_match_their_goldens() {
+    for &(shape, rate, seed, failures, root_arrivals, included_outputs, realized, censored) in
+        &GOLDENS
+    {
+        let (k1, k2, deadline) = shape;
+        let tree = if shape == WIDE {
+            TreeSpec::two_level(
+                StageSpec::new(LogNormal::new(6.5, 0.84).unwrap(), k1),
+                StageSpec::new(LogNormal::new(4.0, 1.2).unwrap(), k2),
+            )
+        } else {
+            tree()
+        };
+        let plan = FaultPlan::new(seed ^ 0x601D, FaultSpec::mixed(rate));
+        let cfg = RuntimeConfig::new(tree, deadline)
+            .with_seed(seed)
+            .with_faults(plan);
+        let out = run_query(&cfg, WaitPolicyKind::Cedar).await;
+        let f = out.failures;
+        let case = format!("{k1}x{k2}, rate {rate}, seed {seed}");
+        assert_eq!(
+            [
+                f.crashed,
+                f.hung,
+                f.straggled,
+                f.dropped,
+                f.duplicated,
+                f.retries_launched,
+                f.retries_delivered,
+                f.duplicates_suppressed,
+                f.censored_observations,
+            ],
+            failures,
+            "{case}"
+        );
+        assert_eq!(
+            (out.root_arrivals, out.included_outputs),
+            (root_arrivals, included_outputs),
+            "{case}"
+        );
+        assert_eq!(digest(&out.realized_durations), realized, "{case}");
+        assert_eq!(digest(&out.censored_durations), censored, "{case}");
+    }
 }
 
 /// Heavier sweep, exercised by the CI chaos job via `--include-ignored`:

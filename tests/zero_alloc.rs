@@ -28,12 +28,12 @@
 //! contract — "allocating only the owned message itself".
 //!
 //! Everything lives in ONE `#[test]` so no sibling test can allocate
-//! concurrently and poison the counter — and the counter only bumps
-//! while the measuring thread holds it armed (a `const`-init
-//! thread-local flag, safe to read inside the allocator because a
-//! `Cell<bool>` has no destructor and no lazy allocation), so libtest's
-//! own threads (output capture, progress events) can't poison a window
-//! either.
+//! concurrently and poison the counter — and the counter
+//! (`counting/mod.rs`, shared with `work_budget.rs`) only bumps while
+//! the measuring thread holds it armed, so libtest's own threads
+//! (output capture, progress events) can't poison a window either.
+
+mod counting;
 
 use cedar_core::profile::ProfileConfig;
 use cedar_core::wait::{calculate_wait_with_grid, QupGrid};
@@ -47,65 +47,9 @@ use cedar_estimate::{Model, SlidingWindow};
 use cedar_server::proto::Request;
 use cedar_server::wire2::encode_frame_into;
 use cedar_workloads::treedef::{StageDef, TreeDef};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use counting::{alloc_events, arm};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Heap allocation events (alloc + realloc + alloc_zeroed) observed
-/// while [`ARMED`] was set on the allocating thread.
-static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Armed only on the measuring thread, only inside the measured
-    /// window: allocations on any other thread are someone else's.
-    static ARMED: Cell<bool> = const { Cell::new(false) };
-}
-
-fn count_if_armed() {
-    ARMED.with(|armed| {
-        if armed.get() {
-            ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
-        }
-    });
-}
-
-/// `System`, plus a counter bump on every path that can return fresh
-/// memory while the calling thread is armed. Deallocations are not
-/// counted: the assertions are about not *acquiring* memory in steady
-/// state.
-struct CountingAlloc;
-
-// SAFETY: defers entirely to `System`; the counter is a relaxed atomic
-// gated on a const-init thread-local `Cell` (no alloc, no reentrancy).
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_if_armed();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_if_armed();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_if_armed();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn alloc_events() -> u64 {
-    ALLOC_EVENTS.load(Ordering::SeqCst)
-}
 
 /// Runs `measured` after `warmup` rounds of the same closure and
 /// returns how many allocation events the measured rounds performed on
@@ -115,11 +59,11 @@ fn measure(label: &str, warmup: usize, rounds: usize, mut step: impl FnMut()) ->
         step();
     }
     let before = alloc_events();
-    ARMED.with(|armed| armed.set(true));
+    arm(true);
     for _ in 0..rounds {
         step();
     }
-    ARMED.with(|armed| armed.set(false));
+    arm(false);
     let events = alloc_events() - before;
     // Visible under `--nocapture` for debugging a regression.
     println!("{label}: {events} alloc events over {rounds} rounds");

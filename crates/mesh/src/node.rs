@@ -26,20 +26,21 @@
 //!    aggregator given a checkpoint directory also feeds each pass's
 //!    leaf durations and thresholds to the service's [`Learner`].
 //! 3. Each **worker** samples its leaves' durations from seeds that are
-//!    pure functions of `(query seed, global origin)`, applies the
-//!    fault plan at the send boundary exactly like the engine's leaf
-//!    timeline, and one task pushes one `partial` per surviving leaf at
-//!    its scheduled completion instant through `ship_leaves`, on one
-//!    re-armed timer (a `retry` likewise, one task per frame).
+//!    pure functions of `(query seed, global origin)`, asks the fault
+//!    plan when each is sent and how often ([`FaultPlan::send`], as the
+//!    engine's leaf timeline and every aggregator do), and one task
+//!    pushes one `partial` per copy of each sent leaf at its scheduled
+//!    completion instant through `ship_leaves`, on one re-armed timer (a
+//!    `retry` likewise, one task per frame).
 //!
 //! Failure accounting reconciles end-to-end without coordination:
-//! *injected* fault counts are computed at the root from the plan alone
-//! ([`FaultPlan::planned_into`] is a pure function), while
-//! runtime-dependent counts (retries, suppressed duplicates, censored
-//! observations) are booked by the pass into its [`Ledger`], ride in
-//! each `partial`'s [`FailureReport`] and are merged with
-//! [`FailureReport::absorb`]. A *real* dead peer is charged
-//! as crashes by the parent that detects it — a worker node as one
+//! *injected* faults are booked at the root from the plan alone, when
+//! the query starts ([`FaultPlan::book`], the engine root's own call),
+//! while runtime-dependent counts (retries, suppressed duplicates,
+//! censored observations) are booked by the pass into its [`Ledger`],
+//! ride in each `partial`'s [`FailureReport`] and are merged with
+//! [`FailureReport::absorb`]. A *real* dead peer is charged as crashes
+//! by the parent that detects it — a worker node as one
 //! crash per hosted leaf (whose observations the aggregator then
 //! censors), an aggregator node as one crash — so an actual failure
 //! degrades quality through the same arithmetic as an injected one. The
@@ -848,9 +849,10 @@ impl NodeInner {
             tx.try_send(arrival).is_ok()
         });
 
-        // Injected faults are a pure function of the plan — account for
-        // the whole tree here, no coordination needed.
-        let mut report = FailureReport::default();
+        // The query's ledger: injected faults are a pure function of the
+        // plan, so the whole tree's are booked here, no coordination
+        // needed.
+        let ledger = Ledger::default();
         if let Some(qt) = &qtrace {
             qt.record(
                 0.0,
@@ -864,16 +866,7 @@ impl NodeInner {
             );
         }
         if let Some(plan) = &self.fault_plan {
-            for (level, count) in [(0, k1 * k2), (1, k2)] {
-                plan.planned_into(level, 0..count, &mut report);
-                let Some(qt) = &qtrace else { continue };
-                for origin in 0..count {
-                    if let Some(kind) = plan.fault_for(level, origin) {
-                        let fault = kind.class();
-                        qt.record(0.0, 2, 0, TraceEventKind::FaultInjected { fault, origin });
-                    }
-                }
-            }
+            plan.book(&[0..k1 * k2, 0..k2], &ledger, qtrace.as_deref());
         }
 
         // Fan out; a dead aggregator at dispatch is a real crash.
@@ -900,7 +893,7 @@ impl NodeInner {
             match self.link(agg_name) {
                 Some(l) if l.send(&exec).is_ok() => dispatched.push(Some(l)),
                 _ => {
-                    report.crashed += 1;
+                    ledger.injected(FaultKind::CrashBeforeSend);
                     dispatched.push(None);
                 }
             }
@@ -908,7 +901,6 @@ impl NodeInner {
 
         // Gather until every aggregator is counted or the deadline
         // passes, duplicate origins suppressed into the ledger.
-        let ledger = Ledger::default();
         let gathered = self.rt.block_on(gather(
             rx,
             start + scale.to_wall(deadline),
@@ -921,7 +913,7 @@ impl NodeInner {
             },
         ));
         self.router.unregister(query_id);
-        report.absorb(&ledger.finish().0);
+        let mut report = ledger.finish().0;
         let silent = &gathered.missing;
         // Only what `gather` counted is folded in.
         let mut parts = std::mem::take(&mut *parts.lock().unpoisoned());
@@ -1243,19 +1235,15 @@ impl NodeInner {
             ),
         });
 
-        // The aggregator's own stage-1 fate and duration.
-        let own_fault = plan.as_ref().and_then(|p| p.fault_for(1, agg_index));
+        // The aggregator's own stage-1 duration and send.
         let mut rng = StdRng::seed_from_u64(agg_seed(seed, agg_index));
-        let mut own = spec_tree.stage(1).dist.sample(&mut rng);
-        if let Some(FaultKind::Straggle { factor }) = own_fault {
-            own *= factor.max(1.0);
-        }
-        if matches!(
-            own_fault,
-            Some(FaultKind::CrashBeforeSend | FaultKind::Hang | FaultKind::DropMessage)
-        ) {
+        let own = spec_tree.stage(1).dist.sample(&mut rng);
+        let sent = plan
+            .as_ref()
+            .map_or(Some((own, 1)), |p| p.send(1, agg_index, own));
+        let Some((own, copies)) = sent else {
             return; // the subtree's aggregate never reaches the root
-        }
+        };
         tokio::time::sleep(scale.to_wall(own)).await;
 
         let stage0 = |log: Vec<(usize, f64)>| -> Vec<StageTiming> {
@@ -1298,8 +1286,7 @@ impl NodeInner {
             failures: local_report,
             segment,
         };
-        self.ship_partial(&msg);
-        if matches!(own_fault, Some(FaultKind::DuplicateMessage)) {
+        for _ in 0..copies {
             self.ship_partial(&msg);
         }
     }
@@ -1394,23 +1381,16 @@ impl NodeInner {
             let mut leaves: Vec<Leaf> = Vec::with_capacity(count);
             for origin in base..base + count {
                 let mut rng = StdRng::seed_from_u64(leaf_seed(seed, origin));
-                let mut dur = dist.sample(&mut rng);
-                let mut copies = 1usize;
-                match plan.as_ref().and_then(|p| p.fault_for(0, origin)) {
-                    Some(FaultKind::CrashBeforeSend | FaultKind::Hang | FaultKind::DropMessage) => {
-                        continue
-                    }
-                    Some(FaultKind::Straggle { factor }) => dur *= factor.max(1.0),
-                    Some(FaultKind::DuplicateMessage) => copies = 2,
-                    None => {}
+                let dur = dist.sample(&mut rng);
+                let sent = plan
+                    .as_ref()
+                    .map_or(Some((dur, 1)), |p| p.send(0, origin, dur));
+                // A result never sent, or one that cannot be counted
+                // upstream, is never scheduled; its absence is
+                // right-censored there, like the engine's late tail.
+                if let Some((dur, copies)) = sent.filter(|&(dur, _)| dur <= deadline) {
+                    leaves.push((dur, origin, copies));
                 }
-                if dur > deadline {
-                    // It cannot be counted upstream, so it is never
-                    // scheduled; its absence is right-censored there,
-                    // like the engine's late tail.
-                    continue;
-                }
-                leaves.push((dur, origin, copies));
             }
             let shipped = leaves.len();
             node.ship_leaves(query_id, start, leaves, false, segment)

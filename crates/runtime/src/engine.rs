@@ -3,12 +3,18 @@
 //!
 //! One task per aggregator runs the Pseudocode-1 pass. A bottom
 //! aggregator walks its leaves' sorted [`Timeline`], sampled when the
-//! query starts, on its one timer; leaf faults and retries are entries
-//! on it. A leaf that completes after the deadline cannot be counted by
+//! query starts, on its one timer; watchdog retries are entries on it.
+//! A leaf that completes after the deadline cannot be counted by
 //! anybody, so it never enters the timeline: its aggregator leaves on
 //! its own timer, as it would with that leaf on its way.
+//!
+//! Under a fault plan every task's send goes through [`FaultPlan::send`]:
+//! a leaf whose result is never sent is held back like a late one, and an
+//! aggregator whose result is never sent holds its parent's channel past
+//! the deadline, so neither can be told from a hang. The root books the
+//! plan's faults once, when the query starts ([`FaultPlan::book`]).
 
-use crate::faults::{book_fault, FailureReport, FaultKind, FaultPlan, Ledger, StageLog};
+use crate::faults::{FailureReport, FaultPlan, Ledger, StageLog};
 use crate::metrics::RuntimeMetrics;
 use crate::pass::{gather, walk, Children, Leaf, PassConfig, Retries, Timeline};
 use crate::scale::TimeScale;
@@ -33,15 +39,14 @@ use tokio::time::Instant;
 use crate::pass::Arrival as PartialResult;
 
 /// An aggregator's own work once its pass has departed: whom it reports
-/// as upstream, how long aggregating takes, and the fault that strikes
-/// its send, if any.
+/// as upstream, and when its result is sent and how many copies go
+/// ([`FaultPlan::send`]).
 struct Own {
     origin: usize,
-    duration: f64,
-    fault: Option<FaultKind>,
-    /// When a hung aggregator releases its parent's channel: past the
-    /// deadline, so its silence can never close a channel before the
-    /// aggregator behind it has timed out.
+    send: Option<(f64, usize)>,
+    /// When an aggregator that never sends releases its parent's
+    /// channel: past the deadline, so its silence can never close a
+    /// channel before the aggregator behind it has timed out.
     hang_until: Instant,
 }
 
@@ -292,14 +297,17 @@ pub async fn run_query_prepared(
     );
 
     // Fault wiring (none on clean runs; the clean path below is
-    // byte-identical to the fault-free engine): the query's ledger, where
-    // every task books its faults — into the trace too, when one is
-    // attached, at the same instant.
-    let ledger = cfg.faults.as_ref().map(|_| Arc::new(Ledger::new(n)));
-    let book_leaf = |origin, k| {
-        let at = cfg.scale.to_model(start.elapsed());
-        let trace = cfg.trace.as_deref();
-        book_fault(ledger.as_deref(), trace, at, (0, origin), origin, k);
+    // byte-identical to the fault-free engine): the query's ledger, into
+    // which every planned fault of the tree is booked now.
+    let ledger = cfg.faults.as_ref().map(|plan| {
+        let ledger = Arc::new(Ledger::new(n));
+        let origin = |level| cfg.tree.origin_base(level);
+        let origins: Vec<_> = (0..n).map(|l| origin(l)..origin(l + 1)).collect();
+        plan.book(&origins, &ledger, cfg.trace.as_deref());
+        ledger
+    });
+    let send = |level, index, dur| {
+        (cfg.faults.as_ref()).map_or(Some((dur, 1)), |p| p.send(level, index, dur))
     };
     let hang_until = deadline_instant + cfg.scale.to_wall(1.0);
     let watchdog = cfg
@@ -343,7 +351,7 @@ pub async fn run_query_prepared(
                     values: values.clone(),
                 });
                 let base = child_base;
-                let timeline = leaf_timeline(cfg, start, leaves, base, &values, retries, book_leaf);
+                let timeline = leaf_timeline(cfg, start, leaves, base, &values, retries, send);
                 Children::Timeline(timeline)
             } else {
                 let (tx, rx) = mpsc::channel::<PartialResult>(fan_in.max(1));
@@ -366,8 +374,7 @@ pub async fn run_query_prepared(
             };
             let own = Own {
                 origin: cfg.tree.origin_base(level) + agg,
-                duration: own_durations[level - 1][agg],
-                fault: cfg.faults.as_ref().and_then(|p| p.fault_for(level, agg)),
+                send: send(level, agg, own_durations[level - 1][agg]),
                 hang_until,
             };
             // cedar-lint: allow(L10): one task per aggregator of a tree already validated against MAX_STAGES at decode; the loop bound is the tree shape, not raw client input
@@ -433,12 +440,10 @@ pub async fn run_query_prepared(
 
 /// The timeline of the leaves `base..` of one bottom aggregator of a
 /// query started at `start`, whose sampled durations are `durations`.
-/// Faults strike at the send: the sampled duration is the work, the
-/// send is the one act a fault can deny. A straggle stretches its leaf's
-/// instant and a hang holds the leaf back; both are handed to `book`
-/// now, whether the leaf would ever be counted or not. A leaf due past
-/// the deadline is held back too: nobody can count it. The timeline
-/// carries `retries` for its watchdog, under a fault plan.
+/// Each leaf lands when `send` says, as often as it says; a leaf it
+/// never sends is held back, and so is one due past the deadline: nobody
+/// can count either. The timeline carries `retries` for its watchdog,
+/// under a fault plan.
 fn leaf_timeline(
     cfg: &RuntimeConfig,
     start: Instant,
@@ -446,31 +451,18 @@ fn leaf_timeline(
     base: usize,
     values: &[f64],
     retries: Option<Retries>,
-    book: impl Fn(usize, FaultKind),
+    send: impl Fn(usize, usize, f64) -> Option<(f64, usize)>,
 ) -> Timeline {
     let deadline = start + cfg.scale.to_wall(cfg.deadline);
     let mut leaves = Vec::with_capacity(durations.len());
     let mut held_back = false;
     for (origin, &dur) in (base..).zip(durations) {
-        let mut fault = cfg.faults.as_ref().and_then(|p| p.fault_for(0, origin));
-        let dur = match fault {
-            Some(k @ FaultKind::Straggle { factor }) => {
-                book(origin, k);
-                fault = None;
-                dur * factor
-            }
-            Some(k @ FaultKind::Hang) => {
-                book(origin, k);
-                held_back = true;
-                continue;
-            }
-            _ => dur,
-        };
-        let at = start + cfg.scale.to_wall(dur);
-        if at > deadline {
+        let sent =
+            send(0, origin, dur).map(|(dur, copies)| (start + cfg.scale.to_wall(dur), dur, copies));
+        let Some((at, dur, copies)) = sent.filter(|&(at, ..)| at <= deadline) else {
             held_back = true;
             continue;
-        }
+        };
         let arrival = PartialResult {
             payload: 1,
             value: values[origin],
@@ -478,84 +470,56 @@ fn leaf_timeline(
             duration: dur,
             retry: false,
         };
-        leaves.push(Leaf { at, arrival, fault });
+        leaves.push(Leaf {
+            at,
+            arrival,
+            copies,
+        });
     }
     Timeline::new(leaves, held_back, retries)
 }
 
 /// One aggregator: run the shared Pseudocode-1 pass over this
 /// aggregator's `children`, then aggregate (sleep the own duration) and
-/// ship upstream.
+/// ship upstream, as [`FaultPlan::send`] says.
 ///
 /// Under a fault plan the pass's watchdog re-executes each worker still
-/// missing at the learned-quantile timeout exactly once, and the
-/// aggregator's own send is subject to the plan. A leaf fault whose
-/// instant comes after departure is still booked at that instant, on
-/// the timer of the aggregator's own work; no other leaf is woken.
+/// missing at the learned-quantile timeout exactly once. Once the pass
+/// has departed no child is heard or woken for again.
 async fn aggregator_task(
     pass: PassConfig,
     mut children: Children<impl FnMut(&[usize]) -> Vec<usize> + Send>,
     parent_tx: mpsc::Sender<PartialResult>,
     own: Own,
 ) {
-    let (scale, start) = (pass.scale, pass.start);
-    let (level, index) = (pass.ctx.level, pass.index);
-    let (ledger, trace) = (pass.ledger.clone(), pass.trace.clone());
+    let (scale, level, ledger) = (pass.scale, pass.ctx.level, pass.ledger.clone());
     let out = walk(pass, &mut children).await;
-    let mut timeline = match children {
-        Children::Timeline(timeline) => timeline,
-        // The pass's channel closes here; there are no leaves to book.
-        Children::Channel(..) => Timeline::default(),
-    };
-    let (ledger, trace) = (ledger.as_deref(), trace.as_deref());
-    let now = || scale.to_model(start.elapsed());
-    let book = |at, task, origin, k| book_fault(ledger, trace, at, task, origin, k);
-    let book_leaf = |leaf, k| book(now(), (0, leaf), leaf, k);
-    let book_own = |at, k| book(at, (level, index), own.origin, k);
+    // A pass's channel closes here, so its children's sends fail fast.
+    drop(children);
     if out.payload > 0 {
-        match own.fault {
-            // Died at departure: no aggregation work, no send.
-            Some(k @ FaultKind::CrashBeforeSend) => book_own(out.departed_at, k),
-            Some(k @ FaultKind::Hang) => {
-                book_own(out.departed_at, k);
-                timeline.book_faults(Some(own.hang_until), book_leaf).await;
-            }
-            fault => {
-                let duration = match fault {
-                    Some(k @ FaultKind::Straggle { factor }) => {
-                        book_own(out.departed_at, k);
-                        own.duration * factor
-                    }
-                    _ => own.duration,
+        match own.send {
+            Some((duration, copies)) => {
+                tokio::time::sleep(scale.to_wall(duration)).await;
+                if let Some(l) = &ledger {
+                    l.delivered(level, own.origin, duration);
+                }
+                let msg = PartialResult {
+                    payload: out.payload,
+                    value: out.value,
+                    origin: own.origin,
+                    duration,
+                    retry: false,
                 };
-                let ship_at = Instant::now() + scale.to_wall(duration);
-                timeline.book_faults(Some(ship_at), book_leaf).await;
-                if let Some(k @ FaultKind::DropMessage) = fault {
-                    // Aggregation completed but the result is lost.
-                    book_own(now(), k);
-                } else {
-                    if let Some(l) = ledger {
-                        l.delivered(level, own.origin, duration);
-                    }
-                    let msg = PartialResult {
-                        payload: out.payload,
-                        value: out.value,
-                        origin: own.origin,
-                        duration,
-                        retry: false,
-                    };
-                    if let Some(k @ FaultKind::DuplicateMessage) = fault {
-                        book_own(now(), k);
-                        let _ = parent_tx.send(msg).await;
-                    }
+                for _ in 0..copies {
                     let _ = parent_tx.send(msg).await;
                 }
             }
+            // Never sent: the parent cannot tell this from a hang.
+            None => tokio::time::sleep_until(own.hang_until).await,
         }
     }
     // The parent hears nothing more from here.
     drop(parent_tx);
-    timeline.book_faults(None, book_leaf).await;
 }
 
 #[cfg(test)]
@@ -775,19 +739,16 @@ mod tests {
     }
 
     #[tokio::test(start_paused = true)]
-    async fn a_departed_aggregator_wakes_only_for_its_leaf_faults() {
+    async fn a_departed_aggregator_wakes_for_none_of_its_leaves() {
         // Leaves at 1, 2, 3 and 4 ms; a fixed wait departs the aggregator
-        // at 1.5 ms with the first, and its own work ships at 2.5 ms.
-        // The plain leaves at 2 and 4 ms are never woken for; a
-        // crash-before-send leaf at 3 ms, when there is one, is still
-        // woken and booked at its own instant.
-        async fn run(crash_at_3: bool) -> (Duration, FailureReport, Vec<(f64, TraceEventKind)>) {
+        // at 1.5 ms with the first, and its own work ships at 2.5 ms. The
+        // task ends there: the leaves at 2 and 4 ms are never woken for,
+        // nor is the one at 3 ms when it crashes before its send (held
+        // back, as a hang is).
+        async fn run(crash_at_3: bool) -> Duration {
             let t0 = Instant::now();
-            let at = |ms| t0 + Duration::from_millis(ms);
-            let trace = Arc::new(QueryTrace::new());
-            let ledger = Arc::new(Ledger::new(2));
-            let leaf = |ms: u64, fault| Leaf {
-                at: at(ms),
+            let leaf = |ms: u64| Leaf {
+                at: t0 + Duration::from_millis(ms),
                 arrival: PartialResult {
                     payload: 1,
                     value: 1.0,
@@ -795,10 +756,11 @@ mod tests {
                     duration: ms as f64,
                     retry: false,
                 },
-                fault,
+                copies: 1,
             };
-            let crash = crash_at_3.then_some(FaultKind::CrashBeforeSend);
-            let leaves = vec![leaf(1, None), leaf(2, None), leaf(3, crash), leaf(4, None)];
+            let leaves = [1, 2, 3, 4]
+                .into_iter()
+                .filter(|&ms| !crash_at_3 || ms != 3);
             let tree = TreeSpec::two_level(
                 StageSpec::new(Uniform::new(1.0, 5.0).unwrap(), 4),
                 StageSpec::new(Uniform::new(1.0, 2.0).unwrap(), 1),
@@ -821,49 +783,28 @@ mod tests {
                 index: 0,
                 expected: 0..4,
                 watchdog: None,
-                trace: Some(trace.clone()),
+                trace: None,
                 metrics: None,
-                ledger: Some(ledger.clone()),
+                ledger: Some(Arc::new(Ledger::new(2))),
             };
             let own = Own {
                 origin: 4,
-                duration: 1.0,
-                fault: None,
-                hang_until: at(100),
+                send: Some((1.0, 1)),
+                hang_until: t0 + Duration::from_millis(100),
             };
             let (parent_tx, mut parent_rx) = mpsc::channel(1);
-            let timeline = Timeline::new(leaves, false, None);
+            let timeline = Timeline::new(leaves.map(leaf).collect(), crash_at_3, None);
             let children: Children = Children::Timeline(timeline);
             let task = tokio::spawn(aggregator_task(pass, children, parent_tx, own));
             let shipped = parent_rx.recv().await.map(|m| (m.origin, m.payload));
-            assert_eq!(
-                (shipped, t0.elapsed()),
-                (Some((4, 1)), Duration::from_micros(2500))
-            );
+            assert_eq!(shipped, Some((4, 1)));
             task.await.unwrap();
-            let leaf_events = trace.events().into_iter().filter(|e| e.level == 0);
-            let leaf_events = leaf_events.map(|e| (e.at, e.kind));
-            (t0.elapsed(), ledger.finish().0, leaf_events.collect())
+            t0.elapsed()
         }
 
-        let (took, report, events) = run(false).await;
-        assert_eq!(took, Duration::from_micros(2500));
-        assert_eq!(report.crashed, 0, "{report:?}");
-        assert!(events.is_empty(), "{events:?}");
-
-        let (took, report, events) = run(true).await;
-        assert_eq!(took, Duration::from_millis(3));
-        assert_eq!(report.crashed, 1, "{report:?}");
-        assert_eq!(
-            events,
-            vec![(
-                3.0,
-                TraceEventKind::FaultInjected {
-                    fault: FaultKind::CrashBeforeSend.class(),
-                    origin: 2,
-                }
-            )]
-        );
+        for crash_at_3 in [false, true] {
+            assert_eq!(run(crash_at_3).await, Duration::from_micros(2500));
+        }
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! performance variations* — and a deployment's variations include tasks
 //! that crash, hang, straggle, or lose their messages, not just slow
 //! samples from a well-behaved distribution. A [`FaultPlan`] makes those
-//! misbehaviors injectable at the engine's channel-send and timer
-//! boundaries, **deterministically**: every (stage, task index) pair
-//! derives its fate from the plan's seed alone, independent of task
-//! scheduling, so a seeded run is bit-reproducible and a failing chaos
-//! test can be replayed exactly.
+//! misbehaviors injectable at each task's send, **deterministically**:
+//! every (stage, task index) pair derives its fate from the plan's seed
+//! alone, independent of task scheduling, so a seeded run is
+//! bit-reproducible and a failing chaos test can be replayed exactly.
+//! Two functions carry the whole rule, for the in-process engine and the
+//! mesh alike: [`FaultPlan::send`] says when a task's result is sent and
+//! how many copies go, and [`FaultPlan::book`] books every planned fault
+//! at the root when the query starts.
 //!
 //! The engine's reactions (all opt-in, armed only when a plan is
 //! installed) are:
@@ -31,6 +34,7 @@ use cedar_telemetry::{QueryTrace, TraceEventKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::{Mutex, MutexGuard};
 
 pub use cedar_telemetry::FailureReport;
@@ -280,18 +284,52 @@ impl FaultPlan {
         splitmix64(self.seed ^ 0x5EED_FA17 ^ splitmix64(index as u64 | 1 << 48))
     }
 
+    /// When the result of the task at `(level, index)`, whose work takes
+    /// `duration`, is sent, and how many copies go: the sampled duration
+    /// is the work, and the send is the one act a fault can deny. A
+    /// straggle stretches the duration and a duplicate sends twice.
+    /// `None` when the result is never sent — a crash before the send, a
+    /// hang or a drop, which its receiver cannot tell apart.
+    pub fn send(&self, level: usize, index: usize, duration: f64) -> Option<(f64, usize)> {
+        match self.fault_for(level, index) {
+            None => Some((duration, 1)),
+            Some(FaultKind::Straggle { factor }) => Some((duration * factor, 1)),
+            Some(FaultKind::DuplicateMessage) => Some((duration, 2)),
+            Some(FaultKind::CrashBeforeSend | FaultKind::Hang | FaultKind::DropMessage) => None,
+        }
+    }
+
+    /// Books every fault this plan strikes into `ledger`, when a query
+    /// starts on a tree whose level `l` tasks have the global origins
+    /// `origins[l]`, in index order. With a `trace` attached, each is
+    /// also recorded there at model time 0 against the root, the level
+    /// above the top. Faults are a pure function of the plan, so every
+    /// deployment books the same ones, whether the struck task ever
+    /// runs or not.
+    pub fn book(&self, origins: &[Range<usize>], ledger: &Ledger, trace: Option<&QueryTrace>) {
+        for (level, tasks) in origins.iter().enumerate() {
+            for (index, origin) in tasks.clone().enumerate() {
+                let Some(kind) = self.fault_for(level, index) else {
+                    continue;
+                };
+                ledger.injected(kind);
+                if let Some(t) = trace {
+                    let event = TraceEventKind::FaultInjected {
+                        fault: kind.class(),
+                        origin,
+                    };
+                    t.record(0.0, origins.len(), 0, event);
+                }
+            }
+        }
+    }
+
     /// Folds the faults this plan will inject across `indices` of
     /// `level` into `report`. Because injection is a pure function of
     /// `(seed, level, index)`, any process holding the plan can account
-    /// for faults scheduled in another process without hearing from it
-    /// — the mesh root uses this to keep `FailureReport` reconciliation
-    /// exact even when the faulted peer's own report never arrives.
-    pub fn planned_into(
-        &self,
-        level: usize,
-        indices: std::ops::Range<usize>,
-        report: &mut FailureReport,
-    ) {
+    /// for faults scheduled in another process without hearing from it:
+    /// summed over every level, this is what [`FaultPlan::book`] books.
+    pub fn planned_into(&self, level: usize, indices: Range<usize>, report: &mut FailureReport) {
         for kind in indices.filter_map(|index| self.fault_for(level, index)) {
             report.count(kind.class());
         }
@@ -312,9 +350,11 @@ impl FaultPlan {
 /// The failure ledger of one query (in-process engine) or one
 /// aggregation pass (mesh aggregator): the [`FailureReport`] itself,
 /// plus the delivered and right-censored durations the refit path
-/// learns from. Every task books into it as things happen, at the same
-/// sites that record the decision trace — which is why the report it
-/// finishes with equals the trace summary's `failures` exactly.
+/// learns from. The root books the plan's faults into it when the query
+/// starts ([`FaultPlan::book`]), and every task books what then happens
+/// to its children as it happens; each at the site that records the
+/// decision trace — which is why the report it finishes with equals the
+/// trace summary's `failures` exactly.
 ///
 /// One lock covers the report and both logs, and no method holds it
 /// past its own return. The logs are keyed by task origin and sorted
@@ -419,33 +459,6 @@ impl Ledger {
             ..report
         };
         (report, delivered, censored)
-    }
-}
-
-/// Books fault `k` striking task `origin` into `ledger`, and records it
-/// in `trace`, when one is attached, at model time `at` against task
-/// `index` of `level`.
-pub(crate) fn book_fault(
-    ledger: Option<&Ledger>,
-    trace: Option<&QueryTrace>,
-    at: f64,
-    (level, index): (usize, usize),
-    origin: usize,
-    k: FaultKind,
-) {
-    if let Some(l) = ledger {
-        l.injected(k);
-    }
-    if let Some(t) = trace {
-        t.record(
-            at,
-            level,
-            index,
-            TraceEventKind::FaultInjected {
-                fault: k.class(),
-                origin,
-            },
-        );
     }
 }
 
@@ -572,5 +585,23 @@ mod tests {
         let mut upper = FailureReport::default();
         plan.planned_into(1, 0..8, &mut upper);
         assert!(upper.is_clean() || !plan.spec().workers_only);
+
+        // `book` books the same faults, and traces each at query start
+        // against the root, by the origin it was handed.
+        let (ledger, trace) = (Ledger::new(2), QueryTrace::new());
+        plan.book(&[0..64, 64..72], &ledger, Some(&trace));
+        assert_eq!(ledger.finish().0, planned);
+        let events = trace.events();
+        assert_eq!(events.len(), by_hand);
+        let origins = (0..64).filter(|&i| plan.fault_for(0, i).is_some());
+        for (e, origin) in events.iter().zip(origins) {
+            assert_eq!((e.at, e.level, e.index), (0.0, 2, 0));
+            let class = plan.fault_for(0, origin).map(|k| k.class());
+            assert!(
+                matches!(e.kind, TraceEventKind::FaultInjected { fault, origin: o }
+                    if Some(fault) == class && o == origin),
+                "{e:?}"
+            );
+        }
     }
 }

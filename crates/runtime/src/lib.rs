@@ -12,8 +12,9 @@
 //!   duration at the configured time scale) and produces a partial
 //!   value at an instant known when the query starts, so its bottom
 //!   aggregator walks its leaves' timeline itself. A leaf that would
-//!   complete after the deadline never enters it, and once the
-//!   aggregator has left, no leaf is woken for unless it books a fault;
+//!   complete after the deadline never enters it, nor does one whose
+//!   result a fault denies, and once the aggregator has left, no leaf
+//!   is woken for;
 //! - every **aggregator** is a task running Pseudocode 1 off the one
 //!   loop in [`pass`] (which mesh aggregators run too): partial
 //!   aggregation on arrival, online re-estimation, timer re-arm, early

@@ -10,7 +10,10 @@
 //! nothing, so booking stays here). The in-process engine's bottom
 //! aggregator knows its leaves when the query starts, so it walks their
 //! timeline on that timer instead of a channel, as the simulator walks
-//! its event list; leaf faults and retries are entries on it. Upper
+//! its event list; watchdog retries are entries on it. A leaf whose
+//! result a fault denies never enters it, so the aggregator sees only
+//! arrivals and its own timer, as across a network; the faults
+//! themselves are booked by the root when the query starts. Upper
 //! levels hear their children over a bounded channel, and a mesh node's
 //! network reader threads push each decoded partial-result frame into
 //! the same kind of channel as an [`Arrival`]. A dead or straggling
@@ -26,7 +29,7 @@
 //! beside it, [`gather`]: the same channel-first order and the same
 //! dedupe ([`Seen`]), over the top level's origins.
 
-use crate::faults::{book_fault, FaultKind, FaultPlan, Ledger};
+use crate::faults::{FaultPlan, Ledger};
 use crate::metrics::RuntimeMetrics;
 use crate::scale::TimeScale;
 use cedar_core::aggregator::Seen;
@@ -65,15 +68,13 @@ pub struct Arrival {
     pub retry: bool,
 }
 
-/// One entry of a [`Timeline`]: a leaf's result, when it lands, and the
-/// fault that strikes its send, if any.
+/// One entry of a [`Timeline`]: a leaf's result, when it lands, and how
+/// many copies of it do ([`FaultPlan::send`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Leaf {
     pub(crate) at: Instant,
     pub(crate) arrival: Arrival,
-    /// A crash before the send or a dropped message is booked at `at`
-    /// and delivers nothing; a duplicate is booked and delivers twice.
-    pub(crate) fault: Option<FaultKind>,
+    pub(crate) copies: usize,
 }
 
 /// How a timeline re-executes a leaf its watchdog finds missing: once,
@@ -92,9 +93,9 @@ pub(crate) struct Retries {
 pub(crate) struct Timeline {
     /// Entries still to come, latest first: the next pops off the end.
     leaves: Vec<Leaf>,
-    /// Whether some leaf never enters the timeline (a hang, or a result
-    /// due past the deadline). Such a timeline is never spent: the
-    /// aggregator leaves on its own timer, as it would with that leaf
+    /// Whether some leaf never enters the timeline (a result never sent,
+    /// or one due past the deadline). Such a timeline is never spent:
+    /// the aggregator leaves on its own timer, as it would with that leaf
     /// still on its way.
     held_back: bool,
     /// Under a fault plan, how the watchdog's retries run.
@@ -131,34 +132,13 @@ impl Timeline {
                     duration,
                     retry: true,
                 },
-                fault: None,
+                copies: 1,
             };
             let key = |l: &Leaf| (l.at, l.arrival.origin);
             let i = self.leaves.partition_point(|l| key(l) > key(&leaf));
             self.leaves.insert(i, leaf);
         }
         missing.to_vec()
-    }
-
-    /// After the pass: sleeps to `until`, if given, meanwhile waking for
-    /// each fault entry due by then (for every one, without `until`) to
-    /// hand it to `book` at its own instant. Nobody can see a leaf's send
-    /// once its aggregator has left, so the other entries are dropped.
-    pub(crate) async fn book_faults(
-        &mut self,
-        until: Option<Instant>,
-        mut book: impl FnMut(usize, FaultKind),
-    ) {
-        self.leaves.retain(|l| l.fault.is_some());
-        while let Some(leaf) = self.leaves.pop_if(|l| until.is_none_or(|u| l.at <= u)) {
-            tokio::time::sleep_until(leaf.at).await;
-            if let Some(k) = leaf.fault {
-                book(leaf.arrival.origin, k);
-            }
-        }
-        if let Some(u) = until {
-            tokio::time::sleep_until(u).await;
-        }
     }
 }
 
@@ -318,20 +298,10 @@ where
                 sleep.as_mut().reset(next.map_or(due, |at| at.min(due)));
                 sleep.as_mut().await;
                 let leaf = timeline.leaves.pop_if(|l| l.at <= Instant::now());
-                if let Some(leaf @ Leaf { fault: Some(k), .. }) = leaf {
-                    // A leaf's fault is booked against the leaf itself.
-                    let (at, origin) = (scale.to_model(start.elapsed()), leaf.arrival.origin);
-                    book_fault(ledger, trace, at, (0, origin), origin, k);
-                    // A crash or a drop: the work happened, but the
-                    // result never leaves the host.
-                    if k != FaultKind::DuplicateMessage {
-                        continue;
-                    }
+                if let Some(l) = leaf.filter(|l| l.copies > 1) {
                     // A duplicate: its copy lands right behind it.
-                    timeline.leaves.push(Leaf {
-                        fault: None,
-                        ..leaf
-                    });
+                    let copies = l.copies - 1;
+                    timeline.leaves.push(Leaf { copies, ..l });
                 }
                 leaf.map(|l| l.arrival)
             }
@@ -748,16 +718,12 @@ mod tests {
         ));
     }
 
-    /// A timeline of `(ms after start, origin, fault)` leaves.
-    fn timeline(
-        start: Instant,
-        leaves: &[(u64, usize, Option<FaultKind>)],
-        held_back: bool,
-    ) -> Children {
-        let leaves = leaves.iter().map(|&(ms, origin, fault)| Leaf {
+    /// A timeline of `(ms after start, origin, copies)` leaves.
+    fn timeline(start: Instant, leaves: &[(u64, usize, usize)], held_back: bool) -> Children {
+        let leaves = leaves.iter().map(|&(ms, origin, copies)| Leaf {
             at: start + Duration::from_millis(ms),
             arrival: arrival(origin),
-            fault,
+            copies,
         });
         Children::Timeline(Timeline::new(leaves.collect(), held_back, None))
     }
@@ -768,7 +734,7 @@ mod tests {
         // is the one leaf on the timeline. The leaf got here first.
         let cfg = config(1, WaitPolicyKind::FixedWait(0.0), 400.0);
         let trace = cfg.trace.clone().unwrap();
-        let mut leaves = timeline(cfg.start, &[(0, 4, None)], true);
+        let mut leaves = timeline(cfg.start, &[(0, 4, 1)], true);
         let outcome = walk(cfg, &mut leaves).await;
         assert_eq!(outcome.payload, 1);
         assert!(matches!(
@@ -782,31 +748,21 @@ mod tests {
 
     #[tokio::test(start_paused = true)]
     async fn a_spent_timeline_ends_the_pass_unless_a_leaf_is_held_back() {
-        // A fixed wait of 100 units (5 ms). Child 4 lands at 1 ms, 5 at
-        // 2 ms twice, 6 crashes before its send at 3 ms; 7 never enters.
-        let leaves = [
-            (1, 4, None),
-            (2, 5, Some(FaultKind::DuplicateMessage)),
-            (3, 6, Some(FaultKind::CrashBeforeSend)),
-        ];
+        // A fixed wait of 100 units (5 ms). Child 4 lands at 1 ms and 5
+        // at 2 ms twice; 6 and 7 never enter.
+        let leaves = [(1, 4, 1), (2, 5, 2)];
         for held_back in [false, true] {
             let cfg = config(4, WaitPolicyKind::FixedWait(100.0), 400.0);
             let (ledger, trace) = (cfg.ledger.clone().unwrap(), cfg.trace.clone().unwrap());
             let mut leaves = timeline(cfg.start, &leaves, held_back);
             let outcome = walk(cfg, &mut leaves).await;
-            // Spent at 3 ms, as a channel would close behind its last
-            // sender; with 7 still on its way, on the timer at 5 ms.
-            let left = if held_back { 100.0 } else { 60.0 };
+            // Spent at 2 ms, as a channel would close behind its last
+            // sender; with 6 and 7 still on their way, on the timer at
+            // 5 ms.
+            let left = if held_back { 100.0 } else { 40.0 };
             assert_eq!((outcome.received, outcome.departed_at), (2, left));
             let (report, _, censored) = ledger.finish();
-            assert_eq!(
-                (
-                    report.duplicated,
-                    report.duplicates_suppressed,
-                    report.crashed
-                ),
-                (1, 1, 1)
-            );
+            assert_eq!(report.duplicates_suppressed, 1);
             assert_eq!(censored[0], vec![(6, left), (7, left)]);
             assert_eq!(report, trace.summary().failures);
         }

@@ -1,7 +1,8 @@
 //! One failure record: a chaos query's `FailureReport`, booked by the
 //! engine's ledger, equals the `failures` its decision trace counted on
-//! its own; and a stitched mesh trace merges its nodes' records by
-//! `FailureReport::absorb`, so the merged count is the sum of theirs.
+//! its own, and its injected counts are the plan's, aggregators'
+//! faults included; and a stitched mesh trace merges its nodes' records
+//! by `FailureReport::absorb`, so the merged count is the sum of theirs.
 
 use cedar::core::policy::WaitPolicyKind;
 use cedar::core::{StageSpec, TreeSpec};
@@ -17,27 +18,49 @@ fn tree() -> TreeSpec {
     )
 }
 
-/// One traced in-process query under a mixed 30 % fault plan: the
-/// engine's report and the trace's own summary.
-async fn chaos_query(seed: u64) -> (FailureReport, TraceSummary) {
+/// One traced in-process query under a `spec` plan: the engine's
+/// report, the trace's own summary, and the faults the plan strikes
+/// over every level of the tree.
+async fn chaos_query(seed: u64, spec: FaultSpec) -> (FailureReport, TraceSummary, FailureReport) {
+    let plan = FaultPlan::new(seed ^ 0xFA11, spec);
+    let mut planned = FailureReport::default();
+    for level in 0..tree().levels() {
+        plan.planned_into(level, 0..tree().nodes_at(level), &mut planned);
+    }
     let trace = Arc::new(QueryTrace::new());
     let cfg = RuntimeConfig::new(tree(), 40.0)
         .with_seed(seed)
         .with_trace(trace.clone())
-        .with_faults(FaultPlan::new(seed ^ 0xFA11, FaultSpec::mixed(0.3)));
+        .with_faults(plan);
     let out = run_query(&cfg, WaitPolicyKind::Cedar).await;
-    (out.failures, trace.summary())
+    (out.failures, trace.summary(), planned)
 }
 
 #[tokio::test(start_paused = true)]
 async fn engine_report_equals_the_trace_summary() {
-    let mut injected = 0;
-    for seed in 0..8 {
-        let (report, summary) = chaos_query(seed).await;
-        assert_eq!(report, summary.failures, "seed {seed}");
-        injected += report.total_injected();
+    // A mixed 30 % plan on the leaves, then on the aggregators too.
+    let upper = FaultSpec {
+        workers_only: false,
+        ..FaultSpec::mixed(0.3)
+    };
+    let injected = |f: FailureReport| [f.crashed, f.hung, f.straggled, f.dropped, f.duplicated];
+    let mut totals = Vec::new();
+    for spec in [FaultSpec::mixed(0.3), upper] {
+        let mut total = 0;
+        for seed in 0..8 {
+            let (report, summary, planned) = chaos_query(seed, spec).await;
+            assert_eq!(report, summary.failures, "seed {seed}, {spec:?}");
+            assert_eq!(injected(report), injected(planned), "seed {seed}, {spec:?}");
+            total += report.total_injected();
+        }
+        totals.push(total);
     }
-    assert!(injected > 0, "eight chaos queries injected no fault");
+    // The leaves' fates do not depend on `workers_only`.
+    assert!(totals[0] > 0, "eight chaos queries injected no fault");
+    assert!(
+        totals[1] > totals[0],
+        "no aggregator was struck: {totals:?}"
+    );
 }
 
 fn segment(node: &str, level: usize, summary: TraceSummary) -> TraceSegment {
@@ -64,7 +87,7 @@ async fn merged_summary_absorbs_every_node() {
     // carrying the summary of a different chaos query.
     let mut summaries = Vec::new();
     for seed in 10..17 {
-        summaries.push(chaos_query(seed).await.1);
+        summaries.push(chaos_query(seed, FaultSpec::mixed(0.3)).await.1);
     }
     let mut nodes = summaries.iter().copied();
     let mut next = |name: &str, level| segment(name, level, nodes.next().unwrap());

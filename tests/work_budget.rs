@@ -4,10 +4,12 @@
 //!
 //! Two benchmark shapes (`benchmark/src/workload.rs`): `rpc_wide`, the
 //! paper's 50×50 tree against its binding deadline, and `rpc_small`, a
-//! 4×4 tree under a loose one. Each query runs against contexts prepared
-//! once, as the service's cache serves them, and its window stays open
-//! until every task the query spawned has finished. Allocations are a
-//! proxy for the tasks, channels and timers a query pays for.
+//! 4×4 tree under a loose one; and `rpc_wide` again under a mixed 30 %
+//! fault plan, so the fault path is counted too. Each query runs against
+//! contexts prepared once, as the service's cache serves them, and its
+//! window stays open until every task the query spawned has finished.
+//! Allocations are a proxy for the tasks, channels and timers a query
+//! pays for.
 //!
 //! Each budget is a ceiling, set to the count when it was last lowered:
 //! more fails as added work. The count also depends on std and on the
@@ -23,7 +25,7 @@ use cedar_core::wait::REFERENCE_SCAN_STEPS;
 use cedar_core::{PreparedContexts, StageSpec, TreeSpec, WaitPolicyKind};
 use cedar_distrib::LogNormal;
 use cedar_estimate::Model;
-use cedar_runtime::{ones, run_query_prepared, RuntimeConfig, TimeScale};
+use cedar_runtime::{ones, run_query_prepared, FaultPlan, FaultSpec, RuntimeConfig, TimeScale};
 use counting::{alloc_events, arm};
 use std::time::Duration;
 
@@ -37,16 +39,19 @@ struct Shape {
     k2: usize,
     deadline: f64,
     unit: Duration,
+    /// The seed and rate of a `FaultSpec::mixed` plan, if any.
+    faults: Option<(u64, f64)>,
     budget: u64,
 }
 
-const SHAPES: [Shape; 2] = [
+const SHAPES: [Shape; 3] = [
     Shape {
         name: "rpc_wide",
         k1: 50,
         k2: 50,
         deadline: 1000.0,
         unit: Duration::from_micros(100),
+        faults: None,
         budget: 2106,
     },
     Shape {
@@ -55,7 +60,17 @@ const SHAPES: [Shape; 2] = [
         k2: 4,
         deadline: 1e7,
         unit: Duration::from_nanos(100),
+        faults: None,
         budget: 63,
+    },
+    Shape {
+        name: "rpc_wide, mixed(0.3) faults",
+        k1: 50,
+        k2: 50,
+        deadline: 1000.0,
+        unit: Duration::from_micros(100),
+        faults: Some((0x601D, 0.3)),
+        budget: 1918,
     },
 ];
 
@@ -66,9 +81,12 @@ fn count(shape: &Shape) -> Vec<u64> {
         StageSpec::new(LogNormal::new(6.5, 0.84).unwrap(), shape.k1),
         StageSpec::new(LogNormal::new(4.0, 1.2).unwrap(), shape.k2),
     );
-    let cfg = RuntimeConfig::new(tree, shape.deadline)
+    let mut cfg = RuntimeConfig::new(tree, shape.deadline)
         .with_scale(TimeScale::new(shape.unit))
         .with_seed(1);
+    if let Some((seed, rate)) = shape.faults {
+        cfg = cfg.with_faults(FaultPlan::new(seed, FaultSpec::mixed(rate)));
+    }
     let prepared = PreparedContexts::new(
         &cfg.priors,
         cfg.deadline,

@@ -905,6 +905,7 @@ impl NodeInner {
             rx,
             start + scale.to_wall(deadline),
             0..k2,
+            None,
             Some(&ledger),
             |kind| {
                 if let Some(qt) = &qtrace {

@@ -3,10 +3,14 @@
 //!
 //! One task per aggregator runs the Pseudocode-1 pass. A bottom
 //! aggregator walks its leaves' sorted [`Timeline`], sampled when the
-//! query starts, on its one timer; watchdog retries are entries on it.
-//! A leaf that completes after the deadline cannot be counted by
-//! anybody, so it never enters the timeline: its aggregator leaves on
-//! its own timer, as it would with that leaf on its way.
+//! query starts, in model time, then sleeps once, to its ship; watchdog
+//! retries are entries on it. A leaf that completes after the deadline
+//! cannot be counted by anybody, so it never enters the timeline: its
+//! aggregator leaves on its own timer, as it would with that leaf on its
+//! way. A top-level aggregator whose result ships by the deadline
+//! promises it to the root before it sleeps, and one whose result ships
+//! later does not send it, so the root counts a result by when it
+//! ships, as the simulator does, however late the host runs either task.
 //!
 //! Under a fault plan every task's send goes through [`FaultPlan::send`]:
 //! a leaf whose result is never sent is held back like a late one, and an
@@ -28,6 +32,7 @@ use cedar_estimate::Model;
 use cedar_telemetry::{QueryTrace, TraceEventKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tokio::sync::mpsc;
@@ -48,6 +53,9 @@ struct Own {
     /// channel: past the deadline, so its silence can never close a
     /// channel before the aggregator behind it has timed out.
     hang_until: Instant,
+    /// For a top-level aggregator: the root's deadline, and its count of
+    /// the results promised by then ([`gather`]).
+    root: Option<(Instant, Arc<AtomicUsize>)>,
 }
 
 /// Configuration of one runtime query.
@@ -315,7 +323,9 @@ pub async fn run_query_prepared(
         .as_ref()
         .and_then(|plan| plan.watchdog_at(&*cfg.priors.stage(0).dist, cfg.deadline));
 
-    // Root channel.
+    // Root channel, and the count of results promised on it by the
+    // deadline.
+    let promised = Arc::new(AtomicUsize::new(0));
     let top_fanout = cfg.tree.stage(agg_levels - 1).fanout.max(1);
     let (root_tx, root_rx) =
         mpsc::channel::<PartialResult>(cfg.tree.nodes_at(agg_levels).max(top_fanout));
@@ -376,6 +386,7 @@ pub async fn run_query_prepared(
                 origin: cfg.tree.origin_base(level) + agg,
                 send: send(level, agg, own_durations[level - 1][agg]),
                 hang_until,
+                root: (level == agg_levels).then(|| (deadline_instant, promised.clone())),
             };
             // cedar-lint: allow(L10): one task per aggregator of a tree already validated against MAX_STAGES at decode; the loop bound is the tree shape, not raw client input
             tokio::spawn(aggregator_task(pass, children, parent_tx, own));
@@ -388,9 +399,14 @@ pub async fn run_query_prepared(
     // Root: gather the top level's results until the deadline.
     let top_base = cfg.tree.origin_base(agg_levels);
     let top = top_base..top_base + cfg.tree.nodes_at(agg_levels);
-    let gathered = gather(root_rx, deadline_instant, top, ledger.as_deref(), |kind| {
-        record_root(cfg.scale.to_model(start.elapsed()), kind);
-    })
+    let gathered = gather(
+        root_rx,
+        deadline_instant,
+        top,
+        Some(&promised),
+        ledger.as_deref(),
+        |kind| record_root(cfg.scale.to_model(start.elapsed()), kind),
+    )
     .await;
 
     let (failures, realized_durations, censored_durations) = match &ledger {
@@ -480,43 +496,58 @@ fn leaf_timeline(
 }
 
 /// One aggregator: run the shared Pseudocode-1 pass over this
-/// aggregator's `children`, then aggregate (sleep the own duration) and
-/// ship upstream, as [`FaultPlan::send`] says.
+/// aggregator's `children`, then aggregate (its own duration past the
+/// departure) and ship upstream, as [`FaultPlan::send`] says: a bottom
+/// aggregator's only real-time wait, as its timeline pass never waits.
 ///
 /// Under a fault plan the pass's watchdog re-executes each worker still
 /// missing at the learned-quantile timeout exactly once. Once the pass
-/// has departed no child is heard or woken for again.
+/// has departed no child is heard from again.
 async fn aggregator_task(
     pass: PassConfig,
     mut children: Children<impl FnMut(&[usize]) -> Vec<usize> + Send>,
     parent_tx: mpsc::Sender<PartialResult>,
     own: Own,
 ) {
-    let (scale, level, ledger) = (pass.scale, pass.ctx.level, pass.ledger.clone());
+    let (scale, start, level) = (pass.scale, pass.start, pass.ctx.level);
+    let ledger = pass.ledger.clone();
     let out = walk(pass, &mut children).await;
+    let departed = start + scale.to_wall(out.departed_at);
     // A pass's channel closes here, so its children's sends fail fast.
     drop(children);
-    if out.payload > 0 {
-        match own.send {
-            Some((duration, copies)) => {
-                tokio::time::sleep(scale.to_wall(duration)).await;
-                if let Some(l) = &ledger {
-                    l.delivered(level, own.origin, duration);
+    match own.send {
+        // Nothing to ship; the parent's channel stays open to the departure.
+        _ if out.payload == 0 => tokio::time::sleep_until(departed).await,
+        Some((duration, mut copies)) => {
+            let ship = departed + scale.to_wall(duration);
+            // The root counts a result by when it ships, as the simulator
+            // does: one due by the deadline is promised, so the root waits
+            // for it however late the host runs this task; one past it is
+            // not sent.
+            match &own.root {
+                Some((deadline, promised)) if ship <= *deadline => {
+                    promised.fetch_add(copies, Ordering::Release);
                 }
-                let msg = PartialResult {
-                    payload: out.payload,
-                    value: out.value,
-                    origin: own.origin,
-                    duration,
-                    retry: false,
-                };
-                for _ in 0..copies {
-                    let _ = parent_tx.send(msg).await;
-                }
+                Some(_) => copies = 0,
+                None => {}
             }
-            // Never sent: the parent cannot tell this from a hang.
-            None => tokio::time::sleep_until(own.hang_until).await,
+            tokio::time::sleep_until(ship).await;
+            if let Some(l) = &ledger {
+                l.delivered(level, own.origin, duration);
+            }
+            let msg = PartialResult {
+                payload: out.payload,
+                value: out.value,
+                origin: own.origin,
+                duration,
+                retry: false,
+            };
+            for _ in 0..copies {
+                let _ = parent_tx.send(msg).await;
+            }
         }
+        // Never sent: the parent cannot tell this from a hang.
+        None => tokio::time::sleep_until(own.hang_until).await,
     }
     // The parent hears nothing more from here.
     drop(parent_tx);
@@ -738,72 +769,147 @@ mod tests {
         }
     }
 
+    /// What a [`lone_aggregator`]'s parent heard.
+    #[derive(Debug, PartialEq)]
+    struct Heard {
+        /// The result shipped (origin and payload), if one was.
+        shipped: Option<(usize, usize)>,
+        /// When the parent's channel closed, and when the task ended.
+        closed: Duration,
+        ended: Duration,
+        /// Results promised to the root, when its parent is the root.
+        promised: usize,
+    }
+
+    /// Runs one bottom aggregator of a query started now over leaves
+    /// `0..4` landing `ms` after the start (the leaf at `m` ms is origin
+    /// `m - 1`; `held_back` says one more never lands), under a fixed wait
+    /// of 1.5 ms; its own work takes 1 ms and ships as origin 4. Its
+    /// parent is the root when `root_deadline` (ms) is given.
+    async fn lone_aggregator(ms: &[u64], held_back: bool, root_deadline: Option<u64>) -> Heard {
+        let t0 = Instant::now();
+        let leaf = |ms: u64| Leaf {
+            at: t0 + Duration::from_millis(ms),
+            arrival: PartialResult {
+                payload: 1,
+                value: 1.0,
+                origin: ms as usize - 1,
+                duration: ms as f64,
+                retry: false,
+            },
+            copies: 1,
+        };
+        let tree = TreeSpec::two_level(
+            StageSpec::new(Uniform::new(1.0, 5.0).unwrap(), 4),
+            StageSpec::new(Uniform::new(1.0, 2.0).unwrap(), 1),
+        );
+        let kind = WaitPolicyKind::FixedWait(1.5);
+        let prepared = PreparedContexts::new(
+            &tree,
+            100.0,
+            kind,
+            Model::LogNormal,
+            64,
+            &ProfileConfig::default(),
+        );
+        let pass = PassConfig {
+            ctx: prepared.for_query(&tree).remove(0),
+            kind,
+            model: Model::LogNormal,
+            scale: TimeScale::millis(),
+            start: t0,
+            index: 0,
+            expected: 0..4,
+            watchdog: None,
+            trace: None,
+            metrics: None,
+            ledger: Some(Arc::new(Ledger::new(2))),
+        };
+        let promised = Arc::new(AtomicUsize::new(0));
+        let own = Own {
+            origin: 4,
+            send: Some((1.0, 1)),
+            hang_until: t0 + Duration::from_millis(100),
+            root: root_deadline.map(|d| (t0 + Duration::from_millis(d), promised.clone())),
+        };
+        let (parent_tx, mut parent_rx) = mpsc::channel(1);
+        let timeline = Timeline::new(ms.iter().map(|&m| leaf(m)).collect(), held_back, None);
+        let children: Children = Children::Timeline(timeline);
+        let task = tokio::spawn(aggregator_task(pass, children, parent_tx, own));
+        let shipped = parent_rx.recv().await.map(|m| (m.origin, m.payload));
+        while parent_rx.recv().await.is_some() {}
+        let closed = t0.elapsed();
+        task.await.unwrap();
+        Heard {
+            shipped,
+            closed,
+            ended: t0.elapsed(),
+            promised: promised.load(Ordering::Acquire),
+        }
+    }
+
     #[tokio::test(start_paused = true)]
     async fn a_departed_aggregator_wakes_for_none_of_its_leaves() {
-        // Leaves at 1, 2, 3 and 4 ms; a fixed wait departs the aggregator
-        // at 1.5 ms with the first, and its own work ships at 2.5 ms. The
-        // task ends there: the leaves at 2 and 4 ms are never woken for,
-        // nor is the one at 3 ms when it crashes before its send (held
-        // back, as a hang is).
-        async fn run(crash_at_3: bool) -> Duration {
-            let t0 = Instant::now();
-            let leaf = |ms: u64| Leaf {
-                at: t0 + Duration::from_millis(ms),
-                arrival: PartialResult {
-                    payload: 1,
-                    value: 1.0,
-                    origin: ms as usize - 1,
-                    duration: ms as f64,
-                    retry: false,
-                },
-                copies: 1,
-            };
-            let leaves = [1, 2, 3, 4]
+        // Leaves at 1, 2, 3 and 4 ms; the fixed wait departs the
+        // aggregator at 1.5 ms with the first, and its own work ships at
+        // 2.5 ms. The task ends there: the leaves at 2 and 4 ms are never
+        // woken for, nor is the one at 3 ms when it crashes before its
+        // send (held back, as a hang is).
+        for crashed in [false, true] {
+            let ms: Vec<u64> = [1, 2, 3, 4]
                 .into_iter()
-                .filter(|&ms| !crash_at_3 || ms != 3);
-            let tree = TreeSpec::two_level(
-                StageSpec::new(Uniform::new(1.0, 5.0).unwrap(), 4),
-                StageSpec::new(Uniform::new(1.0, 2.0).unwrap(), 1),
+                .filter(|&m| !crashed || m != 3)
+                .collect();
+            let heard = lone_aggregator(&ms, crashed, None).await;
+            let shipped_at = Duration::from_micros(2500);
+            assert_eq!(
+                heard,
+                Heard {
+                    shipped: Some((4, 1)),
+                    closed: shipped_at,
+                    ended: shipped_at,
+                    promised: 0,
+                }
             );
-            let kind = WaitPolicyKind::FixedWait(1.5);
-            let prepared = PreparedContexts::new(
-                &tree,
-                100.0,
-                kind,
-                Model::LogNormal,
-                64,
-                &ProfileConfig::default(),
-            );
-            let pass = PassConfig {
-                ctx: prepared.for_query(&tree).remove(0),
-                kind,
-                model: Model::LogNormal,
-                scale: TimeScale::millis(),
-                start: t0,
-                index: 0,
-                expected: 0..4,
-                watchdog: None,
-                trace: None,
-                metrics: None,
-                ledger: Some(Arc::new(Ledger::new(2))),
-            };
-            let own = Own {
-                origin: 4,
-                send: Some((1.0, 1)),
-                hang_until: t0 + Duration::from_millis(100),
-            };
-            let (parent_tx, mut parent_rx) = mpsc::channel(1);
-            let timeline = Timeline::new(leaves.map(leaf).collect(), crash_at_3, None);
-            let children: Children = Children::Timeline(timeline);
-            let task = tokio::spawn(aggregator_task(pass, children, parent_tx, own));
-            let shipped = parent_rx.recv().await.map(|m| (m.origin, m.payload));
-            assert_eq!(shipped, Some((4, 1)));
-            task.await.unwrap();
-            t0.elapsed()
         }
+    }
 
-        for crash_at_3 in [false, true] {
-            assert_eq!(run(crash_at_3).await, Duration::from_micros(2500));
+    #[tokio::test(start_paused = true)]
+    async fn an_empty_departure_holds_the_parents_channel_until_its_instant() {
+        // Both leaves land after the fixed wait: the pass departs at
+        // 1.5 ms with nothing, in model time, before the clock moves. Its
+        // parent's channel must stay open until then, as it would while
+        // the aggregator waited; closing it at once would tell the parent
+        // that nothing more can come before the aggregator left.
+        let heard = lone_aggregator(&[2, 3], false, None).await;
+        let departed = Duration::from_micros(1500);
+        assert_eq!(
+            heard,
+            Heard {
+                shipped: None,
+                closed: departed,
+                ended: departed,
+                promised: 0,
+            }
+        );
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn a_top_level_result_is_promised_to_the_root_by_its_ship() {
+        // The result ships at 2.5 ms. Under a root deadline of 3 ms it is
+        // promised when the pass departs, then sent; under one of 2 ms
+        // the root could not count it, so it is not sent, and the
+        // channel stays open to the ship all the same.
+        let shipped_at = Duration::from_micros(2500);
+        for (deadline, shipped, promised) in [(3, Some((4, 1)), 1), (2, None, 0)] {
+            let heard = lone_aggregator(&[1, 2], false, Some(deadline)).await;
+            let want = Heard {
+                shipped,
+                closed: shipped_at,
+                ended: shipped_at,
+                promised,
+            };
+            assert_eq!(heard, want, "root deadline {deadline} ms");
         }
     }
 

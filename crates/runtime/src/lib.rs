@@ -19,8 +19,12 @@
 //!   loop in [`pass`] (which mesh aggregators run too): partial
 //!   aggregation on arrival, online re-estimation, timer re-arm, early
 //!   departure when all inputs are in;
-//! - the **root** gathers whatever aggregated results arrive before the
-//!   wall-clock deadline, through [`gather`] (which mesh roots run too).
+//! - the **root** gathers the aggregated results shipped by the
+//!   deadline, through [`gather`] (which mesh roots run too). The
+//!   engine's top-level aggregators promise it each result due by then,
+//!   so it counts a result by when it ships, as the simulator does, not
+//!   by when the host gets it there; a mesh root counts what arrives
+//!   before its wall-clock deadline.
 //!
 //! Between queries, the [`service`] and every checkpointing mesh
 //! aggregator learn stage distributions through one [`Learner`].

@@ -9,8 +9,9 @@
 //! trace, the [`Ledger`] and the wait-scan histogram (the simulator books
 //! nothing, so booking stays here). The in-process engine's bottom
 //! aggregator knows its leaves when the query starts, so it walks their
-//! timeline on that timer instead of a channel, as the simulator walks
-//! its event list; watchdog retries are entries on it. A leaf whose
+//! timeline instead of a channel, in model time, as the simulator walks
+//! its event list: no timer, and every event takes the instant stepped
+//! to, not the clock's; watchdog retries are entries on it. A leaf whose
 //! result a fault denies never enters it, so the aggregator sees only
 //! arrivals and its own timer, as across a network; the faults
 //! themselves are booked by the root when the query starts. Upper
@@ -27,7 +28,9 @@
 //!
 //! Both roots — the engine's and a mesh root's — run the terminal loop
 //! beside it, [`gather`]: the same channel-first order and the same
-//! dedupe ([`Seen`]), over the top level's origins.
+//! dedupe ([`Seen`]), over the top level's origins. The engine's root
+//! also counts the results promised to it by the deadline, and waits
+//! past the deadline for any the host has not yet delivered.
 
 use crate::faults::{FaultPlan, Ledger};
 use crate::metrics::RuntimeMetrics;
@@ -41,6 +44,7 @@ use cedar_telemetry::{QueryTrace, ShipReason, TraceEventKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tokio::sync::mpsc;
 use tokio::time::Instant;
@@ -87,7 +91,7 @@ pub(crate) struct Retries {
 }
 
 /// A bottom aggregator's leaves, sampled when the query starts, in the
-/// order one timer per leaf would fire them: by instant, then origin.
+/// order they land: by instant, then origin.
 /// Above the bottom level an aggregator has none: `Default` is empty.
 #[derive(Default)]
 pub(crate) struct Timeline {
@@ -220,7 +224,8 @@ pub async fn run_pass(
 }
 
 /// [`run_pass`] over either kind of `children`. A due timeline entry,
-/// like a queued message, goes before a due wake.
+/// like a queued message, goes before a due wake; a timeline pass never
+/// awaits, so departs ahead of the clock.
 pub(crate) async fn walk<W>(cfg: PassConfig, children: &mut Children<W>) -> PassOutcome
 where
     W: FnMut(&[usize]) -> Vec<usize> + Send,
@@ -255,10 +260,11 @@ where
     record(0.0, TraceEventKind::InitialWait { wait: w0 });
     let mut prev_detail: Option<DecisionDetail> = None;
     let mut watchdog_pending = watchdog.is_some();
-    // One timer for the whole pass, re-armed in place each turn: building
-    // a fresh `sleep_until` per arrival would pay a registration and a
-    // cancel every time.
+    // A channel pass's one timer, re-armed in place each turn (a fresh one
+    // per arrival would pay a registration and a cancel); a timeline arms none.
     let mut sleep = std::pin::pin!(tokio::time::sleep_until(start + scale.to_wall(w0)));
+    // The instant the last turn reached: the clock's, or a timeline's.
+    let mut now = start;
     loop {
         // The machine's next wake is whichever of its timer and watchdog
         // is earlier; it tells the two apart when the wake comes.
@@ -269,35 +275,30 @@ where
                 sleep.as_mut().reset(due);
                 // The vendored select! has exactly two arms, so the
                 // watchdog shares the timer arm.
-                tokio::select! {
-                    // The channel arm goes first: a result already
-                    // sitting in the queue beat the timer in wall time,
-                    // so it must not be censored by a concurrently-due
-                    // timer — and the watchdog must not speculatively
-                    // re-execute a child whose answer is a `recv` away.
+                let msg = tokio::select! {
+                    // The channel arm goes first: a queued result beat
+                    // the timer in wall time, so a due timer must not
+                    // censor it, nor the watchdog re-execute its child.
                     // The race is real whenever this task is polled late
-                    // (a cold-start wait scan, a busy host): the last
-                    // sender's wake-up and this timer then land in one
-                    // poll. It also spares the timer registration
-                    // whenever the next arrival is already queued.
+                    // (a busy host). It also spares the timer
+                    // registration when the next arrival is queued.
                     biased;
-                    msg = rx.recv() => {
-                        // All senders gone: nothing more can arrive.
-                        let Some(m) = msg else { break };
-                        Some(m)
-                    }
-                    () = sleep.as_mut() => None,
-                }
+                    msg = rx.recv() => msg.map(Some),
+                    () = sleep.as_mut() => Some(None),
+                };
+                now = Instant::now();
+                // All senders gone: nothing more can arrive.
+                let Some(msg) = msg else { break };
+                msg
             }
             Children::Timeline(timeline) => {
                 if timeline.leaves.is_empty() && !timeline.held_back && !watchdog_pending {
                     // Nothing more can arrive.
                     break;
                 }
-                let next = timeline.leaves.last().map(|l| l.at);
-                sleep.as_mut().reset(next.map_or(due, |at| at.min(due)));
-                sleep.as_mut().await;
-                let leaf = timeline.leaves.pop_if(|l| l.at <= Instant::now());
+                // No sleep: step to the next entry or the wake.
+                now = timeline.leaves.last().map_or(due, |l| l.at.min(due));
+                let leaf = timeline.leaves.pop_if(|l| l.at <= now);
                 if let Some(l) = leaf.filter(|l| l.copies > 1) {
                     // A duplicate: its copy lands right behind it.
                     let copies = l.copies - 1;
@@ -306,9 +307,9 @@ where
                 leaf.map(|l| l.arrival)
             }
         };
+        let now_model = scale.to_model(now - start);
         let Some(m) = msg else {
-            let now_model = scale.to_model(start.elapsed());
-            // The sleep ended at exactly the wake the machine asked for,
+            // The turn ended at exactly the wake the machine asked for,
             // so that instant, not the clock's rounding of it, is what it
             // is told.
             let AggregatorAction::Watchdog(missing) = state.on_timer(wake) else {
@@ -335,7 +336,6 @@ where
             }
             continue;
         };
-        let now_model = scale.to_model(start.elapsed());
         // Time the whole arrival handler (estimate + ε-scan) only when
         // metrics are attached; under a paused test clock the
         // measurement is zero, which is harmless.
@@ -409,7 +409,7 @@ where
             break;
         }
     }
-    let departed_at = scale.to_model(start.elapsed());
+    let departed_at = scale.to_model(now - start);
     // Children missing at departure are right-censored at the departure
     // time: all we know is their duration exceeds it.
     if let Some(l) = refit_log {
@@ -466,10 +466,17 @@ pub struct Gathered {
 /// already queued when the deadline comes due got here in time. Refused
 /// arrivals are booked into `ledger` and handed to `record`, as are
 /// counted ones.
+///
+/// `promised`, when given, counts the results the senders have shipped
+/// or will ship by the deadline, each counted before it is sent; no
+/// other result may be sent. Past the deadline the gather still waits
+/// for those, so a result is counted by when it shipped, not by which
+/// of two tasks the host woke at once runs first.
 pub async fn gather(
     mut rx: mpsc::Receiver<Arrival>,
     deadline: Instant,
     expected: Range<usize>,
+    promised: Option<&AtomicUsize>,
     ledger: Option<&Ledger>,
     record: impl Fn(TraceEventKind),
 ) -> Gathered {
@@ -477,13 +484,24 @@ pub async fn gather(
     let mut seen = Seen::new(expected);
     let mut expiry = std::pin::pin!(tokio::time::sleep_until(deadline));
     let (mut included, mut arrivals, mut value_sum) = (0, 0, 0.0);
+    // Results heard so far, and whether the deadline has come.
+    let (mut heard, mut expired) = (0, false);
     let reason = loop {
-        let msg = if arrivals < total {
+        let msg = if arrivals < total && !expired {
             tokio::select! {
                 biased;
                 msg = rx.recv() => msg,
-                () = expiry.as_mut() => break ShipReason::DeadlineExpired,
+                () = expiry.as_mut() => {
+                    expired = true;
+                    continue;
+                }
             }
+        } else if arrivals < total {
+            // Past the deadline only promised results are on their way.
+            if heard >= promised.map_or(0, |p| p.load(Ordering::Acquire)) {
+                break ShipReason::DeadlineExpired;
+            }
+            rx.recv().await
         } else {
             // Every origin is counted. What is already queued behind the
             // last of them is still looked at (and refused); then the
@@ -494,6 +512,7 @@ pub async fn gather(
                 Err(_) => break ShipReason::AllArrived,
             }
         };
+        heard += usize::from(msg.is_some());
         match msg {
             Some(m) if seen.insert(m.origin) => {
                 included += m.payload;
@@ -775,7 +794,7 @@ mod tests {
         // from the top level.
         let ledger = Ledger::new(1);
         let (_tx, rx) = queued(&[4, 5, 5, 9]);
-        let got = gather(rx, Instant::now(), 4..6, Some(&ledger), |_| {}).await;
+        let got = gather(rx, Instant::now(), 4..6, None, Some(&ledger), |_| {}).await;
         assert_eq!((got.arrivals, got.included), (2, 2));
         assert!((got.value_sum - 2.0).abs() < 1e-12);
         assert_eq!(got.reason, ShipReason::DeadlineExpired);
@@ -785,15 +804,38 @@ mod tests {
         // have gone after it, so the deadline ended the gather.
         let (tx, rx) = queued(&[4]);
         drop(tx);
-        let got = gather(rx, Instant::now(), 4..6, None, |_| {}).await;
+        let got = gather(rx, Instant::now(), 4..6, None, None, |_| {}).await;
         assert_eq!((got.arrivals, got.reason), (1, ShipReason::DeadlineExpired));
 
         // Every sender gone before the deadline: a full gather.
         let (tx, rx) = queued(&[4]);
         drop(tx);
         let later = Instant::now() + Duration::from_secs(1);
-        let got = gather(rx, later, 4..6, None, |_| {}).await;
+        let got = gather(rx, later, 4..6, None, None, |_| {}).await;
         assert_eq!((got.arrivals, got.reason), (1, ShipReason::AllArrived));
+    }
+
+    #[tokio::test(start_paused = true)]
+    async fn root_waits_past_its_deadline_for_promised_results() {
+        // A result sent 1 ms past the deadline, as when the host runs its
+        // sender late, counts if it was promised by the deadline; if not,
+        // the gather ends on the deadline without it.
+        for promise in [1, 0] {
+            let begun = Instant::now();
+            let (tx, rx) = mpsc::channel(1);
+            let late = tokio::spawn(async move {
+                tokio::time::sleep(Duration::from_millis(2)).await;
+                let _ = tx.send(arrival(4)).await;
+            });
+            let promised = AtomicUsize::new(promise);
+            let deadline = begun + Duration::from_millis(1);
+            let got = gather(rx, deadline, 4..6, Some(&promised), None, |_| {}).await;
+            assert_eq!(got.arrivals, promise);
+            assert_eq!(got.reason, ShipReason::DeadlineExpired);
+            let ended = Duration::from_millis(1 + promise as u64);
+            assert_eq!(begun.elapsed(), ended);
+            late.await.unwrap();
+        }
     }
 
     #[tokio::test(start_paused = true)]
@@ -834,7 +876,7 @@ mod tests {
         // count can end the gather before the deadline, a second away.
         let begun = Instant::now();
         let (_tx, rx) = queued(&[4, 5]);
-        let got = gather(rx, begun + Duration::from_secs(1), 4..6, None, |_| {}).await;
+        let got = gather(rx, begun + Duration::from_secs(1), 4..6, None, None, |_| {}).await;
         assert_eq!((got.arrivals, got.reason), (2, ShipReason::AllArrived));
         assert_eq!(begun.elapsed(), Duration::ZERO);
     }
@@ -844,7 +886,7 @@ mod tests {
         let (tx, rx) = queued(&[5, 5, 9]);
         drop(tx);
         let later = Instant::now() + Duration::from_secs(1);
-        let got = gather(rx, later, 4..8, None, |_| {}).await;
+        let got = gather(rx, later, 4..8, None, None, |_| {}).await;
         assert_eq!(got.missing, vec![4, 6, 7]);
     }
 }

@@ -139,10 +139,11 @@ async fn concurrent_qualities_match_serial_on_same_seeds() {
     assert_eq!(concurrent.completed(), seeds.len());
 }
 
-// On the paused clock every leaf arrives at its sampled instant. On the
-// wall clock a busy machine delays leaves by milliseconds, the estimator
-// fits those late arrivals, and an aggregator can leave before its last
-// leaves: `shortfall` says which and by how much.
+// A bottom aggregator walks its leaves in model time, so every leaf
+// arrives at its sampled instant on the paused clock and the wall clock
+// alike, and under this deadline every aggregator hears all of its
+// leaves. If one ever leaves short, `shortfall` says which, and which
+// leaves it missed.
 #[tokio::test(start_paused = true)]
 async fn explicit_values_flow_through_concurrent_submits() {
     let mut cfg = ServiceConfig::new(tree(1.0), 400.0);

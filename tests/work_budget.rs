@@ -9,7 +9,9 @@
 //! contexts prepared once, as the service's cache serves them, and its
 //! window stays open until every task the query spawned has finished.
 //! Allocations are a proxy for the tasks, channels and timers a query
-//! pays for.
+//! pays for. A bottom aggregator walks its leaves in model time and arms
+//! one timer, to its ship or its departure, so timers count per
+//! aggregator, not per leaf.
 //!
 //! Each budget is a ceiling, set to the count when it was last lowered:
 //! more fails as added work. The count also depends on std and on the
@@ -52,7 +54,7 @@ const SHAPES: [Shape; 3] = [
         deadline: 1000.0,
         unit: Duration::from_micros(100),
         faults: None,
-        budget: 2106,
+        budget: 471,
     },
     Shape {
         name: "rpc_small",
@@ -61,7 +63,7 @@ const SHAPES: [Shape; 3] = [
         deadline: 1e7,
         unit: Duration::from_nanos(100),
         faults: None,
-        budget: 63,
+        budget: 48,
     },
     Shape {
         name: "rpc_wide, mixed(0.3) faults",
@@ -70,7 +72,7 @@ const SHAPES: [Shape; 3] = [
         deadline: 1000.0,
         unit: Duration::from_micros(100),
         faults: Some((0x601D, 0.3)),
-        budget: 1918,
+        budget: 712,
     },
 ];
 
